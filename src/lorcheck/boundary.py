@@ -128,7 +128,7 @@ def check_co(chain):
         entries.append((1, m, implies(init, chain.h_cnf(m))))
         entries.append((2, m, implies(chain.h_cnf(m), ts.prop)))
     for m in range(1, chain.j + 1):
-        lhs = chain.h_cnf(m - 1) + rename_frame(chain.trlx_cnf(m - 1), ts.table, {0: 0, 1: 1})
+        lhs = chain.h_cnf(m - 1) + chain.trlx_cnf(m - 1)
         entries.append((3, m, implies(lhs, chain.h_at(m, 1))))
         entries.append((4, m, implies(chain.h_cnf(m - 1), chain.h_cnf(m))))
     return CoReport(entries)

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .cnf import Cnf, Clause, evaluate, rename_frame
-from .sat import solve, implies
+from .sat import Solver, implies
 from .circuit import (CircuitError, parse_circuit, encode, add_stuttering,
                       build_miter)
 from .pqe import PqeTask, take_out, PqeBudgetError
@@ -113,6 +113,7 @@ def verify_trace(ts, lines, report):
     if evaluate(ts.init, st) is not True:
         report("step 0: state is not initial")
         return False
+    trans = Solver(ts.trans)
     for i, ibits, sbits in steps[1:]:
         cur = state_assign(steps[i - 1][2], 0)
         nxt = state_assign(sbits, 1)
@@ -120,7 +121,7 @@ def verify_trace(ts, lines, report):
                for n, b in zip(input_names, ibits)}
         assume = [(v if b else -v) for a in (cur, ins, nxt)
                   for v, b in sorted(a.items())]
-        if not solve(ts.trans, assumptions=assume):
+        if not trans.solve(assume):
             report("step %d: not a transition of the system" % i)
             return False
     last = state_assign(steps[-1][2], 0)
@@ -229,25 +230,32 @@ def _run_engine(ts, args, err):
     guess = _parse_guess(args.guess) if args.guess else None
     opts = Options(max_frames=args.max_frames, pqe_budget=args.pqe_budget,
                    guess=guess, seed=args.seed)
-    frames = [0]
+    clause_counts = []
     hooks = []
     if args.oracle_check:
         hooks.append(_oracle_hook(ts, err))
 
     def hook(chain):
-        frames[0] = chain.j
+        clause_counts[:] = [len(h) for h in chain.h]
         for h in hooks:
             h(chain)
     opts.iter_hook = hook
     engine = pc_lor_ic if args.engine == "lor-ic" else pc_lor
-    witness = engine(ts, opts)
-    return witness, frames[0]
+    try:
+        witness = engine(ts, opts)
+    except PqeBudgetError:
+        raise CheckerError("PQE budget of %d nodes exhausted (--pqe-budget)"
+                           % args.pqe_budget) from None
+    return witness, clause_counts
 
 
-def _finish(ts, witness, frames, path, t0, out):
+def _finish(ts, witness, clause_counts, path, t0, out):
+    """Write the witness and print the report; clause_counts holds |H_k|
+    for k = 0..j after the last completed main-loop iteration."""
     write_witness(path, ts, witness)
     verdict = "holds" if witness.kind == "invariant" else "fails"
-    report = RunReport(verdict, frames, path, (), time.time() - t0)
+    report = RunReport(verdict, max(len(clause_counts) - 1, 0), path,
+                       clause_counts, time.time() - t0)
     report.dump(out)
     return (0 if verdict == "holds" else 1), report
 
@@ -266,13 +274,13 @@ def cmd_check(args, out=None, err=None):
     if not ts.is_stuttered:
         ts = add_stuttering(ts)
     try:
-        witness, frames = _run_engine(ts, args, err)
+        witness, clause_counts = _run_engine(ts, args, err)
     except CheckerError as e:
         err.write("no verdict: %s\n" % e)
         RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
         return 2
     path = args.witness or (args.file + ".witness")
-    code, _ = _finish(ts, witness, frames, path, t0, out)
+    code, _ = _finish(ts, witness, clause_counts, path, t0, out)
     return code
 
 
@@ -293,7 +301,7 @@ def cmd_sec(args, out=None, err=None):
     if not ts.is_stuttered:
         ts = add_stuttering(ts)
     try:
-        witness, frames = _run_engine(ts, args, err)
+        witness, clause_counts = _run_engine(ts, args, err)
     except CheckerError as e:
         err.write("no verdict: %s\n" % e)
         RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
@@ -301,7 +309,7 @@ def cmd_sec(args, out=None, err=None):
     path = args.witness or (args.file_n + ".sec.witness")
     out.write("equivalent\n" if witness.kind == "invariant"
               else "inequivalent\n")
-    code, _ = _finish(ts, witness, frames, path, t0, out)
+    code, _ = _finish(ts, witness, clause_counts, path, t0, out)
     return code
 
 

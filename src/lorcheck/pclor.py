@@ -4,7 +4,7 @@ the CO conditions, push clauses, and stop on an invariant or counterexample."""
 from __future__ import annotations
 
 from .cnf import Cnf, evaluate, longest_falsified_clause, rename_frame
-from .sat import solve
+from .sat import solve, first_model
 from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
 from .circuit import CircuitError
 
@@ -56,17 +56,14 @@ class Checker:
 
     def _find_bad_state(self, f):
         """A state satisfying formula f (over frame 0) but violating P."""
-        for c in self.ts.prop:
-            res = solve(f, assumptions=[-l for l in c], extra_vars=self.state_ids)
-            if res:
-                return {v: res.model[v] for v in self.state_ids}
-        return None
+        m = first_model(f, ([-l for l in c] for c in self.ts.prop),
+                        self.state_ids)
+        return None if m is None else {v: m[v] for v in self.state_ids}
 
     def _predecessor(self, k, s):
         """An H_{k-1}-state one T^rlx_{k-1,k}-transition before state s."""
         chain = self.chain
-        f = chain.h_cnf(k - 1) + rename_frame(chain.trlx_cnf(k - 1),
-                                              self.ts.table, {0: 0, 1: 1})
+        f = chain.h_cnf(k - 1) + chain.trlx_cnf(k - 1)
         s1 = self._shift_state(s, 1)
         res = solve(f, assumptions=[v if b else -v for v, b in sorted(s1.items())],
                     extra_vars=self.state_ids)
@@ -96,8 +93,7 @@ class Checker:
         chain = self.chain
         kept = [i for i in range(len(chain.trans_clauses))
                 if i not in chain.removed[k - 1]]
-        soft = Cnf(rename_frame(Cnf([chain.trans_clauses[i]]), self.ts.table,
-                                {0: 0, 1: 1}).clauses[0] for i in kept)
+        soft = Cnf(chain.trans_clauses[i] for i in kept)
         hard = chain.h_cnf(k - 1)
         try:
             res = max_relax_solve(hard, soft, self._shift_state(target, 1))
@@ -161,18 +157,13 @@ class Checker:
         transition away, or report a counterexample depth."""
         chain = self.chain
         ts = self.ts
+        prop1 = rename_frame(ts.prop, ts.table, {0: 1})
         while True:
-            found = None
-            for c in ts.prop:
-                c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
-                f = chain.h_cnf(j - 1) + ts.trans
-                res = solve(f, assumptions=[-l for l in c1],
-                            extra_vars=self.state_ids)
-                if res:
-                    found = {v: res.model[v] for v in self.state_ids}
-                    break
-            if found is None:
+            m = first_model(chain.h_cnf(j - 1) + ts.trans,
+                            ([-l for l in c] for c in prop1), self.state_ids)
+            if m is None:
                 return None
+            found = {v: m[v] for v in self.state_ids}
             if self._backward_walk(j - 1, found) == "reachable":
                 return j  # counterexample of j transitions exists
 
@@ -190,24 +181,21 @@ class Checker:
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
         one relaxed transition.  A violation source that proves reachable
         from I forces restoring dropped clauses instead."""
-        chain = self.chain
-        ts = self.ts
-        for m in range(chain.j, 0, -1):
+        for m in range(self.chain.j, 0, -1):
             while True:
-                viol = None
-                f = chain.h_cnf(m - 1) + rename_frame(chain.trlx_cnf(m - 1),
-                                                      ts.table, {0: 0, 1: 1})
-                for c in chain.h[m]:
-                    c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
-                    res = solve(f, assumptions=[-l for l in c1])
-                    if res:
-                        viol = res.model
-                        break
+                viol = self._cond3_model(m)
                 if viol is None:
                     break
                 src = {v: viol[v] for v in self.state_ids}
                 if self._backward_walk(m - 1, src) == "reachable":
                     self._restore_step(m - 1, viol)
+
+    def _cond3_model(self, m):
+        """A transition of H_{m-1} ∧ T^rlx_{m-1,m} into a ¬H_m-state, or
+        None when condition 3 holds at frame m."""
+        chain = self.chain
+        return first_model(chain.h_cnf(m - 1) + chain.trlx_cnf(m - 1),
+                           ([-l for l in c] for c in chain.h_at(m, 1)))
 
     def _restore_step(self, k, model):
         """Un-relax: put back the dropped clauses of step k falsified by a
@@ -215,9 +203,7 @@ class Checker:
         chain = self.chain
         broken = []
         for i in sorted(chain.removed[k]):
-            c = rename_frame(Cnf([chain.trans_clauses[i]]),
-                             self.ts.table, {0: 0, 1: 1}).clauses[0]
-            if evaluate(Cnf([c]), model) is False:
+            if evaluate(Cnf([chain.trans_clauses[i]]), model) is False:
                 broken.append(i)
         if not broken:
             raise CheckerError("reachable state drives a real transition out "
@@ -240,15 +226,8 @@ class Checker:
         return detect_invariant(chain)
 
     def _cond3_violated(self):
-        chain = self.chain
-        for m in range(1, chain.j + 1):
-            f = chain.h_cnf(m - 1) + rename_frame(chain.trlx_cnf(m - 1),
-                                                  self.ts.table, {0: 0, 1: 1})
-            for c in chain.h[m]:
-                c1 = rename_frame(Cnf([c]), self.ts.table, {0: 1}).clauses[0]
-                if solve(f, assumptions=[-l for l in c1]):
-                    return True
-        return False
+        return any(self._cond3_model(m) is not None
+                   for m in range(1, self.chain.j + 1))
 
     # ------------------------------------------------------------- result
 
@@ -256,17 +235,16 @@ class Checker:
         """Re-derive a counterexample of the given length under the original
         T by bounded model checking; guaranteed to exist."""
         ts = self.ts
-        f = rename_frame(ts.init, ts.table, {0: 0})
+        f = ts.init
         for i in range(depth):
             f = f + ts.frame(i)
-        for c in ts.prop:
-            cd = rename_frame(Cnf([c]), ts.table, {0: depth}).clauses[0]
-            res = solve(f, assumptions=[-l for l in cd],
-                        extra_vars=[ts.table.at_frame(v, i).id
-                                    for v in ts.state_vars + ts.input_vars
-                                    for i in range(depth + 1)])
-            if res:
-                return self._trace_witness(res.model, depth)
+        prop_d = rename_frame(ts.prop, ts.table, {0: depth})
+        m = first_model(f, ([-l for l in c] for c in prop_d),
+                        [ts.table.at_frame(v, i).id
+                         for v in ts.state_vars + ts.input_vars
+                         for i in range(depth + 1)])
+        if m is not None:
+            return self._trace_witness(m, depth)
         raise CheckerError("relaxed counterexample did not replay under the "
                            "original relation", self.chain)
 

@@ -30,18 +30,26 @@ class RelaxResult:
 
 
 def _luby(i):
-    # Luby restart sequence, 1-based
-    k = 1
-    while (1 << k) - 1 < i:
-        k += 1
-    while (1 << k) - 1 != i:
-        k -= 1
-        i -= (1 << k) - 1
-    return 1 << (k - 1)
+    # Luby restart sequence, 1-based: with 2^(k-1) <= i < 2^k - 1, term i
+    # repeats term i - (2^(k-1) - 1); term 2^k - 1 is 2^(k-1)
+    while True:
+        k = 1
+        while (1 << k) - 1 < i:
+            k += 1
+        if (1 << k) - 1 == i:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
 
 
 class Solver:
-    """One-shot CDCL solver over signed-integer literals.
+    """Incremental CDCL solver over signed-integer literals.
+
+    The clauses are loaded once; each ``solve`` call then decides them
+    under its own assumptions, starting from decision level 0.  Learnt
+    clauses are kept between calls: assumptions are decisions, so every
+    learnt clause follows from the loaded clauses alone.  Activities carry
+    over too, so a reused solver may return a different model than a fresh
+    one, but never a different answer.
 
     First-UIP learning, two watched literals, decaying variable activities,
     Luby restarts.  Decisions break activity ties on lowest variable id and
@@ -223,11 +231,13 @@ class Solver:
         assumptions = list(assumptions)
         for a in assumptions:
             self._register(abs(a))
+        self._backtrack(0)
         if not self.ok:
             return SatResult("unsat", core=set())
         for u in self.units:
             v = self._value(u)
             if v is False:
+                self.ok = False
                 return SatResult("unsat", core=set())
             if v is None:
                 self._enqueue(u)
@@ -239,6 +249,7 @@ class Solver:
             conflict = self._propagate()
             if conflict is not None:
                 if len(self.trail_lim) == 0:
+                    self.ok = False
                     return SatResult("unsat", core=set())
                 if len(self.trail_lim) <= self.n_assumed:
                     core = self._analyze_final(conflict, assumption_set)
@@ -288,10 +299,24 @@ def solve(f, assumptions=(), extra_vars=()):
 
 def implies(a, b):
     """True iff formula a implies every clause of b."""
-    for c in b:
-        if solve(a, assumptions=[-l for l in c]):
-            return False
-    return True
+    s = Solver(a)
+    return not any(s.solve([-l for l in c]) for c in b)
+
+
+def first_model(f, queries, extra_vars=()):
+    """The model of f under the first assumption list in `queries` that is
+    satisfiable, or None.  One solver decides every query; the model is the
+    one a fresh solver returns for that query alone, so it does not depend
+    on the queries before it."""
+    s = Solver(f, extra_vars=extra_vars)
+    for n, assumptions in enumerate(queries):
+        res = s.solve(assumptions)
+        if res:
+            if n:
+                # a solver's first answer is already a fresh solver's
+                res = Solver(f, extra_vars=extra_vars).solve(assumptions)
+            return res.model
+    return None
 
 
 def max_relax_solve(hard, soft, target):

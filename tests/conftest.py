@@ -5,6 +5,7 @@ import pytest
 from lorcheck.circuit import parse_circuit, encode, add_stuttering, build_miter
 from lorcheck.cnf import evaluate
 from lorcheck.qe_oracle import reach_bruteforce
+from lorcheck.sat import Solver
 
 STUCK0_SRC = """\
 input x
@@ -45,6 +46,19 @@ def toggle():
 def dff_miter():
     m = build_miter(parse_circuit(DFF_SRC), parse_circuit(DFF_SRC))
     return add_stuttering(encode(m))
+
+
+@pytest.fixture
+def built_solvers(monkeypatch):
+    """A list that gains one entry per Solver built during the test."""
+    built = []
+    init = Solver.__init__
+
+    def counting(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+    monkeypatch.setattr(Solver, "__init__", counting)
+    return built
 
 
 def random_system_source(rng, n_latch, n_in, init_zero=True):

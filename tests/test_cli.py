@@ -1,12 +1,13 @@
 import io
 import os
+import re
 
 import pytest
 
 from lorcheck.cli import (main, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant, _parse_guess)
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
-from lorcheck.pclor import pc_lor, Witness
+from lorcheck.pclor import pc_lor, Options, Witness
 from conftest import STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC
 
 
@@ -61,6 +62,16 @@ class TestCheck:
             assert main(["check", toggle_file, "--engine", engine,
                          "--witness", toggle_file + ".w2"]) == 1
 
+    def test_report_clause_counts(self, stuck0, stuck0_file, capfd):
+        seen = []
+        pc_lor(stuck0, Options(
+            iter_hook=lambda chain: seen.append([len(h) for h in chain.h])))
+        assert main(["check", stuck0_file]) == 0
+        out = capfd.readouterr().out
+        assert "frames: %d\n" % (len(seen[-1]) - 1) in out
+        assert "clauses: %s\n" % " ".join(
+            "H%d=%d" % kn for kn in enumerate(seen[-1])) in out
+
     def test_oracle_check_flag(self, stuck0_file):
         assert main(["check", stuck0_file, "--oracle-check"]) == 0
 
@@ -106,6 +117,19 @@ class TestSec:
         assert main(["verify-witness", str(a), str(w),
                      "--miter-with", str(b)]) == 0
         assert "witness accepted" in capfd.readouterr().out
+
+    def test_pqe_budget_unknown(self, tmp_path, capfd):
+        p = tmp_path / "xorreg4.scirc"
+        p.write_text("input x\n"
+                     + "".join("latch s%d init 0 next (s%d XOR x)\n" % (i, i)
+                               for i in range(4))
+                     + "".join("output z%d = s%d\n" % (i, i)
+                               for i in range(4)))
+        assert main(["sec", str(p), str(p), "--max-frames", "1",
+                     "--pqe-budget", "1000"]) == 2
+        got = capfd.readouterr()
+        assert "verdict: unknown" in got.out
+        assert re.search(r"^no verdict: PQE budget of 1000 ", got.err, re.M)
 
     def test_arity_mismatch(self, tmp_path, capfd):
         a = tmp_path / "a.scirc"; a.write_text(DFF_SRC)
@@ -169,6 +193,17 @@ class TestWitnessVerification:
         p = tmp_path / "w"
         p.write_text("maybe\n")
         assert main(["verify-witness", stuck0_file, str(p)]) == 3
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_trace_replay_builds_one_solver(self, toggle, length,
+                                            built_solvers):
+        # toggle: stut=0 holds s, stut=1 steps s to s XOR x
+        steps = ["step %d: inputs 00 state 0" % i for i in range(1, length)]
+        lines = (["counterexample", "# inputs: x stut", "# state: s",
+                  "step 0: inputs - state 0"] + steps
+                 + ["step %d: inputs 11 state 1" % length])
+        assert verify_trace(toggle, lines, pytest.fail)
+        assert len(built_solvers) == 1
 
     def test_trace_with_wrong_init_rejected(self, stuck0_file, tmp_path, capfd):
         p = tmp_path / "w"

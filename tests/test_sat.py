@@ -4,7 +4,8 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from lorcheck.cnf import Clause, Cnf, evaluate
-from lorcheck.sat import solve, implies, max_relax_solve
+from lorcheck.sat import (Solver, _luby, first_model, implies,
+                          max_relax_solve, solve)
 
 
 def random_cnf(rng, max_var=8, max_clauses=20, max_len=4):
@@ -15,6 +16,16 @@ def random_cnf(rng, max_var=8, max_clauses=20, max_len=4):
         vs = rng.sample(range(1, n + 1), k)
         out.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
     return Cnf(out), n
+
+
+def pigeonhole(p, h):
+    """p pigeons in h holes, each hole holding at most one pigeon."""
+    v = lambda i, j: i * h + j + 1
+    out = [Clause(tuple(v(i, j) for j in range(h))) for i in range(p)]
+    for j in range(h):
+        for a, b in itertools.combinations(range(p), 2):
+            out.append(Clause((-v(a, j), -v(b, j))))
+    return Cnf(out)
 
 
 def truth_table_sat(f, n):
@@ -42,6 +53,73 @@ class TestSolveDifferential:
     def test_trivial(self):
         assert solve(Cnf([]))
         assert not solve(Cnf([Clause((1,)), Clause((-1,))]))
+
+
+class TestRestarts:
+    def test_luby_sequence(self):
+        assert [_luby(i) for i in range(1, 16)] == [
+            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+    def test_solve_past_the_fourth_restart(self):
+        # restarts fall after 100, 200 and 400 conflicts
+        f = pigeonhole(7, 6)
+        s = Solver(f)
+        assert not s.solve()
+        assert len(s.clauses) - len(f) >= 400
+
+
+class TestIncremental:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reused_solver_agrees_with_fresh(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        f, n = random_cnf(rng, max_var=8, max_clauses=30)
+        s = Solver(f)
+        for _ in range(rng.randint(1, 10)):
+            # variables beyond n are unknown to the solver until assumed
+            vs = rng.sample(range(1, n + 3), rng.randint(0, n))
+            assume = [v if rng.random() < 0.5 else -v for v in vs]
+            res = s.solve(assume)
+            assert bool(res) == bool(Solver(f).solve(assume))
+            if res:
+                assert evaluate(f, res.model) is True
+                for l in assume:
+                    assert res.model[abs(l)] == (l > 0)
+            else:
+                assert res.core <= set(assume)
+                assert not Solver(f).solve(sorted(res.core))
+
+    def test_learnt_clauses_answer_a_repeated_query(self):
+        # pigeonhole(6, 5) guarded by a selector: unsat only under it
+        f = pigeonhole(6, 5)
+        sel = 6 * 5 + 1
+        s = Solver(Cnf(Clause((-sel,) + c.lits) for c in f))
+        first = s.solve([sel])
+        learnt = len(s.clauses)
+        assert not first and first.core == {sel}
+        again = s.solve([sel])
+        assert not again and again.core == {sel}
+        assert len(s.clauses) == learnt
+        assert s.solve()
+
+    def test_unsat_without_assumptions_is_final(self):
+        s = Solver(pigeonhole(5, 4))
+        assert not s.solve()
+        assert not s.ok
+        res = s.solve([1])
+        assert not res and res.core == set()
+
+    def test_first_model_is_a_fresh_solvers_model(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            f, n = random_cnf(rng, max_var=6, max_clauses=12)
+            queries = [[v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, n + 1),
+                                            rng.randint(1, n))]
+                       for _ in range(rng.randint(1, 5))]
+            fresh = [solve(f, q, extra_vars=[n + 1]) for q in queries]
+            want = next((r.model for r in fresh if r), None)
+            assert first_model(f, queries, extra_vars=[n + 1]) == want
 
 
 class TestAssumptions:
@@ -77,6 +155,17 @@ class TestImplies:
         b = Cnf([Clause((1, 2))])
         assert implies(a, b)
         assert not implies(b, a)
+
+    def test_one_solver_per_call(self, built_solvers):
+        rng = random.Random(15)
+        for _ in range(50):
+            a, _ = random_cnf(rng, max_var=5, max_clauses=6)
+            b, _ = random_cnf(rng, max_var=5, max_clauses=6)
+            if not len(b):
+                continue
+            del built_solvers[:]
+            implies(a, b)
+            assert len(built_solvers) == 1
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
