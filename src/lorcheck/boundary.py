@@ -81,22 +81,18 @@ class FrameChain:
         self.removed[k] -= set(indices)
 
 
-def unrolled_lhs(chain, k, extra, include_hk=True):
+def unrolled_lhs(chain, k, extra):
     """The PQE task for frame k: take `extra` (canonical 0→1 transition
     clauses, instantiated at step k-1→k) out of
-    I₀ ∧ H₁..H_k ∧ T^rlx_{k-1,k}, quantifying everything below frame k.
-    Frames before k-1 only contribute their H conjuncts: the chain
-    summarizes the prefix, so no earlier transition copies are needed and
-    the task stays the same size at every depth."""
+    H_{k-1} ∧ H_k ∧ T^rlx_{k-1,k}, quantifying everything below frame k.
+    The chain summarizes the prefix, so no earlier transition copies are
+    needed.  H_0..H_{k-2} are left out too: they share no variable with the
+    rest and hold on every initial state, so they do not change ∃W[·].  The
+    task stays the same size at every depth."""
     ts = chain.ts
     a = rename_frame(Cnf(extra), ts.table, {0: k - 1, 1: k})
-    b = chain.h_at(0, 0)
-    top = k if include_hk else k - 1
-    for i in range(1, top + 1):
-        b = b + chain.h_at(i, i)
-    b = b + chain.trlx_at(k - 1)
-    state_k = set(ts.state_ids(k))
-    w = (a.variables() | b.variables()) - state_k
+    b = chain.h_at(k - 1, k - 1) + chain.h_at(k, k) + chain.trlx_at(k - 1)
+    w = (a.variables() | b.variables()) - set(ts.state_ids(k))
     return PqeTask(w, a, b.normalize())
 
 

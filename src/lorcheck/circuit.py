@@ -251,7 +251,7 @@ class TransitionSystem:
     """CNF form of a circuit: I over S, T over S ∪ X ∪ Y ∪ S', P over S."""
 
     def __init__(self, table, circ, init, trans, prop,
-                 state_vars, input_vars, internal_vars, stuttering_var=None):
+                 state_vars, input_vars, stuttering_var=None):
         self.table = table
         self.circuit = circ
         self.init = init
@@ -259,8 +259,6 @@ class TransitionSystem:
         self.prop = prop
         self.state_vars = state_vars        # frame-0 Vars, latch order
         self.input_vars = input_vars
-        self.internal_vars = internal_vars
-        self.next_vars = [table.at_frame(v, 1) for v in state_vars]
         self.stuttering_var = stuttering_var
 
     @property
@@ -270,19 +268,8 @@ class TransitionSystem:
     def frame(self, j):
         return rename_frame(self.trans, self.table, {0: j, 1: j + 1})
 
-    def at_frame(self, f, j):
-        """A frame-0 state formula moved to frame j."""
-        return rename_frame(f, self.table, {0: j})
-
     def state_ids(self, j=0):
         return [self.table.at_frame(v, j).id for v in self.state_vars]
-
-    def state_of_model(self, model, j=0):
-        return {self.table.at_frame(v, j).id: model[self.table.at_frame(v, j).id]
-                for v in self.state_vars}
-
-    def named_state(self, state, j=0):
-        return {v.name: state[self.table.at_frame(v, j).id] for v in self.state_vars}
 
 
 def frame(ts, j):
@@ -387,7 +374,7 @@ def _simplify(e):
     return (op, a, b)
 
 
-def _prop_support(c, e, acc, stack=()):
+def _prop_support(c, e, acc):
     """Latch names feeding a property expression; inputs are rejected."""
     op = e[0]
     if op == "const":
@@ -395,9 +382,9 @@ def _prop_support(c, e, acc, stack=()):
     if op == "var":
         name = e[1]
         if name in c.signals:
-            _prop_support(c, c.signals[name], acc, stack)
+            _prop_support(c, c.signals[name], acc)
         elif name in c.outputs:
-            _prop_support(c, c.outputs[name], acc, stack)
+            _prop_support(c, c.outputs[name], acc)
         elif name in c.inputs:
             raise CircuitError("property depends on input %r" % name)
         else:
@@ -405,7 +392,7 @@ def _prop_support(c, e, acc, stack=()):
         return
     for sub in e[1:]:
         if isinstance(sub, tuple):
-            _prop_support(c, sub, acc, stack)
+            _prop_support(c, sub, acc)
 
 
 def _inline(c, e):
@@ -445,7 +432,7 @@ def compile_state_predicate(expr, c, table):
     return Cnf(clauses)
 
 
-def encode(c, prop_expr=None):
+def encode(c):
     """Compile a circuit to a TransitionSystem via Tseitin encoding."""
     table = VarTable()
     state_vars = [table.new(l.name, "state", 0) for l in c.latches]
@@ -484,12 +471,11 @@ def encode(c, prop_expr=None):
         init_clauses.append(Clause([va, -vb]))
         init_clauses.append(Clause([-va, vb]))
     init = Cnf(init_clauses).normalize()
-    pe = prop_expr if prop_expr is not None else c.prop
-    prop = compile_state_predicate(pe, c, table) if pe is not None else Cnf([])
-    internal_vars = [v for v in table.vars() if v.role == "internal"]
+    prop = (compile_state_predicate(c.prop, c, table) if c.prop is not None
+            else Cnf([]))
     stut = table.get(c.stutter_input, 0) if c.stutter_input else None
     return TransitionSystem(table, c, init, trans, prop,
-                            state_vars, input_vars, internal_vars, stut)
+                            state_vars, input_vars, stut)
 
 
 # -------------------------------------------------------------- stuttering
@@ -516,29 +502,7 @@ def add_stuttering(ts):
     c.eq_input_pairs = list(old.eq_input_pairs)
     c.state_pairs = list(old.state_pairs)
     c.stutter_input = v
-    return encode(c, None if old.prop is not None else _encoded_prop_expr(ts))
-
-
-def _encoded_prop_expr(ts):
-    # rebuild a prop expression from an already-compiled P, for systems
-    # whose property was supplied programmatically rather than in SCIRC
-    if len(ts.prop) == 0:
-        return None
-    table = ts.table
-    terms = []
-    for cl in ts.prop:
-        lits = []
-        for l in cl:
-            name = table.lookup(abs(l)).name
-            lits.append(("var", name) if l > 0 else ("not", ("var", name)))
-        t = lits[0]
-        for x in lits[1:]:
-            t = ("or", t, x)
-        terms.append(t)
-    e = terms[0]
-    for t in terms[1:]:
-        e = ("and", e, t)
-    return e
+    return encode(c)
 
 
 # ------------------------------------------------------------------ miter

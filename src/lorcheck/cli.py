@@ -229,7 +229,7 @@ def _oracle_hook(ts, out):
 def _run_engine(ts, args, err):
     guess = _parse_guess(args.guess) if args.guess else None
     opts = Options(max_frames=args.max_frames, pqe_budget=args.pqe_budget,
-                   guess=guess, seed=args.seed)
+                   guess=guess)
     clause_counts = []
     hooks = []
     if args.oracle_check:
@@ -249,68 +249,55 @@ def _run_engine(ts, args, err):
     return witness, clause_counts
 
 
-def _finish(ts, witness, clause_counts, path, t0, out):
-    """Write the witness and print the report; clause_counts holds |H_k|
-    for k = 0..j after the last completed main-loop iteration."""
+def _check_circuit(args, load, default_path, answers, out, err):
+    """Shared body of check and sec: encode the circuit `load` returns, add
+    stuttering, run the engine, write the witness and print the report.
+    `answers` (sec only) holds the line printed before the report when the
+    property holds and when it fails."""
+    out = out or sys.stdout
+    err = err or sys.stderr
+    t0 = time.time()
+    try:
+        ts = encode(load())
+    except (OSError, CircuitError) as e:
+        err.write("error: %s\n" % e)
+        return 3
+    if not ts.is_stuttered:
+        ts = add_stuttering(ts)
+    try:
+        witness, clause_counts = _run_engine(ts, args, err)
+    except CheckerError as e:
+        err.write("no verdict: %s\n" % e)
+        RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
+        return 2
+    path = args.witness or default_path
     write_witness(path, ts, witness)
-    verdict = "holds" if witness.kind == "invariant" else "fails"
-    report = RunReport(verdict, max(len(clause_counts) - 1, 0), path,
-                       clause_counts, time.time() - t0)
-    report.dump(out)
-    return (0 if verdict == "holds" else 1), report
+    holds = witness.kind == "invariant"
+    if answers:
+        out.write(answers[0 if holds else 1] + "\n")
+    # clause_counts holds |H_k| for k = 0..j after the last completed
+    # main-loop iteration
+    RunReport("holds" if holds else "fails", max(len(clause_counts) - 1, 0),
+              path, clause_counts, time.time() - t0).dump(out)
+    return 0 if holds else 1
+
+
+def _read_circuit(path):
+    with open(path) as f:
+        return parse_circuit(f.read())
 
 
 def cmd_check(args, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
-    t0 = time.time()
-    try:
-        with open(args.file) as f:
-            circ = parse_circuit(f.read())
-        ts = encode(circ)
-    except (OSError, CircuitError) as e:
-        err.write("error: %s\n" % e)
-        return 3
-    if not ts.is_stuttered:
-        ts = add_stuttering(ts)
-    try:
-        witness, clause_counts = _run_engine(ts, args, err)
-    except CheckerError as e:
-        err.write("no verdict: %s\n" % e)
-        RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
-        return 2
-    path = args.witness or (args.file + ".witness")
-    code, _ = _finish(ts, witness, clause_counts, path, t0, out)
-    return code
+    return _check_circuit(args, lambda: _read_circuit(args.file),
+                          args.file + ".witness", None, out, err)
 
 
 def cmd_sec(args, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
-    t0 = time.time()
-    try:
-        with open(args.file_n) as f:
-            n = parse_circuit(f.read())
-        with open(args.file_k) as f:
-            k = parse_circuit(f.read())
-        miter = build_miter(n, k)
-        ts = encode(miter)
-    except (OSError, CircuitError) as e:
-        err.write("error: %s\n" % e)
-        return 3
-    if not ts.is_stuttered:
-        ts = add_stuttering(ts)
-    try:
-        witness, clause_counts = _run_engine(ts, args, err)
-    except CheckerError as e:
-        err.write("no verdict: %s\n" % e)
-        RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
-        return 2
-    path = args.witness or (args.file_n + ".sec.witness")
-    out.write("equivalent\n" if witness.kind == "invariant"
-              else "inequivalent\n")
-    code, _ = _finish(ts, witness, clause_counts, path, t0, out)
-    return code
+    return _check_circuit(
+        args, lambda: build_miter(_read_circuit(args.file_n),
+                                  _read_circuit(args.file_k)),
+        args.file_n + ".sec.witness", ("equivalent", "inequivalent"),
+        out, err)
 
 
 def cmd_pqe(args, out=None, err=None):
@@ -347,11 +334,9 @@ def cmd_verify_witness(args, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        with open(args.circuit) as f:
-            circ = parse_circuit(f.read())
+        circ = _read_circuit(args.circuit)
         if args.miter_with:
-            with open(args.miter_with) as f:
-                circ = build_miter(circ, parse_circuit(f.read()))
+            circ = build_miter(circ, _read_circuit(args.miter_with))
         ts = encode(circ)
         lines = _read_witness(args.witness_file)
     except (OSError, CircuitError, ValueError) as e:
@@ -389,7 +374,6 @@ def _add_engine_flags(p):
                    help="initial relaxation, e.g. drop:interface")
     p.add_argument("--max-frames", type=int, default=None)
     p.add_argument("--pqe-budget", type=int, default=10 ** 6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", default=None, help="witness output path")
     p.add_argument("--oracle-check", action="store_true",
                    help="double-check every frame against enumeration oracles")

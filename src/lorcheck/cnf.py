@@ -58,9 +58,6 @@ class VarTable:
             v = self.new(var.name, var.role, frame)
         return v
 
-    def vars(self):
-        return list(self.by_id.values())
-
 
 # Literals are signed ints (DIMACS style); an Assignment maps var id -> bool.
 

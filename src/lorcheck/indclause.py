@@ -16,34 +16,33 @@ class Cti:
     state we tried to exclude.  target is None when the excluded state is
     itself initial."""
 
-    __slots__ = ("state", "target", "frame")
+    __slots__ = ("state", "target")
 
-    def __init__(self, state, target, frame):
+    def __init__(self, state, target):
         self.state = state
         self.target = target
-        self.frame = frame
 
 
-def _consecution_model(ts, f, clause, trans=None):
+def _consecution_model(ts, f, clause):
     """A model of F ∧ C ∧ T ∧ ¬C′, or None when C is inductive w.r.t. F."""
     c1 = rename_frame(Cnf([clause]), ts.table, {0: 1}).clauses[0]
-    lhs = f + Cnf([clause]) + (trans if trans is not None else ts.trans)
+    lhs = f + Cnf([clause]) + ts.trans
     res = solve(lhs, assumptions=[-l for l in c1],
                 extra_vars=ts.state_ids(0))
     return res.model if res else None
 
 
-def make_inductive_clause(ts, f, s, frame=1):
+def make_inductive_clause(ts, f, s):
     """A clause excluding state s, implied by I and inductive relative to f;
     or the Cti blocking it."""
     c = longest_falsified_clause(s)
     if not implies(ts.init, Cnf([c])):
         # s is an initial state: nothing implied by I can exclude it
-        return Cti(s, None, frame)
+        return Cti(s, None)
     m = _consecution_model(ts, f, c)
     if m is not None:
         pred = {v: m[v] for v in ts.state_ids(0)}
-        return Cti(pred, s, frame)
+        return Cti(pred, s)
     return c
 
 
@@ -76,29 +75,20 @@ def educat_guess_rlx(chain, j, guess):
 
 
 class IcChecker(Checker):
-    """pc_lor with the backward walk strengthening frames by generalized
-    inductive clauses instead of relax-and-make-up, and optional
+    """pc_lor with each backward-walk step strengthening H_k by a
+    generalized inductive clause instead of relax-and-make-up, and optional
     guess-driven seeding of each new frame."""
 
-    def _backward_walk(self, k0, s0):
-        if k0 == 0:
-            return "reachable"
-        chain = self.chain
-        stack = [(k0, s0)]
-        while stack:
-            k, s = stack[-1]
-            r = make_inductive_clause(self.ts, chain.h_cnf(k - 1), s, frame=k)
-            if isinstance(r, Cti):
-                if r.target is None or k - 1 == 0:
-                    return "reachable"
-                stack.append((k - 1, r.state))
-                continue
-            chain.strengthen(k, [generalize(r, chain.h_cnf(k - 1), self.ts)])
-            stack.pop()
+    def _block(self, k, s):
+        f = self.chain.h_cnf(k - 1)
+        r = make_inductive_clause(self.ts, f, s)
+        if isinstance(r, Cti):
+            return "reachable" if r.target is None or k == 1 else r.state
+        self.chain.strengthen(k, [generalize(r, f, self.ts)])
         return None
 
     def fin_rlx(self, j):
-        if self.opts.guess is None or not self.opts.seed_with_prop:
+        if self.opts.guess is None:
             return super().fin_rlx(j)
         self.chain.add_frame()
         seed = educat_guess_rlx(self.chain, j, self.opts.guess)

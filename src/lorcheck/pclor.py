@@ -4,7 +4,7 @@ the CO conditions, push clauses, and stop on an invariant or counterexample."""
 from __future__ import annotations
 
 from .cnf import Cnf, evaluate, longest_falsified_clause, rename_frame
-from .sat import solve, first_model
+from .sat import solve, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
 from .circuit import CircuitError
 
@@ -28,15 +28,12 @@ class Witness:
 
 class Options:
     def __init__(self, max_frames=None, pqe_budget=10 ** 6, guess=None,
-                 seed=0, iter_hook=None, seed_with_prop=True):
+                 iter_hook=None):
         self.max_frames = max_frames
         self.pqe_budget = pqe_budget
         self.guess = guess            # e.g. ("drop", "interface")
-        self.seed = seed              # recorded for reproducibility; the
-                                      # engine itself is deterministic
         self.iter_hook = iter_hook    # called with the chain after each
                                       # main-loop iteration
-        self.seed_with_prop = seed_with_prop
 
 
 class _Unreachable(Exception):
@@ -89,7 +86,6 @@ class Checker:
     def select_relaxation(self, k, target):
         """Clause indices to drop from T^rlx_{k-1,k} so that `target`
         becomes reachable from an H_{k-1}-state in one transition."""
-        from .sat import max_relax_solve
         chain = self.chain
         kept = [i for i in range(len(chain.trans_clauses))
                 if i not in chain.removed[k - 1]]
@@ -140,15 +136,24 @@ class Checker:
         stack = [(k0, s0)]
         while stack:
             k, s = stack[-1]
-            pred = self._predecessor(k, s)
-            if pred is not None:
-                if k - 1 == 0:
-                    return "reachable"
-                stack.append((k - 1, pred))
-                continue
-            self._exclude_state(k, s)
-            stack.pop()
+            r = self._block(k, s)
+            if r == "reachable":
+                return r
+            if r is None:
+                stack.pop()
+            else:
+                stack.append((k - 1, r))
         return None
+
+    def _block(self, k, s):
+        """One walk step at H_k-state s: a predecessor state in H_{k-1},
+        "reachable" when s is one step from I, or None once H_k is false
+        at s."""
+        pred = self._predecessor(k, s)
+        if pred is None:
+            self._exclude_state(k, s)
+            return None
+        return "reachable" if k == 1 else pred
 
     # ---------------------------------------------------- main operations
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from .cnf import Cnf, Clause, TAUTOLOGY, resolve, lit_sat
+from .cnf import Cnf, TAUTOLOGY, resolve, lit_sat
 
 
 class PqeBudgetError(Exception):
@@ -33,36 +33,6 @@ class PqeTask:
     @property
     def v(self):
         return (self.a.variables() | self.b.variables()) - self.w
-
-
-class DSequent:
-    """Asserts clause redundancy in ∃W[A ∧ B] within a subspace."""
-
-    __slots__ = ("subspace", "clause", "reason")
-
-    def __init__(self, subspace, clause, reason):
-        self.subspace = dict(subspace)
-        self.clause = clause
-        self.reason = reason
-
-    def __repr__(self):
-        return "DSequent(%r, %r, %s)" % (self.subspace, self.clause, self.reason)
-
-
-def join(d1, d2, vid):
-    """Merge two branch D-sequents for the same clause across variable vid."""
-    if d1.clause != d2.clause:
-        raise ValueError("join: different clauses")
-    s1, s2 = d1.subspace, d2.subspace
-    if vid not in s1 or vid not in s2 or s1[vid] == s2[vid]:
-        raise ValueError("join: branch variable not split across the inputs")
-    for v in (set(s1) & set(s2)) - {vid}:
-        if s1[v] != s2[v]:
-            raise ValueError("join: subspaces disagree on %d" % v)
-    merged = dict(s1)
-    merged.update(s2)
-    del merged[vid]
-    return DSequent(merged, d1.clause, "join")
 
 
 def conflict_clause_dsequent(vid, falsified0, falsified1):
@@ -101,7 +71,6 @@ class _Solver:
         self.trail = []
         self.falsified = set()
         self.a_star = []
-        self.dsequents = []
         self._index = {}       # lits -> alive pool position
         for c in task.b:
             self.add_clause(c, tracked=False)
@@ -189,12 +158,12 @@ class _Solver:
     def _is_obligation(self, pc):
         return pc.alive and pc.tracked and bool(pc.clause.variables() & self.w)
 
-    def _free_lits(self, pos):
-        return [l for l in self.pool[pos].clause if abs(l) not in self.assign]
+    def pool_free(self, pos):
+        return (l for l in self.pool[pos].clause if abs(l) not in self.assign)
 
     def _subsumed_now(self, pos, excluded):
         """Condition (b): a live clause's cofactor subsumes this one's."""
-        rem = set(self._free_lits(pos))
+        rem = set(self.pool_free(pos))
         empty = self._index.get(())
         if empty is not None and empty != pos and empty not in excluded:
             return True
@@ -211,14 +180,11 @@ class _Solver:
                     return True
         return False
 
-    def pool_free(self, pos):
-        return (l for l in self.pool[pos].clause if abs(l) not in self.assign)
-
     def _blocked_now(self, pos, excluded):
         """Condition (c): an unassigned W variable of the clause admits no
         non-tautological resolvent among the live cofactored clauses."""
         c = self.pool[pos].clause
-        free = set(self._free_lits(pos))
+        free = set(self.pool_free(pos))
         for l in c:
             y = abs(l)
             if y not in self.w or y in self.assign:
@@ -272,9 +238,6 @@ class _Solver:
                 if r is not TAUTOLOGY:
                     new.append((r, self.pool[i].tracked or self.pool[j].tracked))
         for j in up + dn:
-            if self.pool[j].tracked:
-                self.dsequents.append(
-                    DSequent({}, self.pool[j].clause, "resolved-out"))
             self.kill(j)
         for r, tracked in new:
             self.add_clause(r, tracked=tracked)
@@ -301,11 +264,8 @@ class _Solver:
             while progress:
                 progress = False
                 for i in self._obligations(node_discharged):
-                    cond = self.trivially_redundant(i, node_discharged)
-                    if cond:
+                    if self.trivially_redundant(i, node_discharged):
                         node_discharged.add(i)
-                        self.dsequents.append(
-                            DSequent(self.assign, self.pool[i].clause, cond))
                         progress = True
             pending = self._obligations(node_discharged)
             if not pending:
@@ -318,13 +278,11 @@ class _Solver:
             if branch is None:
                 branch = cvars[0]
             self.push(branch, False)
-            q0 = dict(self.assign)
             r0 = self.search()
             self.pop()
             if r0[0] == "conflict" and branch not in self.pool[r0[1]].clause.variables():
                 return r0
             self.push(branch, True)
-            q1 = dict(self.assign)
             r1 = self.search()
             self.pop()
             if r1[0] == "conflict" and branch not in self.pool[r1[1]].clause.variables():
@@ -336,27 +294,14 @@ class _Solver:
                 pos = self.add_clause(r, tracked=c0.tracked or c1.tracked)
                 # the resolvent (or its subsumer) is falsified in this subspace
                 return ("conflict", pos)
-            if r0[0] == "done" and r1[0] == "done":
-                # every pre-branch obligation was discharged on both sides;
-                # join the branch D-sequents and move on
-                for i in pending:
-                    if self.pool[i].alive:
-                        node_discharged.add(i)
-                        self.dsequents.append(
-                            join(DSequent(q0, self.pool[i].clause, "branch"),
-                                 DSequent(q1, self.pool[i].clause, "branch"),
-                                 branch))
-                continue
-            # one side conflicted, the other finished
-            cpos = r0[1] if r0[0] == "conflict" else r1[1]
-            if not self.pool[cpos].tracked:
-                # that subspace is empty modulo clauses carrying no
-                # obligation, so the joined discharge stands
-                for i in pending:
-                    if self.pool[i].alive:
-                        node_discharged.add(i)
-                        self.dsequents.append(
-                            DSequent(self.assign, self.pool[i].clause, "join"))
+            # at most one side conflicted
+            cpos = (r0[1] if r0[0] == "conflict" else
+                    r1[1] if r1[0] == "conflict" else None)
+            if cpos is None or not self.pool[cpos].tracked:
+                # both sides discharged every pre-branch obligation, or the
+                # conflicting subspace is empty modulo clauses carrying no
+                # obligation: the joined discharge stands
+                node_discharged.update(i for i in pending if self.pool[i].alive)
                 continue
             # the conflict clause is itself an open obligation: ground it
             # by resolution and retry this node
@@ -375,13 +320,8 @@ class _Solver:
             for i in pending:
                 if not self.pool[i].alive:
                     continue
-                if self._subsumed_now(i, set()):
+                if self._subsumed_now(i, set()) or self._blocked_now(i, set()):
                     self.kill(i)
-                    self.dsequents.append(DSequent({}, self.pool[i].clause, "b"))
-                    acted = True
-                elif self._blocked_now(i, set()):
-                    self.kill(i)
-                    self.dsequents.append(DSequent({}, self.pool[i].clause, "c"))
                     acted = True
             if not acted:
                 self.dp_discharge(pending[0])
@@ -400,16 +340,9 @@ class _Solver:
 
 
 def take_out(task, budget=10 ** 6):
-    """Solve a PQE task; falls back to complete enumeration if the branch
-    budget runs out and the task is small enough to enumerate."""
-    try:
-        return _Solver(task, budget).run()
-    except PqeBudgetError:
-        from .qe_oracle import qe_bruteforce, OracleBudgetError
-        try:
-            return qe_bruteforce(task.w, task.a + task.b)
-        except OracleBudgetError:
-            raise PqeBudgetError("pqe-budget") from None
+    """Solve a PQE task; raises PqeBudgetError once the search has spent
+    `budget` nodes."""
+    return _Solver(task, budget).run()
 
 
 def trivially_redundant(c, pool, branch, w):

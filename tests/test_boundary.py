@@ -60,18 +60,19 @@ class TestUnrolledLhs:
 
     def test_constant_size_in_depth(self, stuck0):
         """The task at frame k only ever contains two transition copies'
-        worth of variables, however deep the chain is."""
+        worth of variables and clauses, however deep the chain is, also
+        when every frame is strengthened."""
         chain = FrameChain(stuck0)
+        s = stuck0.state_ids(0)[0]
         sizes = []
         for k in range(1, 6):
             chain.add_frame()
+            chain.strengthen(k, [Clause((-s,))])
             extra = [chain.trans_clauses[0]]
             task = unrolled_lhs(chain, k, extra)
-            sizes.append(len(task.w | task.v))
+            sizes.append((len(task.w | task.v), len(task.a) + len(task.b)))
             chain.restore(k - 1, [0])
-        # k=1 is smaller (the initial-state conjunct shares frame 0 with the
-        # transition copy); beyond that the size never grows
-        assert len(set(sizes[1:])) == 1
+        assert len(set(sizes)) == 1, sizes
 
 
 class TestMakeupClauses:

@@ -3,9 +3,10 @@ import pytest
 from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
 from lorcheck.sat import implies
 from lorcheck.boundary import FrameChain, check_co
-from lorcheck.indclause import (Cti, make_inductive_clause, generalize,
-                                educat_guess_rlx, pc_lor_ic)
-from lorcheck.pclor import Options, pc_lor
+from lorcheck.circuit import parse_circuit, encode, add_stuttering
+from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
+                                generalize, educat_guess_rlx, pc_lor_ic)
+from lorcheck.pclor import Checker, Options, pc_lor
 from lorcheck.qe_oracle import verify_boundary
 from conftest import random_system, brute_force_verdict, make_rng
 from test_pclor import replay_trace, check_invariant_witness
@@ -135,3 +136,41 @@ class TestIcChecker:
                 replay_trace(ts, w.trace)
             else:
                 check_invariant_witness(ts, w.invariant)
+
+
+SHIFT2_SRC = """\
+input x
+latch a init 0 next x
+latch b init 0 next a
+prop NOT b
+"""
+
+RING3_SRC = """\
+latch s0 init 1 next s2
+latch s1 init 0 next s0
+latch s2 init 0 next s1
+prop NOT (s0 AND s1)
+"""
+
+
+@pytest.mark.parametrize("engine", [Checker, IcChecker])
+class TestBackwardWalk:
+    """The walk both engines share, started above frame 1."""
+
+    def checker(self, engine, src, frames):
+        ts = add_stuttering(encode(parse_circuit(src)))
+        c = engine(ts)
+        for _ in range(frames):
+            c.chain.add_frame()
+        return c, ts
+
+    def test_reachable_from_frame_2(self, engine):
+        c, ts = self.checker(engine, SHIFT2_SRC, 2)
+        a, b = ts.state_ids(0)
+        assert c._backward_walk(2, {a: False, b: True}) == "reachable"
+
+    def test_unreachable_state_is_excluded(self, engine):
+        c, ts = self.checker(engine, RING3_SRC, 2)
+        s = dict(zip(ts.state_ids(0), (True, True, False)))
+        assert c._backward_walk(2, s) is None
+        assert evaluate(c.chain.h_cnf(2), s) is False

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorcheck.cnf import Cnf, Clause, TAUTOLOGY
-from lorcheck.pqe import (PqeTask, PqeBudgetError, DSequent, join,
-                          conflict_clause_dsequent, take_out,
-                          trivially_redundant)
-from lorcheck.qe_oracle import check_pqe, qe_bruteforce
+from lorcheck.pqe import (PqeTask, PqeBudgetError, conflict_clause_dsequent,
+                          take_out, trivially_redundant)
+from lorcheck.qe_oracle import check_pqe
 
 
 def random_task(rng, max_var=8, max_clauses=16):
@@ -26,28 +25,6 @@ def random_task(rng, max_var=8, max_clauses=16):
 
 
 class TestDSequentAlgebra:
-    def test_join(self):
-        c = Clause((5,))
-        d = join(DSequent({1: False, 2: True}, c, "a"),
-                 DSequent({1: True, 2: True}, c, "a"), 1)
-        assert d.subspace == {2: True}
-
-    def test_join_requires_split_var(self):
-        c = Clause((5,))
-        with pytest.raises(ValueError):
-            join(DSequent({1: False}, c, "a"), DSequent({1: False}, c, "a"), 1)
-
-    def test_join_requires_same_clause(self):
-        with pytest.raises(ValueError):
-            join(DSequent({1: False}, Clause((5,)), "a"),
-                 DSequent({1: True}, Clause((6,)), "a"), 1)
-
-    def test_join_rejects_disagreeing_context(self):
-        c = Clause((5,))
-        with pytest.raises(ValueError):
-            join(DSequent({1: False, 3: True}, c, "a"),
-                 DSequent({1: True, 3: False}, c, "a"), 1)
-
     def test_conflict_resolvent(self):
         r = conflict_clause_dsequent(2, Clause((1, 2)), Clause((-2, 3)))
         assert r == Clause((1, 3))
@@ -110,16 +87,19 @@ class TestTakeOut:
         assert check_pqe(t.w, t.a, t.b, a_star)
 
     def test_budget_error_when_enumeration_impossible(self):
-        # 26 variables defeats the enumeration fallback
+        # a one-node budget cannot finish a 26-variable task
         big = Cnf([Clause((v, v + 1)) for v in range(1, 26)])
         t = PqeTask(set(range(1, 26, 2)), big, Cnf([]))
         with pytest.raises(PqeBudgetError):
             take_out(t, budget=1)
 
     def test_budget_fallback_when_small(self):
+        # a spent budget is an error even when the task is small enough to
+        # enumerate: take_out never switches to another algorithm
         t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
-        a_star = take_out(t, budget=1)
-        assert check_pqe(t.w, t.a, t.b, a_star)
+        with pytest.raises(PqeBudgetError):
+            take_out(t, budget=1)
+        assert check_pqe(t.w, t.a, t.b, take_out(t))
 
     def test_throughput(self):
         rng = random.Random(33)

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import os
 import random
 
 import pytest
@@ -118,3 +120,45 @@ class TestVerifyBoundary:
         s = toggle.state_ids(0)[0]
         assert not verify_boundary(Cnf([Clause((-s,))]), toggle,
                                    toggle.trans, 1)
+
+
+class TestIndependence:
+    """The oracles stay outside the production path."""
+
+    def test_production_does_not_import_oracle(self):
+        import lorcheck
+        src = os.path.dirname(lorcheck.__file__)
+        offending = []
+        for fn in sorted(os.listdir(src)):
+            if not fn.endswith(".py") or fn == "qe_oracle.py":
+                continue
+            with open(os.path.join(src, fn)) as f:
+                tree = ast.parse(f.read())
+            for node, where in _imports(tree, ()):
+                names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else []) + [a.name for a in node.names]
+                if not any("qe_oracle" in n for n in names):
+                    continue
+                if fn == "cli.py" and (where[:1] == ("_oracle_hook",) or
+                                       where[:2] == ("cmd_pqe", "args.verify")):
+                    continue
+                offending.append("%s in %s" % (fn, "/".join(where) or "module"))
+        assert offending == []
+
+
+def _imports(node, where):
+    """(import node, enclosing function names and if-conditions) pairs."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        yield node, where
+        return
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = where + (node.name,)
+    elif isinstance(node, ast.If):
+        test = ast.unparse(node.test)
+        for stmt in node.body:
+            yield from _imports(stmt, where + (test,))
+        for stmt in node.orelse:
+            yield from _imports(stmt, where + ("not " + test,))
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _imports(child, where)
