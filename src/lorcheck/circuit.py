@@ -31,7 +31,6 @@ class Circuit:
         self.signals = {}        # name -> expr, in declaration order
         self.outputs = {}        # name -> expr, in declaration order
         self.prop = None         # expr, or None
-        self.stuttering_native = False
         # miter bookkeeping
         self.eq_input_pairs = []   # [(name_n, name_k)] constrained equal in T
         self.state_pairs = []      # [(latch_n, latch_k)] equal in I
@@ -153,10 +152,6 @@ def parse_circuit(text):
             (c.signals if kind == "signal" else c.outputs)[words[1]] = expr
         elif kind == "prop":
             c.prop = _parse_expr(" ".join(words[1:]), lineno)
-        elif kind == "stuttering":
-            if words[1:] != ["native"]:
-                raise CircuitError("line %d: expected 'stuttering native'" % lineno)
-            c.stuttering_native = True
         else:
             raise CircuitError("line %d: unknown directive %r" % (lineno, kind))
     _validate(c)
@@ -263,7 +258,7 @@ class TransitionSystem:
 
     @property
     def is_stuttered(self):
-        return self.stuttering_var is not None or self.circuit.stuttering_native
+        return self.stuttering_var is not None
 
     def frame(self, j):
         return rename_frame(self.trans, self.table, {0: j, 1: j + 1})
@@ -289,7 +284,7 @@ class _Encoder:
 
     def fresh(self, hint):
         self.tmp += 1
-        return self.table.new("%s~%d" % (hint, self.tmp), "internal", 0).id
+        return self.table.new("%s~%d" % (hint, self.tmp), 0).id
 
     def add(self, lits, tag=None):
         self.clauses.append(Clause(lits, tag=tag))
@@ -374,27 +369,6 @@ def _simplify(e):
     return (op, a, b)
 
 
-def _prop_support(c, e, acc):
-    """Latch names feeding a property expression; inputs are rejected."""
-    op = e[0]
-    if op == "const":
-        return
-    if op == "var":
-        name = e[1]
-        if name in c.signals:
-            _prop_support(c, c.signals[name], acc)
-        elif name in c.outputs:
-            _prop_support(c, c.outputs[name], acc)
-        elif name in c.inputs:
-            raise CircuitError("property depends on input %r" % name)
-        else:
-            acc.append(name)
-        return
-    for sub in e[1:]:
-        if isinstance(sub, tuple):
-            _prop_support(c, sub, acc)
-
-
 def _inline(c, e):
     """Property expression with signals and outputs substituted away."""
     op = e[0]
@@ -417,12 +391,15 @@ def compile_state_predicate(expr, c, table):
 
     Canonical form: one longest-falsified clause per falsifying state of the
     support.  Fixture-scale only (support ≤ 16)."""
-    support = []
-    _prop_support(c, expr, support)
-    names = sorted(set(support), key=c.latch_names().index)
+    inlined = _inline(c, expr)
+    support = set()
+    _expr_names(inlined, support)
+    for name in c.inputs:
+        if name in support:
+            raise CircuitError("property depends on input %r" % name)
+    names = sorted(support, key=c.latch_names().index)
     if len(names) > 16:
         raise CircuitError("property support too large (%d latches)" % len(names))
-    inlined = _inline(c, expr)
     clauses = []
     for bits in itertools.product([False, True], repeat=len(names)):
         env = dict(zip(names, bits))
@@ -435,15 +412,15 @@ def compile_state_predicate(expr, c, table):
 def encode(c):
     """Compile a circuit to a TransitionSystem via Tseitin encoding."""
     table = VarTable()
-    state_vars = [table.new(l.name, "state", 0) for l in c.latches]
-    input_vars = [table.new(n, "input", 0) for n in c.inputs]
+    state_vars = [table.new(l.name, 0) for l in c.latches]
+    input_vars = [table.new(n, 0) for n in c.inputs]
     next_vars = [table.at_frame(v, 1) for v in state_vars]
     enc = _Encoder(c, table)
     for v in state_vars + input_vars:
         enc.env[v.name] = v.id
     for name, e in itertools.chain(c.signals.items(), c.outputs.items()):
         e = _simplify(e)
-        v = table.new(name, "internal", 0)
+        v = table.new(name, 0)
         if e[0] == "const":
             enc.add([v.id] if e[1] else [-v.id])
         else:

@@ -258,12 +258,10 @@ def _check_circuit(args, load, default_path, answers, out, err):
     err = err or sys.stderr
     t0 = time.time()
     try:
-        ts = encode(load())
+        ts = add_stuttering(encode(load()))
     except (OSError, CircuitError) as e:
         err.write("error: %s\n" % e)
         return 3
-    if not ts.is_stuttered:
-        ts = add_stuttering(ts)
     try:
         witness, clause_counts = _run_engine(ts, args, err)
     except CheckerError as e:
@@ -369,7 +367,7 @@ def cmd_verify_witness(args, out=None, err=None):
 
 
 def _add_engine_flags(p):
-    p.add_argument("--engine", choices=["lor", "lor-ic"], default=None)
+    p.add_argument("--engine", choices=["lor", "lor-ic"])
     p.add_argument("--guess", default=None,
                    help="initial relaxation, e.g. drop:interface")
     p.add_argument("--max-frames", type=int, default=None)
@@ -388,14 +386,13 @@ def build_parser():
     p = sub.add_parser("check", help="check a circuit's safety property")
     p.add_argument("file")
     _add_engine_flags(p)
-    p.set_defaults(fn=cmd_check, default_engine="lor")
+    p.set_defaults(fn=cmd_check, engine="lor")
 
     p = sub.add_parser("sec", help="sequential equivalence check")
     p.add_argument("file_n")
     p.add_argument("file_k")
     _add_engine_flags(p)
-    p.set_defaults(fn=cmd_sec, default_engine="lor-ic",
-                   default_guess="drop:interface")
+    p.set_defaults(fn=cmd_sec, engine="lor-ic", guess="drop:interface")
 
     p = sub.add_parser("pqe", help="solve a partial-quantifier-elimination task")
     p.add_argument("file")
@@ -414,10 +411,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if hasattr(args, "engine") and args.engine is None:
-        args.engine = args.default_engine
-    if hasattr(args, "guess") and args.guess is None:
-        args.guess = getattr(args, "default_guess", None)
     return args.fn(args)
 
 

@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-# Roles a variable can play.  Next-state variables are state variables at
-# frame k+1, so "state" covers both sides of the transition relation.
-ROLES = ("state", "input", "internal", "free", "quant")
-
-
 class Var:
-    """A propositional variable with a role and an optional time frame."""
+    """A propositional variable with an optional time frame."""
 
-    __slots__ = ("id", "name", "role", "frame")
+    __slots__ = ("id", "name", "frame")
 
-    def __init__(self, id, name, role, frame=None):
-        if role not in ROLES:
-            raise ValueError("unknown role %r" % (role,))
+    def __init__(self, id, name, frame=None):
         self.id = id
         self.name = name
-        self.role = role
         self.frame = frame
 
     def __repr__(self):
@@ -34,11 +26,11 @@ class VarTable:
         self.by_key = {}
         self._next = 1
 
-    def new(self, name, role, frame=None):
+    def new(self, name, frame=None):
         key = (name, frame)
         if key in self.by_key:
             raise ValueError("variable %r already declared at frame %r" % (name, frame))
-        v = Var(self._next, name, role, frame)
+        v = Var(self._next, name, frame)
         self._next += 1
         self.by_id[v.id] = v
         self.by_key[key] = v
@@ -55,7 +47,7 @@ class VarTable:
         key = (var.name, frame)
         v = self.by_key.get(key)
         if v is None:
-            v = self.new(var.name, var.role, frame)
+            v = self.new(var.name, frame)
         return v
 
 

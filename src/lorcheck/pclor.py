@@ -97,12 +97,13 @@ class Checker:
             raise _Unreachable("target unreachable under any relaxation") from None
         return [kept[i] for i in sorted(res.falsified_soft)]
 
-    def _exclude_state(self, k, s):
-        """Make H_k false at s: relax step k-1→k to reach s, conjoin the PQE
-        makeup clauses, and fall back to the longest falsified clause when s
-        is provably unreachable in the original system."""
+    def _exclude_state(self, k, s, pred):
+        """Make H_k false at s, given pred = self._predecessor(k, s): relax
+        step k-1→k to reach s, conjoin the PQE makeup clauses, and fall back
+        to the longest falsified clause when s is provably unreachable in the
+        original system."""
         chain = self.chain
-        if self._predecessor(k, s) is None:
+        if pred is None:
             try:
                 idx = self.select_relaxation(k, s)
                 g = makeup_clauses(chain, k,
@@ -151,7 +152,7 @@ class Checker:
         at s."""
         pred = self._predecessor(k, s)
         if pred is None:
-            self._exclude_state(k, s)
+            self._exclude_state(k, s, None)
             return None
         return "reachable" if k == 1 else pred
 
@@ -180,20 +181,24 @@ class Checker:
             bad = self._find_bad_state(chain.h_cnf(j))
             if bad is None:
                 return
-            self._exclude_state(j, bad)
+            self._exclude_state(j, bad, self._predecessor(j, bad))
 
     def third_co_cond(self):
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
         one relaxed transition.  A violation source that proves reachable
-        from I forces restoring dropped clauses instead."""
+        from I forces restoring dropped clauses instead.  Returns whether
+        any violation was found."""
+        found = False
         for m in range(self.chain.j, 0, -1):
             while True:
                 viol = self._cond3_model(m)
                 if viol is None:
                     break
+                found = True
                 src = {v: viol[v] for v in self.state_ids}
                 if self._backward_walk(m - 1, src) == "reachable":
                     self._restore_step(m - 1, viol)
+        return found
 
     def _cond3_model(self, m):
         """A transition of H_{m-1} ∧ T^rlx_{m-1,m} into a ¬H_m-state, or
@@ -225,14 +230,9 @@ class Checker:
                 for c in list(chain.h[m]):
                     if not clause_implied(chain, m - 1, c):
                         chain.strengthen(m - 1, [c])
-            if not self._cond3_violated():
+            if not self.third_co_cond():
                 break
-            self.third_co_cond()
         return detect_invariant(chain)
-
-    def _cond3_violated(self):
-        return any(self._cond3_model(m) is not None
-                   for m in range(1, self.chain.j + 1))
 
     # ------------------------------------------------------------- result
 

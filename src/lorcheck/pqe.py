@@ -38,9 +38,6 @@ class PqeTask:
 def conflict_clause_dsequent(vid, falsified0, falsified1):
     """Resolvent of the two branch-falsified clauses: the special D-sequent
     that makes every clause redundant in the current subspace."""
-    if not ((vid in falsified0 and -vid in falsified1)
-            or (vid in falsified1 and -vid in falsified0)):
-        raise ValueError("conflict clauses not resolvable on %d" % vid)
     r = resolve(falsified0, falsified1, vid)
     if r is TAUTOLOGY:
         raise ValueError("conflict resolvent is tautological")
@@ -155,9 +152,6 @@ class _Solver:
 
     # ---------------------------------------------------------- queries
 
-    def _is_obligation(self, pc):
-        return pc.alive and pc.tracked and bool(pc.clause.variables() & self.w)
-
     def pool_free(self, pos):
         return (l for l in self.pool[pos].clause if abs(l) not in self.assign)
 
@@ -250,8 +244,10 @@ class _Solver:
             raise PqeBudgetError("pqe node budget exceeded")
 
     def _obligations(self, excluded):
+        # add_clause untracks every W-free clause and nothing sets tracked
+        # later, so a tracked clause always holds a W variable
         return [i for i, pc in enumerate(self.pool)
-                if self._is_obligation(pc) and i not in excluded]
+                if pc.alive and pc.tracked and i not in excluded]
 
     def search(self):
         """Returns ('done',) or ('conflict', pool index of falsified clause)."""
@@ -260,14 +256,17 @@ class _Solver:
             self._tick()
             if self.falsified:
                 return ("conflict", min(self.falsified))
-            progress = True
-            while progress:
-                progress = False
-                for i in self._obligations(node_discharged):
+            # discharge rounds until one fires nothing; that round's list
+            # is then the open obligations
+            while True:
+                pending = self._obligations(node_discharged)
+                fired = False
+                for i in pending:
                     if self.trivially_redundant(i, node_discharged):
                         node_discharged.add(i)
-                        progress = True
-            pending = self._obligations(node_discharged)
+                        fired = True
+                if not fired:
+                    break
             if not pending:
                 return ("done",)
             # branch on the first open obligation: its W variables first,
@@ -318,8 +317,6 @@ class _Solver:
             self._tick()
             acted = False
             for i in pending:
-                if not self.pool[i].alive:
-                    continue
                 if self._subsumed_now(i, set()) or self._blocked_now(i, set()):
                     self.kill(i)
                     acted = True

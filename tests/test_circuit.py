@@ -32,6 +32,7 @@ class TestParsing:
         "input x\nlatch s init 0 next (x AND)\n",  # syntax
         "flurb x\n",                               # unknown directive
         "input x\nprop x\n",                       # property over an input
+        "stuttering native\nlatch s init 0 next s\n",  # unknown directive
     ])
     def test_rejects(self, src):
         with pytest.raises(CircuitError):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from lorcheck.cli import (main, parse_pqe_dimacs, write_witness,
+from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant, _parse_guess)
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
@@ -23,6 +23,16 @@ def toggle_file(tmp_path):
     p = tmp_path / "toggle.scirc"
     p.write_text(TOGGLE_SRC)
     return str(p)
+
+
+class TestParserDefaults:
+    def test_engine_and_guess(self):
+        parse = build_parser().parse_args
+        args = parse(["check", "f"])
+        assert (args.engine, args.guess) == ("lor", None)
+        args = parse(["sec", "n", "k"])
+        assert (args.engine, args.guess) == ("lor-ic", "drop:interface")
+        assert parse(["sec", "n", "k", "--engine", "lor"]).engine == "lor"
 
 
 class TestGuessParsing:

@@ -77,7 +77,7 @@ class TestCofactor:
 class TestRenameFrame:
     def test_shift_round_trip(self):
         t = VarTable()
-        s = t.new("s", "state", 0)
+        s = t.new("s", 0)
         f = Cnf([Clause((s.id,))])
         g = rename_frame(f, t, 2)
         assert g.variables() == {t.get("s", 2).id}
@@ -85,15 +85,15 @@ class TestRenameFrame:
 
     def test_frame_map(self):
         t = VarTable()
-        s0 = t.new("s", "state", 0)
-        s1 = t.new("s", "state", 1)
+        s0 = t.new("s", 0)
+        s1 = t.new("s", 1)
         f = Cnf([Clause((s0.id, -s1.id))])
         g = rename_frame(f, t, {0: 3, 1: 4})
         assert g.variables() == {t.get("s", 3).id, t.get("s", 4).id}
 
     def test_unmapped_frame_errors(self):
         t = VarTable()
-        s = t.new("s", "state", 0)
+        s = t.new("s", 0)
         with pytest.raises(ValueError):
             rename_frame(Cnf([Clause((s.id,))]), t, {1: 2})
 

@@ -174,3 +174,18 @@ class TestBackwardWalk:
         s = dict(zip(ts.state_ids(0), (True, True, False)))
         assert c._backward_walk(2, s) is None
         assert evaluate(c.chain.h_cnf(2), s) is False
+
+    def test_each_predecessor_question_asked_once(self, engine):
+        c, ts = self.checker(engine, RING3_SRC, 2)
+        asked = []
+        ask = c._predecessor
+
+        def predecessor(k, s):
+            chain = c.chain
+            asked.append((k, tuple(sorted(s.items())), tuple(chain.h[k - 1]),
+                          frozenset(chain.removed[k - 1])))
+            return ask(k, s)
+        c._predecessor = predecessor
+        c._backward_walk(2, dict(zip(ts.state_ids(0), (True, True, False))))
+        # a question repeats only if the chain it is asked of is unchanged
+        assert len(set(asked)) == len(asked)

@@ -8,6 +8,7 @@ from lorcheck.boundary import check_co
 from lorcheck.qe_oracle import verify_boundary
 from conftest import (STUCK0_SRC, random_system, brute_force_verdict,
                       make_rng)
+from test_boundary import stuck0_drop_indices
 
 
 def replay_trace(ts, trace):
@@ -88,6 +89,20 @@ class TestChainSoundness:
                     ch.h_cnf(k), stuck0, ch.trlx_cnf(k - 1), k))
         pc_lor(stuck0, Options(iter_hook=hook))
         assert results and all(results)
+
+
+class TestThirdCoCond:
+    def test_reports_repair(self, stuck0):
+        """On a chain whose frame-1 relaxation breaks condition 3, the first
+        call repairs it and says so; a second call finds nothing."""
+        c = Checker(stuck0)
+        c.chain.add_frame()
+        c.chain.strengthen(1, [Clause((-stuck0.state_ids(0)[0],))])
+        c.chain.relax(0, stuck0_drop_indices(stuck0))
+        assert (3, 1) in check_co(c.chain).failures()
+        assert c.third_co_cond() is True
+        assert (3, 1) not in check_co(c.chain).failures()
+        assert c.third_co_cond() is False
 
 
 class TestDifferential:

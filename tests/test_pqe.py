@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorcheck.cnf import Cnf, Clause, TAUTOLOGY
 from lorcheck.pqe import (PqeTask, PqeBudgetError, conflict_clause_dsequent,
-                          take_out, trivially_redundant)
+                          take_out, trivially_redundant, _Solver)
 from lorcheck.qe_oracle import check_pqe
 
 
@@ -78,6 +78,17 @@ class TestTakeOut:
         t = PqeTask({3}, Cnf([Clause((1, 2))]), Cnf([Clause((3, 1))]))
         a_star = take_out(t)
         assert check_pqe(t.w, t.a, t.b, a_star)
+
+    def test_tracked_clauses_hold_w_variables(self):
+        # the obligation scan counts every alive tracked clause, relying on
+        # no tracked clause being W-free
+        rng = random.Random(34)
+        for _ in range(200):
+            t = random_task(rng)
+            s = _Solver(t, budget=10 ** 6)
+            s.run()
+            assert all(pc.clause.variables() & t.w
+                       for pc in s.pool if pc.tracked)
 
     def test_unsat_core_case(self):
         # A ∧ B unsatisfiable: A* must be (equivalent to) false wherever
