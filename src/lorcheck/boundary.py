@@ -60,9 +60,6 @@ class FrameChain:
     def trlx_at(self, k):
         return rename_frame(self.trlx_cnf(k), self.ts.table, {0: k, 1: k + 1})
 
-    def removed_cnf(self, k):
-        return Cnf(self.trans_clauses[i] for i in sorted(self.removed[k]))
-
     def add_frame(self):
         self.h.append([])
         self.removed.append(set())

@@ -169,40 +169,27 @@ def _expr_names(e, out):
 
 
 def _validate(c):
+    """One pass in the order encode and simulate define names: a signal may
+    read inputs, latches and earlier signals; an output may also read any
+    signal and earlier outputs; latch next-states and prop come last and may
+    read any declared name.  This also rules out combinational cycles."""
     seen = set()
     for name in itertools.chain(c.inputs, c.latch_names(), c.signals, c.outputs):
         if name in seen:
             raise CircuitError("duplicate name %r" % name)
         seen.add(name)
-    declared = c.declared()
-    exprs = [l.next for l in c.latches] + list(c.signals.values()) + list(c.outputs.values())
-    if c.prop is not None:
-        exprs.append(c.prop)
-    for e in exprs:
+    defined = set(c.inputs).union(c.latch_names())
+    defs = itertools.chain(c.signals.items(), c.outputs.items(),
+                           ((l.name, l.next) for l in c.latches),
+                           [("prop", c.prop)] if c.prop is not None else [])
+    for name, e in defs:
         refs = set()
         _expr_names(e, refs)
-        for r in refs - declared:
-            raise CircuitError("undeclared signal %r" % r)
-    # combinational acyclicity over signal definitions
-    color = {}
-
-    def visit(name):
-        if name not in c.signals:
-            return
-        if color.get(name) == 1:
-            raise CircuitError("combinational cycle through %r" % name)
-        if color.get(name) == 2:
-            return
-        color[name] = 1
-        refs = set()
-        _expr_names(c.signals[name], refs)
-        for r in sorted(refs):
-            visit(r)
-        color[name] = 2
-
-    for name in c.signals:
-        visit(name)
-    # outputs may not feed anything, so no cycle check needed through them
+        for r in sorted(refs - defined):
+            if r not in seen:
+                raise CircuitError("undeclared signal %r" % r)
+            raise CircuitError("%r reads %r before its definition" % (name, r))
+        defined.add(name)
 
 
 # ------------------------------------------------------------- simulation
@@ -256,22 +243,14 @@ class TransitionSystem:
         self.input_vars = input_vars
         self.stuttering_var = stuttering_var
 
-    @property
-    def is_stuttered(self):
-        return self.stuttering_var is not None
-
     def frame(self, j):
+        """T_{j,j+1}: the transition relation instantiated at frame j."""
+        if j < 0:
+            raise ValueError("frame index must be non-negative")
         return rename_frame(self.trans, self.table, {0: j, 1: j + 1})
 
     def state_ids(self, j=0):
         return [self.table.at_frame(v, j).id for v in self.state_vars]
-
-
-def frame(ts, j):
-    """T_{j,j+1}: the transition relation instantiated at frame j."""
-    if j < 0:
-        raise ValueError("frame index must be non-negative")
-    return ts.frame(j)
 
 
 class _Encoder:
@@ -323,7 +302,6 @@ class _Encoder:
         if op == "var":
             lit = self.env[e[1]]
         elif op == "const":
-            lit = None  # handled by caller via constant folding
             raise ValueError("unsimplified constant")
         elif op == "not":
             lit = -self.encode(e[1], hint=hint)
@@ -338,6 +316,14 @@ class _Encoder:
             self.add([target, -lit])
             return target
         return lit
+
+    def define(self, e, target, hint):
+        """Tie variable target to expr e, folding constants first."""
+        e = _simplify(e)
+        if e[0] == "const":
+            self.add([target] if e[1] else [-target])
+        else:
+            self.encode(e, target=target, hint=hint)
 
 
 def _simplify(e):
@@ -369,21 +355,23 @@ def _simplify(e):
     return (op, a, b)
 
 
+def _subst(e, f):
+    """e with each ('var', n) replaced by f(n)."""
+    if e[0] == "var":
+        return f(e[1])
+    if e[0] == "const":
+        return e
+    return (e[0],) + tuple(_subst(a, f) for a in e[1:])
+
+
 def _inline(c, e):
     """Property expression with signals and outputs substituted away."""
-    op = e[0]
-    if op == "var":
-        name = e[1]
-        if name in c.signals:
-            return _inline(c, c.signals[name])
-        if name in c.outputs:
-            return _inline(c, c.outputs[name])
-        return e
-    if op == "const":
-        return e
-    if op == "not":
-        return ("not", _inline(c, e[1]))
-    return (op, _inline(c, e[1]), _inline(c, e[2]))
+    defs = dict(c.signals)
+    defs.update(c.outputs)
+
+    def f(n):
+        return _subst(defs[n], f) if n in defs else ("var", n)
+    return _subst(e, f)
 
 
 def compile_state_predicate(expr, c, table):
@@ -419,19 +407,11 @@ def encode(c):
     for v in state_vars + input_vars:
         enc.env[v.name] = v.id
     for name, e in itertools.chain(c.signals.items(), c.outputs.items()):
-        e = _simplify(e)
         v = table.new(name, 0)
-        if e[0] == "const":
-            enc.add([v.id] if e[1] else [-v.id])
-        else:
-            enc.encode(e, target=v.id, hint=name)
+        enc.define(e, v.id, name)
         enc.env[name] = v.id
     for latch, nv in zip(c.latches, next_vars):
-        e = _simplify(latch.next)
-        if e[0] == "const":
-            enc.add([nv.id] if e[1] else [-nv.id])
-        else:
-            enc.encode(e, target=nv.id, hint=latch.name)
+        enc.define(latch.next, nv.id, latch.name)
     for a, b in c.eq_input_pairs:
         la, lb = enc.env[a], enc.env[b]
         enc.add([la, -lb], tag="interface")
@@ -458,12 +438,11 @@ def encode(c):
 # -------------------------------------------------------------- stuttering
 
 
-def add_stuttering(ts):
-    """Re-encode with an extra input v: v=1 steps normally, v=0 copies the
-    current state, making reachability monotone in the frame count."""
-    if ts.is_stuttered:
+def stutter(old):
+    """old with an extra input v: v=1 steps normally, v=0 copies the current
+    state, making reachability monotone in the frame count."""
+    if old.stutter_input is not None:
         raise CircuitError("system already stuttered")
-    old = ts.circuit
     c = Circuit()
     v = "stut"
     while v in old.declared():
@@ -479,21 +458,15 @@ def add_stuttering(ts):
     c.eq_input_pairs = list(old.eq_input_pairs)
     c.state_pairs = list(old.state_pairs)
     c.stutter_input = v
-    return encode(c)
+    return c
+
+
+def add_stuttering(ts):
+    """The system of ts.circuit with a stuttering input added."""
+    return encode(stutter(ts.circuit))
 
 
 # ------------------------------------------------------------------ miter
-
-
-def _rename_expr(e, pre):
-    op = e[0]
-    if op == "var":
-        return ("var", pre + e[1])
-    if op == "const":
-        return e
-    if op == "not":
-        return ("not", _rename_expr(e[1], pre))
-    return (op, _rename_expr(e[1], pre), _rename_expr(e[2], pre))
 
 
 def build_miter(n, k):
@@ -506,13 +479,13 @@ def build_miter(n, k):
         raise CircuitError("input/output arity mismatch")
     m = Circuit()
     for pre, src in (("n.", n), ("k.", k)):
+        def ren(e):
+            return _subst(e, lambda name: ("var", pre + name))
         m.inputs.extend(pre + x for x in src.inputs)
         for l in src.latches:
-            m.latches.append(Latch(pre + l.name, l.init, _rename_expr(l.next, pre)))
-        for name, e in src.signals.items():
-            m.signals[pre + name] = _rename_expr(e, pre)
-        for name, e in src.outputs.items():
-            m.signals[pre + name] = _rename_expr(e, pre)
+            m.latches.append(Latch(pre + l.name, l.init, ren(l.next)))
+        for name, e in itertools.chain(src.signals.items(), src.outputs.items()):
+            m.signals[pre + name] = ren(e)
     m.eq_input_pairs = list(zip(("n." + x for x in n.inputs),
                                 ("k." + x for x in k.inputs)))
     m.state_pairs = list(zip(("n." + l.name for l in n.latches),

@@ -13,8 +13,7 @@ import time
 
 from .cnf import Cnf, Clause, evaluate, rename_frame
 from .sat import Solver, implies
-from .circuit import (CircuitError, parse_circuit, encode, add_stuttering,
-                      build_miter)
+from .circuit import CircuitError, parse_circuit, encode, stutter, build_miter
 from .pqe import PqeTask, take_out, PqeBudgetError
 from .pclor import pc_lor, Options, CheckerError
 from .indclause import pc_lor_ic
@@ -85,21 +84,37 @@ def _read_witness(path):
     return lines
 
 
+def _header(lines, key):
+    """Names on the trace header line that starts with key."""
+    return next((l[len(key):].split() for l in lines if l.startswith(key)), [])
+
+
 def verify_trace(ts, lines, report):
-    input_names = []
-    state_names = []
+    """Replay a counterexample trace.  Its header must name exactly the
+    system's inputs and latches, so that no step leaves a latch free."""
+    input_names = _header(lines, "# inputs:")
+    state_names = _header(lines, "# state:")
+    for what, names, vs in (("inputs", input_names, ts.input_vars),
+                            ("state", state_names, ts.state_vars)):
+        want = sorted(v.name for v in vs)
+        if sorted(names) != want:
+            raise ValueError("trace header '# %s:' must name exactly: %s"
+                             % (what, " ".join(want)))
     steps = []
     for l in lines[1:]:
-        if l.startswith("# inputs:"):
-            input_names = l.split(":", 1)[1].split()
-        elif l.startswith("# state:"):
-            state_names = l.split(":", 1)[1].split()
-        elif l.startswith("step "):
+        if l.startswith("step "):
             head, _, rest = l.partition(":")
-            words = rest.split()
-            if words[0] != "inputs" or words[2] != "state":
+            words = head.split() + rest.split()
+            if len(words) != 6 or words[2] != "inputs" or words[4] != "state":
                 raise ValueError("malformed trace line: %r" % l)
-            steps.append((int(head.split()[1]), words[1], words[3]))
+            i, ibits, sbits = int(words[1]), words[3], words[5]
+            if ibits == "-":  # no inputs: step 0, or a system without any
+                ibits = ""
+            if (len(ibits) != (len(input_names) if i else 0)
+                    or len(sbits) != len(state_names)
+                    or (ibits + sbits).strip("01")):
+                raise ValueError("wrong bit strings in trace line: %r" % l)
+            steps.append((i, ibits, sbits))
     if not steps:
         raise ValueError("trace has no steps")
     if [i for i, _, _ in steps] != list(range(len(steps))):
@@ -212,7 +227,7 @@ def _oracle_hook(ts, out):
         rep = check_co(chain)
         if not rep.ok:
             raise CheckerError("oracle check: CO conditions failed: %s"
-                               % rep.failures(), chain)
+                               % rep.failures())
         for k in range(1, chain.j + 1):
             try:
                 ok = verify_boundary(chain.h_cnf(k), ts,
@@ -222,7 +237,7 @@ def _oracle_hook(ts, out):
                 continue
             if not ok:
                 raise CheckerError("oracle check: H_%d is not a boundary "
-                                   "formula" % k, chain)
+                                   "formula" % k)
     return hook
 
 
@@ -258,7 +273,7 @@ def _check_circuit(args, load, default_path, answers, out, err):
     err = err or sys.stderr
     t0 = time.time()
     try:
-        ts = add_stuttering(encode(load()))
+        ts = encode(stutter(load()))
     except (OSError, CircuitError) as e:
         err.write("error: %s\n" % e)
         return 3
@@ -335,21 +350,18 @@ def cmd_verify_witness(args, out=None, err=None):
         circ = _read_circuit(args.circuit)
         if args.miter_with:
             circ = build_miter(circ, _read_circuit(args.miter_with))
-        ts = encode(circ)
         lines = _read_witness(args.witness_file)
+        kind = lines[0].strip()
+        # the emitting run may have added a stuttering input
+        if (kind == "counterexample"
+                and set(_header(lines, "# inputs:")) - set(circ.inputs)):
+            circ = stutter(circ)
+        ts = encode(circ)
     except (OSError, CircuitError, ValueError) as e:
         err.write("error: %s\n" % e)
         return 3
-    kind = lines[0].strip()
     try:
         if kind == "counterexample":
-            # the emitting run may have added a stuttering input
-            for l in lines:
-                if l.startswith("# inputs:"):
-                    wanted = set(l.split(":", 1)[1].split())
-                    have = set(v.name for v in ts.input_vars)
-                    if wanted - have and not ts.is_stuttered:
-                        ts = add_stuttering(ts)
             ok = verify_trace(ts, lines, lambda m: err.write(m + "\n"))
         elif kind == "invariant":
             ok = verify_invariant(ts, lines, lambda m: err.write(m + "\n"))

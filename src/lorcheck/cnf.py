@@ -1,4 +1,4 @@
-"""Clause-level formula machinery: variables, clauses, CNF, resolution, cofactoring."""
+"""Clause-level formula machinery: variables, clauses, CNF, resolution, frame renaming."""
 
 from __future__ import annotations
 
@@ -168,38 +168,14 @@ def resolve(c1, c2, vid):
     return Clause(seen, tag=tag)
 
 
-def cofactor(f, assignment):
-    """f restricted to a partial assignment: satisfied clauses dropped,
-    falsified literals removed.  A falsified clause becomes empty."""
-    out = []
-    for c in f:
-        kept = []
-        sat = False
-        for l in c:
-            v = lit_sat(l, assignment)
-            if v is True:
-                sat = True
-                break
-            if v is None:
-                kept.append(l)
-        if not sat:
-            out.append(Clause(kept, tag=c.tag))
-    return Cnf(out)
-
-
-def rename_frame(f, table, shift):
-    """Shift every variable's frame; shift is an int delta or a frame map."""
-    delta = shift if isinstance(shift, int) else None
+def rename_frame(f, table, frames):
+    """Move every variable to the frame that the map `frames` gives its own."""
 
     def move(lit):
         var = table.lookup(abs(lit))
-        if delta is not None:
-            nf = var.frame + delta
-        else:
-            if var.frame not in shift:
-                raise ValueError("frame %r not mapped" % (var.frame,))
-            nf = shift[var.frame]
-        nv = table.at_frame(var, nf)
+        if var.frame not in frames:
+            raise ValueError("frame %r not mapped" % (var.frame,))
+        nv = table.at_frame(var, frames[var.frame])
         return nv.id if lit > 0 else -nv.id
 
     return Cnf(Clause([move(l) for l in c], tag=c.tag) for c in f)

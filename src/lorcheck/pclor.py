@@ -10,11 +10,7 @@ from .circuit import CircuitError
 
 
 class CheckerError(Exception):
-    """Engine failure (e.g. PQE budget); carries the partial chain."""
-
-    def __init__(self, msg, chain=None):
-        super().__init__(msg)
-        self.chain = chain
+    """Engine failure without a verdict (e.g. PQE budget, frame limit)."""
 
 
 class Witness:
@@ -42,7 +38,7 @@ class _Unreachable(Exception):
 
 class Checker:
     def __init__(self, ts, opts=None):
-        if not ts.is_stuttered:
+        if ts.stuttering_var is None:
             raise CircuitError("checker requires a stuttered system")
         self.ts = ts
         self.opts = opts or Options()
@@ -121,8 +117,7 @@ class Checker:
         # s is already one relaxed transition from H_{k-1}
         if self._chain_reachable(k, s):
             raise CheckerError("state %r is relaxed-chain reachable but must "
-                               "be excluded; boundary invariant broken" % s,
-                               self.chain)
+                               "be excluded; boundary invariant broken" % s)
         chain.strengthen(k, [longest_falsified_clause(s)])
 
     def _backward_walk(self, k0, s0):
@@ -217,8 +212,7 @@ class Checker:
                 broken.append(i)
         if not broken:
             raise CheckerError("reachable state drives a real transition out "
-                               "of a boundary formula; invariant broken",
-                               chain)
+                               "of a boundary formula; invariant broken")
         chain.restore(k, broken)
 
     def fin_touch(self):
@@ -251,7 +245,7 @@ class Checker:
         if m is not None:
             return self._trace_witness(m, depth)
         raise CheckerError("relaxed counterexample did not replay under the "
-                           "original relation", self.chain)
+                           "original relation")
 
     def _trace_witness(self, model, depth):
         ts = self.ts
@@ -284,7 +278,7 @@ class Checker:
             if inv is not None:
                 return Witness("invariant", invariant=inv)
         raise CheckerError("frame limit %d reached without a verdict"
-                           % max_frames, self.chain)
+                           % max_frames)
 
 
 def pc_lor(ts, opts=None):

@@ -68,7 +68,8 @@ class _Solver:
         self.trail = []
         self.falsified = set()
         self.a_star = []
-        self._index = {}       # lits -> alive pool position
+        self._empty = None     # pool position of the empty clause; it is
+                               # W-free, so nothing ever kills it
         for c in task.b:
             self.add_clause(c, tracked=False)
         for c in task.a:
@@ -89,7 +90,7 @@ class _Solver:
                 if pc.alive and set(pc.clause.lits) <= lits:
                     return j
         # the empty clause shares no literal but subsumes everything
-        return self._index.get(())
+        return self._empty
 
     def add_clause(self, clause, tracked):
         """Add a clause unless an alive clause subsumes it; returns the pool
@@ -112,17 +113,15 @@ class _Solver:
         pos = len(self.pool) - 1
         for l in clause:
             self.occ.setdefault(l, []).append(pos)
-        self._index[clause.lits] = pos
+        if not clause.lits:
+            self._empty = pos
         if pc.n_sat == 0 and pc.n_false == len(clause.lits):
             self.falsified.add(pos)
         return pos
 
     def kill(self, pos):
-        pc = self.pool[pos]
-        pc.alive = False
+        self.pool[pos].alive = False
         self.falsified.discard(pos)
-        if self._index.get(pc.clause.lits) == pos:
-            del self._index[pc.clause.lits]
 
     def push(self, vid, val):
         self.assign[vid] = val
@@ -158,7 +157,7 @@ class _Solver:
     def _subsumed_now(self, pos, excluded):
         """Condition (b): a live clause's cofactor subsumes this one's."""
         rem = set(self.pool_free(pos))
-        empty = self._index.get(())
+        empty = self._empty
         if empty is not None and empty != pos and empty not in excluded:
             return True
         seen = set()

@@ -31,6 +31,15 @@ latch s init 0 next NOT x
 output z = s
 """
 
+# Definitions read before encode defines them: a signal reading a later
+# signal, a signal reading an output, and a cycle through outputs.
+FORWARD_REF_SRCS = [
+    "latch s init 0 next a\nsignal a = b\nsignal b = s\nprop NOT s\n",
+    "latch s init 0 next a\nsignal a = z\noutput z = s\nprop NOT s\n",
+    "latch s init 0 next z\noutput z = (s AND w)\noutput w = z\n"
+    "prop NOT s\n",
+]
+
 
 @pytest.fixture
 def stuck0():

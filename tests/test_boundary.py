@@ -29,7 +29,8 @@ class TestFrameChain:
         chain.restore(0, [1])
         assert len(list(chain.trlx_cnf(0))) == n - 1
         # T = T^rlx ∧ R syntactically
-        assert set(chain.trlx_cnf(0)) | set(chain.removed_cnf(0)) == \
+        assert set(chain.trlx_cnf(0)) | \
+            {chain.trans_clauses[i] for i in chain.removed[0]} == \
             set(chain.trans_clauses)
 
     def test_strengthen_dedups(self, stuck0):

@@ -1,14 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from lorcheck.circuit import (CircuitError, parse_circuit, encode,
-                              add_stuttering, build_miter, simulate, frame,
+                              add_stuttering, build_miter, simulate,
                               compile_state_predicate)
 from lorcheck.cnf import Cnf, Clause, evaluate
 from lorcheck.sat import solve, implies
-from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC,
+from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
                       random_system_source, make_rng)
 
 
@@ -33,6 +34,7 @@ class TestParsing:
         "flurb x\n",                               # unknown directive
         "input x\nprop x\n",                       # property over an input
         "stuttering native\nlatch s init 0 next s\n",  # unknown directive
+        *FORWARD_REF_SRCS,
     ])
     def test_rejects(self, src):
         with pytest.raises(CircuitError):
@@ -42,6 +44,55 @@ class TestParsing:
         c = parse_circuit("input x\nsignal a = x\nsignal b = (a OR x)\n"
                           "latch s init 0 next b\n")
         assert set(c.signals) == {"a", "b"}
+
+    def test_output_reads_later_signal(self):
+        # encode defines every signal before the first output
+        c = parse_circuit("input x\nlatch s init 0 next z\noutput z = (a AND s)\n"
+                          "signal a = (x OR s)\nprop NOT s\n")
+        exhaustive_encoding_check(encode(c))
+
+    def test_shuffled_signals_rejected_or_encoded(self):
+        rng = make_rng(61)
+        seen = set()
+        for _ in range(40):
+            head, sigs, tail = _signal_circuit_lines(rng)
+            rng.shuffle(sigs)
+            names = [l.split()[1] for l in sigs]
+            in_order = all(set(re.findall(r"g\d+", l.split("=")[1]))
+                           <= set(names[:i]) for i, l in enumerate(sigs))
+            src = "\n".join(head + sigs + tail) + "\n"
+            try:
+                c = parse_circuit(src)
+            except CircuitError:
+                assert not in_order, src
+                seen.add("rejected")
+                continue
+            assert in_order, src
+            exhaustive_encoding_check(encode(c))
+            seen.add("encoded")
+        assert seen == {"rejected", "encoded"}
+
+
+def _signal_circuit_lines(rng):
+    """(inputs and latches, signal lines, property line) of a random circuit
+    whose signals g<i> read inputs, latches and earlier signals."""
+    ins = ["x%d" % i for i in range(rng.randint(1, 2))]
+    latches = ["s%d" % i for i in range(rng.randint(1, 3))]
+    sigs = ["g%d" % i for i in range(rng.randint(2, 4))]
+
+    def expr(atoms, d=2):
+        if d == 0 or rng.random() < 0.35:
+            a = rng.choice(atoms)
+            return a if rng.random() < 0.75 else "NOT %s" % a
+        return "(%s %s %s)" % (expr(atoms, d - 1), rng.choice(["AND", "OR", "XOR"]),
+                               expr(atoms, d - 1))
+
+    head = ["input %s" % x for x in ins]
+    head += ["latch %s init 0 next %s" % (s, expr(ins + latches + sigs))
+             for s in latches]
+    lines = ["signal %s = %s" % (g, expr(ins + latches + sigs[:i] + sigs[i - 1:i] * 2))
+             for i, g in enumerate(sigs)]
+    return head, lines, ["prop NOT %s" % latches[-1]]
 
 
 def exhaustive_encoding_check(ts):
@@ -97,11 +148,11 @@ class TestEncoding:
 
     def test_frame_instantiation(self):
         ts = encode(parse_circuit(STUCK0_SRC))
-        f3 = frame(ts, 3)
+        f3 = ts.frame(3)
         frames = {ts.table.lookup(v).frame for v in f3.variables()}
         assert frames == {3, 4}
         with pytest.raises(ValueError):
-            frame(ts, -1)
+            ts.frame(-1)
 
 
 class TestStuttering:

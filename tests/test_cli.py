@@ -8,7 +8,8 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant, _parse_guess)
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
-from conftest import STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC
+from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
+                      FORWARD_REF_SRCS)
 
 
 @pytest.fixture
@@ -93,6 +94,28 @@ class TestCheck:
         p.write_text("latch s init 7 next s\n")
         assert main(["check", str(p)]) == 3
         assert "error:" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("src", FORWARD_REF_SRCS)
+    def test_forward_reference(self, tmp_path, capfd, src):
+        p = tmp_path / "fwd.scirc"
+        p.write_text(src)
+        assert main(["check", str(p)]) == 3
+        assert "error:" in capfd.readouterr().err
+
+    def test_property_compiled_once(self, stuck0_file, tmp_path, monkeypatch):
+        import lorcheck.circuit as circuit
+        calls = []
+        compile_prop = circuit.compile_state_predicate
+
+        def counting(*args):
+            calls.append(args)
+            return compile_prop(*args)
+        monkeypatch.setattr(circuit, "compile_state_predicate", counting)
+        assert main(["check", stuck0_file]) == 0
+        assert len(calls) == 1
+        a = tmp_path / "a.scirc"; a.write_text(DFF_SRC)
+        assert main(["sec", str(a), str(a)]) == 0
+        assert len(calls) == 2
 
     def test_frame_budget_unknown(self, tmp_path, capfd):
         p = tmp_path / "m.scirc"
@@ -223,3 +246,33 @@ class TestWitnessVerification:
                      "step 0: inputs - state 1\n")
         assert main(["verify-witness", stuck0_file, str(p)]) == 1
         assert "not initial" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("inputs, bits", [("", "x"), ("stut", "1")])
+    def test_trace_must_name_every_latch(self, tmp_path, capfd, inputs, bits):
+        # b is free at every step of a trace whose header omits it, so the
+        # trace could pick b afresh each step and reach a state with a and c
+        src = tmp_path / "abc.scirc"
+        src.write_text("latch a init 0 next (a OR b)\n"
+                       "latch c init 0 next (c OR NOT b)\n"
+                       "latch b init * next b\n"
+                       "prop NOT (a AND c)\n")
+        assert main(["check", str(src)]) == 0
+        p = tmp_path / "w"
+        p.write_text("counterexample\n# inputs: %s\n# state: a c\n"
+                     "step 0: inputs - state 00\n"
+                     "step 1: inputs %s state 10\n"
+                     "step 2: inputs %s state 11\n" % (inputs, bits, bits))
+        capfd.readouterr()
+        assert main(["verify-witness", str(src), str(p)]) == 3
+        assert "error:" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("line", ["step 1: inputs 11",
+                                      "step 1: inputs 1 state 1",
+                                      "step 1: inputs 12 state 1",
+                                      "step 1: inputs 11 state 10"])
+    def test_malformed_step_line(self, toggle_file, tmp_path, capfd, line):
+        p = tmp_path / "w"
+        p.write_text("counterexample\n# inputs: x stut\n# state: s\n"
+                     "step 0: inputs - state 0\n%s\n" % line)
+        assert main(["verify-witness", toggle_file, str(p)]) == 3
+        assert "error:" in capfd.readouterr().err

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lorcheck.cnf import (Clause, Cnf, TAUTOLOGY, VarTable, resolve, cofactor,
+from lorcheck.cnf import (Clause, Cnf, TAUTOLOGY, VarTable, resolve,
                           rename_frame, evaluate, lit_sat,
                           longest_falsified_clause)
 
@@ -57,31 +57,14 @@ class TestResolve:
             assert evaluate(Cnf([r]), full) is True
 
 
-class TestCofactor:
-    @given(st.lists(clauses(), max_size=6).map(Cnf), assignments(3),
-           assignments())
-    def test_matches_semantic_restriction(self, f, fix, rest):
-        g = cofactor(f, fix)
-        full = dict(rest)
-        full.update(fix)
-        for v in f.variables():
-            full.setdefault(v, False)
-        assert evaluate(g, full) == evaluate(f, full)
-
-    def test_satisfied_clause_dropped(self):
-        f = Cnf([Clause((1, 2)), Clause((3,))])
-        g = cofactor(f, {1: True})
-        assert list(g) == [Clause((3,))]
-
-
 class TestRenameFrame:
     def test_shift_round_trip(self):
         t = VarTable()
         s = t.new("s", 0)
         f = Cnf([Clause((s.id,))])
-        g = rename_frame(f, t, 2)
+        g = rename_frame(f, t, {0: 2})
         assert g.variables() == {t.get("s", 2).id}
-        assert rename_frame(g, t, -2) == f
+        assert rename_frame(g, t, {2: 0}) == f
 
     def test_frame_map(self):
         t = VarTable()
