@@ -5,7 +5,7 @@ relaxation into makeup clauses, and the CO-condition checker."""
 from __future__ import annotations
 
 from .cnf import Cnf, rename_frame
-from .sat import implies
+from .sat import Solver, implies
 from .pqe import PqeTask, take_out
 
 
@@ -127,21 +127,30 @@ def check_co(chain):
     return CoReport(entries)
 
 
-def clause_implied(chain, m, clause):
+def clause_implied(chain, m, clause, solvers=None):
     """Does H_m imply the clause?  Positive verdicts are cached for good:
-    frames only ever gain clauses, so an implied clause stays implied."""
+    frames only ever gain clauses, so an implied clause stays implied.
+    A caller that asks many questions while H_m stays unchanged passes a
+    dict `solvers`, which keeps the one solver over H_m that answers them."""
     key = (clause.lits, m)
     if key in chain.implied_marks:
         return True
-    if implies(chain.h_cnf(m), Cnf([clause])):
-        chain.implied_marks.add(key)
-        return True
-    return False
+    if solvers is None:
+        solvers = {}
+    if m not in solvers:
+        solvers[m] = Solver(chain.h[m])
+    if solvers[m].solve([-l for l in clause]):
+        return False
+    chain.implied_marks.add(key)
+    return True
 
 
 def detect_invariant(chain):
-    """H_{m-1} is an inductive invariant as soon as H_m implies it."""
+    """H_{m-1} is an inductive invariant as soon as H_m implies it.  No
+    frame changes during the scan, so each H_m gets one solver."""
+    solvers = {}
     for m in range(1, chain.j + 1):
-        if all(clause_implied(chain, m, c) for c in chain.h[m - 1]):
+        if all(clause_implied(chain, m, c, solvers=solvers)
+               for c in chain.h[m - 1]):
             return chain.h_cnf(m - 1).normalize()
     return None

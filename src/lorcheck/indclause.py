@@ -1,12 +1,13 @@
 """Inductive-clause machinery and the hybrid checker built on it: bad
 states are excluded by clauses that are inductive relative to the previous
 frame, and an initial relaxation can be seeded from a declarative guess
-(e.g. dropping the interface-equality clauses of a miter)."""
+(e.g. dropping the interface-equality clauses of a miter), after which
+Houdini looks for an invariant among the seed, I and P."""
 
 from __future__ import annotations
 
-from .cnf import Cnf, Clause, evaluate, longest_falsified_clause, rename_frame
-from .sat import solve, implies
+from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename_frame
+from .sat import Solver, solve, implies
 from .boundary import makeup_clauses
 from .pclor import Checker, Options, Witness
 
@@ -74,10 +75,53 @@ def educat_guess_rlx(chain, j, guess):
     return makeup_clauses(chain, j, r)
 
 
+def houdini(ts, cands):
+    """The largest subset of the clauses `cands` (over frame-0 state
+    variables) that is inductive under T, in the order given.
+
+    Each round loads the surviving candidates and T into one solver.  A
+    model of Cands ∧ T ∧ ¬c′ starts in a state where every subset of Cands
+    holds, so an inductive subset holds at its frame 1 too: the round drops
+    every candidate the model falsifies there, c among them.  Rounds repeat
+    until one drops nothing, so the result does not depend on the models
+    the solver returns."""
+    cands = list(Cnf(cands).normalize())
+    while True:
+        solver = Solver(cands + list(ts.trans))
+        shifted = rename_frame(Cnf(cands), ts.table, {0: 1}).clauses
+        alive = [True] * len(cands)
+        for i, c1 in enumerate(shifted):
+            if not alive[i]:
+                continue
+            res = solver.solve([-l for l in c1])
+            if res:
+                for k, d1 in enumerate(shifted):
+                    if alive[k] and all(lit_sat(l, res.model) is False
+                                        for l in d1):
+                        alive[k] = False
+        if all(alive):
+            return cands
+        cands = [c for c, keep in zip(cands, alive) if keep]
+
+
+def _houdini_invariant(ts, seed):
+    """Houdini over seed ∪ I ∪ P.  The survivors are an inductive invariant
+    when I implies them and every clause of P survived; otherwise None."""
+    inv = Cnf(houdini(ts, list(seed) + list(ts.init) + list(ts.prop)))
+    kept = set(inv)
+    if all(c in kept for c in ts.prop) and implies(ts.init, inv):
+        return inv
+    return None
+
+
 class IcChecker(Checker):
     """pc_lor with each backward-walk step strengthening H_k by a
     generalized inductive clause instead of relax-and-make-up, and optional
-    guess-driven seeding of each new frame."""
+    guess-driven seeding of each new frame.  With a guess, Houdini runs
+    once over the frame-1 seed, I and P; when its survivors form an
+    invariant, the first fin_touch returns them."""
+
+    invariant = None   # the Houdini invariant, once found
 
     def _block(self, k, s):
         f = self.chain.h_cnf(k - 1)
@@ -93,6 +137,13 @@ class IcChecker(Checker):
         self.chain.add_frame()
         seed = educat_guess_rlx(self.chain, j, self.opts.guess)
         self.chain.strengthen(j, list(seed) + list(self.ts.prop))
+        if j == 1:
+            self.invariant = _houdini_invariant(self.ts, seed)
+
+    def fin_touch(self):
+        if self.invariant is not None:
+            return self.invariant
+        return super().fin_touch()
 
 
 def pc_lor_ic(ts, opts=None):

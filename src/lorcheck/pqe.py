@@ -44,11 +44,23 @@ def conflict_clause_dsequent(vid, falsified0, falsified1):
     return r
 
 
+def _signature(lits):
+    """64-bit literal signature: a clause can only subsume another whose
+    signature has every bit of its own."""
+    sig = 0
+    for l in lits:
+        sig |= 1 << (l % 64)
+    return sig
+
+
 class _PoolClause:
-    __slots__ = ("clause", "tracked", "alive", "n_sat", "n_false")
+    __slots__ = ("clause", "lits", "sig", "tracked", "alive", "n_sat",
+                 "n_false")
 
     def __init__(self, clause, tracked):
         self.clause = clause
+        self.lits = frozenset(clause.lits)
+        self.sig = _signature(clause.lits)
         self.tracked = tracked
         self.alive = True
         self.n_sat = 0
@@ -77,17 +89,16 @@ class _Solver:
 
     # ------------------------------------------------------------- pool
 
-    def _find_subsumer(self, clause):
-        """An alive clause whose literals are a subset of clause's, if any."""
-        lits = set(clause.lits)
-        seen = set()
-        for l in clause:
+    def _find_subsumer(self, new):
+        """An alive clause whose literals are a subset of those of the
+        _PoolClause `new`, if any.  A clause met again under a later
+        literal has already failed the test, so no visited set is needed."""
+        lits, sig, n = new.lits, new.sig, len(new.lits)
+        for l in new.clause:
             for j in self.occ.get(l, ()):
-                if j in seen:
-                    continue
-                seen.add(j)
                 pc = self.pool[j]
-                if pc.alive and set(pc.clause.lits) <= lits:
+                if (pc.alive and not pc.sig & ~sig and len(pc.lits) <= n
+                        and pc.lits <= lits):
                     return j
         # the empty clause shares no literal but subsumes everything
         return self._empty
@@ -95,14 +106,14 @@ class _Solver:
     def add_clause(self, clause, tracked):
         """Add a clause unless an alive clause subsumes it; returns the pool
         position of the clause or its subsumer."""
-        sub = self._find_subsumer(clause)
+        pc = _PoolClause(clause, tracked)
+        sub = self._find_subsumer(pc)
         if sub is not None:
             return sub
         if tracked and not (clause.variables() & self.w):
             # W-free clauses are their own answer; no redundancy obligation
             self.a_star.append(clause)
-            tracked = False
-        pc = _PoolClause(clause, tracked)
+            pc.tracked = False
         for l in clause:
             v = lit_sat(l, self.assign)
             if v is True:
@@ -160,12 +171,10 @@ class _Solver:
         empty = self._empty
         if empty is not None and empty != pos and empty not in excluded:
             return True
-        seen = set()
         for l in rem:
             for j in self.occ.get(l, ()):
-                if j == pos or j in seen or j in excluded:
+                if j == pos or j in excluded:
                     continue
-                seen.add(j)
                 pc = self.pool[j]
                 if not pc.alive or pc.n_sat > 0:
                     continue

@@ -31,6 +31,26 @@ latch s init 0 next NOT x
 output z = s
 """
 
+
+def shreg_source(n):
+    """n-stage shift register; output is the last stage."""
+    lines = ["input x", "latch s0 init 0 next x"]
+    lines += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(1, n)]
+    lines.append("output z = s%d" % (n - 1))
+    return "\n".join(lines) + "\n"
+
+
+def xorreg_source(n, inverted=None):
+    """n latches toggled together by input x, every latch an output; latch
+    `inverted`, if given, sees NOT x instead."""
+    lines = ["input x"]
+    for i in range(n):
+        x = "NOT x" if i == inverted else "x"
+        lines.append("latch s%d init 0 next (s%d XOR %s)" % (i, i, x))
+    lines += ["output z%d = s%d" % (i, i) for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
 # Definitions read before encode defines them: a signal reading a later
 # signal, a signal reading an output, and a cycle through outputs.
 FORWARD_REF_SRCS = [

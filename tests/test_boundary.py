@@ -168,6 +168,21 @@ class TestInvariantDetection:
         chain.add_frame()                         # H_1 = true, H_0 = ¬s
         assert detect_invariant(chain) is None
 
+    def test_one_solver_per_frame(self, dff_miter, built_solvers):
+        ts = dff_miter
+        init = list(ts.init)
+        assert len(init) == 4
+        chain = FrameChain(ts)
+        chain.add_frame()
+        chain.add_frame()
+        chain.strengthen(1, init[:1])             # H_1 misses I's 2nd clause
+        chain.strengthen(2, init)
+        before = len(built_solvers)
+        inv = detect_invariant(chain)
+        # frame 1 fails on one of I's four clauses, frame 2 implies H_1
+        assert inv == Cnf(init[:1])
+        assert len(built_solvers) - before == 2
+
     def test_clause_implied_caches(self, stuck0):
         chain = FrameChain(stuck0)
         s = stuck0.state_ids(0)[0]

@@ -9,7 +9,7 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
-                      FORWARD_REF_SRCS)
+                      FORWARD_REF_SRCS, shreg_source, xorreg_source)
 
 
 @pytest.fixture
@@ -169,6 +169,55 @@ class TestSec:
         b = tmp_path / "b.scirc"
         b.write_text("input p\ninput q\nlatch s init 0 next p\noutput z = s\n")
         assert main(["sec", str(a), str(b)]) == 3
+
+
+def _sec_and_replay(tmp_path, capfd, src_n, src_k):
+    """Run sec on two sources, replay its witness against their miter and
+    return sec's exit code and stdout."""
+    a = tmp_path / "n.scirc"; a.write_text(src_n)
+    b = tmp_path / "k.scirc"; b.write_text(src_k)
+    w = tmp_path / "sec.witness"
+    code = main(["sec", str(a), str(b), "--witness", str(w)])
+    out = capfd.readouterr().out
+    assert main(["verify-witness", str(a), str(w),
+                 "--miter-with", str(b)]) == 0
+    assert "witness accepted" in capfd.readouterr().out
+    return code, out
+
+
+class TestSecFamilies:
+    """Register miters: equal ones are proved within two frames, unequal
+    ones still give counterexamples that replay."""
+
+    @pytest.mark.parametrize("source, n",
+                             [(shreg_source, n) for n in range(2, 9)]
+                             + [(xorreg_source, n) for n in range(1, 5)])
+    def test_equal_within_two_frames(self, tmp_path, capfd, source, n):
+        code, out = _sec_and_replay(tmp_path, capfd, source(n), source(n))
+        assert code == 0
+        assert out.startswith("equivalent\n")
+        assert int(re.search(r"^frames: (\d+)$", out, re.M).group(1)) <= 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shreg_against_shorter(self, tmp_path, capfd, n):
+        code, out = _sec_and_replay(tmp_path, capfd, shreg_source(n),
+                                    shreg_source(n - 1))
+        assert code == 1
+        assert out.startswith("inequivalent\n")
+
+    @pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 5)
+                                      for i in range(n)])
+    def test_xorreg_with_inverted_input(self, tmp_path, capfd, n, i):
+        code, out = _sec_and_replay(tmp_path, capfd, xorreg_source(n),
+                                    xorreg_source(n, inverted=i))
+        assert code == 1
+        assert out.startswith("inequivalent\n")
+
+    def test_oracle_check_quiet(self, tmp_path, capfd):
+        a = tmp_path / "a.scirc"; a.write_text(shreg_source(3))
+        assert main(["sec", str(a), str(a), "--oracle-check",
+                     "--witness", str(tmp_path / "w")]) == 0
+        assert capfd.readouterr().err == ""
 
 
 class TestPqe:

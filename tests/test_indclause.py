@@ -1,14 +1,19 @@
+import itertools
+
 import pytest
 
 from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
 from lorcheck.sat import implies
 from lorcheck.boundary import FrameChain, check_co
-from lorcheck.circuit import parse_circuit, encode, add_stuttering
+from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
+                              build_miter)
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
-                                generalize, educat_guess_rlx, pc_lor_ic)
+                                generalize, educat_guess_rlx, houdini,
+                                pc_lor_ic)
 from lorcheck.pclor import Checker, Options, pc_lor
-from lorcheck.qe_oracle import verify_boundary
-from conftest import random_system, brute_force_verdict, make_rng
+from lorcheck.qe_oracle import verify_boundary, image_under
+from conftest import (random_system, brute_force_verdict, make_rng,
+                      shreg_source)
 from test_pclor import replay_trace, check_invariant_witness
 
 
@@ -34,7 +39,6 @@ class TestMakeInductiveClause:
 
     def test_clause_really_is_inductive(self):
         rng = make_rng(51)
-        import itertools
         for _ in range(20):
             ts = random_system(rng, 2, 1)
             ids = ts.state_ids(0)
@@ -97,6 +101,73 @@ class TestGuessSeeding:
         chain.add_frame()
         with pytest.raises(ValueError):
             educat_guess_rlx(chain, 1, ("keep", "interface"))
+
+
+def _inductive_by_enumeration(ts, clauses, succ):
+    """Every successor of a state satisfying `clauses` satisfies them too."""
+    ids = ts.state_ids(0)
+    f = Cnf(clauses)
+
+    def holds(s):
+        return evaluate(f, dict(zip(ids, s))) is True
+    return all(holds(t) for s in succ if holds(s) for t in succ[s])
+
+
+class TestHoudini:
+    def test_largest_inductive_subset(self):
+        """Differential check against state enumeration: the result is the
+        union of all inductive subsets of the candidates, so it is itself
+        inductive and contains every other one."""
+        rng = make_rng(54)
+        strict = 0
+        for _ in range(40):
+            ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
+            ids = ts.state_ids(0)
+            cands = Cnf(Clause(v if rng.random() < 0.5 else -v
+                               for v in rng.sample(ids, rng.randint(1, 2)))
+                        for _ in range(rng.randint(1, 8))).normalize()
+            succ = {s: image_under(ts, ts.trans, {s})
+                    for s in itertools.product((False, True), repeat=len(ids))}
+            got = houdini(ts, cands)
+            assert got == [c for c in cands if c in got]
+            assert _inductive_by_enumeration(ts, got, succ)
+            for n in range(len(cands) + 1):
+                for sub in itertools.combinations(cands, n):
+                    if _inductive_by_enumeration(ts, sub, succ):
+                        assert set(sub) <= set(got)
+            strict += 0 < len(got) < len(cands)
+        assert strict >= 5
+
+    def test_shift_register_miter_invariant_at_frame_1(self):
+        ts = add_stuttering(encode(build_miter(
+            parse_circuit(shreg_source(4)), parse_circuit(shreg_source(4)))))
+        frames = []
+        chk = IcChecker(ts, Options(guess=("drop", "interface"),
+                                    iter_hook=lambda ch: frames.append(ch.j)))
+        w = chk.run()
+        assert w.kind == "invariant" and frames == [1]
+        assert w.invariant is chk.invariant
+        check_invariant_witness(ts, w.invariant)
+        # the state-pair equalities of I survive, the zero initial values not
+        assert set(w.invariant) >= {c for c in ts.init if len(c) == 2}
+        assert not any(len(c) == 1 for c in w.invariant)
+
+    def test_unequal_miter_falls_back(self):
+        ts = add_stuttering(encode(build_miter(
+            parse_circuit(shreg_source(4)), parse_circuit(shreg_source(3)))))
+        opts = Options(guess=("drop", "interface"))
+        chain = FrameChain(ts)
+        chain.add_frame()
+        seed = educat_guess_rlx(chain, 1, opts.guess)
+        chk = IcChecker(ts, opts)
+        chk.fin_rlx(1)
+        assert chk.invariant is None
+        # H_1 holds the seed and P only, as without Houdini
+        want = Cnf(list(seed) + list(ts.prop)).normalize()
+        assert chk.chain.h[1] == list(want)
+        w = pc_lor_ic(ts, opts)
+        assert w.kind == "counterexample"
+        replay_trace(ts, w.trace)
 
 
 class TestIcChecker:

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from lorcheck.cnf import Cnf, Clause, TAUTOLOGY
 from lorcheck.pqe import (PqeTask, PqeBudgetError, conflict_clause_dsequent,
-                          take_out, trivially_redundant, _Solver)
+                          take_out, trivially_redundant, _Solver,
+                          _PoolClause)
 from lorcheck.qe_oracle import check_pqe
 
 
@@ -89,6 +90,23 @@ class TestTakeOut:
             s.run()
             assert all(pc.clause.variables() & t.w
                        for pc in s.pool if pc.tracked)
+
+    def test_subsumer_is_first_in_occurrence_order(self):
+        # the signature filter may skip only non-subsumers: the subsumer
+        # found is the first alive subset met in the clause's literal order
+        rng = random.Random(35)
+        for _ in range(100):
+            t = random_task(rng, max_var=12, max_clauses=30)
+            s = _Solver(t, budget=10 ** 6)
+            for pc in s.pool:
+                if rng.random() < 0.3:
+                    pc.alive = False
+            for c in random_task(rng, max_var=12, max_clauses=30).b:
+                want = next((j for l in c for j in s.occ.get(l, ())
+                             if s.pool[j].alive
+                             and set(s.pool[j].clause.lits) <= set(c.lits)),
+                            s._empty)
+                assert s._find_subsumer(_PoolClause(c, False)) == want
 
     def test_unsat_core_case(self):
         # A ∧ B unsatisfiable: A* must be (equivalent to) false wherever
