@@ -127,16 +127,14 @@ def check_co(chain):
     return CoReport(entries)
 
 
-def clause_implied(chain, m, clause, solvers=None):
+def clause_implied(chain, m, clause, *, solvers):
     """Does H_m imply the clause?  Positive verdicts are cached for good:
     frames only ever gain clauses, so an implied clause stays implied.
-    A caller that asks many questions while H_m stays unchanged passes a
-    dict `solvers`, which keeps the one solver over H_m that answers them."""
+    The dict `solvers` keeps the one solver over H_m that answers the
+    caller's questions; a caller that strengthens H_m clears it."""
     key = (clause.lits, m)
     if key in chain.implied_marks:
         return True
-    if solvers is None:
-        solvers = {}
     if m not in solvers:
         solvers[m] = Solver(chain.h[m])
     if solvers[m].solve([-l for l in clause]):

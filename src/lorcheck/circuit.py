@@ -473,8 +473,10 @@ def build_miter(n, k):
     """Sequential-equivalence miter of circuits n and k.
 
     Inputs are pairwise constrained equal (clauses tagged 'interface'),
-    initial states pairwise equal, and the property says the output
-    difference stays 0."""
+    and the property says the output difference stays 0.  The i-th latches
+    of n and k start equal when their declared inits agree or one of them
+    is free; a pair with inits 0 and 1 stays unpaired, since pairing it
+    would leave no initial state."""
     if len(n.inputs) != len(k.inputs) or len(n.outputs) != len(k.outputs):
         raise CircuitError("input/output arity mismatch")
     m = Circuit()
@@ -488,8 +490,9 @@ def build_miter(n, k):
             m.signals[pre + name] = ren(e)
     m.eq_input_pairs = list(zip(("n." + x for x in n.inputs),
                                 ("k." + x for x in k.inputs)))
-    m.state_pairs = list(zip(("n." + l.name for l in n.latches),
-                             ("k." + l.name for l in k.latches)))
+    m.state_pairs = [("n." + a.name, "k." + b.name)
+                     for a, b in zip(n.latches, k.latches)
+                     if a.init is None or b.init is None or a.init == b.init]
     diff = None
     for zn, zk in zip(n.outputs, k.outputs):
         x = ("xor", ("var", "n." + zn), ("var", "k." + zk))

@@ -47,6 +47,21 @@ def _parse_guess(text):
     return (kind, tag)
 
 
+def _guess_flag(text):
+    """A --guess value, checked while the command line is parsed."""
+    try:
+        _parse_guess(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(e) from None
+    return text
+
+
+def _frame_limit(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return int(text)
+
+
 # ------------------------------------------------------------ witness files
 
 
@@ -380,9 +395,9 @@ def cmd_verify_witness(args, out=None, err=None):
 
 def _add_engine_flags(p):
     p.add_argument("--engine", choices=["lor", "lor-ic"])
-    p.add_argument("--guess", default=None,
+    p.add_argument("--guess", type=_guess_flag, default=None,
                    help="initial relaxation, e.g. drop:interface")
-    p.add_argument("--max-frames", type=int, default=None)
+    p.add_argument("--max-frames", type=_frame_limit, default=None)
     p.add_argument("--pqe-budget", type=int, default=10 ** 6)
     p.add_argument("--witness", default=None, help="witness output path")
     p.add_argument("--oracle-check", action="store_true",
@@ -422,7 +437,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # --help, or a usage error: malformed input
+        return 3 if e.code else 0
     return args.fn(args)
 
 

@@ -164,8 +164,7 @@ def resolve(c1, c2, vid):
     for l in seen:
         if -l in seen:
             return TAUTOLOGY
-    tag = pos.tag if pos.tag is not None and pos.tag == neg.tag else None
-    return Clause(seen, tag=tag)
+    return Clause(seen)
 
 
 def rename_frame(f, table, frames):
@@ -178,7 +177,7 @@ def rename_frame(f, table, frames):
         nv = table.at_frame(var, frames[var.frame])
         return nv.id if lit > 0 else -nv.id
 
-    return Cnf(Clause([move(l) for l in c], tag=c.tag) for c in f)
+    return Cnf(Clause([move(l) for l in c]) for c in f)
 
 
 def evaluate(f, assignment):

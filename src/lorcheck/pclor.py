@@ -3,7 +3,7 @@ the CO conditions, push clauses, and stop on an invariant or counterexample."""
 
 from __future__ import annotations
 
-from .cnf import Cnf, evaluate, longest_falsified_clause, rename_frame
+from .cnf import Cnf, evaluate, rename_frame
 from .sat import solve, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
 from .circuit import CircuitError
@@ -30,10 +30,6 @@ class Options:
         self.guess = guess            # e.g. ("drop", "interface")
         self.iter_hook = iter_hook    # called with the chain after each
                                       # main-loop iteration
-
-
-class _Unreachable(Exception):
-    pass
 
 
 class Checker:
@@ -68,17 +64,6 @@ class Checker:
         table = self.ts.table
         return {table.at_frame(table.lookup(v), frame).id: b for v, b in s.items()}
 
-    def _chain_reachable(self, k, s):
-        """Is s reachable at frame k in the H-constrained relaxed unrolling?"""
-        chain = self.chain
-        f = chain.h_at(0, 0)
-        for i in range(k):
-            f = f + chain.trlx_at(i)
-        for i in range(1, k + 1):
-            f = f + chain.h_at(i, i)
-        sk = self._shift_state(s, k)
-        return bool(solve(f, assumptions=[v if b else -v for v, b in sorted(sk.items())]))
-
     def select_relaxation(self, k, target):
         """Clause indices to drop from T^rlx_{k-1,k} so that `target`
         becomes reachable from an H_{k-1}-state in one transition."""
@@ -90,35 +75,21 @@ class Checker:
         try:
             res = max_relax_solve(hard, soft, self._shift_state(target, 1))
         except ValueError:
-            raise _Unreachable("target unreachable under any relaxation") from None
+            raise CheckerError("frame %d: H_%d is unsatisfiable, so no "
+                               "relaxation reaches a state" % (k, k - 1)) from None
         return [kept[i] for i in sorted(res.falsified_soft)]
 
-    def _exclude_state(self, k, s, pred):
-        """Make H_k false at s, given pred = self._predecessor(k, s): relax
-        step k-1→k to reach s, conjoin the PQE makeup clauses, and fall back
-        to the longest falsified clause when s is provably unreachable in the
-        original system."""
+    def _exclude_state(self, k, s):
+        """Make H_k false at s, which has no H_{k-1}-predecessor under
+        T^rlx_{k-1,k}: relax that step until s is reachable and conjoin the
+        PQE makeup clauses, which exclude s by the makeup equality."""
         chain = self.chain
-        if pred is None:
-            try:
-                idx = self.select_relaxation(k, s)
-                g = makeup_clauses(chain, k,
-                                   [chain.trans_clauses[i] for i in idx])
-                chain.strengthen(k, list(g))
-            except _Unreachable:
-                pass
-            if evaluate(chain.h_cnf(k), s) is False:
-                return
-            # s has no original-T predecessor inside H_{k-1} either (T
-            # implies T^rlx), so s is unreachable and C_s holds on every
-            # reachable state
-            chain.strengthen(k, [longest_falsified_clause(s)])
-            return
-        # s is already one relaxed transition from H_{k-1}
-        if self._chain_reachable(k, s):
-            raise CheckerError("state %r is relaxed-chain reachable but must "
-                               "be excluded; boundary invariant broken" % s)
-        chain.strengthen(k, [longest_falsified_clause(s)])
+        idx = self.select_relaxation(k, s)
+        chain.strengthen(k, list(makeup_clauses(
+            chain, k, [chain.trans_clauses[i] for i in idx])))
+        if evaluate(chain.h_cnf(k), s) is not False:
+            raise CheckerError("frame %d: the makeup clauses do not exclude "
+                               "a state without a predecessor" % k)
 
     def _backward_walk(self, k0, s0):
         """Fig.-3 style reverse extension from an H_{k0}-state.
@@ -147,7 +118,7 @@ class Checker:
         at s."""
         pred = self._predecessor(k, s)
         if pred is None:
-            self._exclude_state(k, s, None)
+            self._exclude_state(k, s)
             return None
         return "reachable" if k == 1 else pred
 
@@ -169,14 +140,15 @@ class Checker:
                 return j  # counterexample of j transitions exists
 
     def fin_rlx(self, j):
-        """Create H_j and strengthen it until it implies P."""
+        """Create H_j and strengthen it until it implies P.  After
+        rem_bad_st(j), no bad state of H_j has a predecessor in H_{j-1}."""
         chain = self.chain
         chain.add_frame()
         while True:
             bad = self._find_bad_state(chain.h_cnf(j))
             if bad is None:
                 return
-            self._exclude_state(j, bad, self._predecessor(j, bad))
+            self._exclude_state(j, bad)
 
     def third_co_cond(self):
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
@@ -221,9 +193,11 @@ class Checker:
         chain = self.chain
         while True:
             for m in range(chain.j, 1, -1):
+                solvers = {}
                 for c in list(chain.h[m]):
-                    if not clause_implied(chain, m - 1, c):
+                    if not clause_implied(chain, m - 1, c, solvers=solvers):
                         chain.strengthen(m - 1, [c])
+                        solvers.clear()
             if not self.third_co_cond():
                 break
         return detect_invariant(chain)
@@ -263,10 +237,11 @@ class Checker:
 
     def run(self):
         ts = self.ts
-        bad0 = self._find_bad_state(ts.init)
-        if bad0 is not None:
+        if self._find_bad_state(ts.init) is not None:
             return self.convert_cex(0)
-        max_frames = self.opts.max_frames or (2 ** len(ts.state_vars) + 1)
+        max_frames = self.opts.max_frames
+        if max_frames is None:
+            max_frames = 2 ** len(ts.state_vars) + 1
         for j in range(1, max_frames + 1):
             if self.rem_bad_st(j) is not None:
                 return self.convert_cex(j)

@@ -188,6 +188,6 @@ class TestInvariantDetection:
         s = stuck0.state_ids(0)[0]
         chain.add_frame()
         chain.strengthen(1, [Clause((-s,))])
-        assert clause_implied(chain, 1, Clause((-s,)))
+        assert clause_implied(chain, 1, Clause((-s,)), solvers={})
         assert (Clause((-s,)).lits, 1) in chain.implied_marks
-        assert not clause_implied(chain, 1, Clause((s,)))
+        assert not clause_implied(chain, 1, Clause((s,)), solvers={})

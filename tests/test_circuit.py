@@ -211,6 +211,17 @@ class TestMiter:
         xk = ts.table.get("k.x", 0).id
         assert not solve(ts.trans, assumptions=[xn, -xk])
 
+    def test_state_pairs_follow_declared_inits(self):
+        def circ(*inits):
+            return parse_circuit("input x\n" + "".join(
+                "latch s%d init %s next s%d\n" % (i, v, i)
+                for i, v in enumerate(inits)) + "output z = s0\n")
+        m = build_miter(circ("0", "0", "1", "*"), circ("0", "*", "0", "1"))
+        # inits 1 and 0 conflict: pairing s2 would leave no initial state
+        assert m.state_pairs == [("n.s0", "k.s0"), ("n.s1", "k.s1"),
+                                 ("n.s3", "k.s3")]
+        assert solve(encode(m).init)
+
     def test_arity_mismatch(self):
         two_in = parse_circuit("input a\ninput b\nlatch s init 0 next a\n"
                                "output z = s\n")

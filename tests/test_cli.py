@@ -8,6 +8,7 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant, _parse_guess)
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
+from lorcheck.cnf import Cnf
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, shreg_source, xorreg_source)
 
@@ -34,6 +35,22 @@ class TestParserDefaults:
         args = parse(["sec", "n", "k"])
         assert (args.engine, args.guess) == ("lor-ic", "drop:interface")
         assert parse(["sec", "n", "k", "--engine", "lor"]).engine == "lor"
+
+
+class TestUsageErrors:
+    """Malformed command lines exit 3, as malformed files do."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sec", "{f}", "{f}", "--guess", "bogus"],
+        ["check", "{f}", "--bogus"],
+        ["check", "{f}", "--max-frames", "0"],
+        ["check", "{f}", "--max-frames", "-1"],
+    ])
+    def test_exit_3(self, stuck0_file, capfd, argv):
+        assert main([a.format(f=stuck0_file) for a in argv]) == 3
+        got = capfd.readouterr()
+        assert "error:" in got.err
+        assert "verdict" not in got.out
 
 
 class TestGuessParsing:
@@ -127,8 +144,37 @@ class TestCheck:
         assert main(["check", str(p), "--max-frames", "1"]) == 2
         assert "verdict: unknown" in capfd.readouterr().out
 
+    def test_makeup_failure_names_frame(self, tmp_path, capfd, monkeypatch):
+        import lorcheck.pclor as pclor
+        # makeup clauses that relax nothing and exclude nothing
+        monkeypatch.setattr(pclor, "makeup_clauses",
+                            lambda chain, k, r_new: Cnf([]))
+        p = tmp_path / "ring7.scirc"
+        p.write_text("latch s0 init 1 next s6\n"
+                     + "".join("latch s%d init 0 next s%d\n" % (i, i - 1)
+                               for i in range(1, 7))
+                     + "prop NOT (s0 AND s2)\n")
+        assert main(["check", str(p)]) == 2
+        got = capfd.readouterr()
+        assert "verdict: unknown" in got.out
+        assert re.search(r"^no verdict: frame \d+: ", got.err, re.M)
+
 
 class TestSec:
+    @pytest.mark.parametrize("engine", ["lor", "lor-ic"])
+    def test_conflicting_inits(self, tmp_path, capfd, engine):
+        a = tmp_path / "a.scirc"
+        a.write_text("input x\nlatch s init 0 next s\noutput z = s\n")
+        b = tmp_path / "b.scirc"
+        b.write_text("input x\nlatch s init 1 next s\noutput z = s\n")
+        w = tmp_path / "sec.witness"
+        assert main(["sec", str(a), str(b), "--engine", engine,
+                     "--witness", str(w)]) == 1
+        assert capfd.readouterr().out.startswith("inequivalent\n")
+        assert main(["verify-witness", str(a), str(w),
+                     "--miter-with", str(b)]) == 0
+        assert "witness accepted" in capfd.readouterr().out
+
     def test_equivalent(self, tmp_path, capfd):
         a = tmp_path / "a.scirc"; a.write_text(DFF_SRC)
         b = tmp_path / "b.scirc"; b.write_text(DFF_SRC)

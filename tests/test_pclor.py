@@ -72,6 +72,19 @@ class TestVerdicts:
             pc_lor(ts, Options(max_frames=1))
         assert pc_lor(ts).kind == "invariant"
 
+    def test_frame_limit_zero(self, stuck0):
+        with pytest.raises(CheckerError, match="frame limit 0 "):
+            pc_lor(stuck0, Options(max_frames=0))
+
+    def test_unsatisfiable_frame_names_it(self, stuck0):
+        c = Checker(stuck0)
+        s = stuck0.state_ids(0)[0]
+        c.chain.add_frame()
+        c.chain.strengthen(0, [Clause((s,))])   # H_0 = I ∧ s is empty
+        target = {v: False for v in stuck0.state_ids(0)}
+        with pytest.raises(CheckerError, match="^frame 1: H_0 "):
+            c.select_relaxation(1, target)
+
 
 class TestChainSoundness:
     def test_co_holds_each_iteration(self, stuck0):
@@ -103,6 +116,27 @@ class TestThirdCoCond:
         assert c.third_co_cond() is True
         assert (3, 1) not in check_co(c.chain).failures()
         assert c.third_co_cond() is False
+
+
+class TestFinTouch:
+    def test_one_solver_per_frame_until_strengthened(self, dff_miter,
+                                                     built_solvers,
+                                                     monkeypatch):
+        import lorcheck.pclor as pclor
+        c = Checker(dff_miter)
+        init = list(dff_miter.init)
+        c.chain.add_frame()
+        c.chain.add_frame()
+        c.chain.strengthen(1, init[:1])           # misses ¬k.s
+        c.chain.strengthen(2, init)
+        monkeypatch.setattr(c, "third_co_cond", lambda: False)
+        monkeypatch.setattr(pclor, "detect_invariant", lambda chain: None)
+        before = len(built_solvers)
+        c.fin_touch()
+        # ¬k.s is pushed, then a fresh solver over the strengthened H_1
+        # finds the two state-pair clauses implied
+        assert c.chain.h[1] == init[:2]
+        assert len(built_solvers) - before == 2
 
 
 class TestDifferential:
