@@ -473,10 +473,11 @@ def build_miter(n, k):
     """Sequential-equivalence miter of circuits n and k.
 
     Inputs are pairwise constrained equal (clauses tagged 'interface'),
-    and the property says the output difference stays 0.  The i-th latches
-    of n and k start equal when their declared inits agree or one of them
-    is free; a pair with inits 0 and 1 stays unpaired, since pairing it
-    would leave no initial state."""
+    and the property says the output difference stays 0.  Latches of n and
+    k with the same name start equal when their declared inits are the same
+    (both free or the same constant).  Any other latch stays unpaired: a
+    free latch paired with a constant one would be forced to that constant,
+    and a pair with inits 0 and 1 would leave no initial state."""
     if len(n.inputs) != len(k.inputs) or len(n.outputs) != len(k.outputs):
         raise CircuitError("input/output arity mismatch")
     m = Circuit()
@@ -490,9 +491,9 @@ def build_miter(n, k):
             m.signals[pre + name] = ren(e)
     m.eq_input_pairs = list(zip(("n." + x for x in n.inputs),
                                 ("k." + x for x in k.inputs)))
-    m.state_pairs = [("n." + a.name, "k." + b.name)
-                     for a, b in zip(n.latches, k.latches)
-                     if a.init is None or b.init is None or a.init == b.init]
+    k_inits = {l.name: l.init for l in k.latches}
+    m.state_pairs = [("n." + a.name, "k." + a.name) for a in n.latches
+                     if a.name in k_inits and k_inits[a.name] == a.init]
     diff = None
     for zn, zk in zip(n.outputs, k.outputs):
         x = ("xor", ("var", "n." + zn), ("var", "k." + zk))

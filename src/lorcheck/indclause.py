@@ -1,8 +1,9 @@
 """Inductive-clause machinery and the hybrid checker built on it: bad
 states are excluded by clauses that are inductive relative to the previous
 frame, and an initial relaxation can be seeded from a declarative guess
-(e.g. dropping the interface-equality clauses of a miter), after which
-Houdini looks for an invariant among the seed, I and P."""
+(e.g. dropping the interface-equality clauses of a miter).  Houdini looks
+for an invariant among I and P first, and among the seed, I and P only
+when that fails."""
 
 from __future__ import annotations
 
@@ -75,9 +76,11 @@ def educat_guess_rlx(chain, j, guess):
     return makeup_clauses(chain, j, r)
 
 
-def houdini(ts, cands):
+def houdini(ts, cands, required=()):
     """The largest subset of the clauses `cands` (over frame-0 state
-    variables) that is inductive under T, in the order given.
+    variables) that is inductive under T, in the order given; None as soon
+    as a round drops a clause of `required`, which the result would then
+    lack.
 
     Each round loads the surviving candidates and T into one solver.  A
     model of Cands ∧ T ∧ ¬c′ starts in a state where every subset of Cands
@@ -86,6 +89,7 @@ def houdini(ts, cands):
     until one drops nothing, so the result does not depend on the models
     the solver returns."""
     cands = list(Cnf(cands).normalize())
+    required = set(required)
     while True:
         solver = Solver(cands + list(ts.trans))
         shifted = rename_frame(Cnf(cands), ts.table, {0: 1}).clauses
@@ -101,25 +105,28 @@ def houdini(ts, cands):
                         alive[k] = False
         if all(alive):
             return cands
+        if any(not keep and c in required for c, keep in zip(cands, alive)):
+            return None
         cands = [c for c, keep in zip(cands, alive) if keep]
 
 
 def _houdini_invariant(ts, seed):
     """Houdini over seed ∪ I ∪ P.  The survivors are an inductive invariant
     when I implies them and every clause of P survived; otherwise None."""
-    inv = Cnf(houdini(ts, list(seed) + list(ts.init) + list(ts.prop)))
-    kept = set(inv)
-    if all(c in kept for c in ts.prop) and implies(ts.init, inv):
-        return inv
+    inv = houdini(ts, list(seed) + list(ts.init) + list(ts.prop),
+                  required=ts.prop)
+    if inv is not None and implies(ts.init, Cnf(inv)):
+        return Cnf(inv)
     return None
 
 
 class IcChecker(Checker):
     """pc_lor with each backward-walk step strengthening H_k by a
     generalized inductive clause instead of relax-and-make-up, and optional
-    guess-driven seeding of each new frame.  With a guess, Houdini runs
-    once over the frame-1 seed, I and P; when its survivors form an
-    invariant, the first fin_touch returns them."""
+    guess-driven seeding of each new frame.  With a guess, fin_rlx(1) runs
+    Houdini over I and P before it seeds H_1, and over the seed, I and P
+    when that finds no invariant; the first fin_touch returns an invariant
+    found either way."""
 
     invariant = None   # the Houdini invariant, once found
 
@@ -135,9 +142,14 @@ class IcChecker(Checker):
         if self.opts.guess is None:
             return super().fin_rlx(j)
         self.chain.add_frame()
-        seed = educat_guess_rlx(self.chain, j, self.opts.guess)
-        self.chain.strengthen(j, list(seed) + list(self.ts.prop))
         if j == 1:
+            self.invariant = _houdini_invariant(self.ts, [])
+            if self.invariant is not None:
+                self.chain.strengthen(j, list(self.ts.prop))
+                return
+        seed = list(educat_guess_rlx(self.chain, j, self.opts.guess))
+        self.chain.strengthen(j, seed + list(self.ts.prop))
+        if j == 1 and seed:
             self.invariant = _houdini_invariant(self.ts, seed)
 
     def fin_touch(self):

@@ -216,10 +216,12 @@ class TestMiter:
             return parse_circuit("input x\n" + "".join(
                 "latch s%d init %s next s%d\n" % (i, v, i)
                 for i, v in enumerate(inits)) + "output z = s0\n")
-        m = build_miter(circ("0", "0", "1", "*"), circ("0", "*", "0", "1"))
-        # inits 1 and 0 conflict: pairing s2 would leave no initial state
-        assert m.state_pairs == [("n.s0", "k.s0"), ("n.s1", "k.s1"),
-                                 ("n.s3", "k.s3")]
+        m = build_miter(circ("0", "0", "1", "*", "*"),
+                        circ("0", "*", "0", "1", "*"))
+        # pairing s1 or s3 would force the free latch to the other's
+        # constant; inits 1 and 0 conflict, so pairing s2 would leave no
+        # initial state
+        assert m.state_pairs == [("n.s0", "k.s0"), ("n.s4", "k.s4")]
         assert solve(encode(m).init)
 
     def test_arity_mismatch(self):

@@ -9,6 +9,7 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
 from lorcheck.cnf import Cnf
+from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, shreg_source, xorreg_source)
 
@@ -198,23 +199,82 @@ class TestSec:
         assert "witness accepted" in capfd.readouterr().out
 
     def test_pqe_budget_unknown(self, tmp_path, capfd):
-        p = tmp_path / "xorreg4.scirc"
-        p.write_text("input x\n"
-                     + "".join("latch s%d init 0 next (s%d XOR x)\n" % (i, i)
-                               for i in range(4))
-                     + "".join("output z%d = s%d\n" % (i, i)
-                               for i in range(4)))
-        assert main(["sec", str(p), str(p), "--max-frames", "1",
-                     "--pqe-budget", "1000"]) == 2
+        # renamed latches leave I without state pairs, so Houdini over I
+        # and P finds no invariant and the frame-1 seed asks PQE
+        a = tmp_path / "shreg4.scirc"; a.write_text(shreg_source(4))
+        b = tmp_path / "shreg4t.scirc"; b.write_text(_renamed_shreg(4))
+        assert main(["sec", str(a), str(b), "--max-frames", "1",
+                     "--pqe-budget", "100"]) == 2
         got = capfd.readouterr()
         assert "verdict: unknown" in got.out
-        assert re.search(r"^no verdict: PQE budget of 1000 ", got.err, re.M)
+        assert re.search(r"^no verdict: PQE budget of 100 ", got.err, re.M)
+
+    def test_pqe_budget_unused_on_equal_miter(self, tmp_path, capfd):
+        p = tmp_path / "xorreg4.scirc"; p.write_text(xorreg_source(4))
+        assert main(["sec", str(p), str(p), "--max-frames", "1",
+                     "--pqe-budget", "1000"]) == 0
+        out = capfd.readouterr().out
+        assert out.startswith("equivalent\n")
+        assert re.search(r"^frames: 1$", out, re.M)
+
+    # In each pair, n.a may start at 1 and output 1 forever, while k
+    # outputs 0: its output latch is a different one, or has init 0.
+    @pytest.mark.parametrize("src_n, src_k", [
+        ("input x\nlatch a init * next a\n"
+         "latch c init 0 next c\noutput z = a\n",
+         "input x\nlatch c init 0 next c\n"
+         "latch a init * next a\noutput z = c\n"),
+        ("input x\nlatch a init * next a\noutput z = a\n",
+         "input x\nlatch a init 0 next a\noutput z = a\n"),
+    ], ids=["swapped", "free-vs-0"])
+    @pytest.mark.parametrize("engine", ["lor", "lor-ic"])
+    def test_free_latch_start_is_checked(self, tmp_path, capfd, engine,
+                                         src_n, src_k):
+        a = tmp_path / "a.scirc"; a.write_text(src_n)
+        b = tmp_path / "b.scirc"; b.write_text(src_k)
+        w = tmp_path / "sec.witness"
+        assert main(["sec", str(a), str(b), "--engine", engine,
+                     "--witness", str(w)]) == 1
+        assert capfd.readouterr().out.startswith("inequivalent\n")
+        assert main(["verify-witness", str(a), str(w),
+                     "--miter-with", str(b)]) == 0
+        assert "witness accepted" in capfd.readouterr().out
 
     def test_arity_mismatch(self, tmp_path, capfd):
         a = tmp_path / "a.scirc"; a.write_text(DFF_SRC)
         b = tmp_path / "b.scirc"
         b.write_text("input p\ninput q\nlatch s init 0 next p\noutput z = s\n")
         assert main(["sec", str(a), str(b)]) == 3
+
+
+def _renamed_shreg(n):
+    """shreg_source(n) with latches named t0..t(n-1), declared in reverse."""
+    lines = ["input x"]
+    lines += ["latch t%d init 0 next %s" % (i, "t%d" % (i - 1) if i else "x")
+              for i in reversed(range(n))]
+    lines.append("output z = t%d" % (n - 1))
+    return "\n".join(lines) + "\n"
+
+
+def _inverted_stage_shreg(n):
+    """shreg_source(n) with stage 0 stored inverted."""
+    lines = ["input x", "latch s0 init 1 next NOT x",
+             "latch s1 init 0 next NOT s0"]
+    lines += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(2, n)]
+    lines.append("output z = s%d" % (n - 1))
+    return "\n".join(lines) + "\n"
+
+
+def _count_take_out(monkeypatch):
+    """A list that gets one entry per engine PQE call."""
+    calls = []
+    real = boundary.take_out
+
+    def counted(task, **kw):
+        calls.append(task)
+        return real(task, **kw)
+    monkeypatch.setattr(boundary, "take_out", counted)
+    return calls
 
 
 def _sec_and_replay(tmp_path, capfd, src_n, src_k):
@@ -243,6 +303,24 @@ class TestSecFamilies:
         assert code == 0
         assert out.startswith("equivalent\n")
         assert int(re.search(r"^frames: (\d+)$", out, re.M).group(1)) <= 2
+
+    @pytest.mark.parametrize("source, n",
+                             [(shreg_source, n) for n in range(2, 17)]
+                             + [(xorreg_source, n) for n in range(1, 5)])
+    def test_equal_at_frame_1_without_pqe(self, tmp_path, capfd, monkeypatch,
+                                          source, n):
+        calls = _count_take_out(monkeypatch)
+        code, out = _sec_and_replay(tmp_path, capfd, source(n), source(n))
+        assert code == 0 and calls == []
+        assert re.search(r"^frames: 1$", out, re.M)
+
+    def test_inverted_stage_needs_the_seed(self, tmp_path, capfd,
+                                           monkeypatch):
+        calls = _count_take_out(monkeypatch)
+        code, out = _sec_and_replay(tmp_path, capfd, shreg_source(4),
+                                    _inverted_stage_shreg(4))
+        assert code == 0 and len(calls) == 1
+        assert re.search(r"^frames: 1$", out, re.M)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shreg_against_shorter(self, tmp_path, capfd, n):

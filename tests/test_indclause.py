@@ -138,6 +138,30 @@ class TestHoudini:
             strict += 0 < len(got) < len(cands)
         assert strict >= 5
 
+    def test_required_clause_dropped_stops_early(self):
+        """Differential check against the full fixpoint on the same 40
+        systems: with required clauses, houdini returns None exactly when
+        the full result lacks one of them, and the full result otherwise."""
+        rng = make_rng(54)
+        pick = make_rng(55)
+        outcomes = {True: 0, False: 0}
+        for _ in range(40):
+            ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
+            ids = ts.state_ids(0)
+            cands = Cnf(Clause(v if rng.random() < 0.5 else -v
+                               for v in rng.sample(ids, rng.randint(1, 2)))
+                        for _ in range(rng.randint(1, 8))).normalize()
+            full = houdini(ts, cands)
+            for required in ([], full, list(cands),
+                             [c for c in cands if pick.random() < 0.3]):
+                got = houdini(ts, cands, required=required)
+                lacks = not set(required) <= set(full)
+                assert (got is None) == lacks
+                if not lacks:
+                    assert got == full
+                outcomes[lacks] += 1
+        assert outcomes[True] >= 5 and outcomes[False] >= 5
+
     def test_shift_register_miter_invariant_at_frame_1(self):
         ts = add_stuttering(encode(build_miter(
             parse_circuit(shreg_source(4)), parse_circuit(shreg_source(4)))))
