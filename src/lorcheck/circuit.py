@@ -364,37 +364,116 @@ def _subst(e, f):
     return (e[0],) + tuple(_subst(a, f) for a in e[1:])
 
 
-def _inline(c, e):
-    """Property expression with signals and outputs substituted away."""
-    defs = dict(c.signals)
-    defs.update(c.outputs)
+# A conjunct of the property may read at most this many latches: its truth
+# table is a 2^16-bit (8 KB) int, and it gives at most 2^16 clauses.
+MAX_CONJUNCT_LATCHES = 16
 
-    def f(n):
-        return _subst(defs[n], f) if n in defs else ("var", n)
-    return _subst(e, f)
+
+def _conjuncts(expr, defs):
+    """Top-level conjuncts of expr as (expr, polarity) pairs, looking
+    through signal and output names, each name once per polarity, and
+    pushing NOT through AND and OR."""
+    out, todo, seen = [], [(expr, True)], set()
+    while todo:
+        e, pos = todo.pop()
+        if e[0] == "var" and e[1] in defs:
+            if (e[1], pos) not in seen:
+                seen.add((e[1], pos))
+                todo.append((defs[e[1]], pos))
+        elif e[0] == "not":
+            todo.append((e[1], not pos))
+        elif e[0] == ("and" if pos else "or"):
+            todo += [(e[2], pos), (e[1], pos)]
+        else:
+            out.append((e, pos))
+    return out
+
+
+def _cone(e, defs):
+    """(signals and outputs e reads, directly or through others; the
+    latches and inputs they and e read), each signal visited once."""
+    seen, leaves, todo = set(), set(), [e]
+    while todo:
+        refs = set()
+        _expr_names(todo.pop(), refs)
+        for r in refs:
+            if r not in defs:
+                leaves.add(r)
+            elif r not in seen:
+                seen.add(r)
+                todo.append(defs[r])
+    return seen, leaves
+
+
+def _latch_tables(names):
+    """Truth table of each latch over all 2^n assignments to names, as an
+    int whose bit j is the latch's value in assignment j; names[0] is the
+    most significant bit of j."""
+    n = len(names)
+    tables = {}
+    for i, name in enumerate(names):
+        w = 1 << (n - 1 - i)
+        t, period = ((1 << w) - 1) << w, 2 * w
+        while period < 1 << n:
+            t |= t << period
+            period *= 2
+        tables[name] = t
+    return tables
+
+
+def _table(e, tables, full):
+    """Truth table of e; tables holds those of every name e reads."""
+    op = e[0]
+    if op == "var":
+        return tables[e[1]]
+    if op == "const":
+        return full if e[1] else 0
+    if op == "not":
+        return full & ~_table(e[1], tables, full)
+    a = _table(e[1], tables, full)
+    b = _table(e[2], tables, full)
+    if op == "and":
+        return a & b
+    if op == "or":
+        return a | b
+    return a ^ b
 
 
 def compile_state_predicate(expr, c, table):
-    """CNF over frame-0 state vars equivalent to expr, by support enumeration.
+    """CNF over frame-0 state vars equivalent to expr.
 
-    Canonical form: one longest-falsified clause per falsifying state of the
-    support.  Fixture-scale only (support ≤ 16)."""
-    inlined = _inline(c, expr)
-    support = set()
-    _expr_names(inlined, support)
-    for name in c.inputs:
-        if name in support:
-            raise CircuitError("property depends on input %r" % name)
-    names = sorted(support, key=c.latch_names().index)
-    if len(names) > 16:
-        raise CircuitError("property support too large (%d latches)" % len(names))
+    expr is split at its top-level conjunctions.  Each conjunct is evaluated
+    once as a truth table over its latches, and each assignment to them that
+    falsifies it gives the clause that excludes it, first latch most
+    significant, as enumeration would."""
+    defs = dict(c.signals)
+    defs.update(c.outputs)
+    order = {name: i for i, name in enumerate(defs)}
+    latch_order = {name: i for i, name in enumerate(c.latch_names())}
     clauses = []
-    for bits in itertools.product([False, True], repeat=len(names)):
-        env = dict(zip(names, bits))
-        if not eval_expr(inlined, env):
-            lits = [-table.get(n, 0).id if env[n] else table.get(n, 0).id for n in names]
-            clauses.append(Clause(lits))
-    return Cnf(clauses)
+    for e, pos in _conjuncts(expr, defs):
+        cone, support = _cone(e, defs)
+        inputs = support.intersection(c.inputs)
+        if inputs:
+            raise CircuitError("property depends on input %r" % min(inputs))
+        if len(support) > MAX_CONJUNCT_LATCHES:
+            raise CircuitError("a property conjunct reads %d latches (limit %d)"
+                               % (len(support), MAX_CONJUNCT_LATCHES))
+        names = sorted(support, key=latch_order.get)
+        ids = [table.get(name, 0).id for name in names]
+        n = len(names)
+        full = (1 << (1 << n)) - 1
+        tables = _latch_tables(names)
+        for name in sorted(cone, key=order.get):
+            tables[name] = _table(defs[name], tables, full)
+        bad = _table(e, tables, full)
+        if pos:
+            bad ^= full
+        for j, bit in enumerate(reversed(format(bad, "0%db" % (1 << n)))):
+            if bit == "1":
+                clauses.append(Clause([-v if j >> (n - 1 - i) & 1 else v
+                                       for i, v in enumerate(ids)]))
+    return Cnf(clauses).normalize()
 
 
 def encode(c):

@@ -56,7 +56,8 @@ def _guess_flag(text):
     return text
 
 
-def _frame_limit(text):
+def _positive_int(text):
+    """A --max-frames or --pqe-budget value."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return int(text)
@@ -397,8 +398,8 @@ def _add_engine_flags(p):
     p.add_argument("--engine", choices=["lor", "lor-ic"])
     p.add_argument("--guess", type=_guess_flag, default=None,
                    help="initial relaxation, e.g. drop:interface")
-    p.add_argument("--max-frames", type=_frame_limit, default=None)
-    p.add_argument("--pqe-budget", type=int, default=10 ** 6)
+    p.add_argument("--max-frames", type=_positive_int, default=None)
+    p.add_argument("--pqe-budget", type=_positive_int, default=10 ** 6)
     p.add_argument("--witness", default=None, help="witness output path")
     p.add_argument("--oracle-check", action="store_true",
                    help="double-check every frame against enumeration oracles")
@@ -423,7 +424,7 @@ def build_parser():
 
     p = sub.add_parser("pqe", help="solve a partial-quantifier-elimination task")
     p.add_argument("file")
-    p.add_argument("--pqe-budget", type=int, default=10 ** 6)
+    p.add_argument("--pqe-budget", type=_positive_int, default=10 ** 6)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_pqe)
 

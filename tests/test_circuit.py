@@ -4,13 +4,16 @@ import re
 
 import pytest
 
+from lorcheck import circuit
 from lorcheck.circuit import (CircuitError, parse_circuit, encode,
                               add_stuttering, build_miter, simulate,
-                              compile_state_predicate)
+                              eval_expr, compile_state_predicate)
+from lorcheck.cli import main
 from lorcheck.cnf import Cnf, Clause, evaluate
 from lorcheck.sat import solve, implies
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
-                      random_system_source, make_rng)
+                      random_system_source, shreg_source, xorreg_source,
+                      make_rng)
 
 
 class TestParsing:
@@ -240,6 +243,24 @@ class TestMiter:
         assert implies(eq + ts.trans, eq1)
 
 
+def _ring(n, k):
+    """One-hot token ring; stages 0 and k never both hold the token."""
+    lines = ["latch s0 init 1 next s%d" % (n - 1)]
+    lines += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(1, n)]
+    return "\n".join(lines) + "\nprop NOT (s0 AND s%d)\n" % k
+
+
+def _counter(n):
+    """n-bit counter enabled by input en, with a carry chain of signals."""
+    lines = ["input en", "latch c0 init 0 next (c0 XOR en)"]
+    carry = "en"
+    for i in range(1, n):
+        lines.append("signal k%d = (%s AND c%d)" % (i, carry, i - 1))
+        carry = "k%d" % i
+        lines.append("latch c%d init 0 next (c%d XOR %s)" % (i, i, carry))
+    return "\n".join(lines) + "\nprop NOT c%d\n" % (n - 1)
+
+
 class TestStatePredicate:
     def test_through_signals(self):
         c = parse_circuit("input x\nlatch a init 0 next x\n"
@@ -255,3 +276,178 @@ class TestStatePredicate:
         c = parse_circuit("input x\nlatch s init 0 next x\nsignal bad = (s AND x)\n")
         with pytest.raises(CircuitError):
             compile_state_predicate(("var", "bad"), c, encode(c).table)
+
+    def test_input_inside_one_conjunct_rejected(self):
+        c = parse_circuit("input x\nlatch a init 0 next x\nlatch b init 0 next x\n"
+                          "signal g = (b OR NOT (a AND x))\n"
+                          "prop NOT (NOT a OR NOT g)\n")
+        with pytest.raises(CircuitError, match="input 'x'"):
+            encode(c)
+
+    @pytest.mark.parametrize("n", [17, 24, 25])
+    def test_wide_conjunct_exits_3(self, n, tmp_path, capfd, monkeypatch):
+        # parity of n latches: 2^(n-1) falsifying states, so the cap must
+        # hold before any truth table is built
+        def no_tables(names):
+            raise AssertionError("truth tables built for %d latches" % len(names))
+        monkeypatch.setattr(circuit, "_latch_tables", no_tables)
+        f = tmp_path / "wide.scirc"
+        f.write_text("input x\n" + "".join("latch s%d init 0 next x\n" % i
+                                           for i in range(n))
+                     + "prop NOT " + _chain("XOR", n) + "\n")
+        assert main(["check", str(f)]) == 3
+        assert "%d latches" % n in capfd.readouterr().err
+
+    def test_wide_conjunction_splits(self):
+        n = 30
+        ts = encode(parse_circuit(
+            "input x\n" + "".join("latch s%d init 0 next x\n" % i
+                                  for i in range(n))
+            + "prop (NOT " + _chain("OR", n) + " AND 1)\n"))
+        assert list(ts.prop) == [Clause([-v]) for v in ts.state_ids(0)]
+
+    def test_xorreg16_miter(self):
+        ts = encode(build_miter(parse_circuit(xorreg_source(16)),
+                                parse_circuit(xorreg_source(16))))
+        ids = ts.state_ids(0)
+        assert len(ids) == 32
+        assert list(ts.prop) == [Clause(c) for i in range(16)
+                                 for c in ([ids[i], -ids[i + 16]],
+                                           [-ids[i], ids[i + 16]])]
+
+    def test_deep_chain_evaluates_each_signal_once(self, monkeypatch):
+        # g_i equals g_(i-1), but read twice, so a walk that expands signals
+        # into a tree evaluates g_1 2^29 times
+        depth = 30
+        src = "input x\nlatch r init 0 next x\nlatch s init 0 next x\nsignal g0 = r\n"
+        src += "".join("signal g%d = (g%d AND (s OR g%d))\n" % (i, i - 1, i - 1)
+                       for i in range(1, depth + 1))
+        c = parse_circuit(src + "prop NOT g%d\n" % depth)
+        evaluated = []
+        table = circuit._table
+
+        def counted(e, *args):
+            evaluated.append(e)
+            return table(e, *args)
+        monkeypatch.setattr(circuit, "_table", counted)
+        ts = encode(c)
+        r, s = ts.state_ids(0)
+        assert list(ts.prop) == [Clause([-r, s]), Clause([-r, -s])]
+        for name, e in c.signals.items():
+            assert sum(x is e for x in evaluated) == 1, name
+        assert len(evaluated) < 6 * (depth + 1)
+
+    def test_shared_conjunction_split_once(self):
+        depth = 40
+        src = "input x\nlatch r init 0 next x\nsignal g0 = r\n"
+        src += "".join("signal g%d = (g%d AND g%d)\n" % (i, i - 1, i - 1)
+                       for i in range(1, depth + 1))
+        ts = encode(parse_circuit(src + "prop g%d\n" % depth))
+        assert list(ts.prop) == [Clause([ts.state_ids(0)[0]])]
+
+
+def _chain(op, n):
+    """(((s0 op s1) op s2) ... op s(n-1))"""
+    e = "s0"
+    for i in range(1, n):
+        e = "(%s %s s%d)" % (e, op, i)
+    return e
+
+
+def _names(e):
+    if e[0] == "var":
+        return {e[1]}
+    return set().union(*(_names(a) for a in e[1:] if isinstance(a, tuple)))
+
+
+def _prop_value(c, state):
+    """The property in a state, by gate-level simulation."""
+    env, _ = simulate(c, state, dict.fromkeys(c.inputs, False))
+    return eval_expr(c.prop, env)
+
+
+def enumerated_prop(c, table):
+    """Reference compiler: one longest-falsified clause per falsifying
+    assignment to the latches the property reads, first latch most
+    significant."""
+    defs = dict(c.signals)
+    defs.update(c.outputs)
+    reads, todo = set(), [c.prop]
+    while todo:
+        for n in _names(todo.pop()) - reads:
+            reads.add(n)
+            if n in defs:
+                todo.append(defs[n])
+    names = [l for l in c.latch_names() if l in reads]
+    clauses = []
+    for bits in itertools.product([False, True], repeat=len(names)):
+        state = dict.fromkeys(c.latch_names(), False)
+        state.update(zip(names, bits))
+        if not _prop_value(c, state):
+            clauses.append(Clause([-table.get(n, 0).id if b else table.get(n, 0).id
+                                   for n, b in zip(names, bits)]))
+    return Cnf(clauses)
+
+
+def _random_prop_source(rng):
+    """Up to 10 latches, signals and outputs that read earlier ones several
+    times, and a property over them whose top is often a conjunction."""
+    latches = ["s%d" % i for i in range(rng.randint(1, 10))]
+    lines = ["input x"] + ["latch %s init 0 next x" % s for s in latches]
+    atoms = list(latches)
+
+    def expr(d):
+        if d == 0 or rng.random() < 0.2:
+            a = rng.choice(atoms + ["0", "1"] if rng.random() < 0.05 else atoms)
+            return a if rng.random() < 0.7 else "NOT %s" % a
+        return "(%s %s %s)" % (expr(d - 1), rng.choice(["AND", "OR", "XOR"]),
+                               expr(d - 1))
+    n_sig = rng.randint(2, 8)
+    for i in range(n_sig):
+        # encode defines every signal before the first output
+        kind = "signal" if i < n_sig - 2 else "output"
+        lines.append("%s g%d = %s" % (kind, i, expr(3)))
+        atoms += ["g%d" % i] * 3
+    ops = ["AND", "AND", "OR", "XOR"]
+    top = expr(1)
+    for _ in range(rng.randint(0, 4)):
+        top = "(%s %s %s)" % (top, rng.choice(ops), expr(2))
+    lines.append("prop " + ("NOT " if rng.random() < 0.5 else "") + top)
+    return "\n".join(lines) + "\n"
+
+
+class TestCompiledProperty:
+    def test_equivalent_to_enumeration(self):
+        rng = make_rng(62)
+        for _ in range(120):
+            src = _random_prop_source(rng)
+            c = parse_circuit(src)
+            ts = encode(c)
+            names = c.latch_names()
+            for bits in itertools.product([False, True], repeat=len(names)):
+                state = dict(zip(names, bits))
+                got = evaluate(ts.prop, dict(zip(ts.state_ids(0), bits)))
+                assert got is _prop_value(c, state), (src, state)
+
+    @pytest.mark.parametrize("src", [_ring(n, k) for n in range(3, 8)
+                                     for k in range(1, n // 2 + 1)]
+                             + [_counter(n) for n in range(2, 6)])
+    def test_same_clauses_as_enumeration(self, src):
+        c = parse_circuit(src)
+        ts = add_stuttering(encode(c))
+        assert ts.prop == enumerated_prop(ts.circuit, ts.table)
+
+    def test_random_systems_same_clauses(self):
+        rng = make_rng(63)
+        for _ in range(40):
+            src = random_system_source(rng, rng.randint(1, 6), rng.randint(1, 2),
+                                       init_zero=False)
+            ts = encode(parse_circuit(src))
+            assert ts.prop == enumerated_prop(ts.circuit, ts.table), src
+
+    @pytest.mark.parametrize("n, m", [(n, n) for n in range(1, 9)]
+                             + [(n, n - 1) for n in range(2, 9)])
+    def test_shreg_miters_same_clauses(self, n, m):
+        ts = encode(build_miter(parse_circuit(shreg_source(n)),
+                                parse_circuit(shreg_source(m))))
+        assert ts.prop == enumerated_prop(ts.circuit, ts.table)

@@ -38,6 +38,9 @@ class TestParserDefaults:
         assert parse(["sec", "n", "k", "--engine", "lor"]).engine == "lor"
 
 
+PQE_SRC = "c example\np pqe 3 1 1\nw 3 0\n1 3 0\n%\n-3 2 0\n"
+
+
 class TestUsageErrors:
     """Malformed command lines exit 3, as malformed files do."""
 
@@ -46,9 +49,14 @@ class TestUsageErrors:
         ["check", "{f}", "--bogus"],
         ["check", "{f}", "--max-frames", "0"],
         ["check", "{f}", "--max-frames", "-1"],
+        ["check", "{f}", "--pqe-budget", "-5"],
+        ["sec", "{f}", "{f}", "--pqe-budget", "0"],
+        ["pqe", "{p}", "--pqe-budget", "-1"],
     ])
-    def test_exit_3(self, stuck0_file, capfd, argv):
-        assert main([a.format(f=stuck0_file) for a in argv]) == 3
+    def test_exit_3(self, stuck0_file, tmp_path, capfd, argv):
+        p = tmp_path / "t.pqe"
+        p.write_text(PQE_SRC)
+        assert main([a.format(f=stuck0_file, p=p) for a in argv]) == 3
         got = capfd.readouterr()
         assert "error:" in got.err
         assert "verdict" not in got.out
@@ -306,7 +314,8 @@ class TestSecFamilies:
 
     @pytest.mark.parametrize("source, n",
                              [(shreg_source, n) for n in range(2, 17)]
-                             + [(xorreg_source, n) for n in range(1, 5)])
+                             + [(xorreg_source, n)
+                                for n in (1, 2, 3, 4, 5, 6, 8, 12, 16)])
     def test_equal_at_frame_1_without_pqe(self, tmp_path, capfd, monkeypatch,
                                           source, n):
         calls = _count_take_out(monkeypatch)
@@ -330,7 +339,7 @@ class TestSecFamilies:
         assert out.startswith("inequivalent\n")
 
     @pytest.mark.parametrize("n, i", [(n, i) for n in range(1, 5)
-                                      for i in range(n)])
+                                      for i in range(n)] + [(16, 0), (16, 15)])
     def test_xorreg_with_inverted_input(self, tmp_path, capfd, n, i):
         code, out = _sec_and_replay(tmp_path, capfd, xorreg_source(n),
                                     xorreg_source(n, inverted=i))
@@ -347,12 +356,7 @@ class TestSecFamilies:
 class TestPqe:
     def test_round_trip(self, tmp_path, capfd):
         p = tmp_path / "t.pqe"
-        p.write_text("c example\n"
-                     "p pqe 3 1 1\n"
-                     "w 3 0\n"
-                     "1 3 0\n"
-                     "%\n"
-                     "-3 2 0\n")
+        p.write_text(PQE_SRC)
         assert main(["pqe", str(p), "--verify"]) == 0
         got = capfd.readouterr()
         assert "verified" in got.err
@@ -394,6 +398,27 @@ class TestWitnessVerification:
         got = capfd.readouterr()
         assert "witness rejected" in got.out
         assert "condition" in got.err
+
+    def test_wide_miter_invariant(self, tmp_path, capfd):
+        """The 9-output xor register miter: its P reads 18 latches, as one
+        conjunct per output pair."""
+        f = tmp_path / "xorreg9.scirc"
+        f.write_text(xorreg_source(9))
+        names = ["%s.s%d" % (p, i) for p in "nk" for i in range(9)]
+        equal = ["%d -%d 0" % (i + 1, i + 10) for i in range(9)]
+        equal += ["-%d %d 0" % (i + 1, i + 10) for i in range(9)]
+
+        def replay(clauses):
+            w = tmp_path / "inv.witness"
+            w.write_text("invariant\n" + "".join(
+                "c var %d %s\n" % (i, nm) for i, nm in enumerate(names, 1))
+                + "p cnf 18 %d\n" % len(clauses) + "\n".join(clauses) + "\n")
+            return main(["verify-witness", str(f), str(w),
+                         "--miter-with", str(f)])
+        assert replay(equal) == 0
+        assert "witness accepted" in capfd.readouterr().out
+        assert replay(equal[:4] + equal[5:]) == 1
+        assert "witness rejected" in capfd.readouterr().out
 
     def test_unknown_kind(self, stuck0_file, tmp_path, capfd):
         p = tmp_path / "w"
