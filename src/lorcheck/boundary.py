@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .cnf import Cnf, rename_frame
 from .sat import Solver, implies
-from .pqe import PqeTask, take_out
+from .pqe import DEFAULT_BUDGET, PqeTask, take_out
 
 
 class CoReport:
@@ -34,7 +34,7 @@ class FrameChain:
     so T = T^rlx ∧ R holds syntactically for every frame.
     """
 
-    def __init__(self, ts, pqe_budget=10 ** 6):
+    def __init__(self, ts, pqe_budget=DEFAULT_BUDGET):
         self.ts = ts
         self.trans_clauses = list(ts.trans.clauses)
         self.h = [list(ts.init)]      # H_0 = I

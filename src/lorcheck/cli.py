@@ -14,7 +14,7 @@ import time
 from .cnf import Cnf, Clause, evaluate, rename_frame
 from .sat import Solver, implies
 from .circuit import CircuitError, parse_circuit, encode, stutter, build_miter
-from .pqe import PqeTask, take_out, PqeBudgetError
+from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
 from .pclor import pc_lor, Options, CheckerError
 from .indclause import pc_lor_ic
 from .boundary import check_co
@@ -399,7 +399,7 @@ def _add_engine_flags(p):
     p.add_argument("--guess", type=_guess_flag, default=None,
                    help="initial relaxation, e.g. drop:interface")
     p.add_argument("--max-frames", type=_positive_int, default=None)
-    p.add_argument("--pqe-budget", type=_positive_int, default=10 ** 6)
+    p.add_argument("--pqe-budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--witness", default=None, help="witness output path")
     p.add_argument("--oracle-check", action="store_true",
                    help="double-check every frame against enumeration oracles")
@@ -424,7 +424,7 @@ def build_parser():
 
     p = sub.add_parser("pqe", help="solve a partial-quantifier-elimination task")
     p.add_argument("file")
-    p.add_argument("--pqe-budget", type=_positive_int, default=10 ** 6)
+    p.add_argument("--pqe-budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(fn=cmd_pqe)
 

@@ -200,13 +200,6 @@ def evaluate(f, assignment):
     return None if unknown else True
 
 
-def longest_falsified_clause(state, var_ids=None):
+def longest_falsified_clause(state):
     """The clause falsified exactly by this complete assignment."""
-    if var_ids is None:
-        var_ids = state.keys()
-    lits = []
-    for vid in sorted(var_ids):
-        if vid not in state:
-            raise ValueError("assignment misses variable %d" % vid)
-        lits.append(-vid if state[vid] else vid)
-    return Clause(lits)
+    return Clause([-vid if state[vid] else vid for vid in sorted(state)])

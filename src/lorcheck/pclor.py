@@ -7,6 +7,7 @@ from .cnf import Cnf, evaluate, rename_frame
 from .sat import solve, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
 from .circuit import CircuitError
+from .pqe import DEFAULT_BUDGET
 
 
 class CheckerError(Exception):
@@ -23,7 +24,7 @@ class Witness:
 
 
 class Options:
-    def __init__(self, max_frames=None, pqe_budget=10 ** 6, guess=None,
+    def __init__(self, max_frames=None, pqe_budget=DEFAULT_BUDGET, guess=None,
                  iter_hook=None):
         self.max_frames = max_frames
         self.pqe_budget = pqe_budget

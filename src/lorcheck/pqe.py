@@ -15,9 +15,10 @@ on the order in which subspace D-sequents compose.
 
 from __future__ import annotations
 
-import sys
-
 from .cnf import Cnf, TAUTOLOGY, resolve, lit_sat
+
+
+DEFAULT_BUDGET = 10 ** 6   # search nodes per take_out call
 
 
 class PqeBudgetError(Exception):
@@ -29,10 +30,6 @@ class PqeTask:
         self.w = frozenset(w)
         self.a = a if isinstance(a, Cnf) else Cnf(a)
         self.b = b if isinstance(b, Cnf) else Cnf(b)
-
-    @property
-    def v(self):
-        return (self.a.variables() | self.b.variables()) - self.w
 
 
 def conflict_clause_dsequent(vid, falsified0, falsified1):
@@ -54,15 +51,13 @@ def _signature(lits):
 
 
 class _PoolClause:
-    __slots__ = ("clause", "lits", "sig", "tracked", "alive", "n_sat",
-                 "n_false")
+    __slots__ = ("clause", "lits", "sig", "tracked", "n_sat", "n_false")
 
     def __init__(self, clause, tracked):
         self.clause = clause
         self.lits = frozenset(clause.lits)
         self.sig = _signature(clause.lits)
         self.tracked = tracked
-        self.alive = True
         self.n_sat = 0
         self.n_false = 0
 
@@ -75,7 +70,11 @@ class _Solver:
         self.budget = budget
         self.nodes = 0
         self.pool = []
-        self.occ = {}          # literal -> pool positions (append-only)
+        self.occ = {}          # literal -> live pool positions, in pool order
+        # live tracked positions, in pool order: the open obligations.
+        # add_clause untracks every W-free clause and nothing sets tracked
+        # later, so a tracked clause always holds a W variable
+        self.open = {}
         self.assign = {}       # current subspace q
         self.trail = []
         self.falsified = set()
@@ -90,21 +89,20 @@ class _Solver:
     # ------------------------------------------------------------- pool
 
     def _find_subsumer(self, new):
-        """An alive clause whose literals are a subset of those of the
+        """A live clause whose literals are a subset of those of the
         _PoolClause `new`, if any.  A clause met again under a later
         literal has already failed the test, so no visited set is needed."""
         lits, sig, n = new.lits, new.sig, len(new.lits)
         for l in new.clause:
             for j in self.occ.get(l, ()):
                 pc = self.pool[j]
-                if (pc.alive and not pc.sig & ~sig and len(pc.lits) <= n
-                        and pc.lits <= lits):
+                if not pc.sig & ~sig and len(pc.lits) <= n and pc.lits <= lits:
                     return j
         # the empty clause shares no literal but subsumes everything
         return self._empty
 
     def add_clause(self, clause, tracked):
-        """Add a clause unless an alive clause subsumes it; returns the pool
+        """Add a clause unless a live clause subsumes it; returns the pool
         position of the clause or its subsumer."""
         pc = _PoolClause(clause, tracked)
         sub = self._find_subsumer(pc)
@@ -123,7 +121,9 @@ class _Solver:
         self.pool.append(pc)
         pos = len(self.pool) - 1
         for l in clause:
-            self.occ.setdefault(l, []).append(pos)
+            self.occ.setdefault(l, {})[pos] = None
+        if pc.tracked:
+            self.open[pos] = None
         if not clause.lits:
             self._empty = pos
         if pc.n_sat == 0 and pc.n_false == len(clause.lits):
@@ -131,7 +131,9 @@ class _Solver:
         return pos
 
     def kill(self, pos):
-        self.pool[pos].alive = False
+        for l in self.pool[pos].clause:
+            del self.occ[l][pos]
+        self.open.pop(pos, None)
         self.falsified.discard(pos)
 
     def push(self, vid, val):
@@ -144,7 +146,7 @@ class _Solver:
                     pc.n_sat += 1
                 else:
                     pc.n_false += 1
-                    if pc.alive and pc.n_sat == 0 and pc.n_false == len(pc.clause.lits):
+                    if pc.n_sat == 0 and pc.n_false == len(pc.clause.lits):
                         self.falsified.add(pos)
 
     def pop(self):
@@ -173,10 +175,7 @@ class _Solver:
             return True
         for l in rem:
             for j in self.occ.get(l, ()):
-                if j == pos or j in excluded:
-                    continue
-                pc = self.pool[j]
-                if not pc.alive or pc.n_sat > 0:
+                if j == pos or j in excluded or self.pool[j].n_sat > 0:
                     continue
                 if all(x in rem for x in self.pool_free(j)):
                     return True
@@ -192,10 +191,7 @@ class _Solver:
             if y not in self.w or y in self.assign:
                 continue
             for j in self.occ.get(-l, ()):
-                if j == pos or j in excluded:
-                    continue
-                pc = self.pool[j]
-                if not pc.alive or pc.n_sat > 0:
+                if j == pos or j in excluded or self.pool[j].n_sat > 0:
                     continue
                 taut = any(-x in free for x in self.pool_free(j) if x != -l)
                 if not taut:
@@ -230,8 +226,8 @@ class _Solver:
         self.eliminate_var(pivot)
 
     def eliminate_var(self, pivot):
-        up = [j for j in self.occ.get(pivot, ()) if self.pool[j].alive]
-        dn = [j for j in self.occ.get(-pivot, ()) if self.pool[j].alive]
+        up = list(self.occ.get(pivot, ()))
+        dn = list(self.occ.get(-pivot, ()))
         new = []
         for i in up:
             for j in dn:
@@ -251,14 +247,25 @@ class _Solver:
         if self.nodes > self.budget:
             raise PqeBudgetError("pqe node budget exceeded")
 
-    def _obligations(self, excluded):
-        # add_clause untracks every W-free clause and nothing sets tracked
-        # later, so a tracked clause always holds a W variable
-        return [i for i, pc in enumerate(self.pool)
-                if pc.alive and pc.tracked and i not in excluded]
-
     def search(self):
-        """Returns ('done',) or ('conflict', pool index of falsified clause)."""
+        """Searches from the root node without recursion: a node yields to
+        have its current branch searched and is sent that branch's result.
+        Returns the root's result."""
+        stack, result = [self._node()], None
+        while stack:
+            try:
+                stack[-1].send(result)
+            except StopIteration as stop:
+                stack.pop()
+                result = stop.value
+            else:
+                stack.append(self._node())
+                result = None
+        return result
+
+    def _node(self):
+        """One search node, as a generator that returns ('done',) or
+        ('conflict', pool index of falsified clause)."""
         node_discharged = set()
         while True:
             self._tick()
@@ -267,7 +274,7 @@ class _Solver:
             # discharge rounds until one fires nothing; that round's list
             # is then the open obligations
             while True:
-                pending = self._obligations(node_discharged)
+                pending = [i for i in self.open if i not in node_discharged]
                 fired = False
                 for i in pending:
                     if self.trivially_redundant(i, node_discharged):
@@ -285,12 +292,12 @@ class _Solver:
             if branch is None:
                 branch = cvars[0]
             self.push(branch, False)
-            r0 = self.search()
+            r0 = yield
             self.pop()
             if r0[0] == "conflict" and branch not in self.pool[r0[1]].clause.variables():
                 return r0
             self.push(branch, True)
-            r1 = self.search()
+            r1 = yield
             self.pop()
             if r1[0] == "conflict" and branch not in self.pool[r1[1]].clause.variables():
                 return r1
@@ -308,7 +315,7 @@ class _Solver:
                 # both sides discharged every pre-branch obligation, or the
                 # conflicting subspace is empty modulo clauses carrying no
                 # obligation: the joined discharge stands
-                node_discharged.update(i for i in pending if self.pool[i].alive)
+                node_discharged.update(i for i in pending if i in self.open)
                 continue
             # the conflict clause is itself an open obligation: ground it
             # by resolution and retry this node
@@ -319,7 +326,7 @@ class _Solver:
     def final_sweep(self):
         """Ground every still-live tracked W-clause by globally sound moves."""
         while True:
-            pending = self._obligations(set())
+            pending = list(self.open)
             if not pending:
                 return
             self._tick()
@@ -332,19 +339,12 @@ class _Solver:
                 self.dp_discharge(pending[0])
 
     def run(self):
-        limit = sys.getrecursionlimit()
-        need = 10 * (len(self.w) + len(self.pool)) + 10000
-        if limit < need:
-            sys.setrecursionlimit(need)
-        try:
-            self.search()
-            self.final_sweep()
-        finally:
-            sys.setrecursionlimit(limit)
+        self.search()
+        self.final_sweep()
         return Cnf(self.a_star).normalize()
 
 
-def take_out(task, budget=10 ** 6):
+def take_out(task, budget=DEFAULT_BUDGET):
     """Solve a PQE task; raises PqeBudgetError once the search has spent
     `budget` nodes."""
     return _Solver(task, budget).run()

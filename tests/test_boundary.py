@@ -71,7 +71,8 @@ class TestUnrolledLhs:
             chain.strengthen(k, [Clause((-s,))])
             extra = [chain.trans_clauses[0]]
             task = unrolled_lhs(chain, k, extra)
-            sizes.append((len(task.w | task.v), len(task.a) + len(task.b)))
+            sizes.append((len(task.a.variables() | task.b.variables()),
+                          len(task.a) + len(task.b)))
             chain.restore(k - 1, [0])
         assert len(set(sizes)) == 1, sizes
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -23,6 +24,13 @@ def random_task(rng, max_var=8, max_clauses=16):
         return Cnf(out)
     w = set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
     return PqeTask(w, cnf(1, max_clauses // 3), cnf(0, max_clauses))
+
+
+def chain_task(n):
+    """w_1..w_n quantified, x = n + 1 free: A = (x ∨ w_1), B = the chain
+    w_1 → w_2 → … → w_n with ¬w_n.  The search trail goes n + 1 deep."""
+    b = [Clause((-i, i + 1)) for i in range(1, n)] + [Clause((-n,))]
+    return PqeTask(range(1, n + 1), Cnf([Clause((n + 1, 1))]), Cnf(b))
 
 
 class TestDSequentAlgebra:
@@ -81,8 +89,8 @@ class TestTakeOut:
         assert check_pqe(t.w, t.a, t.b, a_star)
 
     def test_tracked_clauses_hold_w_variables(self):
-        # the obligation scan counts every alive tracked clause, relying on
-        # no tracked clause being W-free
+        # the open obligations are the live tracked clauses, relying on no
+        # tracked clause being W-free
         rng = random.Random(34)
         for _ in range(200):
             t = random_task(rng)
@@ -93,20 +101,52 @@ class TestTakeOut:
 
     def test_subsumer_is_first_in_occurrence_order(self):
         # the signature filter may skip only non-subsumers: the subsumer
-        # found is the first alive subset met in the clause's literal order
+        # found is the first live subset met in the clause's literal order
         rng = random.Random(35)
         for _ in range(100):
             t = random_task(rng, max_var=12, max_clauses=30)
             s = _Solver(t, budget=10 ** 6)
-            for pc in s.pool:
-                if rng.random() < 0.3:
-                    pc.alive = False
+            for j in range(len(s.pool)):
+                if j != s._empty and rng.random() < 0.3:
+                    s.kill(j)
             for c in random_task(rng, max_var=12, max_clauses=30).b:
                 want = next((j for l in c for j in s.occ.get(l, ())
-                             if s.pool[j].alive
-                             and set(s.pool[j].clause.lits) <= set(c.lits)),
+                             if set(s.pool[j].clause.lits) <= set(c.lits)),
                             s._empty)
                 assert s._find_subsumer(_PoolClause(c, False)) == want
+
+    def test_search_deeper_than_the_recursion_limit(self, monkeypatch):
+        # the search runs on its own stack: it neither recurses nor touches
+        # the interpreter's recursion limit
+        def refuse(limit):
+            raise AssertionError("take_out changed the recursion limit")
+        limit = sys.getrecursionlimit()
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 1500
+        assert n + 1 > limit
+        assert list(take_out(chain_task(n))) == [Clause((n + 1,))]
+        assert sys.getrecursionlimit() == limit
+
+    def test_search_work_is_pinned(self):
+        # (nodes, answer) of _Solver.run on fixed tasks, as recorded before
+        # the search state was rewritten: a change of pool order, branch
+        # order or discharge shows here first
+        want = [
+            (11, [(6,), (2, 4)]), (2, []), (1, []), (4, [()]), (2, [(-3,)]),
+            (1, [(-4,)]), (1, [(-7,)]), (1, [(1,)]), (1, []),
+            (1, [(4, -5)]), (2, [(-1,)]), (4, [()]), (8, [(2,)]), (2, []),
+            (1, []), (1, [(1,)]), (5, [(3,), (-3,)]), (2, [(-2,)]),
+            (1, [(2,)]), (1, [(5,), (-3, -5), (3,), (-5,)]), (1, []),
+            (2, [(-1,)]), (12, [(-2,), (-3,)]), (38, [(8,)]), (2, []),
+            (2, []), (2, []), (5, []), (1, [(-2,)]), (2, [(-4,)]),
+            (10501, [(1501,)])]
+        tasks = [random_task(random.Random(seed)) for seed in range(30)]
+        got = []
+        for t in tasks + [chain_task(1500)]:
+            s = _Solver(t, budget=10 ** 6)
+            a_star = s.run()
+            got.append((s.nodes, [c.lits for c in a_star]))
+        assert got == want
 
     def test_unsat_core_case(self):
         # A ∧ B unsatisfiable: A* must be (equivalent to) false wherever
