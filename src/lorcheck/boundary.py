@@ -93,21 +93,16 @@ def unrolled_lhs(chain, k, extra):
     return PqeTask(w, a, b.normalize())
 
 
-def makeup_clauses(chain, k, r_new):
-    """Relax step k-1→k by the clauses r_new and return makeup clauses G
-    over canonical state variables; conjoining G to H_k preserves the
-    chain's over-approximation equality."""
-    r_new = list(r_new)
-    indices = []
-    for c in r_new:
-        idx = chain.trans_clauses.index(c)
-        if idx in chain.removed[k - 1]:
-            raise ValueError("clause already removed from step %d" % (k - 1))
-        indices.append(idx)
+def makeup_clauses(chain, k, indices):
+    """Relax step k-1→k by the transition clauses at positions `indices`
+    and return makeup clauses G over canonical state variables; conjoining
+    G to H_k preserves the chain's over-approximation equality."""
+    if chain.removed[k - 1].intersection(indices):
+        raise ValueError("clause already removed from step %d" % (k - 1))
     chain.relax(k - 1, indices)
     if not indices:
         return Cnf([])
-    task = unrolled_lhs(chain, k, r_new)
+    task = unrolled_lhs(chain, k, [chain.trans_clauses[i] for i in indices])
     a_star = take_out(task, budget=chain.pqe_budget)
     return rename_frame(a_star, chain.ts.table, {k: 0})
 

@@ -32,6 +32,7 @@ class Circuit:
         self.outputs = {}        # name -> expr, in declaration order
         self.prop = None         # expr, or None
         # miter bookkeeping
+        self.miter = False         # built by build_miter
         self.eq_input_pairs = []   # [(name_n, name_k)] constrained equal in T
         self.state_pairs = []      # [(latch_n, latch_k)] equal in I
         self.stutter_input = None  # name of the stuttering input, if added
@@ -50,6 +51,10 @@ class Circuit:
 # ---------------------------------------------------------------- parsing
 
 _KEYWORDS = {"NOT", "AND", "OR", "XOR"}
+
+# Deepest nesting of '(' and NOT in one expression: the passes over an
+# expression recurse once or twice per level, well inside Python's limit.
+MAX_NESTING = 256
 
 
 def _tokenize(text, lineno):
@@ -90,20 +95,22 @@ class _ExprParser:
         self.pos += 1
         return t[0]
 
-    def term(self):
+    def term(self, depth=0):
         t = self._next()
         if t == "0":
             return ("const", 0)
         if t == "1":
             return ("const", 1)
+        if t in ("NOT", "(") and depth == MAX_NESTING:
+            self._err("expression nested deeper than %d levels" % MAX_NESTING)
         if t == "NOT":
-            return ("not", self.term())
+            return ("not", self.term(depth + 1))
         if t == "(":
-            a = self.term()
+            a = self.term(depth + 1)
             op = self._next()
             if op not in ("AND", "OR", "XOR"):
                 self._err("expected AND/OR/XOR, got %r" % op)
-            b = self.term()
+            b = self.term(depth + 1)
             if self._next() != ")":
                 self._err("expected ')'")
             return (op.lower(), a, b)
@@ -124,6 +131,16 @@ def _parse_expr(text, lineno):
     return _ExprParser(_tokenize(text, lineno), lineno).parse()
 
 
+def _name(word, lineno):
+    """word, if an expression can read it as a name (so not `s~1`)."""
+    try:
+        if _parse_expr(word, lineno) == ("var", word):
+            return word
+    except CircuitError:
+        pass
+    raise CircuitError("line %d: %r is not a valid name" % (lineno, word))
+
+
 def parse_circuit(text):
     """Parse SCIRC source into a validated Circuit."""
     c = Circuit()
@@ -136,7 +153,7 @@ def parse_circuit(text):
         if kind == "input":
             if len(words) != 2:
                 raise CircuitError("line %d: input takes one name" % lineno)
-            c.inputs.append(words[1])
+            c.inputs.append(_name(words[1], lineno))
         elif kind == "latch":
             if len(words) < 6 or words[2] != "init" or words[4] != "next":
                 raise CircuitError("line %d: latch <name> init {0|1|*} next <expr>" % lineno)
@@ -144,12 +161,13 @@ def parse_circuit(text):
             if init == "bad":
                 raise CircuitError("line %d: init must be 0, 1 or *" % lineno)
             expr = _parse_expr(" ".join(words[5:]), lineno)
-            c.latches.append(Latch(words[1], init, expr))
+            c.latches.append(Latch(_name(words[1], lineno), init, expr))
         elif kind in ("signal", "output"):
             if len(words) < 4 or words[2] != "=":
                 raise CircuitError("line %d: %s <name> = <expr>" % (lineno, kind))
             expr = _parse_expr(" ".join(words[3:]), lineno)
-            (c.signals if kind == "signal" else c.outputs)[words[1]] = expr
+            defs = c.signals if kind == "signal" else c.outputs
+            defs[_name(words[1], lineno)] = expr
         elif kind == "prop":
             c.prop = _parse_expr(" ".join(words[1:]), lineno)
         else:
@@ -233,7 +251,7 @@ class TransitionSystem:
     """CNF form of a circuit: I over S, T over S ∪ X ∪ Y ∪ S', P over S."""
 
     def __init__(self, table, circ, init, trans, prop,
-                 state_vars, input_vars, stuttering_var=None):
+                 state_vars, input_vars, stuttering_var=None, interface=None):
         self.table = table
         self.circuit = circ
         self.init = init
@@ -242,6 +260,7 @@ class TransitionSystem:
         self.state_vars = state_vars        # frame-0 Vars, latch order
         self.input_vars = input_vars
         self.stuttering_var = stuttering_var
+        self.interface = interface  # miter only: interface clause positions
 
     def frame(self, j):
         """T_{j,j+1}: the transition relation instantiated at frame j."""
@@ -265,8 +284,8 @@ class _Encoder:
         self.tmp += 1
         return self.table.new("%s~%d" % (hint, self.tmp), 0).id
 
-    def add(self, lits, tag=None):
-        self.clauses.append(Clause(lits, tag=tag))
+    def add(self, lits):
+        self.clauses.append(Clause(lits))
 
     def gate(self, op, a, b, out):
         if b == a or b == -a:
@@ -491,10 +510,12 @@ def encode(c):
         enc.env[name] = v.id
     for latch, nv in zip(c.latches, next_vars):
         enc.define(latch.next, nv.id, latch.name)
+    first = len(enc.clauses)
     for a, b in c.eq_input_pairs:
         la, lb = enc.env[a], enc.env[b]
-        enc.add([la, -lb], tag="interface")
-        enc.add([-la, lb], tag="interface")
+        enc.add([la, -lb])
+        enc.add([-la, lb])
+    interface = tuple(range(first, len(enc.clauses))) if c.miter else None
     trans = Cnf(enc.clauses)
     init_clauses = []
     for latch, v in zip(c.latches, state_vars):
@@ -511,7 +532,7 @@ def encode(c):
             else Cnf([]))
     stut = table.get(c.stutter_input, 0) if c.stutter_input else None
     return TransitionSystem(table, c, init, trans, prop,
-                            state_vars, input_vars, stut)
+                            state_vars, input_vars, stut, interface)
 
 
 # -------------------------------------------------------------- stuttering
@@ -534,6 +555,7 @@ def stutter(old):
     c.signals = dict(old.signals)
     c.outputs = dict(old.outputs)
     c.prop = old.prop
+    c.miter = old.miter
     c.eq_input_pairs = list(old.eq_input_pairs)
     c.state_pairs = list(old.state_pairs)
     c.stutter_input = v
@@ -551,15 +573,17 @@ def add_stuttering(ts):
 def build_miter(n, k):
     """Sequential-equivalence miter of circuits n and k.
 
-    Inputs are pairwise constrained equal (clauses tagged 'interface'),
-    and the property says the output difference stays 0.  Latches of n and
-    k with the same name start equal when their declared inits are the same
-    (both free or the same constant).  Any other latch stays unpaired: a
-    free latch paired with a constant one would be forced to that constant,
-    and a pair with inits 0 and 1 would leave no initial state."""
+    Inputs are pairwise constrained equal (the interface clauses of T),
+    and the property says the output difference, a balanced OR tree of
+    XORs, stays 0.  Latches of n and k with the same name start equal
+    when their declared inits are the same (both free or the same
+    constant).  Any other latch stays unpaired: a free latch paired with a
+    constant one would be forced to that constant, and a pair with inits 0
+    and 1 would leave no initial state."""
     if len(n.inputs) != len(k.inputs) or len(n.outputs) != len(k.outputs):
         raise CircuitError("input/output arity mismatch")
     m = Circuit()
+    m.miter = True
     for pre, src in (("n.", n), ("k.", k)):
         def ren(e):
             return _subst(e, lambda name: ("var", pre + name))
@@ -573,10 +597,15 @@ def build_miter(n, k):
     k_inits = {l.name: l.init for l in k.latches}
     m.state_pairs = [("n." + a.name, "k." + a.name) for a in n.latches
                      if a.name in k_inits and k_inits[a.name] == a.init]
-    diff = None
-    for zn, zk in zip(n.outputs, k.outputs):
-        x = ("xor", ("var", "n." + zn), ("var", "k." + zk))
-        diff = x if diff is None else ("or", diff, x)
-    m.outputs["diff"] = diff if diff is not None else ("const", 0)
+    diffs = [("xor", ("var", "n." + zn), ("var", "k." + zk))
+             for zn, zk in zip(n.outputs, k.outputs)]
+    m.outputs["diff"] = _or_tree(diffs)
     m.prop = ("not", ("var", "diff"))
     return m
+
+
+def _or_tree(xs):
+    """OR of the expressions xs, in order, as a balanced tree."""
+    if len(xs) < 2:
+        return xs[0] if xs else ("const", 0)
+    return ("or", _or_tree(xs[:len(xs) // 2]), _or_tree(xs[len(xs) // 2:]))

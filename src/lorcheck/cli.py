@@ -40,22 +40,6 @@ class RunReport:
         out.write("time: %.3fs\n" % self.seconds)
 
 
-def _parse_guess(text):
-    kind, sep, tag = text.partition(":")
-    if not sep or kind != "drop" or not tag:
-        raise ValueError("guess must look like drop:<tag>")
-    return (kind, tag)
-
-
-def _guess_flag(text):
-    """A --guess value, checked while the command line is parsed."""
-    try:
-        _parse_guess(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(e) from None
-    return text
-
-
 def _positive_int(text):
     """A --max-frames or --pqe-budget value."""
     if not text.isdecimal() or int(text) < 1:
@@ -258,19 +242,15 @@ def _oracle_hook(ts, out):
 
 
 def _run_engine(ts, args, err):
-    guess = _parse_guess(args.guess) if args.guess else None
-    opts = Options(max_frames=args.max_frames, pqe_budget=args.pqe_budget,
-                   guess=guess)
+    oracle = _oracle_hook(ts, err) if args.oracle_check else None
     clause_counts = []
-    hooks = []
-    if args.oracle_check:
-        hooks.append(_oracle_hook(ts, err))
 
     def hook(chain):
         clause_counts[:] = [len(h) for h in chain.h]
-        for h in hooks:
-            h(chain)
-    opts.iter_hook = hook
+        if oracle:
+            oracle(chain)
+    opts = Options(max_frames=args.max_frames, pqe_budget=args.pqe_budget,
+                   iter_hook=hook)
     engine = pc_lor_ic if args.engine == "lor-ic" else pc_lor
     try:
         witness = engine(ts, opts)
@@ -396,8 +376,6 @@ def cmd_verify_witness(args, out=None, err=None):
 
 def _add_engine_flags(p):
     p.add_argument("--engine", choices=["lor", "lor-ic"])
-    p.add_argument("--guess", type=_guess_flag, default=None,
-                   help="initial relaxation, e.g. drop:interface")
     p.add_argument("--max-frames", type=_positive_int, default=None)
     p.add_argument("--pqe-budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--witness", default=None, help="witness output path")
@@ -420,7 +398,7 @@ def build_parser():
     p.add_argument("file_n")
     p.add_argument("file_k")
     _add_engine_flags(p)
-    p.set_defaults(fn=cmd_sec, engine="lor-ic", guess="drop:interface")
+    p.set_defaults(fn=cmd_sec, engine="lor-ic")
 
     p = sub.add_parser("pqe", help="solve a partial-quantifier-elimination task")
     p.add_argument("file")

@@ -73,13 +73,12 @@ class Clause:
     """An immutable duplicate-free disjunction of literals.
 
     Tautologies are rejected outright; the redundancy bookkeeping downstream
-    assumes non-tautological clauses.  The optional tag marks clause origin
-    (e.g. miter interface constraints) and is ignored by equality.
+    assumes non-tautological clauses.
     """
 
-    __slots__ = ("lits", "tag")
+    __slots__ = ("lits",)
 
-    def __init__(self, lits, tag=None):
+    def __init__(self, lits):
         seen = {}
         for l in lits:
             if l == 0:
@@ -88,7 +87,6 @@ class Clause:
                 raise ValueError("tautological clause %r" % (list(lits),))
             seen[l] = True
         self.lits = tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
-        self.tag = tag
 
     def __iter__(self):
         return iter(self.lits)

@@ -1,16 +1,16 @@
 """Inductive-clause machinery and the hybrid checker built on it: bad
 states are excluded by clauses that are inductive relative to the previous
-frame, and an initial relaxation can be seeded from a declarative guess
-(e.g. dropping the interface-equality clauses of a miter).  Houdini looks
-for an invariant among I and P first, and among the seed, I and P only
-when that fails."""
+frame.  On a miter, each new frame is seeded from the educated guess of
+dropping the interface-equality clauses, and at frame 1 Houdini looks for
+an invariant among I and P first, and among the seed, I and P only when
+that fails."""
 
 from __future__ import annotations
 
 from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename_frame
 from .sat import Solver, solve, implies
 from .boundary import makeup_clauses
-from .pclor import Checker, Options, Witness
+from .pclor import Checker
 
 
 class Cti:
@@ -63,17 +63,11 @@ def generalize(c, f, ts):
     return Clause(lits)
 
 
-def educat_guess_rlx(chain, j, guess):
-    """Seed H_j from a guessed relaxation: drop every transition clause
-    matching the guess at step j-1→j and return the PQE makeup clauses."""
-    kind, tag = guess
-    if kind != "drop":
-        raise ValueError("unknown guess kind %r" % kind)
-    r = [c for i, c in enumerate(chain.trans_clauses)
-         if c.tag == tag and i not in chain.removed[j - 1]]
-    if not r:
-        return Cnf([])
-    return makeup_clauses(chain, j, r)
+def educat_guess_rlx(chain, j):
+    """Seed H_j of a miter from the educated guess: drop its interface
+    clauses still present at step j-1→j and return the PQE makeup clauses."""
+    return makeup_clauses(chain, j, [i for i in chain.ts.interface
+                                     if i not in chain.removed[j - 1]])
 
 
 def houdini(ts, cands, required=()):
@@ -122,13 +116,11 @@ def _houdini_invariant(ts, seed):
 
 class IcChecker(Checker):
     """pc_lor with each backward-walk step strengthening H_k by a
-    generalized inductive clause instead of relax-and-make-up, and optional
-    guess-driven seeding of each new frame.  With a guess, fin_rlx(1) runs
+    generalized inductive clause instead of relax-and-make-up.  On a miter,
+    each new frame is seeded by educat_guess_rlx, and fin_rlx(1) runs
     Houdini over I and P before it seeds H_1, and over the seed, I and P
-    when that finds no invariant; the first fin_touch returns an invariant
-    found either way."""
-
-    invariant = None   # the Houdini invariant, once found
+    when that finds no invariant; it returns an invariant found either
+    way."""
 
     def _block(self, k, s):
         f = self.chain.h_cnf(k - 1)
@@ -139,23 +131,19 @@ class IcChecker(Checker):
         return None
 
     def fin_rlx(self, j):
-        if self.opts.guess is None:
+        if self.ts.interface is None:
             return super().fin_rlx(j)
         self.chain.add_frame()
         if j == 1:
-            self.invariant = _houdini_invariant(self.ts, [])
-            if self.invariant is not None:
+            inv = _houdini_invariant(self.ts, [])
+            if inv is not None:
                 self.chain.strengthen(j, list(self.ts.prop))
-                return
-        seed = list(educat_guess_rlx(self.chain, j, self.opts.guess))
+                return inv
+        seed = list(educat_guess_rlx(self.chain, j))
         self.chain.strengthen(j, seed + list(self.ts.prop))
         if j == 1 and seed:
-            self.invariant = _houdini_invariant(self.ts, seed)
-
-    def fin_touch(self):
-        if self.invariant is not None:
-            return self.invariant
-        return super().fin_touch()
+            return _houdini_invariant(self.ts, seed)
+        return None
 
 
 def pc_lor_ic(ts, opts=None):

@@ -24,11 +24,10 @@ class Witness:
 
 
 class Options:
-    def __init__(self, max_frames=None, pqe_budget=DEFAULT_BUDGET, guess=None,
+    def __init__(self, max_frames=None, pqe_budget=DEFAULT_BUDGET,
                  iter_hook=None):
         self.max_frames = max_frames
         self.pqe_budget = pqe_budget
-        self.guess = guess            # e.g. ("drop", "interface")
         self.iter_hook = iter_hook    # called with the chain after each
                                       # main-loop iteration
 
@@ -86,8 +85,7 @@ class Checker:
         PQE makeup clauses, which exclude s by the makeup equality."""
         chain = self.chain
         idx = self.select_relaxation(k, s)
-        chain.strengthen(k, list(makeup_clauses(
-            chain, k, [chain.trans_clauses[i] for i in idx])))
+        chain.strengthen(k, list(makeup_clauses(chain, k, idx)))
         if evaluate(chain.h_cnf(k), s) is not False:
             raise CheckerError("frame %d: the makeup clauses do not exclude "
                                "a state without a predecessor" % k)
@@ -142,13 +140,14 @@ class Checker:
 
     def fin_rlx(self, j):
         """Create H_j and strengthen it until it implies P.  After
-        rem_bad_st(j), no bad state of H_j has a predecessor in H_{j-1}."""
+        rem_bad_st(j), no bad state of H_j has a predecessor in H_{j-1}.
+        An override may return an invariant it found, ending the run."""
         chain = self.chain
         chain.add_frame()
         while True:
             bad = self._find_bad_state(chain.h_cnf(j))
             if bad is None:
-                return
+                return None
             self._exclude_state(j, bad)
 
     def third_co_cond(self):
@@ -246,9 +245,10 @@ class Checker:
         for j in range(1, max_frames + 1):
             if self.rem_bad_st(j) is not None:
                 return self.convert_cex(j)
-            self.fin_rlx(j)
+            inv = self.fin_rlx(j)
             self.third_co_cond()
-            inv = self.fin_touch()
+            if inv is None:
+                inv = self.fin_touch()
             if self.opts.iter_hook:
                 self.opts.iter_hook(self.chain)
             if inv is not None:

@@ -92,14 +92,13 @@ def test_criterion_3_sec_seed_exact_and_fast():
     ts = add_stuttering(encode(m))
     chain = FrameChain(ts)
     chain.add_frame()
-    seed = educat_guess_rlx(chain, 1, ("drop", "interface"))
+    seed = educat_guess_rlx(chain, 1)
     sn, sk = ts.state_ids(0)
     eq = Cnf([Clause((sn, -sk)), Clause((-sn, sk))])
     exact = implies(seed, eq) and implies(eq, seed)
     frames = []
     t0 = time.perf_counter()
-    w = pc_lor_ic(ts, Options(guess=("drop", "interface"),
-                              iter_hook=lambda ch: frames.append(ch.j)))
+    w = pc_lor_ic(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
     dt = time.perf_counter() - t0
     ok = (exact and w.kind == "invariant" and max(frames) <= 2 and dt < 1.0)
     report(3, "interface-drop seed is exact state equality; equivalence "

@@ -1,0 +1,93 @@
+"""The benchmark harness under perfbench/ wraps and imports lorcheck names by
+string; these tests fail when the program drops or renames one of them."""
+
+import ast
+import importlib
+import os
+import sys
+
+import pytest
+
+from lorcheck.cli import main
+from conftest import DFF_SRC, INV_DFF_SRC, TOGGLE_SRC, shreg_source
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+# shreg_source(2) with stage 0 stored inverted: equivalent to it, but the
+# miter's frame 1 needs the educated-guess seed
+INV_STAGE_SRC = """\
+input x
+latch s0 init 1 next NOT x
+latch s1 init 0 next NOT s0
+output z = s1
+"""
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench/tracer.py, imported as run.py imports it."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("tracer")
+
+
+def test_every_target_resolves(perfbench):
+    for owner, attr, name, _, _ in perfbench.TARGETS:
+        assert attr in vars(owner), "%s: %r has no %r" % (name, owner, attr)
+
+
+def test_corpus_imports_exist():
+    # corpus.py is read, not imported, so that a missing name is reported
+    # by name
+    with open(os.path.join(PERFBENCH, "corpus.py")) as f:
+        tree = ast.parse(f.read())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("lorcheck")]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+def _bindings(targets):
+    """Every module-level binding of the lorcheck modules, and every
+    attribute of the classes in targets."""
+    out = {}
+    for n, m in list(sys.modules.items()):
+        if n == "lorcheck" or n.startswith("lorcheck."):
+            out.update(((n, k), v) for k, v in vars(m).items())
+    for owner, attr, _, _, _ in targets:
+        if isinstance(owner, type):
+            out[(owner, attr)] = vars(owner)[attr]
+    return out
+
+
+def test_traced_runs(perfbench, tmp_path, capfd):
+    files = {}
+    for name, src in (("dff", DFF_SRC), ("inv", INV_DFF_SRC),
+                      ("toggle", TOGGLE_SRC), ("shreg", shreg_source(2)),
+                      ("inv_stage", INV_STAGE_SRC)):
+        files[name] = str(tmp_path / (name + ".scirc"))
+        with open(files[name], "w") as f:
+            f.write(src)
+    before = _bindings(perfbench.TARGETS)
+    tr = perfbench.Tracer()
+    tr.install()
+    try:
+        codes = [main(["check", files["toggle"]]),
+                 main(["sec", files["dff"], files["dff"]]),
+                 main(["sec", files["dff"], files["inv"]]),
+                 main(["sec", files["shreg"], files["inv_stage"]])]
+    finally:
+        tr.uninstall()
+    after = _bindings(perfbench.TARGETS)
+    assert codes == [1, 0, 1, 0]
+    assert [k for k in before if after.get(k) is not before[k]] == []
+    metrics = tr.metrics()
+    assert set(metrics) == set(perfbench.UNITS)
+    for name in ("pclor.run", "pclor.fin_rlx", "indclause.seed",
+                 "pqe.take_out", "cli.write_witness"):
+        assert tr.calls[name] > 0, name

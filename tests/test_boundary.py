@@ -81,18 +81,16 @@ class TestMakeupClauses:
     def test_stuck0_makeup_restores_boundary(self, stuck0):
         chain = FrameChain(stuck0)
         chain.add_frame()
-        drop = [chain.trans_clauses[i] for i in stuck0_drop_indices(stuck0)]
-        g = makeup_clauses(chain, 1, drop)
+        g = makeup_clauses(chain, 1, stuck0_drop_indices(stuck0))
         chain.strengthen(1, list(g))
         assert verify_boundary(chain.h_cnf(1), stuck0, chain.trlx_cnf(0), 1)
 
     def test_double_removal_rejected(self, stuck0):
         chain = FrameChain(stuck0)
         chain.add_frame()
-        c = chain.trans_clauses[0]
-        makeup_clauses(chain, 1, [c])
+        makeup_clauses(chain, 1, [0])
         with pytest.raises(ValueError):
-            makeup_clauses(chain, 1, [c])
+            makeup_clauses(chain, 1, [0])
 
     def test_empty_removal_is_noop(self, stuck0):
         chain = FrameChain(stuck0)
@@ -107,7 +105,7 @@ class TestMakeupClauses:
         drop = [chain.trans_clauses[0]]
         task_before = unrolled_lhs(chain, 1, drop)
         chain.restore(0, [0])
-        g = makeup_clauses(chain, 1, drop)
+        g = makeup_clauses(chain, 1, [0])
         g1 = rename_frame(g, toggle.table, {0: 1})
         assert check_pqe(task_before.w, task_before.a, task_before.b, g1)
 

@@ -7,7 +7,7 @@ import pytest
 from lorcheck import circuit
 from lorcheck.circuit import (CircuitError, parse_circuit, encode,
                               add_stuttering, build_miter, simulate,
-                              eval_expr, compile_state_predicate)
+                              eval_expr, compile_state_predicate, stutter)
 from lorcheck.cli import main
 from lorcheck.cnf import Cnf, Clause, evaluate
 from lorcheck.sat import solve, implies
@@ -42,6 +42,41 @@ class TestParsing:
     def test_rejects(self, src):
         with pytest.raises(CircuitError):
             encode(parse_circuit(src))
+
+    @pytest.mark.parametrize("src", [
+        # s~1 is the name encode gives the first temporary of signal s
+        "input s~1\ninput a\nlatch s init 0 next ((a AND s) OR a)\n"
+        "prop NOT s\n",
+        "input a\nlatch 0 init 1 next a\nprop 0\n",
+        "input AND\nlatch s init 0 next s\nprop NOT s\n",
+        "input x\nsignal 1a = x\nlatch s init 0 next s\nprop NOT s\n",
+        "input x\nlatch s init 0 next s\noutput z. = s\nprop NOT s\n",
+    ])
+    def test_declared_name_must_read_as_name(self, src, tmp_path, capfd):
+        f = tmp_path / "bad.scirc"
+        f.write_text(src)
+        assert main(["check", str(f)]) == 3
+        assert "not a valid name" in capfd.readouterr().err
+
+    def test_nesting_at_the_bound(self, tmp_path, capfd):
+        f = tmp_path / "deep.scirc"
+        f.write_text(_nested(circuit.MAX_NESTING))
+        assert main(["check", str(f)]) == 0
+        assert main(["sec", str(f), str(f)]) == 0
+        assert "equivalent\n" in capfd.readouterr().out
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 257 + "x" + " AND x)" * 257,
+        "NOT " * 257 + "x",
+        "(" * 128 + "NOT " * 129 + "x" + " OR x)" * 128,
+        "(" * 1200 + "x" + " AND x)" * 1200,
+    ], ids=["parens-257", "not-257", "mixed-257", "parens-1200"])
+    def test_nesting_past_the_bound(self, tmp_path, capfd, deep):
+        f = tmp_path / "deep.scirc"
+        f.write_text(_nested(0).replace("signal d = x", "signal d = " + deep))
+        assert main(["check", str(f)]) == 3
+        assert re.search(r"^error: line 2 .*nested deeper than 256 levels",
+                         capfd.readouterr().err, re.M)
 
     def test_signal_chain_ok(self):
         c = parse_circuit("input x\nsignal a = x\nsignal b = (a OR x)\n"
@@ -128,6 +163,14 @@ def exhaustive_encoding_check(ts):
             assert not res2
 
 
+def _nested(levels):
+    """A circuit whose property holds, with a signal d = x nested `levels`
+    parentheses deep."""
+    d = "(" * levels + "x" + " AND x)" * levels
+    return ("input x\nsignal d = %s\nlatch s init 0 next (s AND d)\n"
+            "output z = s\nprop NOT s\n" % d)
+
+
 class TestEncoding:
     @pytest.mark.parametrize("src", [STUCK0_SRC, TOGGLE_SRC])
     def test_matches_simulation(self, src):
@@ -198,7 +241,7 @@ class TestMiter:
         assert m.eq_input_pairs == [("n.x", "k.x")]
         assert m.state_pairs == [("n.s", "k.s")]
         ts = encode(m)
-        assert sum(1 for c in ts.trans if c.tag == "interface") == 2
+        assert len(ts.interface) == 2
 
     def test_property_flags_output_difference(self):
         m = build_miter(parse_circuit(DFF_SRC), parse_circuit(DFF_SRC))
@@ -226,6 +269,45 @@ class TestMiter:
         # initial state
         assert m.state_pairs == [("n.s0", "k.s0"), ("n.s4", "k.s4")]
         assert solve(encode(m).init)
+
+    def test_interface_positions(self):
+        ts = add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
+                                               parse_circuit(DFF_SRC))))
+        a, b = ts.table.get("n.x", 0).id, ts.table.get("k.x", 0).id
+        assert [ts.trans.clauses[i] for i in ts.interface] == [
+            Clause((a, -b)), Clause((-a, b))]
+        assert encode(parse_circuit(DFF_SRC)).interface is None
+        assert add_stuttering(encode(parse_circuit(DFF_SRC))).interface is None
+
+    def test_input_free_miter_is_marked(self):
+        ring = parse_circuit("latch a init 1 next b\nlatch b init 0 next a\n"
+                             "output z = a\n")
+        assert encode(stutter(build_miter(ring, ring))).interface == ()
+
+    def test_thousand_output_miter_encodes(self):
+        c = parse_circuit(xorreg_source(1000))
+        ts = encode(stutter(build_miter(c, c)))
+        # two clauses per output pair: n.si = k.si
+        assert len(ts.prop) == 2000
+
+    def test_diff_tree_is_balanced(self):
+        c = parse_circuit(xorreg_source(7))
+        m = build_miter(c, c)
+
+        def shape(e):
+            if e[0] != "or":
+                return (0, 0)
+            (d1, n1), (d2, n2) = shape(e[1]), shape(e[2])
+            return (1 + max(d1, d2), 1 + n1 + n2)
+        assert shape(m.outputs["diff"]) == (3, 6)
+        # P keeps the clause order of a left-deep chain of ORs
+        chain = None
+        for i in range(7):
+            x = ("xor", ("var", "n.z%d" % i), ("var", "k.z%d" % i))
+            chain = x if chain is None else ("or", chain, x)
+        ts = encode(m)
+        m.outputs["diff"] = chain
+        assert ts.prop == compile_state_predicate(m.prop, m, ts.table)
 
     def test_arity_mismatch(self):
         two_in = parse_circuit("input a\ninput b\nlatch s init 0 next a\n"

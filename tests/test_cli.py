@@ -5,7 +5,7 @@ import re
 import pytest
 
 from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
-                          verify_trace, verify_invariant, _parse_guess)
+                          verify_trace, verify_invariant)
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
 from lorcheck.cnf import Cnf
@@ -32,9 +32,9 @@ class TestParserDefaults:
     def test_engine_and_guess(self):
         parse = build_parser().parse_args
         args = parse(["check", "f"])
-        assert (args.engine, args.guess) == ("lor", None)
+        assert args.engine == "lor" and not hasattr(args, "guess")
         args = parse(["sec", "n", "k"])
-        assert (args.engine, args.guess) == ("lor-ic", "drop:interface")
+        assert args.engine == "lor-ic" and not hasattr(args, "guess")
         assert parse(["sec", "n", "k", "--engine", "lor"]).engine == "lor"
 
 
@@ -46,6 +46,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["sec", "{f}", "{f}", "--guess", "bogus"],
+        ["sec", "{f}", "{f}", "--guess", "drop:interface"],
         ["check", "{f}", "--bogus"],
         ["check", "{f}", "--max-frames", "0"],
         ["check", "{f}", "--max-frames", "-1"],
@@ -60,16 +61,6 @@ class TestUsageErrors:
         got = capfd.readouterr()
         assert "error:" in got.err
         assert "verdict" not in got.out
-
-
-class TestGuessParsing:
-    def test_ok(self):
-        assert _parse_guess("drop:interface") == ("drop", "interface")
-
-    @pytest.mark.parametrize("bad", ["drop", "drop:", "keep:x", ":x"])
-    def test_bad(self, bad):
-        with pytest.raises(ValueError):
-            _parse_guess(bad)
 
 
 class TestCheck:
@@ -98,6 +89,17 @@ class TestCheck:
                          "--witness", stuck0_file + ".w2"]) == 0
             assert main(["check", toggle_file, "--engine", engine,
                          "--witness", toggle_file + ".w2"]) == 1
+
+    def test_lor_ic_does_not_seed_a_circuit(self, tmp_path, monkeypatch):
+        import lorcheck.indclause as indclause
+
+        def refuse(*args):
+            raise AssertionError("miter seeding on a circuit")
+        monkeypatch.setattr(indclause, "houdini", refuse)
+        monkeypatch.setattr(indclause, "educat_guess_rlx", refuse)
+        p = tmp_path / "ring6.scirc"
+        p.write_text(_ring_out(6) + "prop NOT (s0 AND s3)\n")
+        assert main(["check", str(p), "--engine", "lor-ic"]) == 0
 
     def test_report_clause_counts(self, stuck0, stuck0_file, capfd):
         seen = []
@@ -264,6 +266,14 @@ def _renamed_shreg(n):
     return "\n".join(lines) + "\n"
 
 
+def _ring_out(n):
+    """One-hot token ring of n stages without inputs; stage 0 is the
+    output."""
+    lines = ["latch s0 init 1 next s%d" % (n - 1)]
+    lines += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(1, n)]
+    return "\n".join(lines) + "\noutput z = s0\n"
+
+
 def _inverted_stage_shreg(n):
     """shreg_source(n) with stage 0 stored inverted."""
     lines = ["input x", "latch s0 init 1 next NOT x",
@@ -343,6 +353,21 @@ class TestSecFamilies:
     def test_xorreg_with_inverted_input(self, tmp_path, capfd, n, i):
         code, out = _sec_and_replay(tmp_path, capfd, xorreg_source(n),
                                     xorreg_source(n, inverted=i))
+        assert code == 1
+        assert out.startswith("inequivalent\n")
+
+    def test_input_free_equal_miter_at_frame_1(self, tmp_path, capfd,
+                                               monkeypatch):
+        # no input, so no interface clause: still a miter, still seeded
+        calls = _count_take_out(monkeypatch)
+        code, out = _sec_and_replay(tmp_path, capfd, _ring_out(5),
+                                    _ring_out(5))
+        assert code == 0 and calls == []
+        assert re.search(r"^frames: 1$", out, re.M)
+
+    def test_input_free_unequal_miter(self, tmp_path, capfd):
+        code, out = _sec_and_replay(tmp_path, capfd, _ring_out(5),
+                                    _ring_out(4))
         assert code == 1
         assert out.startswith("inequivalent\n")
 

@@ -26,10 +26,6 @@ class TestClause:
         with pytest.raises(ValueError):
             Clause((1, -1))
 
-    def test_tag_ignored_by_equality(self):
-        assert Clause((1, 2), tag="a") == Clause((1, 2))
-        assert hash(Clause((1, 2), tag="a")) == hash(Clause((1, 2)))
-
     def test_variables(self):
         assert Clause((-3, 1)).variables() == {1, 3}
 
