@@ -167,8 +167,13 @@ def parse_circuit(text):
                 raise CircuitError("line %d: %s <name> = <expr>" % (lineno, kind))
             expr = _parse_expr(" ".join(words[3:]), lineno)
             defs = c.signals if kind == "signal" else c.outputs
-            defs[_name(words[1], lineno)] = expr
+            name = _name(words[1], lineno)
+            if name in defs:
+                raise CircuitError("line %d: duplicate name %r" % (lineno, name))
+            defs[name] = expr
         elif kind == "prop":
+            if c.prop is not None:
+                raise CircuitError("line %d: duplicate prop" % lineno)
             c.prop = _parse_expr(" ".join(words[1:]), lineno)
         else:
             raise CircuitError("line %d: unknown directive %r" % (lineno, kind))

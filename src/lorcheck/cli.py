@@ -255,7 +255,7 @@ def _run_engine(ts, args, err):
     try:
         witness = engine(ts, opts)
     except PqeBudgetError:
-        raise CheckerError("PQE budget of %d nodes exhausted (--pqe-budget)"
+        raise CheckerError("PQE budget of %d points exhausted (--pqe-budget)"
                            % args.pqe_budget) from None
     return witness, clause_counts
 

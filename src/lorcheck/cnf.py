@@ -1,4 +1,4 @@
-"""Clause-level formula machinery: variables, clauses, CNF, resolution, frame renaming."""
+"""Clause-level formula machinery: variables, clauses, CNF, frame renaming."""
 
 from __future__ import annotations
 
@@ -61,19 +61,10 @@ def lit_sat(lit, assignment):
     return val == (lit > 0)
 
 
-class Tautology:
-    def __repr__(self):
-        return "TAUTOLOGY"
-
-
-TAUTOLOGY = Tautology()
-
-
 class Clause:
     """An immutable duplicate-free disjunction of literals.
 
-    Tautologies are rejected outright; the redundancy bookkeeping downstream
-    assumes non-tautological clauses.
+    Tautologies are rejected outright.
     """
 
     __slots__ = ("lits",)
@@ -147,22 +138,6 @@ class Cnf:
         for c in self.clauses:
             out |= c.variables()
         return out
-
-
-def resolve(c1, c2, vid):
-    """Resolvent of c1 and c2 on variable vid, or TAUTOLOGY."""
-    if vid in c1 and -vid in c2:
-        pos, neg = c1, c2
-    elif vid in c2 and -vid in c1:
-        pos, neg = c2, c1
-    else:
-        raise ValueError("clauses not resolvable on %d" % vid)
-    lits = [l for l in pos if l != vid] + [l for l in neg if l != -vid]
-    seen = set(lits)
-    for l in seen:
-        if -l in seen:
-            return TAUTOLOGY
-    return Clause(seen)
 
 
 def rename_frame(f, table, frames):

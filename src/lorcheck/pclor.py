@@ -4,7 +4,7 @@ the CO conditions, push clauses, and stop on an invariant or counterexample."""
 from __future__ import annotations
 
 from .cnf import Cnf, evaluate, rename_frame
-from .sat import solve, first_model, max_relax_solve
+from .sat import Solver, solve, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
 from .circuit import CircuitError
 from .pqe import DEFAULT_BUDGET
@@ -94,14 +94,21 @@ class Checker:
         """Fig.-3 style reverse extension from an H_{k0}-state.
 
         Returns "reachable" if the walk connects s0 back to an initial
-        state through the relaxed chain; otherwise strengthens the chain
+        state through transitions of T; otherwise strengthens the chain
         until s0 falsifies H_{k0} and returns None.  Only the top state is
-        popped after a strengthening step."""
+        popped after a strengthening step, and a replay that restores a
+        step's clauses cuts the walk back to that step's target."""
         if k0 == 0:
             return "reachable"
         stack = [(k0, s0)]
         while stack:
             k, s = stack[-1]
+            if k == 0:
+                cut = self._replay(stack)
+                if cut is None:
+                    return "reachable"
+                del stack[cut:]
+                continue
             r = self._block(k, s)
             if r == "reachable":
                 return r
@@ -112,14 +119,32 @@ class Checker:
         return None
 
     def _block(self, k, s):
-        """One walk step at H_k-state s: a predecessor state in H_{k-1},
-        "reachable" when s is one step from I, or None once H_k is false
-        at s."""
+        """One walk step at H_k-state s: a predecessor state in H_{k-1}, or
+        None once H_k is false at s."""
         pred = self._predecessor(k, s)
         if pred is None:
             self._exclude_state(k, s)
-            return None
-        return "reachable" if k == 1 else pred
+        return pred
+
+    def _replay(self, stack):
+        """Replay the walk's path, from its initial state at the top of the
+        stack upward, under T.  At the first step that only T^rlx allows,
+        restore the dropped clauses that a relaxed transition of the step
+        falsifies, and return the stack position of the step's source;
+        None when every step is a transition of T."""
+        solver = Solver(self.ts.trans)
+        for i in range(len(stack) - 1, 0, -1):
+            (k, a), (_, b) = stack[i], stack[i - 1]
+            both = sorted(a.items()) + sorted(self._shift_state(b, 1).items())
+            lits = [v if val else -v for v, val in both]
+            if not solver.solve(lits):
+                # every variable of T gets a value, so the model falsifies
+                # some dropped clause
+                res = solve(self.chain.trlx_cnf(k), lits,
+                            extra_vars=self.ts.trans.variables())
+                self._restore_step(k, res.model)
+                return i
+        return None
 
     # ---------------------------------------------------- main operations
 

@@ -44,12 +44,13 @@ def _luby(i):
 class Solver:
     """Incremental CDCL solver over signed-integer literals.
 
-    The clauses are loaded once; each ``solve`` call then decides them
-    under its own assumptions, starting from decision level 0.  Learnt
-    clauses are kept between calls: assumptions are decisions, so every
-    learnt clause follows from the loaded clauses alone.  Activities carry
-    over too, so a reused solver may return a different model than a fresh
-    one, but never a different answer.
+    Each ``solve`` call decides the clauses under its own assumptions,
+    starting from decision level 0; ``add_clause`` adds a clause between
+    calls.  Learnt clauses are kept between calls: assumptions are
+    decisions and the clause set only grows, so every learnt clause
+    follows from the clauses added so far.  Activities carry over too, so
+    a reused solver may return a different model than a fresh one, but
+    never a different answer.
 
     First-UIP learning, two watched literals, decaying variable activities,
     Luby restarts.  Decisions break activity ties on lowest variable id and
@@ -84,6 +85,28 @@ class Solver:
         self.act_inc = 1.0
         self.order = sorted(self.var_ids)
         self.n_assumed = 0
+
+    def add_clause(self, lits):
+        """Add a clause at decision level 0: skip it if a literal is true
+        there, and drop the literals that are false there."""
+        self._backtrack(0)
+        rest = []
+        for l in (lits.lits if isinstance(lits, Clause) else lits):
+            v = self._value(l)
+            if v is True:
+                return
+            if v is None:
+                self._register(abs(l))
+                rest.append(l)
+        if not rest:
+            self.ok = False
+        elif len(rest) == 1:
+            self.units.append(rest[0])
+        else:
+            idx = len(self.clauses)
+            self.clauses.append(rest)
+            self._watch(rest[0], idx)
+            self._watch(rest[1], idx)
 
     def _register(self, vid):
         if vid not in self.var_ids:

@@ -44,6 +44,20 @@ class TestParsing:
             encode(parse_circuit(src))
 
     @pytest.mark.parametrize("src", [
+        "input x\nlatch s init 0 next s\nprop NOT s\nprop s\n",
+        "input x\nsignal a = x\nlatch s init 0 next a\nsignal a = NOT x\n"
+        "prop NOT s\n",
+        "input x\nlatch s init 0 next s\noutput z = s\noutput z = NOT s\n",
+    ], ids=["prop", "signal", "output"])
+    def test_repeated_declaration_exits_3(self, src, tmp_path, capfd):
+        # the second declaration must not silently replace the first
+        f = tmp_path / "twice.scirc"
+        f.write_text(src)
+        assert main(["check", str(f)]) == 3
+        assert re.search(r"^error: line 4: duplicate ",
+                         capfd.readouterr().err, re.M)
+
+    @pytest.mark.parametrize("src", [
         # s~1 is the name encode gives the first temporary of signal s
         "input s~1\ninput a\nlatch s init 0 next ((a AND s) OR a)\n"
         "prop NOT s\n",

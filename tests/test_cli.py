@@ -14,6 +14,23 @@ from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, shreg_source, xorreg_source)
 
 
+# Draw 43 of the random 6-8-latch systems that
+# test_pclor.py::TestDifferential::test_matches_brute_force_on_larger_systems
+# draws
+RAND43_SRC = """\
+input x0
+input x1
+latch s0 init 0 next ((s2 AND x0) XOR (s4 AND s1))
+latch s1 init 0 next (NOT s5 XOR (s2 AND x1))
+latch s2 init 0 next (s4 AND s0)
+latch s3 init 0 next s0
+latch s4 init 0 next x0
+latch s5 init 0 next ((NOT s4 AND s5) OR (NOT s3 OR s0))
+latch s6 init 0 next ((NOT x1 AND x1) OR NOT s5)
+prop NOT (s3 AND s1)
+"""
+
+
 @pytest.fixture
 def stuck0_file(tmp_path):
     p = tmp_path / "stuck0.scirc"
@@ -75,6 +92,17 @@ class TestCheck:
         assert "verdict: fails" in capfd.readouterr().out
         assert main(["verify-witness", toggle_file,
                      toggle_file + ".witness"]) == 0
+        assert "witness accepted" in capfd.readouterr().out
+
+    def test_walk_through_a_relaxed_step(self, tmp_path, capfd):
+        # the lor walk's first path to I takes a step that only T^rlx
+        # allows; the real counterexample has 4 steps
+        p = tmp_path / "rand43.scirc"
+        p.write_text(RAND43_SRC)
+        assert main(["check", str(p), "--engine", "lor"]) == 1
+        out = capfd.readouterr().out
+        assert "verdict: fails" in out and "frames: 4\n" in out
+        assert main(["verify-witness", str(p), str(p) + ".witness"]) == 0
         assert "witness accepted" in capfd.readouterr().out
 
     def test_invariant_witness_verifies(self, stuck0_file, capfd):
@@ -214,10 +242,10 @@ class TestSec:
         a = tmp_path / "shreg4.scirc"; a.write_text(shreg_source(4))
         b = tmp_path / "shreg4t.scirc"; b.write_text(_renamed_shreg(4))
         assert main(["sec", str(a), str(b), "--max-frames", "1",
-                     "--pqe-budget", "100"]) == 2
+                     "--pqe-budget", "2"]) == 2
         got = capfd.readouterr()
         assert "verdict: unknown" in got.out
-        assert re.search(r"^no verdict: PQE budget of 100 ", got.err, re.M)
+        assert re.search(r"^no verdict: PQE budget of 2 ", got.err, re.M)
 
     def test_pqe_budget_unused_on_equal_miter(self, tmp_path, capfd):
         p = tmp_path / "xorreg4.scirc"; p.write_text(xorreg_source(4))
@@ -295,13 +323,13 @@ def _count_take_out(monkeypatch):
     return calls
 
 
-def _sec_and_replay(tmp_path, capfd, src_n, src_k):
-    """Run sec on two sources, replay its witness against their miter and
-    return sec's exit code and stdout."""
+def _sec_and_replay(tmp_path, capfd, src_n, src_k, *options):
+    """Run sec with the given options on two sources, replay its witness
+    against their miter and return sec's exit code and stdout."""
     a = tmp_path / "n.scirc"; a.write_text(src_n)
     b = tmp_path / "k.scirc"; b.write_text(src_k)
     w = tmp_path / "sec.witness"
-    code = main(["sec", str(a), str(b), "--witness", str(w)])
+    code = main(["sec", str(a), str(b), "--witness", str(w), *options])
     out = capfd.readouterr().out
     assert main(["verify-witness", str(a), str(w),
                  "--miter-with", str(b)]) == 0
@@ -340,6 +368,16 @@ class TestSecFamilies:
                                     _inverted_stage_shreg(4))
         assert code == 0 and len(calls) == 1
         assert re.search(r"^frames: 1$", out, re.M)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_inverted_stage_on_lor(self, tmp_path, capfd, n):
+        # lor's walk reaches I through relaxed steps before it finds that
+        # no real path exists
+        code, out = _sec_and_replay(tmp_path, capfd, shreg_source(n),
+                                    _inverted_stage_shreg(n),
+                                    "--engine", "lor")
+        assert code == 0
+        assert out.startswith("equivalent\n")
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_shreg_against_shorter(self, tmp_path, capfd, n):

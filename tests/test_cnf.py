@@ -1,17 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lorcheck.cnf import (Clause, Cnf, TAUTOLOGY, VarTable, resolve,
-                          rename_frame, evaluate, lit_sat,
-                          longest_falsified_clause)
-
-
-def clauses(max_var=6, max_len=4):
-    lit = st.integers(1, max_var).flatmap(
-        lambda v: st.sampled_from([v, -v]))
-    return (st.lists(lit, min_size=1, max_size=max_len)
-            .filter(lambda ls: not any(-l in ls for l in ls))
-            .map(lambda ls: Clause(tuple(ls))))
+from lorcheck.cnf import (Clause, Cnf, VarTable, rename_frame, evaluate,
+                          lit_sat, longest_falsified_clause)
 
 
 def assignments(max_var=6):
@@ -28,29 +19,6 @@ class TestClause:
 
     def test_variables(self):
         assert Clause((-3, 1)).variables() == {1, 3}
-
-
-class TestResolve:
-    def test_basic(self):
-        r = resolve(Clause((1, 2)), Clause((-1, 3)), 1)
-        assert r == Clause((2, 3))
-
-    def test_tautological_resolvent(self):
-        assert resolve(Clause((1, 2)), Clause((-1, -2)), 1) is TAUTOLOGY
-
-    @given(clauses(), clauses(), assignments())
-    def test_resolvent_is_implied(self, c1, c2, a):
-        pivots = [v for v in c1.variables() & c2.variables()
-                  if (v in c1) != (v in c2)]
-        if not pivots:
-            return
-        r = resolve(c1, c2, pivots[0])
-        if r is TAUTOLOGY:
-            return
-        full = {v: a.get(v, False) for v in c1.variables() | c2.variables()}
-        if (evaluate(Cnf([c1]), full) is True
-                and evaluate(Cnf([c2]), full) is True):
-            assert evaluate(Cnf([r]), full) is True
 
 
 class TestRenameFrame:

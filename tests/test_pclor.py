@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
-from lorcheck.circuit import CircuitError, parse_circuit, encode, simulate
+from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
+                              add_stuttering)
 from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
 from lorcheck.sat import implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
+from lorcheck.indclause import pc_lor_ic
 from lorcheck.boundary import check_co
 from lorcheck.qe_oracle import verify_boundary
-from conftest import (STUCK0_SRC, random_system, brute_force_verdict,
-                      make_rng)
+from conftest import (STUCK0_SRC, random_system, random_system_source,
+                      brute_force_verdict, make_rng)
 from test_boundary import stuck0_drop_indices
 
 
@@ -103,6 +107,26 @@ class TestChainSoundness:
         pc_lor(stuck0, Options(iter_hook=hook))
         assert results and all(results)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "boundary-formula gap: on both engines, H_2 at j = 2 keeps the state "
+        "(s0..s3) = 0100, which only the relaxed step 1->2 reaches "
+        "(removed[1] = {13})"))
+    def test_boundaries_verified_beyond_the_fixture(self):
+        rng = make_rng(4242)
+        for _ in range(30):
+            src = random_system_source(rng, rng.randint(2, 4),
+                                       rng.randint(1, 2))
+        ts = add_stuttering(encode(parse_circuit(src)))
+        results = []
+
+        def hook(ch):
+            for k in range(1, ch.j + 1):
+                results.append(verify_boundary(
+                    ch.h_cnf(k), ts, ch.trlx_cnf(k - 1), k))
+        for engine in (pc_lor, pc_lor_ic):
+            engine(ts, Options(iter_hook=hook))
+        assert results and all(results)
+
 
 class TestThirdCoCond:
     def test_reports_repair(self, stuck0):
@@ -161,3 +185,21 @@ class TestDifferential:
             ts = random_system(rng, rng.randint(1, 3), 1, init_zero=False)
             w = pc_lor(ts)
             assert w.kind == brute_force_verdict(ts)
+
+    def test_matches_brute_force_on_larger_systems(self):
+        # draws of a fixed scan of random 6-8-latch systems; on draw 43 the
+        # walk first reaches I through a step that only T^rlx allows
+        wanted = {13, 15, 21, 23, 36, 43, 44, 45, 59}
+        rng = random.Random(11)
+        for i in range(max(wanted) + 1):
+            n_latch, n_in = rng.choice([6, 7, 8]), rng.choice([1, 2, 3])
+            src = random_system_source(rng, n_latch, n_in)
+            if i not in wanted:
+                continue
+            ts = add_stuttering(encode(parse_circuit(src)))
+            w = pc_lor(ts)
+            assert w.kind == brute_force_verdict(ts), i
+            if w.kind == "counterexample":
+                replay_trace(ts, w.trace)
+            else:
+                check_invariant_witness(ts, w.invariant)

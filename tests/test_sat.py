@@ -89,6 +89,45 @@ class TestIncremental:
                 assert res.core <= set(assume)
                 assert not Solver(f).solve(sorted(res.core))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_added_clauses_agree_with_fresh(self, data):
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        f, n = random_cnf(rng, max_var=8, max_clauses=12)
+        s = Solver(f)
+        clauses = list(f)
+        for _ in range(rng.randint(1, 10)):
+            # new clauses may hold variables the solver has not seen yet
+            more, _ = random_cnf(rng, max_var=n + 2, max_clauses=3)
+            for c in more:
+                s.add_clause(c)
+            clauses += more
+            vs = rng.sample(range(1, n + 3), rng.randint(0, n))
+            assume = [v if rng.random() < 0.5 else -v for v in vs]
+            res = s.solve(assume)
+            assert bool(res) == bool(Solver(clauses).solve(assume))
+            if res:
+                assert evaluate(Cnf(clauses), res.model) is True
+                for l in assume:
+                    assert res.model[abs(l)] == (l > 0)
+            else:
+                assert res.core <= set(assume)
+                assert not Solver(clauses).solve(sorted(res.core))
+
+    def test_add_clause_at_level_0(self):
+        s = Solver([Clause((1,)), Clause((-1, 2))])
+        assert s.solve()                 # level 0 holds 1 and 2
+        s.add_clause([2, 3])             # true at level 0: skipped
+        assert len(s.clauses) == 1
+        s.add_clause([-1, 3, 4])         # -1 is false at level 0: dropped
+        assert s.clauses[-1] == [3, 4]
+        s.add_clause([-3])               # a unit
+        res = s.solve()
+        assert res and not res.model[3] and res.model[4]
+        assert not s.solve([-4]) and s.ok
+        s.add_clause([])                 # the empty clause
+        assert not s.solve() and not s.ok
+
     def test_learnt_clauses_answer_a_repeated_query(self):
         # pigeonhole(6, 5) guarded by a selector: unsat only under it
         f = pigeonhole(6, 5)
