@@ -32,6 +32,12 @@ class FrameChain:
     H_k is stored over canonical (frame-0) state variables and renamed on
     demand.  R_k is a set of indices into the canonical transition clauses,
     so T = T^rlx ∧ R holds syntactically for every frame.
+
+    Each frame keeps one incremental solver over H_k ∧ T^rlx_{k,k+1}
+    (all of T for the last frame, whose step has no R_k yet).  It gains
+    the clauses that strengthen H_k, and is rebuilt on the next request
+    after R_k changes.  T^rlx allows a step from every state, so the
+    solver agrees with H_k alone on every query over frame-0 variables.
     """
 
     def __init__(self, ts, pqe_budget=DEFAULT_BUDGET):
@@ -41,6 +47,7 @@ class FrameChain:
         self.removed = []             # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
         self.implied_marks = set()    # (clause lits, frame) with a cached "implied" verdict
+        self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
 
     @property
     def j(self):
@@ -60,6 +67,15 @@ class FrameChain:
     def trlx_at(self, k):
         return rename_frame(self.trlx_cnf(k), self.ts.table, {0: k, 1: k + 1})
 
+    def solver(self, k):
+        """Frame k's solver; every variable of T gets a value in its
+        models."""
+        if k not in self.solvers:
+            trans = self.trlx_cnf(k) if k < self.j else self.ts.trans
+            self.solvers[k] = Solver(self.h[k] + list(trans),
+                                     extra_vars=self.ts.trans.variables())
+        return self.solvers[k]
+
     def add_frame(self):
         self.h.append([])
         self.removed.append(set())
@@ -70,12 +86,16 @@ class FrameChain:
             if c.lits not in present:
                 self.h[k].append(c)
                 present.add(c.lits)
+                if k in self.solvers:
+                    self.solvers[k].add_clause(c)
 
     def relax(self, k, indices):
         self.removed[k] |= set(indices)
+        self.solvers.pop(k, None)
 
     def restore(self, k, indices):
         self.removed[k] -= set(indices)
+        self.solvers.pop(k, None)
 
 
 def unrolled_lhs(chain, k, extra):
@@ -122,28 +142,21 @@ def check_co(chain):
     return CoReport(entries)
 
 
-def clause_implied(chain, m, clause, *, solvers):
+def clause_implied(chain, m, clause):
     """Does H_m imply the clause?  Positive verdicts are cached for good:
-    frames only ever gain clauses, so an implied clause stays implied.
-    The dict `solvers` keeps the one solver over H_m that answers the
-    caller's questions; a caller that strengthens H_m clears it."""
+    frames only ever gain clauses, so an implied clause stays implied."""
     key = (clause.lits, m)
     if key in chain.implied_marks:
         return True
-    if m not in solvers:
-        solvers[m] = Solver(chain.h[m])
-    if solvers[m].solve([-l for l in clause]):
+    if chain.solver(m).solve([-l for l in clause]):
         return False
     chain.implied_marks.add(key)
     return True
 
 
 def detect_invariant(chain):
-    """H_{m-1} is an inductive invariant as soon as H_m implies it.  No
-    frame changes during the scan, so each H_m gets one solver."""
-    solvers = {}
+    """H_{m-1} is an inductive invariant as soon as H_m implies it."""
     for m in range(1, chain.j + 1):
-        if all(clause_implied(chain, m, c, solvers=solvers)
-               for c in chain.h[m - 1]):
+        if all(clause_implied(chain, m, c) for c in chain.h[m - 1]):
             return chain.h_cnf(m - 1).normalize()
     return None

@@ -43,19 +43,17 @@ class Checker:
 
     # ------------------------------------------------------------ helpers
 
-    def _find_bad_state(self, f):
-        """A state satisfying formula f (over frame 0) but violating P."""
-        m = first_model(f, ([-l for l in c] for c in self.ts.prop),
-                        self.state_ids)
+    def _find_bad_state(self, k):
+        """A state of H_k that violates P."""
+        m = first_model(self.chain.solver(k),
+                        ([-l for l in c] for c in self.ts.prop))
         return None if m is None else {v: m[v] for v in self.state_ids}
 
     def _predecessor(self, k, s):
         """An H_{k-1}-state one T^rlx_{k-1,k}-transition before state s."""
-        chain = self.chain
-        f = chain.h_cnf(k - 1) + chain.trlx_cnf(k - 1)
         s1 = self._shift_state(s, 1)
-        res = solve(f, assumptions=[v if b else -v for v, b in sorted(s1.items())],
-                    extra_vars=self.state_ids)
+        res = self.chain.solver(k - 1).solve(
+            [v if b else -v for v, b in sorted(s1.items())])
         if not res:
             return None
         return {v: res.model[v] for v in self.state_ids}
@@ -73,11 +71,11 @@ class Checker:
         soft = Cnf(chain.trans_clauses[i] for i in kept)
         hard = chain.h_cnf(k - 1)
         try:
-            res = max_relax_solve(hard, soft, self._shift_state(target, 1))
+            left_out = max_relax_solve(hard, soft, self._shift_state(target, 1))
         except ValueError:
             raise CheckerError("frame %d: H_%d is unsatisfiable, so no "
                                "relaxation reaches a state" % (k, k - 1)) from None
-        return [kept[i] for i in sorted(res.falsified_soft)]
+        return [kept[i] for i in sorted(left_out)]
 
     def _exclude_state(self, k, s):
         """Make H_k false at s, which has no H_{k-1}-predecessor under
@@ -155,8 +153,8 @@ class Checker:
         ts = self.ts
         prop1 = rename_frame(ts.prop, ts.table, {0: 1})
         while True:
-            m = first_model(chain.h_cnf(j - 1) + ts.trans,
-                            ([-l for l in c] for c in prop1), self.state_ids)
+            m = first_model(chain.solver(j - 1),
+                            ([-l for l in c] for c in prop1))
             if m is None:
                 return None
             found = {v: m[v] for v in self.state_ids}
@@ -170,7 +168,7 @@ class Checker:
         chain = self.chain
         chain.add_frame()
         while True:
-            bad = self._find_bad_state(chain.h_cnf(j))
+            bad = self._find_bad_state(j)
             if bad is None:
                 return None
             self._exclude_state(j, bad)
@@ -180,10 +178,12 @@ class Checker:
         one relaxed transition.  A violation source that proves reachable
         from I forces restoring dropped clauses instead.  Returns whether
         any violation was found."""
+        chain = self.chain
         found = False
-        for m in range(self.chain.j, 0, -1):
+        for m in range(chain.j, 0, -1):
             while True:
-                viol = self._cond3_model(m)
+                viol = first_model(chain.solver(m - 1),
+                                   ([-l for l in c] for c in chain.h_at(m, 1)))
                 if viol is None:
                     break
                 found = True
@@ -191,13 +191,6 @@ class Checker:
                 if self._backward_walk(m - 1, src) == "reachable":
                     self._restore_step(m - 1, viol)
         return found
-
-    def _cond3_model(self, m):
-        """A transition of H_{m-1} ∧ T^rlx_{m-1,m} into a ¬H_m-state, or
-        None when condition 3 holds at frame m."""
-        chain = self.chain
-        return first_model(chain.h_cnf(m - 1) + chain.trlx_cnf(m - 1),
-                           ([-l for l in c] for c in chain.h_at(m, 1)))
 
     def _restore_step(self, k, model):
         """Un-relax: put back the dropped clauses of step k falsified by a
@@ -218,11 +211,9 @@ class Checker:
         chain = self.chain
         while True:
             for m in range(chain.j, 1, -1):
-                solvers = {}
                 for c in list(chain.h[m]):
-                    if not clause_implied(chain, m - 1, c, solvers=solvers):
+                    if not clause_implied(chain, m - 1, c):
                         chain.strengthen(m - 1, [c])
-                        solvers.clear()
             if not self.third_co_cond():
                 break
         return detect_invariant(chain)
@@ -237,10 +228,10 @@ class Checker:
         for i in range(depth):
             f = f + ts.frame(i)
         prop_d = rename_frame(ts.prop, ts.table, {0: depth})
-        m = first_model(f, ([-l for l in c] for c in prop_d),
-                        [ts.table.at_frame(v, i).id
-                         for v in ts.state_vars + ts.input_vars
-                         for i in range(depth + 1)])
+        solver = Solver(f, extra_vars=[ts.table.at_frame(v, i).id
+                                       for v in ts.state_vars + ts.input_vars
+                                       for i in range(depth + 1)])
+        m = first_model(solver, ([-l for l in c] for c in prop_d))
         if m is not None:
             return self._trace_witness(m, depth)
         raise CheckerError("relaxed counterexample did not replay under the "
@@ -262,7 +253,7 @@ class Checker:
 
     def run(self):
         ts = self.ts
-        if self._find_bad_state(ts.init) is not None:
+        if self._find_bad_state(0) is not None:
             return self.convert_cex(0)
         max_frames = self.opts.max_frames
         if max_frames is None:

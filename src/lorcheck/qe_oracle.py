@@ -205,11 +205,11 @@ def image_under(ts, trlx, states):
     return out
 
 
-def verify_boundary(h_j, ts, ts_rlx, j):
+def verify_boundary(h_j, ts, trlx, j):
     """Definition-5 check: h_j is 1 on Reach(j), 0 on Reach_rlx(j)\\Reach(j),
     where the relaxed system keeps the original relation on frames before
-    j-1 and uses ts_rlx on the last transition."""
-    trlx = ts_rlx.trans if hasattr(ts_rlx, "trans") else ts_rlx
+    j-1 and uses the CNF trlx (canonical frames 0 and 1) on the last
+    transition."""
     latch_ids = ts.state_ids(0)
     reach_j = reach_bruteforce(ts, j)
     if j == 0:

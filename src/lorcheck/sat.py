@@ -3,7 +3,7 @@ relaxation search (linear MaxSAT-lite)."""
 
 from __future__ import annotations
 
-from .cnf import Cnf, Clause, evaluate
+from .cnf import Cnf, Clause
 
 
 class SatResult:
@@ -19,14 +19,6 @@ class SatResult:
 
     def __repr__(self):
         return "SatResult(%s)" % self.status
-
-
-class RelaxResult:
-    __slots__ = ("model", "falsified_soft")
-
-    def __init__(self, model, falsified_soft):
-        self.model = model
-        self.falsified_soft = falsified_soft
 
 
 def _luby(i):
@@ -326,18 +318,12 @@ def implies(a, b):
     return not any(s.solve([-l for l in c]) for c in b)
 
 
-def first_model(f, queries, extra_vars=()):
-    """The model of f under the first assumption list in `queries` that is
-    satisfiable, or None.  One solver decides every query; the model is the
-    one a fresh solver returns for that query alone, so it does not depend
-    on the queries before it."""
-    s = Solver(f, extra_vars=extra_vars)
-    for n, assumptions in enumerate(queries):
-        res = s.solve(assumptions)
+def first_model(solver, queries):
+    """The solver's model under the first assumption list in `queries` that
+    is satisfiable, or None."""
+    for assumptions in queries:
+        res = solver.solve(assumptions)
         if res:
-            if n:
-                # a solver's first answer is already a fresh solver's
-                res = Solver(f, extra_vars=extra_vars).solve(assumptions)
             return res.model
     return None
 
@@ -346,9 +332,11 @@ def max_relax_solve(hard, soft, target):
     """Satisfy hard plus the target assignment while greedily minimizing the
     set of falsified soft clauses.
 
-    Linear search: assume one selector per soft clause, drop the lowest-index
-    selector of each unsat core until sat, then try re-adding dropped
-    selectors for local minimality.  Returns falsified soft-clause indices.
+    Linear search on one solver: assume one selector per soft clause, drop
+    the lowest-index selector of each unsat core until sat, then try
+    re-adding dropped selectors for local minimality.  Returns the indices
+    of the soft clauses left out; every model of hard, target and the rest
+    falsifies exactly those.
     """
     soft = [c if isinstance(c, Clause) else Clause(c) for c in soft]
     top = 0
@@ -361,14 +349,13 @@ def max_relax_solve(hard, soft, target):
     clause_lists = [list(c.lits if isinstance(c, Clause) else c) for c in hard]
     for sel, c in zip(selectors, soft):
         clause_lists.append([-sel] + list(c.lits))
+    solver = Solver(clause_lists)
     target_lits = [vid if val else -vid for vid, val in sorted(target.items())]
     active = set(selectors)
     dropped = []
-    model = None
     while True:
-        res = Solver(clause_lists).solve(target_lits + sorted(active))
+        res = solver.solve(target_lits + sorted(active))
         if res:
-            model = res.model
             break
         core_sels = sorted(s for s in res.core if s in active)
         if not core_sels:
@@ -376,14 +363,6 @@ def max_relax_solve(hard, soft, target):
         active.discard(core_sels[0])
         dropped.append(core_sels[0])
     for s_id in sorted(dropped):
-        res = Solver(clause_lists).solve(target_lits + sorted(active | {s_id}))
-        if res:
+        if solver.solve(target_lits + sorted(active | {s_id})):
             active.add(s_id)
-            model = res.model
-    sel_set = set(selectors)
-    model = {v: val for v, val in model.items() if v not in sel_set}
-    falsified = set()
-    for i, c in enumerate(soft):
-        if evaluate(Cnf([c]), model) is False:
-            falsified.add(i)
-    return RelaxResult(model, falsified)
+    return {i for i, sel in enumerate(selectors) if sel not in active}

@@ -3,8 +3,9 @@ import pytest
 from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
                                check_co, clause_implied, detect_invariant)
 from lorcheck.cnf import Cnf, Clause, rename_frame, evaluate
-from lorcheck.sat import implies
+from lorcheck.sat import Solver, implies
 from lorcheck.qe_oracle import check_pqe, verify_boundary
+from conftest import make_rng, random_system
 
 
 def stuck0_drop_indices(ts):
@@ -19,6 +20,21 @@ class TestFrameChain:
         chain = FrameChain(stuck0)
         assert chain.j == 0
         assert chain.h_cnf(0) == stuck0.init
+
+    def test_relax_and_restore_rebuild_one_solver(self, stuck0,
+                                                  built_solvers):
+        chain = FrameChain(stuck0)
+        chain.add_frame()
+        chain.add_frame()
+        solvers = [chain.solver(k) for k in range(3)]
+        before = len(built_solvers)
+        for change in (chain.relax, chain.restore):
+            change(1, [0])
+            again = [chain.solver(k) for k in range(3)]
+            assert again[0] is solvers[0] and again[2] is solvers[2]
+            assert again[1] is not solvers[1]
+            solvers = again
+        assert len(built_solvers) - before == 2
 
     def test_relax_restore_roundtrip(self, stuck0):
         chain = FrameChain(stuck0)
@@ -181,12 +197,63 @@ class TestInvariantDetection:
         # frame 1 fails on one of I's four clauses, frame 2 implies H_1
         assert inv == Cnf(init[:1])
         assert len(built_solvers) - before == 2
+        # the new clauses go to H_1's solver, and a second scan reuses it
+        chain.strengthen(1, init[1:])
+        assert detect_invariant(chain) == Cnf(init).normalize()
+        assert len(built_solvers) - before == 2
 
     def test_clause_implied_caches(self, stuck0):
         chain = FrameChain(stuck0)
         s = stuck0.state_ids(0)[0]
         chain.add_frame()
         chain.strengthen(1, [Clause((-s,))])
-        assert clause_implied(chain, 1, Clause((-s,)), solvers={})
+        assert clause_implied(chain, 1, Clause((-s,)))
         assert (Clause((-s,)).lits, 1) in chain.implied_marks
-        assert not clause_implied(chain, 1, Clause((s,)), solvers={})
+        assert not clause_implied(chain, 1, Clause((s,)))
+
+
+class TestFrameSolvers:
+    def test_agree_with_fresh_solvers(self):
+        """Random strengthen/relax/restore/add_frame sequences: after each
+        step, every frame's solver answers state queries as a fresh solver
+        over H_k ∧ T^rlx_{k,k+1} (T for the last frame) does, and
+        clause_implied as a fresh solver over H_k does."""
+        rng = make_rng(18)
+        for _ in range(25):
+            ts = random_system(rng, rng.randint(1, 3), rng.randint(1, 2))
+            chain = FrameChain(ts)
+            chain.add_frame()
+            n_trans = len(chain.trans_clauses)
+            ids = ts.state_ids(0) + ts.state_ids(1)
+
+            def random_lits(pool, n):
+                return [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(pool, min(n, len(pool)))]
+
+            for _ in range(10):
+                op = rng.choice(("strengthen", "strengthen", "relax",
+                                 "restore", "add_frame"))
+                k = rng.randint(0, chain.j)
+                if op == "strengthen":
+                    lits = random_lits(ts.state_ids(0), rng.randint(2, 3))
+                    chain.strengthen(k, [Clause(lits)])
+                elif op == "add_frame" and chain.j < 4:
+                    chain.add_frame()
+                elif op == "relax" and k < chain.j:
+                    chain.relax(k, rng.sample(range(n_trans),
+                                              rng.randint(1, 3)))
+                elif op == "restore" and k < chain.j and chain.removed[k]:
+                    dropped = sorted(chain.removed[k])
+                    chain.restore(k, rng.sample(dropped,
+                                                rng.randint(1, len(dropped))))
+                for m in range(chain.j + 1):
+                    trans = chain.trlx_cnf(m) if m < chain.j else ts.trans
+                    for _ in range(3):
+                        a = random_lits(ids, rng.randint(1, len(ids)))
+                        fresh = Solver(list(chain.h[m]) + list(trans))
+                        assert (bool(chain.solver(m).solve(a))
+                                == bool(fresh.solve(a)))
+                    c = Clause(random_lits(ts.state_ids(0), rng.randint(1, 2)))
+                    fresh = Solver(chain.h[m])
+                    assert (clause_implied(chain, m, c)
+                            == (not fresh.solve([-l for l in c])))

@@ -11,7 +11,8 @@ from lorcheck.pclor import pc_lor, Options, Witness
 from lorcheck.cnf import Cnf
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
-                      FORWARD_REF_SRCS, shreg_source, xorreg_source)
+                      FORWARD_REF_SRCS, make_rng, random_system_source,
+                      shreg_source, xorreg_source)
 
 
 # Draw 43 of the random 6-8-latch systems that
@@ -414,6 +415,39 @@ class TestSecFamilies:
         assert main(["sec", str(a), str(a), "--oracle-check",
                      "--witness", str(tmp_path / "w")]) == 0
         assert capfd.readouterr().err == ""
+
+
+class TestDeterminism:
+    """The per-frame solvers keep what they learn, so a model depends on
+    the queries before it; two runs in one process must still agree."""
+
+    def _twice(self, tmp_path, capfd, argv_of):
+        runs = []
+        for n in range(2):
+            w = tmp_path / ("w%d" % n)
+            main(argv_of(str(w)))
+            out = capfd.readouterr().out.splitlines()
+            runs.append(([l for l in out if not l.startswith(("time:",
+                                                              "witness:"))],
+                         w.read_bytes()))
+        assert runs[0] == runs[1]
+        return runs[0][0]
+
+    @pytest.mark.parametrize("seed", [2, 16])
+    def test_check(self, tmp_path, capfd, seed):
+        f = tmp_path / "rand.scirc"
+        f.write_text(random_system_source(make_rng(seed), 3, 1))
+        out = self._twice(tmp_path, capfd,
+                          lambda w: ["check", str(f), "--witness", w])
+        assert int(out[1].split()[1]) >= 2        # frames: n
+
+    def test_sec(self, tmp_path, capfd):
+        a, b = tmp_path / "a.scirc", tmp_path / "b.scirc"
+        a.write_text(shreg_source(3))
+        b.write_text(shreg_source(2))
+        out = self._twice(tmp_path, capfd,
+                          lambda w: ["sec", str(a), str(b), "--witness", w])
+        assert out[0] == "inequivalent"
 
 
 class TestPqe:

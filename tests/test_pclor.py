@@ -143,9 +143,9 @@ class TestThirdCoCond:
 
 
 class TestFinTouch:
-    def test_one_solver_per_frame_until_strengthened(self, dff_miter,
-                                                     built_solvers,
-                                                     monkeypatch):
+    def test_one_solver_per_frame_through_strengthening(self, dff_miter,
+                                                        built_solvers,
+                                                        monkeypatch):
         import lorcheck.pclor as pclor
         c = Checker(dff_miter)
         init = list(dff_miter.init)
@@ -157,10 +157,12 @@ class TestFinTouch:
         monkeypatch.setattr(pclor, "detect_invariant", lambda chain: None)
         before = len(built_solvers)
         c.fin_touch()
-        # ¬k.s is pushed, then a fresh solver over the strengthened H_1
-        # finds the two state-pair clauses implied
+        # ¬k.s is pushed into H_1's solver, which then finds the two
+        # state-pair clauses implied; a second pass builds nothing
         assert c.chain.h[1] == init[:2]
-        assert len(built_solvers) - before == 2
+        assert len(built_solvers) - before == 1
+        c.fin_touch()
+        assert len(built_solvers) - before == 1
 
 
 class TestDifferential:

@@ -148,7 +148,7 @@ class TestIncremental:
         res = s.solve([1])
         assert not res and res.core == set()
 
-    def test_first_model_is_a_fresh_solvers_model(self):
+    def test_first_model_answers_the_first_satisfiable_query(self):
         rng = random.Random(14)
         for _ in range(200):
             f, n = random_cnf(rng, max_var=6, max_clauses=12)
@@ -156,9 +156,15 @@ class TestIncremental:
                         for v in rng.sample(range(1, n + 1),
                                             rng.randint(1, n))]
                        for _ in range(rng.randint(1, 5))]
-            fresh = [solve(f, q, extra_vars=[n + 1]) for q in queries]
-            want = next((r.model for r in fresh if r), None)
-            assert first_model(f, queries, extra_vars=[n + 1]) == want
+            sat = [truth_table_sat(f + Cnf(Clause((l,)) for l in q), n)
+                   for q in queries]
+            m = first_model(Solver(f, extra_vars=[n + 1]), queries)
+            if not any(sat):
+                assert m is None
+                continue
+            q = queries[sat.index(True)]
+            assert evaluate(f, m) is True and n + 1 in m
+            assert all(m[abs(l)] == (l > 0) for l in q)
 
 
 class TestAssumptions:
@@ -238,18 +244,23 @@ class TestMaxRelaxSolve:
                 assert not solve(hard, assumptions=[
                     target_var if target[target_var] else -target_var])
                 continue
-            m = res.model
-            assert evaluate(hard, m) is True
-            assert m[target_var] == target[target_var]
-            for i, c in enumerate(soft):
-                sat = evaluate(Cnf([c]), m)
-                if i in res.falsified_soft:
-                    assert sat is False
-                else:
-                    assert sat is True
+            # the kept softs are satisfiable with hard and the target, and
+            # each left-out one is not; fresh solvers check both
+            kept = list(hard) + [c for i, c in enumerate(soft)
+                                 if i not in res]
+            lits = [target_var if target[target_var] else -target_var]
+            assert Solver(kept).solve(lits)
+            for i in res:
+                assert not Solver(kept + [soft.clauses[i]]).solve(lits)
 
     def test_drops_exactly_the_blocking_clause(self):
         hard = Cnf([])
         soft = Cnf([Clause((-1,)), Clause((2,))])
-        res = max_relax_solve(hard, soft, {1: True})
-        assert res.falsified_soft == {0}
+        assert max_relax_solve(hard, soft, {1: True}) == {0}
+
+    def test_one_solver_per_call(self, built_solvers):
+        hard = Cnf([Clause((1, 2))])
+        soft = Cnf([Clause((-1,)), Clause((-2,)), Clause((3,)),
+                    Clause((-3, 1))])
+        assert max_relax_solve(hard, soft, {3: True}) == {0}
+        assert len(built_solvers) == 1
