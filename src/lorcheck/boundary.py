@@ -9,23 +9,6 @@ from .sat import Solver, implies
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out
 
 
-class CoReport:
-    """Per-frame, per-condition verdicts of the four CO conditions."""
-
-    def __init__(self, entries):
-        self.entries = entries  # list of (condition number, frame, bool)
-
-    @property
-    def ok(self):
-        return all(passed for _, _, passed in self.entries)
-
-    def failures(self):
-        return [(c, m) for c, m, passed in self.entries if not passed]
-
-    def __repr__(self):
-        return "CoReport(ok=%s, failures=%s)" % (self.ok, self.failures())
-
-
 class FrameChain:
     """H_0..H_j plus removed-clause sets R_k defining T^rlx_{k,k+1}.
 
@@ -64,9 +47,6 @@ class FrameChain:
         r = self.removed[k]
         return Cnf(c for i, c in enumerate(self.trans_clauses) if i not in r)
 
-    def trlx_at(self, k):
-        return rename_frame(self.trlx_cnf(k), self.ts.table, {0: k, 1: k + 1})
-
     def solver(self, k):
         """Frame k's solver; every variable of T gets a value in its
         models."""
@@ -99,17 +79,18 @@ class FrameChain:
 
 
 def unrolled_lhs(chain, k, extra):
-    """The PQE task for frame k: take `extra` (canonical 0→1 transition
-    clauses, instantiated at step k-1→k) out of
-    H_{k-1} ∧ H_k ∧ T^rlx_{k-1,k}, quantifying everything below frame k.
-    The chain summarizes the prefix, so no earlier transition copies are
-    needed.  H_0..H_{k-2} are left out too: they share no variable with the
-    rest and hold on every initial state, so they do not change ∃W[·].  The
-    task stays the same size at every depth."""
+    """The PQE task for frame k, in canonical frames 0 and 1: take `extra`
+    (canonical 0→1 transition clauses) out of H_{k-1} ∧ H_k′ ∧ T^rlx_{k-1},
+    quantifying everything but the frame-1 state variables.  The chain
+    summarizes the prefix, so no earlier transition copies are needed.
+    H_0..H_{k-2} are left out too: they share no variable with the rest
+    and hold on every initial state, so they do not change ∃W[·].  The
+    task stays the same size at every depth and creates no variable past
+    frame 1."""
     ts = chain.ts
-    a = rename_frame(Cnf(extra), ts.table, {0: k - 1, 1: k})
-    b = chain.h_at(k - 1, k - 1) + chain.h_at(k, k) + chain.trlx_at(k - 1)
-    w = (a.variables() | b.variables()) - set(ts.state_ids(k))
+    a = Cnf(extra)
+    b = chain.h_cnf(k - 1) + chain.h_at(k, 1) + chain.trlx_cnf(k - 1)
+    w = (a.variables() | b.variables()) - set(ts.state_ids(1))
     return PqeTask(w, a, b.normalize())
 
 
@@ -124,11 +105,11 @@ def makeup_clauses(chain, k, indices):
         return Cnf([])
     task = unrolled_lhs(chain, k, [chain.trans_clauses[i] for i in indices])
     a_star = take_out(task, budget=chain.pqe_budget)
-    return rename_frame(a_star, chain.ts.table, {k: 0})
+    return rename_frame(a_star, chain.ts.table, {1: 0})
 
 
 def check_co(chain):
-    """Evaluate the four CO conditions on every frame."""
+    """The (condition, frame) pairs of the four CO conditions that fail."""
     ts = chain.ts
     entries = []
     init = Cnf(chain.h[0])
@@ -139,7 +120,7 @@ def check_co(chain):
         lhs = chain.h_cnf(m - 1) + chain.trlx_cnf(m - 1)
         entries.append((3, m, implies(lhs, chain.h_at(m, 1))))
         entries.append((4, m, implies(chain.h_cnf(m - 1), chain.h_cnf(m))))
-    return CoReport(entries)
+    return [(c, m) for c, m, passed in entries if not passed]
 
 
 def clause_implied(chain, m, clause):

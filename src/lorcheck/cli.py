@@ -224,10 +224,10 @@ def _oracle_hook(ts, out):
     from .qe_oracle import verify_boundary, OracleBudgetError
 
     def hook(chain):
-        rep = check_co(chain)
-        if not rep.ok:
+        failures = check_co(chain)
+        if failures:
             raise CheckerError("oracle check: CO conditions failed: %s"
-                               % rep.failures())
+                               % failures)
         for k in range(1, chain.j + 1):
             try:
                 ok = verify_boundary(chain.h_cnf(k), ts,

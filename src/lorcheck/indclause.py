@@ -25,41 +25,46 @@ class Cti:
         self.target = target
 
 
-def _consecution_model(ts, f, clause):
-    """A model of F ∧ C ∧ T ∧ ¬C′, or None when C is inductive w.r.t. F."""
-    c1 = rename_frame(Cnf([clause]), ts.table, {0: 1}).clauses[0]
-    lhs = f + Cnf([clause]) + ts.trans
-    res = solve(lhs, assumptions=[-l for l in c1],
-                extra_vars=ts.state_ids(0))
-    return res.model if res else None
-
-
 def make_inductive_clause(ts, f, s):
-    """A clause excluding state s, implied by I and inductive relative to f;
-    or the Cti blocking it."""
+    """A clause C excluding state s, implied by I and inductive relative to
+    f; or the Cti blocking it, whose state starts a model of
+    F ∧ C ∧ T ∧ ¬C′."""
     c = longest_falsified_clause(s)
     if not implies(ts.init, Cnf([c])):
         # s is an initial state: nothing implied by I can exclude it
         return Cti(s, None)
-    m = _consecution_model(ts, f, c)
-    if m is not None:
-        pred = {v: m[v] for v in ts.state_ids(0)}
-        return Cti(pred, s)
+    c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
+    res = solve(f + Cnf([c]) + ts.trans, [-l for l in c1],
+                extra_vars=ts.state_ids(0))
+    if res:
+        return Cti({v: res.model[v] for v in ts.state_ids(0)}, s)
     return c
 
 
 def generalize(c, f, ts):
     """Drop literals of c greedily (ascending variable order) while the
-    result stays implied by I and inductive relative to f."""
-    lits = list(c.lits)
-    for l in sorted(lits, key=abs):
+    result stays implied by I and inductive relative to f.
+
+    One solver over I and one over F ∧ T serve every trial.  A trial clause
+    joins the second under an activation literal, which the check assumes
+    and a unit retires afterwards."""
+    init, step = Solver(ts.init), Solver(list(f) + list(ts.trans))
+    c1 = [u.lits[0] for u in rename_frame(Cnf((l,) for l in c), ts.table,
+                                          {0: 1})]
+    shift = dict(zip(c, c1))
+    act = max(step.var_ids | c.variables() | {abs(l) for l in c1})
+    lits = list(c)
+    for l in c:
         if len(lits) == 1:
             break
-        trial = Clause(x for x in lits if x != l)
-        if not implies(ts.init, Cnf([trial])):
+        trial = [x for x in lits if x != l]
+        if init.solve([-x for x in trial]):
             continue
-        if _consecution_model(ts, f, trial) is None:
-            lits = list(trial.lits)
+        act += 1
+        step.add_clause([-act] + trial)
+        if not step.solve([act] + [-shift[x] for x in trial]):
+            lits = trial
+        step.add_clause([-act])
     return Clause(lits)
 
 

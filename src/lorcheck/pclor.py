@@ -3,6 +3,8 @@ the CO conditions, push clauses, and stop on an invariant or counterexample."""
 
 from __future__ import annotations
 
+import functools
+
 from .cnf import Cnf, evaluate, rename_frame
 from .sat import Solver, solve, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
@@ -130,12 +132,11 @@ class Checker:
         restore the dropped clauses that a relaxed transition of the step
         falsifies, and return the stack position of the step's source;
         None when every step is a transition of T."""
-        solver = Solver(self.ts.trans)
         for i in range(len(stack) - 1, 0, -1):
             (k, a), (_, b) = stack[i], stack[i - 1]
             both = sorted(a.items()) + sorted(self._shift_state(b, 1).items())
             lits = [v if val else -v for v, val in both]
-            if not solver.solve(lits):
+            if not self._t_solver.solve(lits):
                 # every variable of T gets a value, so the model falsifies
                 # some dropped clause
                 res = solve(self.chain.trlx_cnf(k), lits,
@@ -144,22 +145,33 @@ class Checker:
                 return i
         return None
 
+    @functools.cached_property
+    def _t_solver(self):
+        """One solver over T for every replay of the run."""
+        return Solver(self.ts.trans)
+
     # ---------------------------------------------------- main operations
+
+    def _reachable_violation(self, k, targets):
+        """The first model of frame k's solver that falsifies a clause of
+        `targets` (over frame-1 variables) and whose source state the
+        backward walk proves reachable; None once the walks have excluded
+        every such source from H_k."""
+        queries = [[-l for l in c] for c in targets]
+        while True:
+            m = first_model(self.chain.solver(k), queries)
+            if m is None:
+                return None
+            src = {v: m[v] for v in self.state_ids}
+            if self._backward_walk(k, src) == "reachable":
+                return m
 
     def rem_bad_st(self, j):
         """Strengthen H_{j-1} until no bad state is one original-T
         transition away, or report a counterexample depth."""
-        chain = self.chain
-        ts = self.ts
-        prop1 = rename_frame(ts.prop, ts.table, {0: 1})
-        while True:
-            m = first_model(chain.solver(j - 1),
-                            ([-l for l in c] for c in prop1))
-            if m is None:
-                return None
-            found = {v: m[v] for v in self.state_ids}
-            if self._backward_walk(j - 1, found) == "reachable":
-                return j  # counterexample of j transitions exists
+        prop1 = rename_frame(self.ts.prop, self.ts.table, {0: 1})
+        found = self._reachable_violation(j - 1, prop1)
+        return None if found is None else j  # a counterexample of j steps
 
     def fin_rlx(self, j):
         """Create H_j and strengthen it until it implies P.  After
@@ -176,21 +188,14 @@ class Checker:
     def third_co_cond(self):
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
         one relaxed transition.  A violation source that proves reachable
-        from I forces restoring dropped clauses instead.  Returns whether
-        any violation was found."""
+        from I forces restoring dropped clauses instead.  The walks from
+        frame m-1 strengthen only frames below m, so H_m is renamed to
+        frame 1 once."""
         chain = self.chain
-        found = False
         for m in range(chain.j, 0, -1):
-            while True:
-                viol = first_model(chain.solver(m - 1),
-                                   ([-l for l in c] for c in chain.h_at(m, 1)))
-                if viol is None:
-                    break
-                found = True
-                src = {v: viol[v] for v in self.state_ids}
-                if self._backward_walk(m - 1, src) == "reachable":
-                    self._restore_step(m - 1, viol)
-        return found
+            h1 = chain.h_at(m, 1)
+            while (viol := self._reachable_violation(m - 1, h1)) is not None:
+                self._restore_step(m - 1, viol)
 
     def _restore_step(self, k, model):
         """Un-relax: put back the dropped clauses of step k falsified by a
@@ -206,17 +211,20 @@ class Checker:
         chain.restore(k, broken)
 
     def fin_touch(self):
-        """Push clauses toward frame 0 until implied, repair condition 3 if
-        pushing breaks it, then look for an invariant."""
+        """Push clauses toward frame 0 until implied, repair condition 3
+        after each round that strengthened a frame, then look for an
+        invariant."""
         chain = self.chain
         while True:
+            pushed = False
             for m in range(chain.j, 1, -1):
                 for c in list(chain.h[m]):
                     if not clause_implied(chain, m - 1, c):
                         chain.strengthen(m - 1, [c])
-            if not self.third_co_cond():
-                break
-        return detect_invariant(chain)
+                        pushed = True
+            if not pushed:
+                return detect_invariant(chain)
+            self.third_co_cond()
 
     # ------------------------------------------------------------- result
 

@@ -3,8 +3,6 @@ relaxation search (linear MaxSAT-lite)."""
 
 from __future__ import annotations
 
-from .cnf import Cnf, Clause
-
 
 class SatResult:
     __slots__ = ("status", "model", "core")
@@ -55,7 +53,7 @@ class Solver:
         self.ok = True
         self.units = []
         for c in clauses:
-            lits = list(c.lits if isinstance(c, Clause) else c)
+            lits = list(c)
             self.var_ids.update(abs(l) for l in lits)
             if not lits:
                 self.ok = False
@@ -83,7 +81,7 @@ class Solver:
         there, and drop the literals that are false there."""
         self._backtrack(0)
         rest = []
-        for l in (lits.lits if isinstance(lits, Clause) else lits):
+        for l in lits:
             v = self._value(l)
             if v is True:
                 return
@@ -338,18 +336,11 @@ def max_relax_solve(hard, soft, target):
     of the soft clauses left out; every model of hard, target and the rest
     falsifies exactly those.
     """
-    soft = [c if isinstance(c, Clause) else Clause(c) for c in soft]
-    top = 0
-    for c in list(hard) + soft:
-        for l in c:
-            top = max(top, abs(l))
-    for v in target:
-        top = max(top, abs(v))
-    selectors = list(range(top + 1, top + 1 + len(soft)))
-    clause_lists = [list(c.lits if isinstance(c, Clause) else c) for c in hard]
-    for sel, c in zip(selectors, soft):
-        clause_lists.append([-sel] + list(c.lits))
-    solver = Solver(clause_lists)
+    hard, soft = [list(c) for c in hard], [list(c) for c in soft]
+    top = max([abs(l) for c in hard + soft for l in c] + list(target),
+              default=0)
+    selectors = range(top + 1, top + 1 + len(soft))
+    solver = Solver(hard + [[-sel] + c for sel, c in zip(selectors, soft)])
     target_lits = [vid if val else -vid for vid, val in sorted(target.items())]
     active = set(selectors)
     dropped = []

@@ -195,7 +195,7 @@ def test_criterion_7_co_conditions_hold_every_iteration():
         for engine in (pc_lor, pc_lor_ic):
             engine(ts, Options(iter_hook=lambda ch: reports.append(check_co(ch))))
     report(7, "CO conditions hold after each of %d loop iterations"
-           % len(reports), bool(reports) and all(r.ok for r in reports))
+           % len(reports), bool(reports) and all(r == [] for r in reports))
 
 
 def test_criterion_8_stuttering_preserves_verdict():

@@ -95,7 +95,7 @@ class TestChainSoundness:
         reports = []
         opts = Options(iter_hook=lambda ch: reports.append(check_co(ch)))
         pc_lor(stuck0, opts)
-        assert reports and all(r.ok for r in reports)
+        assert reports and all(r == [] for r in reports)
 
     def test_boundaries_verified(self, stuck0):
         results = []
@@ -129,17 +129,19 @@ class TestChainSoundness:
 
 
 class TestThirdCoCond:
-    def test_reports_repair(self, stuck0):
+    def test_repairs_then_leaves_chain_alone(self, stuck0):
         """On a chain whose frame-1 relaxation breaks condition 3, the first
-        call repairs it and says so; a second call finds nothing."""
+        call repairs it; a second call changes nothing."""
         c = Checker(stuck0)
         c.chain.add_frame()
         c.chain.strengthen(1, [Clause((-stuck0.state_ids(0)[0],))])
         c.chain.relax(0, stuck0_drop_indices(stuck0))
-        assert (3, 1) in check_co(c.chain).failures()
-        assert c.third_co_cond() is True
-        assert (3, 1) not in check_co(c.chain).failures()
-        assert c.third_co_cond() is False
+        assert (3, 1) in check_co(c.chain)
+        c.third_co_cond()
+        assert (3, 1) not in check_co(c.chain)
+        h, removed = [list(f) for f in c.chain.h], list(c.chain.removed)
+        c.third_co_cond()
+        assert c.chain.h == h and c.chain.removed == removed
 
 
 class TestFinTouch:
@@ -164,6 +166,38 @@ class TestFinTouch:
         c.fin_touch()
         assert len(built_solvers) - before == 1
 
+    def test_repairs_only_after_a_push(self, dff_miter, monkeypatch):
+        import lorcheck.pclor as pclor
+        init = list(dff_miter.init)
+        monkeypatch.setattr(pclor, "detect_invariant", lambda chain: None)
+        for h1, pushed, want in ((init, init, []),
+                                 (init[:1], init[:2], [1])):
+            c = Checker(dff_miter)
+            c.chain.add_frame()
+            c.chain.add_frame()
+            c.chain.strengthen(1, h1)
+            c.chain.strengthen(2, init)
+            calls = []
+            monkeypatch.setattr(c, "third_co_cond", lambda: calls.append(1))
+            c.fin_touch()
+            # with nothing to push there is nothing to repair; after one
+            # pushing round, the next pushes nothing
+            assert c.chain.h[1] == pushed and calls == want
+
+
+class TestFrames:
+    def test_no_variable_past_frame_1(self):
+        """PQE tasks and condition-3 queries stay in frames 0 and 1."""
+        ring6 = "\n".join(["latch s0 init 1 next s5"] +
+                          ["latch s%d init 0 next s%d" % (i, i - 1)
+                           for i in range(1, 6)] +
+                          ["prop NOT (s0 AND s1)", ""])
+        ts = add_stuttering(encode(parse_circuit(ring6)))
+        frames = []
+        w = pc_lor(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+        assert w.kind == "invariant" and max(frames) > 2
+        assert max(v.frame or 0 for v in ts.table.by_id.values()) == 1
+
 
 class TestDifferential:
     def test_matches_brute_force(self):
@@ -175,7 +209,7 @@ class TestDifferential:
             w = pc_lor(ts, Options(
                 iter_hook=lambda ch: reports.append(check_co(ch))))
             assert w.kind == want
-            assert all(r.ok for r in reports)
+            assert all(r == [] for r in reports)
             if w.kind == "counterexample":
                 replay_trace(ts, w.trace)
             else:
