@@ -7,6 +7,8 @@ that fails."""
 
 from __future__ import annotations
 
+import functools
+
 from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename_frame
 from .sat import Solver, solve, implies
 from .boundary import makeup_clauses
@@ -25,12 +27,12 @@ class Cti:
         self.target = target
 
 
-def make_inductive_clause(ts, f, s):
+def make_inductive_clause(ts, f, s, init):
     """A clause C excluding state s, implied by I and inductive relative to
     f; or the Cti blocking it, whose state starts a model of
-    F ∧ C ∧ T ∧ ¬C′."""
+    F ∧ C ∧ T ∧ ¬C′.  `init` is a solver over I."""
     c = longest_falsified_clause(s)
-    if not implies(ts.init, Cnf([c])):
+    if init.solve([-l for l in c]):
         # s is an initial state: nothing implied by I can exclude it
         return Cti(s, None)
     c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
@@ -41,14 +43,14 @@ def make_inductive_clause(ts, f, s):
     return c
 
 
-def generalize(c, f, ts):
+def generalize(c, f, ts, init):
     """Drop literals of c greedily (ascending variable order) while the
     result stays implied by I and inductive relative to f.
 
-    One solver over I and one over F ∧ T serve every trial.  A trial clause
-    joins the second under an activation literal, which the check assumes
-    and a unit retires afterwards."""
-    init, step = Solver(ts.init), Solver(list(f) + list(ts.trans))
+    The solver `init` over I and one over F ∧ T serve every trial.  A trial
+    clause joins the second under an activation literal, which the check
+    assumes and a unit retires afterwards."""
+    step = Solver(list(f) + list(ts.trans))
     c1 = [u.lits[0] for u in rename_frame(Cnf((l,) for l in c), ts.table,
                                           {0: 1})]
     shift = dict(zip(c, c1))
@@ -127,12 +129,19 @@ class IcChecker(Checker):
     when that finds no invariant; it returns an invariant found either
     way."""
 
+    @functools.cached_property
+    def _init_solver(self):
+        """One solver over I for every I question of the run; they are all
+        sat/unsat questions, so sharing it changes no answer."""
+        return Solver(self.ts.init)
+
     def _block(self, k, s):
         f = self.chain.h_cnf(k - 1)
-        r = make_inductive_clause(self.ts, f, s)
+        r = make_inductive_clause(self.ts, f, s, self._init_solver)
         if isinstance(r, Cti):
             return "reachable" if r.target is None or k == 1 else r.state
-        self.chain.strengthen(k, [generalize(r, f, self.ts)])
+        self.chain.strengthen(k, [generalize(r, f, self.ts,
+                                             self._init_solver)])
         return None
 
     def fin_rlx(self, j):

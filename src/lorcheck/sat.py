@@ -3,6 +3,8 @@ relaxation search (linear MaxSAT-lite)."""
 
 from __future__ import annotations
 
+import bisect
+
 
 class SatResult:
     __slots__ = ("status", "model", "core")
@@ -45,6 +47,13 @@ class Solver:
     First-UIP learning, two watched literals, decaying variable activities,
     Luby restarts.  Decisions break activity ties on lowest variable id and
     try positive polarity first, so runs are reproducible.
+
+    ``value`` maps both literals of every registered variable to True,
+    False or None (unassigned), so a literal's value is one subscript.
+    ``level`` and ``reason`` keep the entries of variables unassigned by a
+    backtrack: they are read only for assigned variables (the literals of
+    a conflict or reason clause, a false assumption), and assigning a
+    variable overwrites both.
     """
 
     def __init__(self, clauses, extra_vars=()):
@@ -54,23 +63,25 @@ class Solver:
         self.units = []
         for c in clauses:
             lits = list(c)
-            self.var_ids.update(abs(l) for l in lits)
+            self.var_ids.update(map(abs, lits))
             if not lits:
                 self.ok = False
             elif len(lits) == 1:
                 self.units.append(lits[0])
             else:
                 self.clauses.append(lits)
-        self.assign = {}
+        self.value = {}
+        for vid in self.var_ids:
+            self.value[vid] = self.value[-vid] = None
         self.level = {}
         self.reason = {}
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.watches = {}
+        self.watches = watches = {}
         for idx, lits in enumerate(self.clauses):
-            self._watch(lits[0], idx)
-            self._watch(lits[1], idx)
+            watches.setdefault(-lits[0], []).append(idx)
+            watches.setdefault(-lits[1], []).append(idx)
         self.activity = dict.fromkeys(self.var_ids, 0.0)
         self.act_inc = 1.0
         self.order = sorted(self.var_ids)
@@ -82,7 +93,7 @@ class Solver:
         self._backtrack(0)
         rest = []
         for l in lits:
-            v = self._value(l)
+            v = self.value.get(l)  # None for an unregistered variable
             if v is True:
                 return
             if v is None:
@@ -102,58 +113,68 @@ class Solver:
         if vid not in self.var_ids:
             self.var_ids.add(vid)
             self.activity[vid] = 0.0
-            self.order = sorted(self.var_ids)
+            self.value[vid] = self.value[-vid] = None
+            bisect.insort(self.order, vid)
 
     def _watch(self, lit, idx):
         # watcher lists are keyed by the literal whose falsification wakes them
         self.watches.setdefault(-lit, []).append(idx)
 
-    def _value(self, lit):
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v == (lit > 0)
-
     def _enqueue(self, lit, reason=None):
+        self.value[lit] = True
+        self.value[-lit] = False
         vid = abs(lit)
-        self.assign[vid] = lit > 0
         self.level[vid] = len(self.trail_lim)
         self.reason[vid] = reason
         self.trail.append(lit)
 
     def _propagate(self):
         """Exhaustive unit propagation; returns a conflict clause or None."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            pending = self.watches.pop(lit, None)
+        trail, value, watches = self.trail, self.value, self.watches
+        clauses, level, reason = self.clauses, self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            pending = watches.pop(lit, None)
             if not pending:
                 continue
+            false_lit = -lit
             keep = []
             conflict = None
             for pos, idx in enumerate(pending):
-                lits = self.clauses[idx]
-                if lits[0] == -lit:
+                lits = clauses[idx]
+                if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
-                if self._value(lits[0]) is True:
+                first = lits[0]
+                v = value[first]
+                if v is True:
                     keep.append(idx)
                     continue
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) is not False:
+                    if value[lits[k]] is not False:
                         lits[1], lits[k] = lits[k], lits[1]
-                        self._watch(lits[1], idx)
+                        watches.setdefault(-lits[1], []).append(idx)
                         break
                 else:
                     keep.append(idx)
-                    if self._value(lits[0]) is False:
+                    if v is False:
                         keep.extend(pending[pos + 1:])
                         conflict = lits
                         break
-                    self._enqueue(lits[0], idx)
+                    value[first] = True
+                    value[-first] = False
+                    vid = abs(first)
+                    level[vid] = lvl
+                    reason[vid] = idx
+                    trail.append(first)
             if keep:
-                self.watches.setdefault(lit, []).extend(keep)
+                watches.setdefault(lit, []).extend(keep)
             if conflict is not None:
+                self.qhead = qhead
                 return conflict
+        self.qhead = qhead
         return None
 
     def _bump(self, vid):
@@ -202,41 +223,49 @@ class Solver:
         return learnt, back
 
     def _backtrack(self, lvl):
-        while len(self.trail_lim) > lvl:
-            mark = self.trail_lim.pop()
-            while len(self.trail) > mark:
-                vid = abs(self.trail.pop())
-                del self.assign[vid], self.level[vid], self.reason[vid]
+        if len(self.trail_lim) > lvl:
+            mark = self.trail_lim[lvl]
+            value = self.value
+            for lit in self.trail[mark:]:
+                value[lit] = value[-lit] = None
+            del self.trail[mark:]
+            del self.trail_lim[lvl:]
         self.qhead = min(self.qhead, len(self.trail))
         self.n_assumed = min(self.n_assumed, lvl)
 
     def _decide_var(self):
+        value, activity = self.value, self.activity
         best = None
         best_act = -1.0
         for vid in self.order:
-            if vid not in self.assign and self.activity[vid] > best_act:
-                best, best_act = vid, self.activity[vid]
+            if value[vid] is None and activity[vid] > best_act:
+                best, best_act = vid, activity[vid]
         return best
 
     def _analyze_final(self, start_lits, assumption_set):
-        """Explain the falsity of start_lits as a set of assumption literals."""
+        """Explain the falsity of start_lits as a set of assumption literals.
+        Every literal of start_lits is assigned."""
+        trail, level, reason = self.trail, self.level, self.reason
         core = set()
         seen = set()
         for l in start_lits:
             vid = abs(l)
-            if vid in self.level and self.level[vid] > 0:
+            if level[vid] > 0:
                 seen.add(vid)
-        for lit in reversed(self.trail):
+        # nothing at level 0 is ever seen
+        stop = self.trail_lim[0] if self.trail_lim else len(trail)
+        for i in range(len(trail) - 1, stop - 1, -1):
+            lit = trail[i]
             vid = abs(lit)
             if vid not in seen:
                 continue
-            r = self.reason[vid]
+            r = reason[vid]
             if r is None:
                 if lit in assumption_set:
                     core.add(lit)
             else:
                 for l in self.clauses[r]:
-                    if abs(l) != vid and self.level[abs(l)] > 0:
+                    if abs(l) != vid and level[abs(l)] > 0:
                         seen.add(abs(l))
         return core
 
@@ -247,8 +276,10 @@ class Solver:
         self._backtrack(0)
         if not self.ok:
             return SatResult("unsat", core=set())
+        trail, trail_lim, value = self.trail, self.trail_lim, self.value
+        clauses, level, reason = self.clauses, self.level, self.reason
         for u in self.units:
-            v = self._value(u)
+            v = value[u]
             if v is False:
                 self.ok = False
                 return SatResult("unsat", core=set())
@@ -261,17 +292,17 @@ class Solver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                if len(self.trail_lim) == 0:
+                if not trail_lim:
                     self.ok = False
                     return SatResult("unsat", core=set())
-                if len(self.trail_lim) <= self.n_assumed:
+                if len(trail_lim) <= self.n_assumed:
                     core = self._analyze_final(conflict, assumption_set)
                     return SatResult("unsat", core=core)
                 conflicts += 1
                 learnt, back = self._analyze(conflict)
                 self._backtrack(back)
-                idx = len(self.clauses)
-                self.clauses.append(learnt)
+                idx = len(clauses)
+                clauses.append(learnt)
                 if len(learnt) >= 2:
                     self._watch(learnt[0], idx)
                     self._watch(learnt[1], idx)
@@ -287,21 +318,30 @@ class Solver:
                 continue
             if self.n_assumed < len(assumptions):
                 a = assumptions[self.n_assumed]
-                v = self._value(a)
+                v = value[a]
                 if v is False:
                     core = self._analyze_final([a], assumption_set)
                     core.add(a)
                     return SatResult("unsat", core=core)
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 self.n_assumed += 1
                 if v is None:
-                    self._enqueue(a)
+                    value[a] = True
+                    value[-a] = False
+                    level[abs(a)] = len(trail_lim)
+                    reason[abs(a)] = None
+                    trail.append(a)
                 continue
             vid = self._decide_var()
             if vid is None:
-                return SatResult("sat", model=dict(self.assign))
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(vid)  # positive polarity first
+                return SatResult("sat", model={abs(l): l > 0 for l in trail})
+            trail_lim.append(len(trail))
+            # positive polarity first
+            value[vid] = True
+            value[-vid] = False
+            level[vid] = len(trail_lim)
+            reason[vid] = None
+            trail.append(vid)
         # not reached
 
 

@@ -3,10 +3,11 @@ import itertools
 import pytest
 
 from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
-from lorcheck.sat import implies
+from lorcheck.sat import Solver, implies
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
                               build_miter)
+import lorcheck.indclause as indclause
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
                                 generalize, educat_guess_rlx, houdini,
                                 pc_lor_ic)
@@ -20,19 +21,22 @@ from test_pclor import replay_trace, check_invariant_witness
 class TestMakeInductiveClause:
     def test_excludes_unreachable_state(self, stuck0):
         s = stuck0.state_ids(0)[0]
-        r = make_inductive_clause(stuck0, stuck0.init, {s: True})
+        r = make_inductive_clause(stuck0, stuck0.init, {s: True},
+                                  Solver(stuck0.init))
         assert isinstance(r, Clause)
         assert r == Clause((-s,))
 
     def test_initial_state_yields_rooted_cti(self, stuck0):
         s = stuck0.state_ids(0)[0]
-        r = make_inductive_clause(stuck0, stuck0.init, {s: False})
+        r = make_inductive_clause(stuck0, stuck0.init, {s: False},
+                                  Solver(stuck0.init))
         assert isinstance(r, Cti)
         assert r.target is None
 
     def test_reachable_state_yields_predecessor_cti(self, toggle):
         s = toggle.state_ids(0)[0]
-        r = make_inductive_clause(toggle, toggle.init, {s: True})
+        r = make_inductive_clause(toggle, toggle.init, {s: True},
+                                  Solver(toggle.init))
         assert isinstance(r, Cti)
         assert r.state == {s: False}
         assert r.target == {s: True}
@@ -42,10 +46,10 @@ class TestMakeInductiveClause:
         for _ in range(20):
             ts = random_system(rng, 2, 1)
             ids = ts.state_ids(0)
-            f = ts.init
+            f, init = ts.init, Solver(ts.init)
             for bits in itertools.product([False, True], repeat=2):
                 s = dict(zip(ids, bits))
-                r = make_inductive_clause(ts, f, s)
+                r = make_inductive_clause(ts, f, s, init)
                 if not isinstance(r, Clause):
                     continue
                 assert evaluate(Cnf([r]), s) is False
@@ -60,7 +64,7 @@ class TestGeneralize:
         stut = stuck0.stuttering_var.id
         # artificially widened clause; only ¬s is needed
         wide = Clause((-s, stut))
-        g = generalize(wide, stuck0.init, stuck0)
+        g = generalize(wide, stuck0.init, stuck0, Solver(stuck0.init))
         assert g == Clause((-s,))
 
     def test_result_still_inductive(self):
@@ -69,10 +73,11 @@ class TestGeneralize:
             ts = random_system(rng, 3, 1)
             ids = ts.state_ids(0)
             s = dict(zip(ids, (True, True, True)))
-            r = make_inductive_clause(ts, ts.init, s)
+            init = Solver(ts.init)
+            r = make_inductive_clause(ts, ts.init, s, init)
             if not isinstance(r, Clause):
                 continue
-            g = generalize(r, ts.init, ts)
+            g = generalize(r, ts.init, ts, init)
             assert set(g.lits) <= set(r.lits)
             assert implies(ts.init, Cnf([g]))
             g1 = rename_frame(Cnf([g]), ts.table, {0: 1})
@@ -96,14 +101,16 @@ class TestGeneralize:
         shrunk = 0
         for _ in range(10):
             ts = random_system(rng, 3, 1)
+            # one solver over I serves every call on ts
+            init = Solver(ts.init)
             for bits in itertools.product([False, True], repeat=3):
                 s = dict(zip(ts.state_ids(0), bits))
-                r = make_inductive_clause(ts, ts.init, s)
+                r = make_inductive_clause(ts, ts.init, s, init)
                 if not isinstance(r, Clause):
                     continue
                 before = len(built_solvers)
-                g = generalize(r, ts.init, ts)
-                assert len(built_solvers) - before == 2
+                g = generalize(r, ts.init, ts, init)
+                assert len(built_solvers) - before == 1
                 assert g == fresh(r, ts.init, ts)
                 shrunk += len(g) < len(r)
         assert shrunk
@@ -245,6 +252,29 @@ class TestIcChecker:
                 replay_trace(ts, w.trace)
             else:
                 check_invariant_witness(ts, w.invariant)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_one_init_solver_per_run(self, n, monkeypatch):
+        # make_inductive_clause and generalize ask every I question of a
+        # run on the checker's one solver over I
+        built = []
+        init = Solver.__init__
+
+        def recording(self, clauses, *args, **kw):
+            clauses = list(clauses)
+            built.append([list(c) for c in clauses])
+            init(self, clauses, *args, **kw)
+        monkeypatch.setattr(Solver, "__init__", recording)
+        calls = []
+        monkeypatch.setattr(indclause, "generalize",
+                            lambda *a: calls.append(a) or generalize(*a))
+        ts = add_stuttering(encode(build_miter(
+            parse_circuit(shreg_source(n)),
+            parse_circuit(shreg_source(n - 1)))))
+        assert pc_lor_ic(ts).kind == "counterexample"
+        assert calls
+        assert all(a[3] is calls[0][3] for a in calls)
+        assert built.count([list(c) for c in ts.init]) == 1
 
 
 SHIFT2_SRC = """\

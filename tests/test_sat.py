@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -264,3 +265,106 @@ class TestMaxRelaxSolve:
                     Clause((-3, 1))])
         assert max_relax_solve(hard, soft, {3: True}) == {0}
         assert len(built_solvers) == 1
+
+
+class TestKernelBookkeeping:
+    @staticmethod
+    def assert_consistent(s):
+        # order lists the registered ids in ascending order; value holds
+        # both signs of each, True/False exactly for the literals on the trail
+        assert s.order == sorted(s.var_ids)
+        assert set(s.value) == s.var_ids | {-v for v in s.var_ids}
+        on_trail = {abs(l): l for l in s.trail}
+        for v in s.var_ids:
+            if v in on_trail:
+                l = on_trail[v]
+                assert s.value[l] is True and s.value[-l] is False
+            else:
+                assert s.value[v] is None and s.value[-v] is None
+
+    def test_ids_first_seen_late_and_out_of_order(self):
+        s = Solver([Clause((5, -9))], extra_vars=[2])
+        s.add_clause([7, -3])
+        assert s.solve([-12, 1])
+        s.add_clause([11, 4, -9])
+        assert s.solve([6, -8])
+        assert s.order == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
+        self.assert_consistent(s)
+
+    def test_model_covers_every_registered_variable(self):
+        s = Solver([Clause((1, 2))])
+        assert s.solve()
+        s.add_clause([3, -4])
+        s.add_clause([-5])
+        res = s.solve([6])
+        assert list(res.model) == [abs(l) for l in s.trail]
+        assert set(res.model) == s.var_ids == {1, 2, 3, 4, 5, 6}
+
+    def test_random_scripts(self):
+        rng = random.Random(16)
+        for _ in range(100):
+            f, n = random_cnf(rng, max_var=10, max_clauses=25)
+            s = Solver(f)
+            for _ in range(rng.randint(1, 6)):
+                for c in random_cnf(rng, max_var=n + 4, max_clauses=2)[0]:
+                    s.add_clause(c)
+                vs = rng.sample(range(1, n + 6), rng.randint(0, 4))
+                res = s.solve([v if rng.random() < 0.5 else -v for v in vs])
+                self.assert_consistent(s)
+                if res:
+                    assert set(res.model) == s.var_ids
+                s._backtrack(0)
+                self.assert_consistent(s)
+
+
+def random_3cnf(rng, n):
+    """Random 3-CNF over n variables at the satisfiability threshold."""
+    return Cnf(Clause(tuple(v if rng.random() < 0.5 else -v
+                            for v in rng.sample(range(1, n + 1), 3)))
+               for _ in range(round(4.26 * n)))
+
+
+class TestSearchIsPinned:
+    """The solver's search, step by step: every status, model (in dict
+    order), core, learnt clause and watched-literal order of a fixed script
+    over 40 seeded instances hashes to DIGEST.  DIGEST was computed on the
+    solver before its kernel was rewritten for speed, so a change to the
+    kernel that moves any decision fails here even where the answers
+    agree."""
+
+    DIGEST = ("eb57afcfc11eaf12c162fd987645048f"
+              "5e8b20043d3e704e70db8966f4b8f403")
+
+    @staticmethod
+    def transcript(seed):
+        rng = random.Random(seed)
+        n = rng.randint(40, 70)
+        f = random_3cnf(rng, n)
+        s = Solver(f, extra_vars=[n + 1])
+        out = []
+        for _ in range(4):
+            # assumptions may name variables the solver has not seen yet
+            vs = rng.sample(range(1, n + 4), rng.randint(0, 4))
+            res = s.solve([v if rng.random() < 0.5 else -v for v in vs])
+            out.append((res.status, list(res.model.items()) if res
+                        else sorted(res.core)))
+            more, _ = random_cnf(rng, max_var=n + 3, max_clauses=3,
+                                 max_len=3)
+            for c in more:
+                s.add_clause(c)
+        out.append(s.clauses)
+        clauses = list(f)
+        target = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), 2)}
+        try:
+            out.append(sorted(max_relax_solve(
+                clauses[:len(clauses) // 2], clauses[len(clauses) // 2:],
+                target)))
+        except ValueError:
+            out.append("hard unsat")
+        return out
+
+    def test_transcript_digest(self):
+        h = hashlib.sha256()
+        for seed in range(40):
+            h.update(repr(self.transcript(seed)).encode())
+        assert h.hexdigest() == self.DIGEST
