@@ -139,5 +139,5 @@ def detect_invariant(chain):
     """H_{m-1} is an inductive invariant as soon as H_m implies it."""
     for m in range(1, chain.j + 1):
         if all(clause_implied(chain, m, c) for c in chain.h[m - 1]):
-            return chain.h_cnf(m - 1).normalize()
+            return chain.h_cnf(m - 1)
     return None

@@ -10,8 +10,8 @@ from __future__ import annotations
 import functools
 
 from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename_frame
-from .sat import Solver, solve, implies
-from .boundary import makeup_clauses
+from .sat import Solver
+from .boundary import makeup_clauses, clause_implied
 from .pclor import Checker
 
 
@@ -29,28 +29,27 @@ class Cti:
 
 def make_inductive_clause(ts, f, s, init):
     """A clause C excluding state s, implied by I and inductive relative to
-    f; or the Cti blocking it, whose state starts a model of
-    F ∧ C ∧ T ∧ ¬C′.  `init` is a solver over I."""
+    f, and the solver over F ∧ C ∧ T that showed it; or the Cti blocking it,
+    whose state starts a model of F ∧ C ∧ T ∧ ¬C′.  `init` is I's solver."""
     c = longest_falsified_clause(s)
     if init.solve([-l for l in c]):
         # s is an initial state: nothing implied by I can exclude it
         return Cti(s, None)
     c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
-    res = solve(f + Cnf([c]) + ts.trans, [-l for l in c1],
-                extra_vars=ts.state_ids(0))
+    step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.state_ids(0))
+    res = step.solve([-l for l in c1])
     if res:
         return Cti({v: res.model[v] for v in ts.state_ids(0)}, s)
-    return c
+    return c, step
 
 
-def generalize(c, f, ts, init):
+def generalize(c, step, ts, init):
     """Drop literals of c greedily (ascending variable order) while the
-    result stays implied by I and inductive relative to f.
+    result stays implied by I and inductive relative to F.
 
-    The solver `init` over I and one over F ∧ T serve every trial.  A trial
-    clause joins the second under an activation literal, which the check
-    assumes and a unit retires afterwards."""
-    step = Solver(list(f) + list(ts.trans))
+    `init` over I and `step` over F ∧ C ∧ T serve every trial (a trial
+    implies C, so C changes no answer).  A trial joins `step` under an
+    activation literal, which the check assumes and a unit then retires."""
     c1 = [u.lits[0] for u in rename_frame(Cnf((l,) for l in c), ts.table,
                                           {0: 1})]
     shift = dict(zip(c, c1))
@@ -111,12 +110,12 @@ def houdini(ts, cands, required=()):
         cands = [c for c, keep in zip(cands, alive) if keep]
 
 
-def _houdini_invariant(ts, seed):
+def _houdini_invariant(ts, seed, init):
     """Houdini over seed ∪ I ∪ P.  The survivors are an inductive invariant
     when I implies them and every clause of P survived; otherwise None."""
     inv = houdini(ts, list(seed) + list(ts.init) + list(ts.prop),
                   required=ts.prop)
-    if inv is not None and implies(ts.init, Cnf(inv)):
+    if inv is not None and not any(init.solve([-l for l in c]) for c in inv):
         return Cnf(inv)
     return None
 
@@ -136,12 +135,18 @@ class IcChecker(Checker):
         return Solver(self.ts.init)
 
     def _block(self, k, s):
-        f = self.chain.h_cnf(k - 1)
-        r = make_inductive_clause(self.ts, f, s, self._init_solver)
+        """Exclude s from H_k by a generalized inductive clause C, and from
+        the lower frames down to the first that implies C, so that H_{i-1}
+        still implies H_i.  C holds on every state reachable within k steps."""
+        r = make_inductive_clause(self.ts, self.chain.h_cnf(k - 1), s,
+                                  self._init_solver)
         if isinstance(r, Cti):
             return "reachable" if r.target is None or k == 1 else r.state
-        self.chain.strengthen(k, [generalize(r, f, self.ts,
-                                             self._init_solver)])
+        c = generalize(*r, self.ts, self._init_solver)
+        for i in range(k, 0, -1):
+            if i < k and clause_implied(self.chain, i, c):
+                break
+            self.chain.strengthen(i, [c])
         return None
 
     def fin_rlx(self, j):
@@ -149,14 +154,14 @@ class IcChecker(Checker):
             return super().fin_rlx(j)
         self.chain.add_frame()
         if j == 1:
-            inv = _houdini_invariant(self.ts, [])
+            inv = _houdini_invariant(self.ts, [], self._init_solver)
             if inv is not None:
                 self.chain.strengthen(j, list(self.ts.prop))
                 return inv
         seed = list(educat_guess_rlx(self.chain, j))
         self.chain.strengthen(j, seed + list(self.ts.prop))
         if j == 1 and seed:
-            return _houdini_invariant(self.ts, seed)
+            return _houdini_invariant(self.ts, seed, self._init_solver)
         return None
 
 

@@ -1,5 +1,5 @@
 """The main checking loop: relax, make up with PQE-derived clauses, repair
-the CO conditions, push clauses, and stop on an invariant or counterexample."""
+CO condition 3, and stop on an invariant or counterexample."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import functools
 
 from .cnf import Cnf, evaluate, rename_frame
 from .sat import Solver, solve, first_model, max_relax_solve
-from .boundary import FrameChain, makeup_clauses, detect_invariant, clause_implied
+from .boundary import FrameChain, makeup_clauses, detect_invariant
 from .circuit import CircuitError
 from .pqe import DEFAULT_BUDGET
 
@@ -211,20 +211,13 @@ class Checker:
         chain.restore(k, broken)
 
     def fin_touch(self):
-        """Push clauses toward frame 0 until implied, repair condition 3
-        after each round that strengthened a frame, then look for an
-        invariant."""
-        chain = self.chain
-        while True:
-            pushed = False
-            for m in range(chain.j, 1, -1):
-                for c in list(chain.h[m]):
-                    if not clause_implied(chain, m - 1, c):
-                        chain.strengthen(m - 1, [c])
-                        pushed = True
-            if not pushed:
-                return detect_invariant(chain)
-            self.third_co_cond()
+        """Look for an invariant.  No clause needs pushing toward frame 0,
+        as I ⊆ H_1 ⊆ … ⊆ H_j (CO condition 4) throughout a run: each H_k
+        starts empty, and PQE makes a clause G added to H_k true wherever
+        ∃W[H_{k-1} ∧ H_k′ ∧ T^rlx_old] holds at the next state.  At a state t
+        of H_{k-1}, and so of H_k, the stutter step t → t is a transition of
+        T ⊆ T^rlx_old, so G holds at t.  IcChecker._block keeps it too."""
+        return detect_invariant(self.chain)
 
     # ------------------------------------------------------------- result
 

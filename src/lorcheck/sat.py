@@ -60,7 +60,7 @@ class Solver:
         self.clauses = []           # clause storage, lists of lits
         self.var_ids = set(extra_vars)
         self.ok = True
-        self.units = []
+        self.units = []             # unit clauses not yet on the trail
         for c in clauses:
             lits = list(c)
             self.var_ids.update(map(abs, lits))
@@ -285,6 +285,7 @@ class Solver:
                 return SatResult("unsat", core=set())
             if v is None:
                 self._enqueue(u)
+        self.units.clear()  # level-0 assignments are never undone
         assumption_set = set(assumptions)
         conflicts = 0
         restart_num = 1

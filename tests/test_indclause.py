@@ -21,10 +21,11 @@ from test_pclor import replay_trace, check_invariant_witness
 class TestMakeInductiveClause:
     def test_excludes_unreachable_state(self, stuck0):
         s = stuck0.state_ids(0)[0]
-        r = make_inductive_clause(stuck0, stuck0.init, {s: True},
-                                  Solver(stuck0.init))
-        assert isinstance(r, Clause)
-        assert r == Clause((-s,))
+        c, step = make_inductive_clause(stuck0, stuck0.init, {s: True},
+                                        Solver(stuck0.init))
+        assert c == Clause((-s,))
+        # the solver that proved c inductive holds F ∧ c ∧ T
+        assert not step.solve([s])
 
     def test_initial_state_yields_rooted_cti(self, stuck0):
         s = stuck0.state_ids(0)[0]
@@ -50,12 +51,13 @@ class TestMakeInductiveClause:
             for bits in itertools.product([False, True], repeat=2):
                 s = dict(zip(ids, bits))
                 r = make_inductive_clause(ts, f, s, init)
-                if not isinstance(r, Clause):
+                if isinstance(r, Cti):
                     continue
-                assert evaluate(Cnf([r]), s) is False
-                assert implies(ts.init, Cnf([r]))
-                r1 = rename_frame(Cnf([r]), ts.table, {0: 1})
-                assert implies(f + Cnf([r]) + ts.trans, r1)
+                c = r[0]
+                assert evaluate(Cnf([c]), s) is False
+                assert implies(ts.init, Cnf([c]))
+                c1 = rename_frame(Cnf([c]), ts.table, {0: 1})
+                assert implies(f + Cnf([c]) + ts.trans, c1)
 
 
 class TestGeneralize:
@@ -64,7 +66,8 @@ class TestGeneralize:
         stut = stuck0.stuttering_var.id
         # artificially widened clause; only ¬s is needed
         wide = Clause((-s, stut))
-        g = generalize(wide, stuck0.init, stuck0, Solver(stuck0.init))
+        step = Solver(list(stuck0.init) + [wide] + list(stuck0.trans))
+        g = generalize(wide, step, stuck0, Solver(stuck0.init))
         assert g == Clause((-s,))
 
     def test_result_still_inductive(self):
@@ -75,10 +78,10 @@ class TestGeneralize:
             s = dict(zip(ids, (True, True, True)))
             init = Solver(ts.init)
             r = make_inductive_clause(ts, ts.init, s, init)
-            if not isinstance(r, Clause):
+            if isinstance(r, Cti):
                 continue
-            g = generalize(r, ts.init, ts, init)
-            assert set(g.lits) <= set(r.lits)
+            g = generalize(*r, ts, init)
+            assert set(g.lits) <= set(r[0].lits)
             assert implies(ts.init, Cnf([g]))
             g1 = rename_frame(Cnf([g]), ts.table, {0: 1})
             assert implies(ts.init + Cnf([g]) + ts.trans, g1)
@@ -105,14 +108,15 @@ class TestGeneralize:
             init = Solver(ts.init)
             for bits in itertools.product([False, True], repeat=3):
                 s = dict(zip(ts.state_ids(0), bits))
-                r = make_inductive_clause(ts, ts.init, s, init)
-                if not isinstance(r, Clause):
-                    continue
                 before = len(built_solvers)
-                g = generalize(r, ts.init, ts, init)
+                r = make_inductive_clause(ts, ts.init, s, init)
+                if isinstance(r, Cti):
+                    continue
+                g = generalize(*r, ts, init)
+                # the solver that proved r[0] inductive serves every trial
                 assert len(built_solvers) - before == 1
-                assert g == fresh(r, ts.init, ts)
-                shrunk += len(g) < len(r)
+                assert g == fresh(r[0], ts.init, ts)
+                shrunk += len(g) < len(r[0])
         assert shrunk
 
 
@@ -275,6 +279,40 @@ class TestIcChecker:
         assert calls
         assert all(a[3] is calls[0][3] for a in calls)
         assert built.count([list(c) for c in ts.init]) == 1
+
+
+class TestBlock:
+    """An inductive clause added to H_k goes to every lower frame that does
+    not imply it yet, so CO condition 4 needs no later push."""
+
+    def checker(self, ts, frames):
+        c = IcChecker(ts)
+        for h in frames:
+            c.chain.add_frame()
+            c.chain.strengthen(c.chain.j, h)
+        return c
+
+    def test_lower_frame_gains_the_clause(self, stuck0):
+        s = stuck0.state_ids(0)[0]
+        c = self.checker(stuck0, [[], []])
+        assert c._block(2, {s: True}) is None
+        assert c.chain.h[1] == c.chain.h[2] == [Clause((-s,))]
+        assert check_co(c.chain) == []
+
+    def test_stops_at_the_first_frame_that_implies_it(self, stuck0,
+                                                      monkeypatch):
+        s = stuck0.state_ids(0)[0]
+        not_s = Clause((-s,))
+        c = self.checker(stuck0, [[not_s], [not_s], [], []])
+        asked = []
+        implied = indclause.clause_implied
+        monkeypatch.setattr(indclause, "clause_implied",
+                            lambda ch, i, cl: asked.append(i) or
+                            implied(ch, i, cl))
+        assert c._block(4, {s: True}) is None
+        assert asked == [3, 2]
+        assert all(h == [not_s] for h in c.chain.h[1:])
+        assert check_co(c.chain) == []
 
 
 SHIFT2_SRC = """\

@@ -8,7 +8,7 @@ from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
 from lorcheck.sat import implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
 from lorcheck.indclause import pc_lor_ic
-from lorcheck.boundary import check_co
+from lorcheck.boundary import FrameChain, check_co
 from lorcheck.qe_oracle import verify_boundary
 from conftest import (STUCK0_SRC, random_system, random_system_source,
                       brute_force_verdict, make_rng)
@@ -144,55 +144,76 @@ class TestThirdCoCond:
         assert c.chain.h == h and c.chain.removed == removed
 
 
-class TestFinTouch:
-    def test_one_solver_per_frame_through_strengthening(self, dff_miter,
-                                                        built_solvers,
-                                                        monkeypatch):
-        import lorcheck.pclor as pclor
-        c = Checker(dff_miter)
-        init = list(dff_miter.init)
-        c.chain.add_frame()
-        c.chain.add_frame()
-        c.chain.strengthen(1, init[:1])           # misses ¬k.s
-        c.chain.strengthen(2, init)
-        monkeypatch.setattr(c, "third_co_cond", lambda: False)
-        monkeypatch.setattr(pclor, "detect_invariant", lambda chain: None)
-        before = len(built_solvers)
-        c.fin_touch()
-        # ¬k.s is pushed into H_1's solver, which then finds the two
-        # state-pair clauses implied; a second pass builds nothing
-        assert c.chain.h[1] == init[:2]
-        assert len(built_solvers) - before == 1
-        c.fin_touch()
-        assert len(built_solvers) - before == 1
+def ring_source(n):
+    """One-hot token ring of n stages; stages 0 and 1 never both hold."""
+    return "\n".join(["latch s0 init 1 next s%d" % (n - 1)] +
+                     ["latch s%d init 0 next s%d" % (i, i - 1)
+                      for i in range(1, n)] +
+                     ["prop NOT (s0 AND s1)", ""])
 
-    def test_repairs_only_after_a_push(self, dff_miter, monkeypatch):
-        import lorcheck.pclor as pclor
-        init = list(dff_miter.init)
-        monkeypatch.setattr(pclor, "detect_invariant", lambda chain: None)
-        for h1, pushed, want in ((init, init, []),
-                                 (init[:1], init[:2], [1])):
-            c = Checker(dff_miter)
-            c.chain.add_frame()
-            c.chain.add_frame()
-            c.chain.strengthen(1, h1)
-            c.chain.strengthen(2, init)
-            calls = []
-            monkeypatch.setattr(c, "third_co_cond", lambda: calls.append(1))
-            c.fin_touch()
-            # with nothing to push there is nothing to repair; after one
-            # pushing round, the next pushes nothing
-            assert c.chain.h[1] == pushed and calls == want
+
+def ctr_source(n):
+    """n-bit counter enabled by input en; its top bit is a bad state."""
+    lines = ["input en", "latch c0 init 0 next (c0 XOR en)"]
+    carry = "en"
+    for i in range(1, n):
+        lines.append("signal k%d = (%s AND c%d)" % (i, carry, i - 1))
+        lines.append("latch c%d init 0 next (c%d XOR k%d)" % (i, i, i))
+        carry = "k%d" % i
+    return "\n".join(lines + ["prop NOT c%d" % (n - 1), ""])
+
+
+class TestFinTouch:
+    """fin_touch pushes no clause toward frame 0: CO condition 4 holds by
+    construction, since every clause lor adds to H_k holds on H_{k-1}."""
+
+    @staticmethod
+    def systems():
+        rng = make_rng(61)
+        for _ in range(40):
+            yield random_system(rng, rng.randint(2, 5), rng.randint(1, 2))
+        for src in [ring_source(n) for n in (3, 4, 5, 6)] + \
+                [ctr_source(n) for n in (2, 3, 4)]:
+            yield add_stuttering(encode(parse_circuit(src)))
+
+    def test_every_added_clause_holds_on_the_frame_below(self, monkeypatch):
+        added = []
+        strengthen = FrameChain.strengthen
+
+        def checked(chain, k, clauses):
+            clauses = list(clauses)
+            assert implies(chain.h_cnf(k - 1), Cnf(clauses))
+            added.extend(clauses)
+            strengthen(chain, k, clauses)
+        monkeypatch.setattr(FrameChain, "strengthen", checked)
+        kinds = [pc_lor(ts).kind for ts in self.systems()]
+        assert len(added) > 100
+        assert set(kinds) == {"invariant", "counterexample"}
+
+    def test_one_repair_per_frame(self):
+        """The run repairs condition 3 once after each new frame and
+        fin_touch changes no frame."""
+        ts = add_stuttering(encode(parse_circuit(ring_source(5))))
+        frames, repairs, touched = [], [], []
+        c = Checker(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+        repair, touch = c.third_co_cond, c.fin_touch
+
+        def fin_touch():
+            before = [list(h) for h in c.chain.h]
+            inv = touch()
+            touched.append(before == [list(h) for h in c.chain.h])
+            return inv
+        c.third_co_cond = lambda: repairs.append(1) or repair()
+        c.fin_touch = fin_touch
+        assert c.run().kind == "invariant"
+        assert len(repairs) == len(touched) == len(frames) > 2
+        assert all(touched)
 
 
 class TestFrames:
     def test_no_variable_past_frame_1(self):
         """PQE tasks and condition-3 queries stay in frames 0 and 1."""
-        ring6 = "\n".join(["latch s0 init 1 next s5"] +
-                          ["latch s%d init 0 next s%d" % (i, i - 1)
-                           for i in range(1, 6)] +
-                          ["prop NOT (s0 AND s1)", ""])
-        ts = add_stuttering(encode(parse_circuit(ring6)))
+        ts = add_stuttering(encode(parse_circuit(ring_source(6))))
         frames = []
         w = pc_lor(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
         assert w.kind == "invariant" and max(frames) > 2
