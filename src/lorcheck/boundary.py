@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from .cnf import Cnf, rename_frame
 from .sat import Solver, implies
-from .pqe import DEFAULT_BUDGET, PqeTask, take_out
+from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
 
 
 class FrameChain:
@@ -104,7 +104,11 @@ def makeup_clauses(chain, k, indices):
     if not indices:
         return Cnf([])
     task = unrolled_lhs(chain, k, [chain.trans_clauses[i] for i in indices])
-    a_star = take_out(task, budget=chain.pqe_budget)
+    try:
+        a_star = take_out(task, budget=chain.pqe_budget)
+    except PqeBudgetError as e:
+        e.frame = k
+        raise
     return rename_frame(a_star, chain.ts.table, {1: 0})
 
 

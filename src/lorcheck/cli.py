@@ -214,6 +214,9 @@ def parse_pqe_dimacs(text):
         raise ValueError("missing 'p pqe' header")
     if header[1] != len(a) or header[2] != len(b):
         raise ValueError("header clause counts do not match body")
+    bad = [v for v in w | Cnf(a + b).variables() if not 0 < v <= header[0]]
+    if bad:
+        raise ValueError("variable %d is not in 1..%d" % (min(bad), header[0]))
     return PqeTask(w, Cnf(a), Cnf(b))
 
 
@@ -254,9 +257,9 @@ def _run_engine(ts, args, err):
     engine = pc_lor_ic if args.engine == "lor-ic" else pc_lor
     try:
         witness = engine(ts, opts)
-    except PqeBudgetError:
+    except PqeBudgetError as e:
         raise CheckerError("PQE budget of %d points exhausted (--pqe-budget)"
-                           % args.pqe_budget) from None
+                           " at frame %d" % (args.pqe_budget, e.frame)) from None
     return witness, clause_counts
 
 
@@ -280,7 +283,11 @@ def _check_circuit(args, load, default_path, answers, out, err):
         RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
         return 2
     path = args.witness or default_path
-    write_witness(path, ts, witness)
+    try:
+        write_witness(path, ts, witness)
+    except OSError as e:
+        err.write("error: %s\n" % e)
+        return 3
     holds = witness.kind == "invariant"
     if answers:
         out.write(answers[0 if holds else 1] + "\n")

@@ -141,7 +141,7 @@ class IcChecker(Checker):
         r = make_inductive_clause(self.ts, self.chain.h_cnf(k - 1), s,
                                   self._init_solver)
         if isinstance(r, Cti):
-            return "reachable" if r.target is None or k == 1 else r.state
+            return "initial" if r.target is None else r.state
         c = generalize(*r, self.ts, self._init_solver)
         for i in range(k, 0, -1):
             if i < k and clause_implied(self.chain, i, c):

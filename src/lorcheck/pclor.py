@@ -53,9 +53,7 @@ class Checker:
 
     def _predecessor(self, k, s):
         """An H_{k-1}-state one T^rlx_{k-1,k}-transition before state s."""
-        s1 = self._shift_state(s, 1)
-        res = self.chain.solver(k - 1).solve(
-            [v if b else -v for v, b in sorted(s1.items())])
+        res = self.chain.solver(k - 1).solve(self._step({}, s))
         if not res:
             return None
         return {v: res.model[v] for v in self.state_ids}
@@ -93,25 +91,22 @@ class Checker:
     def _backward_walk(self, k0, s0):
         """Fig.-3 style reverse extension from an H_{k0}-state.
 
-        Returns "reachable" if the walk connects s0 back to an initial
-        state through transitions of T; otherwise strengthens the chain
-        until s0 falsifies H_{k0} and returns None.  Only the top state is
-        popped after a strengthening step, and a replay that restores a
-        step's clauses cuts the walk back to that step's target."""
-        if k0 == 0:
-            return "reachable"
+        Returns the path of T-steps from an initial state to s0 that the
+        walk finds, or strengthens the chain until s0 falsifies H_{k0} and
+        returns None.  Only the top state is popped after a strengthening
+        step, and a replay that restores a step's clauses cuts the walk back
+        to that step's target."""
         stack = [(k0, s0)]
         while stack:
             k, s = stack[-1]
             if k == 0:
-                cut = self._replay(stack)
-                if cut is None:
-                    return "reachable"
+                if (cut := self._replay(stack)) is None:
+                    return [s for _, s in reversed(stack)]
                 del stack[cut:]
                 continue
             r = self._block(k, s)
-            if r == "reachable":
-                return r
+            if r == "initial":
+                return [s for _, s in reversed(stack)]
             if r is None:
                 stack.pop()
             else:
@@ -120,7 +115,7 @@ class Checker:
 
     def _block(self, k, s):
         """One walk step at H_k-state s: a predecessor state in H_{k-1}, or
-        None once H_k is false at s."""
+        None once H_k is false at s, or "initial" if s is an initial state."""
         pred = self._predecessor(k, s)
         if pred is None:
             self._exclude_state(k, s)
@@ -134,8 +129,7 @@ class Checker:
         None when every step is a transition of T."""
         for i in range(len(stack) - 1, 0, -1):
             (k, a), (_, b) = stack[i], stack[i - 1]
-            both = sorted(a.items()) + sorted(self._shift_state(b, 1).items())
-            lits = [v if val else -v for v, val in both]
+            lits = self._step(a, b)
             if not self._t_solver.solve(lits):
                 # every variable of T gets a value, so the model falsifies
                 # some dropped clause
@@ -145,33 +139,46 @@ class Checker:
                 return i
         return None
 
+    def _step(self, a, b):
+        """Assumptions that put state a at frame 0 and state b at frame 1."""
+        both = sorted(a.items()) + sorted(self._shift_state(b, 1).items())
+        return [v if val else -v for v, val in both]
+
     @functools.cached_property
     def _t_solver(self):
-        """One solver over T for every replay of the run."""
-        return Solver(self.ts.trans)
+        """One solver over T for every replay and counterexample step of the
+        run; it registers every input, even one that T does not read."""
+        return Solver(self.ts.trans,
+                      extra_vars=[v.id for v in self.ts.input_vars])
 
     # ---------------------------------------------------- main operations
 
     def _reachable_violation(self, k, targets):
         """The first model of frame k's solver that falsifies a clause of
         `targets` (over frame-1 variables) and whose source state the
-        backward walk proves reachable; None once the walks have excluded
-        every such source from H_k."""
+        backward walk proves reachable, with the walk's path; None once the
+        walks have excluded every such source from H_k."""
         queries = [[-l for l in c] for c in targets]
         while True:
             m = first_model(self.chain.solver(k), queries)
             if m is None:
                 return None
-            src = {v: m[v] for v in self.state_ids}
-            if self._backward_walk(k, src) == "reachable":
-                return m
+            path = self._backward_walk(k, {v: m[v] for v in self.state_ids})
+            if path is not None:
+                return m, path
 
     def rem_bad_st(self, j):
         """Strengthen H_{j-1} until no bad state is one original-T
-        transition away, or report a counterexample depth."""
+        transition away, or return a path of T-steps from an initial state
+        to a bad one.  Frame j-1 is the last frame, so its solver holds all
+        of T and its model's frame-1 state is the bad successor."""
         prop1 = rename_frame(self.ts.prop, self.ts.table, {0: 1})
         found = self._reachable_violation(j - 1, prop1)
-        return None if found is None else j  # a counterexample of j steps
+        if found is None:
+            return None
+        m, path = found
+        bad = [m[v] for v in self.ts.state_ids(1)]
+        return path + [dict(zip(self.state_ids, bad))]
 
     def fin_rlx(self, j):
         """Create H_j and strengthen it until it implies P.  After
@@ -195,7 +202,7 @@ class Checker:
         for m in range(chain.j, 0, -1):
             h1 = chain.h_at(m, 1)
             while (viol := self._reachable_violation(m - 1, h1)) is not None:
-                self._restore_step(m - 1, viol)
+                self._restore_step(m - 1, viol[0])
 
     def _restore_step(self, k, model):
         """Un-relax: put back the dropped clauses of step k falsified by a
@@ -221,47 +228,27 @@ class Checker:
 
     # ------------------------------------------------------------- result
 
-    def convert_cex(self, depth):
-        """Re-derive a counterexample of the given length under the original
-        T by bounded model checking; guaranteed to exist."""
+    def convert_cex(self, path):
+        """The trace along `path`, T-steps from an initial state to a bad
+        one; a model of T over each step gives the step's inputs."""
         ts = self.ts
-        f = ts.init
-        for i in range(depth):
-            f = f + ts.frame(i)
-        prop_d = rename_frame(ts.prop, ts.table, {0: depth})
-        solver = Solver(f, extra_vars=[ts.table.at_frame(v, i).id
-                                       for v in ts.state_vars + ts.input_vars
-                                       for i in range(depth + 1)])
-        m = first_model(solver, ([-l for l in c] for c in prop_d))
-        if m is not None:
-            return self._trace_witness(m, depth)
-        raise CheckerError("relaxed counterexample did not replay under the "
-                           "original relation")
-
-    def _trace_witness(self, model, depth):
-        ts = self.ts
-        trace = []
-        for i in range(depth + 1):
-            state = {v.name: model[ts.table.at_frame(v, i).id]
-                     for v in ts.state_vars}
-            if i == 0:
-                trace.append((None, state))
-            else:
-                inputs = {v.name: model[ts.table.at_frame(v, i - 1).id]
-                          for v in ts.input_vars}
-                trace.append((inputs, state))
-        return Witness("counterexample", trace=trace)
+        trace = [(None, path[0])]
+        for a, b in zip(path, path[1:]):
+            m = self._t_solver.solve(self._step(a, b)).model
+            trace.append(({v.name: m[v.id] for v in ts.input_vars}, b))
+        return Witness("counterexample", trace=[
+            (ins, {v.name: s[v.id] for v in ts.state_vars})
+            for ins, s in trace])
 
     def run(self):
-        ts = self.ts
-        if self._find_bad_state(0) is not None:
-            return self.convert_cex(0)
+        if (bad := self._find_bad_state(0)) is not None:
+            return self.convert_cex([bad])
         max_frames = self.opts.max_frames
         if max_frames is None:
-            max_frames = 2 ** len(ts.state_vars) + 1
+            max_frames = 2 ** len(self.ts.state_vars) + 1
         for j in range(1, max_frames + 1):
-            if self.rem_bad_st(j) is not None:
-                return self.convert_cex(j)
+            if (path := self.rem_bad_st(j)) is not None:
+                return self.convert_cex(path)
             inv = self.fin_rlx(j)
             self.third_co_cond()
             if inv is None:

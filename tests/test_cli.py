@@ -106,6 +106,16 @@ class TestCheck:
         assert main(["verify-witness", str(p), str(p) + ".witness"]) == 0
         assert "witness accepted" in capfd.readouterr().out
 
+    @pytest.mark.parametrize("circuit", ["stuck0_file", "toggle_file"])
+    def test_unwritable_witness_exits_3(self, circuit, request, tmp_path,
+                                        capfd):
+        f = request.getfixturevalue(circuit)
+        w = tmp_path / "no-such-dir" / "w"
+        assert main(["check", f, "--witness", str(w)]) == 3
+        got = capfd.readouterr()
+        assert re.fullmatch(r"error: .*no-such-dir/w'\n", got.err)
+        assert "verdict:" not in got.out
+
     def test_invariant_witness_verifies(self, stuck0_file, capfd):
         main(["check", stuck0_file])
         capfd.readouterr()
@@ -246,7 +256,8 @@ class TestSec:
                      "--pqe-budget", "2"]) == 2
         got = capfd.readouterr()
         assert "verdict: unknown" in got.out
-        assert re.search(r"^no verdict: PQE budget of 2 ", got.err, re.M)
+        assert re.search(r"^no verdict: PQE budget of 2 points exhausted "
+                         r"\(--pqe-budget\) at frame 1$", got.err, re.M)
 
     def test_pqe_budget_unused_on_equal_miter(self, tmp_path, capfd):
         p = tmp_path / "xorreg4.scirc"; p.write_text(xorreg_source(4))
@@ -462,7 +473,9 @@ class TestPqe:
     def test_parser_rejections(self):
         for text in ["", "p pqe 1 0\n", "p pqe 1 1 0\n",  # counts wrong
                      "p pqe 1 0 0\nw 1\n",                # w without 0
-                     "p pqe 1 1 0\n1\n"]:                 # clause without 0
+                     "p pqe 1 1 0\n1\n",                  # clause without 0
+                     "p pqe 3 1 1\nw -3 0\n1 3 0\n%\n-3 2 0\n",  # w literal
+                     "p pqe 2 1 1\nw 3 0\n1 3 0\n%\n-3 2 0\n"]:  # var 3 > 2
             with pytest.raises(ValueError):
                 parse_pqe_dimacs(text)
 

@@ -341,10 +341,32 @@ class TestBackwardWalk:
             c.chain.add_frame()
         return c, ts
 
+    def assert_path(self, ts, path, s0):
+        """path runs from an initial state to s0 through transitions of T."""
+        assert evaluate(ts.init, path[0]) is True
+        shift = dict(zip(ts.state_ids(0), ts.state_ids(1)))
+        for a, b in zip(path, path[1:]):
+            lits = [v if x else -v for v, x in a.items()]
+            lits += [shift[v] if x else -shift[v] for v, x in b.items()]
+            assert Solver(ts.trans).solve(lits)
+        assert path[-1] == s0
+
     def test_reachable_from_frame_2(self, engine):
         c, ts = self.checker(engine, SHIFT2_SRC, 2)
         a, b = ts.state_ids(0)
-        assert c._backward_walk(2, {a: False, b: True}) == "reachable"
+        s0 = {a: False, b: True}
+        path = c._backward_walk(2, s0)
+        assert len(path) == 3
+        self.assert_path(ts, path, s0)
+
+    def test_initial_state_above_frame_0(self, engine):
+        # lor walks down to frame 0 by stutter steps; lor-ic stops at once,
+        # as the state is itself initial
+        c, ts = self.checker(engine, SHIFT2_SRC, 2)
+        s0 = dict.fromkeys(ts.state_ids(0), False)
+        path = c._backward_walk(2, s0)
+        assert len(path) == (3 if engine is Checker else 1)
+        self.assert_path(ts, path, s0)
 
     def test_unreachable_state_is_excluded(self, engine):
         c, ts = self.checker(engine, RING3_SRC, 2)

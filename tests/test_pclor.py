@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
-                              add_stuttering)
+                              add_stuttering, build_miter)
 from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
 from lorcheck.sat import implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
@@ -11,7 +11,7 @@ from lorcheck.indclause import pc_lor_ic
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.qe_oracle import verify_boundary
 from conftest import (STUCK0_SRC, random_system, random_system_source,
-                      brute_force_verdict, make_rng)
+                      brute_force_verdict, make_rng, shreg_source)
 from test_boundary import stuck0_drop_indices
 
 
@@ -28,6 +28,14 @@ def replay_trace(ts, trace):
         state = nxt
     assert evaluate(ts.prop, {ts.table.get(n, 0).id: b
                               for n, b in state.items()}) is False
+
+
+def check_cex_steps(w, iterations):
+    """A lor counterexample found by rem_bad_st(j) has exactly j steps,
+    where `iterations` = j - 1 main-loop iterations completed before it;
+    a bad initial state gives a trace of no steps before any iteration."""
+    steps = len(w.trace) - 1
+    assert steps == iterations + 1 or steps == iterations == 0
 
 
 def check_invariant_witness(ts, inv):
@@ -219,6 +227,19 @@ class TestFrames:
         assert w.kind == "invariant" and max(frames) > 2
         assert max(v.frame or 0 for v in ts.table.by_id.values()) == 1
 
+    def test_no_variable_past_frame_1_in_a_counterexample(self):
+        """The trace is the walk's path, so nothing unrolls T: ctr4 fails
+        at depth 8 on lor, the unequal shift registers at depth 3 on
+        lor-ic."""
+        ctr = add_stuttering(encode(parse_circuit(ctr_source(4))))
+        miter = add_stuttering(encode(build_miter(
+            parse_circuit(shreg_source(4)), parse_circuit(shreg_source(3)))))
+        for engine, ts, depth in ((pc_lor, ctr, 8), (pc_lor_ic, miter, 3)):
+            w = engine(ts)
+            assert w.kind == "counterexample" and len(w.trace) == depth + 1
+            replay_trace(ts, w.trace)
+            assert max(v.frame or 0 for v in ts.table.by_id.values()) == 1
+
 
 class TestDifferential:
     def test_matches_brute_force(self):
@@ -233,6 +254,7 @@ class TestDifferential:
             assert all(r == [] for r in reports)
             if w.kind == "counterexample":
                 replay_trace(ts, w.trace)
+                check_cex_steps(w, len(reports))
             else:
                 check_invariant_witness(ts, w.invariant)
 
@@ -240,8 +262,12 @@ class TestDifferential:
         rng = make_rng(42)
         for _ in range(10):
             ts = random_system(rng, rng.randint(1, 3), 1, init_zero=False)
-            w = pc_lor(ts)
+            frames = []
+            w = pc_lor(ts, Options(iter_hook=frames.append))
             assert w.kind == brute_force_verdict(ts)
+            if w.kind == "counterexample":
+                replay_trace(ts, w.trace)
+                check_cex_steps(w, len(frames))
 
     def test_matches_brute_force_on_larger_systems(self):
         # draws of a fixed scan of random 6-8-latch systems; on draw 43 the
@@ -254,9 +280,11 @@ class TestDifferential:
             if i not in wanted:
                 continue
             ts = add_stuttering(encode(parse_circuit(src)))
-            w = pc_lor(ts)
+            frames = []
+            w = pc_lor(ts, Options(iter_hook=frames.append))
             assert w.kind == brute_force_verdict(ts), i
             if w.kind == "counterexample":
                 replay_trace(ts, w.trace)
+                check_cex_steps(w, len(frames))
             else:
                 check_invariant_witness(ts, w.invariant)
