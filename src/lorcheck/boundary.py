@@ -31,6 +31,7 @@ class FrameChain:
         self.pqe_budget = pqe_budget
         self.implied_marks = set()    # (clause lits, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
+        self.co3_done = [0]           # co3_done[m]: leading clauses of H_m known to meet CO condition 3
 
     @property
     def j(self):
@@ -59,6 +60,7 @@ class FrameChain:
     def add_frame(self):
         self.h.append([])
         self.removed.append(set())
+        self.co3_done.append(0)
 
     def strengthen(self, k, clauses):
         present = set(c.lits for c in self.h[k])
@@ -72,6 +74,7 @@ class FrameChain:
     def relax(self, k, indices):
         self.removed[k] |= set(indices)
         self.solvers.pop(k, None)
+        self.co3_done[k + 1] = 0
 
     def restore(self, k, indices):
         self.removed[k] -= set(indices)

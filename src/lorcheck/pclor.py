@@ -195,14 +195,18 @@ class Checker:
     def third_co_cond(self):
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
         one relaxed transition.  A violation source that proves reachable
-        from I forces restoring dropped clauses instead.  The walks from
-        frame m-1 strengthen only frames below m, so H_m is renamed to
-        frame 1 once."""
+        from I forces restoring dropped clauses instead.  Only clauses of
+        H_m past chain.co3_done[m] are checked: strengthening H_{m-1} and
+        restoring step m-1 keep the rest implied, and relaxing step m-1
+        resets the mark.  The walks from frame m-1 neither strengthen H_m
+        nor relax step m-1, so the new clauses are renamed once."""
         chain = self.chain
         for m in range(chain.j, 0, -1):
-            h1 = chain.h_at(m, 1)
-            while (viol := self._reachable_violation(m - 1, h1)) is not None:
+            new = rename_frame(Cnf(chain.h[m][chain.co3_done[m]:]),
+                               self.ts.table, {0: 1})
+            while new and (viol := self._reachable_violation(m - 1, new)):
                 self._restore_step(m - 1, viol[0])
+            chain.co3_done[m] = len(chain.h[m])
 
     def _restore_step(self, k, model):
         """Un-relax: put back the dropped clauses of step k falsified by a

@@ -46,6 +46,8 @@ def take_out(task, budget=DEFAULT_BUDGET):
     not_a = [(-s, -l) for s, c in zip(sels, a) for l in c] + [tuple(sels)]
     points = Solver(list(task.b) + not_a, extra_vars=free)
     ab_solver = Solver(ab, extra_vars=free)
+    # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
+    liftable = [c for c in ab if any(abs(l) not in task.w for l in c)]
     answer = []
     for _ in range(budget):
         res = points.solve()
@@ -54,7 +56,7 @@ def take_out(task, budget=DEFAULT_BUDGET):
         y = [v if res.model[v] else -v for v in free]
         res = ab_solver.solve(y)
         if res:
-            points.add_clause([-l for l in _lift(ab, res.model, task.w)])
+            points.add_clause([-l for l in _lift(liftable, res.model, task.w)])
         else:
             c = Clause(-l for l in y if l in res.core)
             answer.append(c)

@@ -1,5 +1,5 @@
 """Self-contained CDCL SAT engine with assumptions, cores and a soft-clause
-relaxation search (linear MaxSAT-lite)."""
+relaxation search (MCS, CLD)."""
 
 from __future__ import annotations
 
@@ -368,14 +368,14 @@ def first_model(solver, queries):
 
 
 def max_relax_solve(hard, soft, target):
-    """Satisfy hard plus the target assignment while greedily minimizing the
-    set of falsified soft clauses.
+    """Satisfy hard plus the target assignment with a minimal correction
+    set of soft clauses left out, by CLD (Marques-Silva et al., IJCAI 2013).
 
-    Linear search on one solver: assume one selector per soft clause, drop
-    the lowest-index selector of each unsat core until sat, then try
-    re-adding dropped selectors for local minimality.  Returns the indices
-    of the soft clauses left out; every model of hard, target and the rest
-    falsifies exactly those.
+    A model splits the softs into the satisfied S and the rest U.  While a
+    model of hard, target and S satisfies the clause of all U's literals
+    (under a fresh activation literal), the U clauses it satisfies join S.
+    Returns the indices of U: every model of hard, target and the rest
+    falsifies exactly those, and none of them can be kept alone.
     """
     hard, soft = [list(c) for c in hard], [list(c) for c in soft]
     top = max([abs(l) for c in hard + soft for l in c] + list(target),
@@ -383,18 +383,19 @@ def max_relax_solve(hard, soft, target):
     selectors = range(top + 1, top + 1 + len(soft))
     solver = Solver(hard + [[-sel] + c for sel, c in zip(selectors, soft)])
     target_lits = [vid if val else -vid for vid, val in sorted(target.items())]
-    active = set(selectors)
-    dropped = []
-    while True:
-        res = solver.solve(target_lits + sorted(active))
-        if res:
+    res = solver.solve(target_lits)
+    if not res:
+        raise ValueError("hard formula with target is unsatisfiable")
+    kept, left, act = set(), range(len(soft)), selectors.stop
+    while res:
+        kept.update(i for i in left
+                    if any(res.model[abs(l)] == (l > 0) for l in soft[i]))
+        left = [i for i in left if i not in kept]
+        if not left:
             break
-        core_sels = sorted(s for s in res.core if s in active)
-        if not core_sels:
-            raise ValueError("hard formula with target is unsatisfiable")
-        active.discard(core_sels[0])
-        dropped.append(core_sels[0])
-    for s_id in sorted(dropped):
-        if solver.solve(target_lits + sorted(active | {s_id})):
-            active.add(s_id)
-    return {i for i, sel in enumerate(selectors) if sel not in active}
+        solver.add_clause([-act] + [l for i in left for l in soft[i]])
+        res = solver.solve(target_lits + [selectors[i] for i in sorted(kept)]
+                           + [act])
+        solver.add_clause([-act])
+        act += 1
+    return set(left)

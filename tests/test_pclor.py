@@ -5,7 +5,7 @@ import pytest
 from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
                               add_stuttering, build_miter)
 from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
-from lorcheck.sat import implies
+from lorcheck.sat import Solver, implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
 from lorcheck.indclause import pc_lor_ic
 from lorcheck.boundary import FrameChain, check_co
@@ -117,12 +117,12 @@ class TestChainSoundness:
 
     @pytest.mark.xfail(strict=True, reason=(
         "boundary-formula gap: on both engines, H_2 at j = 2 keeps the state "
-        "(s0..s3) = 0100, which only the relaxed step 1->2 reaches "
-        "(removed[1] = {13})"))
+        "(s0..s3) = 1000, which only the relaxed step 1->2 reaches "
+        "(removed[1] = {25})"))
     def test_boundaries_verified_beyond_the_fixture(self):
-        rng = make_rng(4242)
-        for _ in range(30):
-            src = random_system_source(rng, rng.randint(2, 4),
+        rng = make_rng(7)
+        for _ in range(250):
+            src = random_system_source(rng, rng.randint(3, 5),
                                        rng.randint(1, 2))
         ts = add_stuttering(encode(parse_circuit(src)))
         results = []
@@ -150,6 +150,58 @@ class TestThirdCoCond:
         h, removed = [list(f) for f in c.chain.h], list(c.chain.removed)
         c.third_co_cond()
         assert c.chain.h == h and c.chain.removed == removed
+
+    @staticmethod
+    def ring_checker(monkeypatch, frames):
+        """A lor checker of the 5-stage ring after `frames` iterations, and
+        the list of (frame, assumptions) of every later solve, where frame
+        is the chain frame whose solver answers it (None for another)."""
+        ts = add_stuttering(encode(parse_circuit(ring_source(5))))
+        c = Checker(ts)
+        for j in range(1, frames + 1):
+            assert c.rem_bad_st(j) is None and c.fin_rlx(j) is None
+            c.third_co_cond()
+        solves = []
+        solve = Solver.solve
+
+        def recorded(solver, assumptions=()):
+            frame = next((k for k, s in c.chain.solvers.items()
+                          if s is solver), None)
+            solves.append((frame, list(assumptions)))
+            return solve(solver, assumptions)
+        monkeypatch.setattr(Solver, "solve", recorded)
+        return c, solves
+
+    def test_relaxing_step_m_1_requeries_all_of_h_m(self, monkeypatch):
+        c, solves = self.ring_checker(monkeypatch, 3)
+        chain, m = c.chain, 2
+        assert chain.co3_done[m] == len(chain.h[m]) > 1
+        free = next(i for i in range(len(chain.trans_clauses))
+                    if i not in chain.removed[m - 1])
+        chain.relax(m - 1, [free])
+        assert chain.co3_done[m] == 0
+        c.third_co_cond()
+        asked = {tuple(a) for k, a in solves if k == m - 1}
+        h1 = chain.h_at(m, 1)
+        assert all(tuple(-l for l in cl) in asked for cl in h1)
+        assert chain.co3_done[m] == len(chain.h[m])
+
+    def test_second_call_makes_no_solve(self, monkeypatch):
+        c, solves = self.ring_checker(monkeypatch, 3)
+        c.third_co_cond()
+        assert solves == []
+
+    def test_co_holds_after_every_iteration(self):
+        rng = make_rng(88)
+        reports = []
+        for _ in range(40):
+            src = random_system_source(rng, rng.randint(2, 4),
+                                       rng.randint(1, 2))
+            for engine in (pc_lor, pc_lor_ic):
+                ts = add_stuttering(encode(parse_circuit(src)))
+                engine(ts, Options(iter_hook=lambda ch: reports.append(
+                    check_co(ch))))
+        assert len(reports) > 80 and all(r == [] for r in reports)
 
 
 def ring_source(n):

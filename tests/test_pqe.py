@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorcheck import pqe
 from lorcheck.cnf import Cnf, Clause
 from lorcheck.pqe import PqeTask, PqeBudgetError, take_out
 from lorcheck.qe_oracle import check_pqe
@@ -122,6 +123,32 @@ class TestTakeOut:
                     budget += 1
             got.append((budget, [c.lits for c in a_star]))
         assert got == want
+
+    def test_lifting_skips_only_clauses_without_a_free_literal(
+            self, monkeypatch):
+        # take_out lifts over the clauses of A ∧ B that hold a free
+        # literal; each cube, and so the answer, is what lifting over all
+        # of A ∧ B gives
+        real = pqe._lift
+        rng = random.Random(32)
+        tasks = [random_task(random.Random(seed)) for seed in range(30)] + \
+            [random_task(rng) for _ in range(100)]
+        shorter = 0
+        for t in tasks:
+            full = list(t.a) + list(t.b)
+
+            def lift(clauses, model, w):
+                nonlocal shorter
+                shorter += len(clauses) < len(full)
+                cube = real(clauses, model, w)
+                assert cube == real(full, model, w)
+                return cube
+            monkeypatch.setattr(pqe, "_lift", lift)
+            got = list(take_out(t))
+            monkeypatch.setattr(pqe, "_lift",
+                                lambda c, m, w: real(full, m, w))
+            assert got == list(take_out(t))
+        assert shorter > 20
 
     def test_unsat_core_case(self):
         # A ∧ B unsatisfiable: A* must be (equivalent to) false wherever
