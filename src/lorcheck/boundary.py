@@ -49,12 +49,11 @@ class FrameChain:
         return Cnf(c for i, c in enumerate(self.trans_clauses) if i not in r)
 
     def solver(self, k):
-        """Frame k's solver; every variable of T gets a value in its
-        models."""
+        """Frame k's solver; its models value every step variable."""
         if k not in self.solvers:
             trans = self.trlx_cnf(k) if k < self.j else self.ts.trans
             self.solvers[k] = Solver(self.h[k] + list(trans),
-                                     extra_vars=self.ts.trans.variables())
+                                     extra_vars=self.ts.step_vars)
         return self.solvers[k]
 
     def add_frame(self):

@@ -3,6 +3,7 @@ relation, stuttering, miter construction, time-frame instantiation."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .cnf import Cnf, Clause, VarTable, rename_frame
@@ -276,10 +277,14 @@ class TransitionSystem:
     def state_ids(self, j=0):
         return [self.table.at_frame(v, j).id for v in self.state_vars]
 
+    @functools.cached_property
+    def step_vars(self):
+        """What a model of one step values: T's variables and every input."""
+        return self.trans.variables() | {v.id for v in self.input_vars}
+
 
 class _Encoder:
-    def __init__(self, circ, table):
-        self.c = circ
+    def __init__(self, table):
         self.table = table
         self.clauses = []
         self.env = {}      # name -> literal
@@ -506,7 +511,7 @@ def encode(c):
     state_vars = [table.new(l.name, 0) for l in c.latches]
     input_vars = [table.new(n, 0) for n in c.inputs]
     next_vars = [table.at_frame(v, 1) for v in state_vars]
-    enc = _Encoder(c, table)
+    enc = _Encoder(table)
     for v in state_vars + input_vars:
         enc.env[v.name] = v.id
     for name, e in itertools.chain(c.signals.items(), c.outputs.items()):

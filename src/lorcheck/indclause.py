@@ -17,14 +17,15 @@ from .pclor import Checker
 
 class Cti:
     """Counterexample to induction: an F-state one transition before the
-    state we tried to exclude.  target is None when the excluded state is
-    itself initial."""
+    state we tried to exclude, with the model of that step.  target and
+    model are None when the excluded state is itself initial."""
 
-    __slots__ = ("state", "target")
+    __slots__ = ("state", "target", "model")
 
-    def __init__(self, state, target):
+    def __init__(self, state, target, model):
         self.state = state
         self.target = target
+        self.model = model
 
 
 def make_inductive_clause(ts, f, s, init):
@@ -34,12 +35,12 @@ def make_inductive_clause(ts, f, s, init):
     c = longest_falsified_clause(s)
     if init.solve([-l for l in c]):
         # s is an initial state: nothing implied by I can exclude it
-        return Cti(s, None)
+        return Cti(s, None, None)
     c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
-    step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.state_ids(0))
+    step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.step_vars)
     res = step.solve([-l for l in c1])
     if res:
-        return Cti({v: res.model[v] for v in ts.state_ids(0)}, s)
+        return Cti({v: res.model[v] for v in ts.state_ids(0)}, s, res.model)
     return c, step
 
 
@@ -141,7 +142,7 @@ class IcChecker(Checker):
         r = make_inductive_clause(self.ts, self.chain.h_cnf(k - 1), s,
                                   self._init_solver)
         if isinstance(r, Cti):
-            return "initial" if r.target is None else r.state
+            return "initial" if r.target is None else (r.state, r.model)
         c = generalize(*r, self.ts, self._init_solver)
         for i in range(k, 0, -1):
             if i < k and clause_implied(self.chain, i, c):

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 
 from .cnf import Cnf, evaluate, rename_frame
-from .sat import Solver, solve, first_model, max_relax_solve
+from .sat import Solver, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant
 from .circuit import CircuitError
 from .pqe import DEFAULT_BUDGET
@@ -42,6 +42,7 @@ class Checker:
         self.opts = opts or Options()
         self.chain = FrameChain(ts, self.opts.pqe_budget)
         self.state_ids = ts.state_ids(0)
+        self._next = dict(zip(self.state_ids, ts.state_ids(1)))
 
     # ------------------------------------------------------------ helpers
 
@@ -52,15 +53,12 @@ class Checker:
         return None if m is None else {v: m[v] for v in self.state_ids}
 
     def _predecessor(self, k, s):
-        """An H_{k-1}-state one T^rlx_{k-1,k}-transition before state s."""
+        """An H_{k-1}-state one T^rlx_{k-1,k}-transition before state s,
+        with the model of that step."""
         res = self.chain.solver(k - 1).solve(self._step({}, s))
         if not res:
             return None
-        return {v: res.model[v] for v in self.state_ids}
-
-    def _shift_state(self, s, frame):
-        table = self.ts.table
-        return {table.at_frame(table.lookup(v), frame).id: b for v, b in s.items()}
+        return {v: res.model[v] for v in self.state_ids}, res.model
 
     def select_relaxation(self, k, target):
         """Clause indices to drop from T^rlx_{k-1,k} so that `target`
@@ -71,7 +69,8 @@ class Checker:
         soft = Cnf(chain.trans_clauses[i] for i in kept)
         hard = chain.h_cnf(k - 1)
         try:
-            left_out = max_relax_solve(hard, soft, self._shift_state(target, 1))
+            left_out = max_relax_solve(
+                hard, soft, {self._next[v]: b for v, b in target.items()})
         except ValueError:
             raise CheckerError("frame %d: H_%d is unsatisfiable, so no "
                                "relaxation reaches a state" % (k, k - 1)) from None
@@ -88,34 +87,35 @@ class Checker:
             raise CheckerError("frame %d: the makeup clauses do not exclude "
                                "a state without a predecessor" % k)
 
-    def _backward_walk(self, k0, s0):
-        """Fig.-3 style reverse extension from an H_{k0}-state.
+    def _backward_walk(self, k0, s0, m0):
+        """Fig.-3 style reverse extension from an H_{k0}-state s0.
 
         Returns the path of T-steps from an initial state to s0 that the
-        walk finds, or strengthens the chain until s0 falsifies H_{k0} and
+        walk finds, each state paired with the model of the step out of it
+        (m0 for s0), or strengthens the chain until s0 falsifies H_{k0} and
         returns None.  Only the top state is popped after a strengthening
         step, and a replay that restores a step's clauses cuts the walk back
         to that step's target."""
-        stack = [(k0, s0)]
+        stack = [(k0, s0, m0)]
         while stack:
-            k, s = stack[-1]
+            k, s, _ = stack[-1]
             if k == 0:
                 if (cut := self._replay(stack)) is None:
-                    return [s for _, s in reversed(stack)]
+                    return [e[1:] for e in reversed(stack)]
                 del stack[cut:]
                 continue
             r = self._block(k, s)
             if r == "initial":
-                return [s for _, s in reversed(stack)]
+                return [e[1:] for e in reversed(stack)]
             if r is None:
                 stack.pop()
             else:
-                stack.append((k - 1, r))
+                stack.append((k - 1, *r))
         return None
 
     def _block(self, k, s):
-        """One walk step at H_k-state s: a predecessor state in H_{k-1}, or
-        None once H_k is false at s, or "initial" if s is an initial state."""
+        """One walk step at H_k-state s: (predecessor in H_{k-1}, model of the
+        step), None once H_k is false at s, or "initial" if s is initial."""
         pred = self._predecessor(k, s)
         if pred is None:
             self._exclude_state(k, s)
@@ -123,49 +123,50 @@ class Checker:
 
     def _replay(self, stack):
         """Replay the walk's path, from its initial state at the top of the
-        stack upward, under T.  At the first step that only T^rlx allows,
-        restore the dropped clauses that a relaxed transition of the step
-        falsifies, and return the stack position of the step's source;
+        stack upward, under T.  A step's model that falsifies no clause
+        dropped from the step (unchanged since) is a model of T; T is asked
+        only for another step, and its model replaces the step's.  At the
+        first step that only T^rlx allows, restore the dropped clauses its
+        model falsifies and return the stack position of the step's source;
         None when every step is a transition of T."""
         for i in range(len(stack) - 1, 0, -1):
-            (k, a), (_, b) = stack[i], stack[i - 1]
-            lits = self._step(a, b)
-            if not self._t_solver.solve(lits):
-                # every variable of T gets a value, so the model falsifies
-                # some dropped clause
-                res = solve(self.chain.trlx_cnf(k), lits,
-                            extra_vars=self.ts.trans.variables())
-                self._restore_step(k, res.model)
+            k, a, m = stack[i]
+            if not (broken := self._broken(k, m)):
+                continue
+            res = self._t_solver.solve(self._step(a, stack[i - 1][1]))
+            if not res:
+                self.chain.restore(k, broken)
                 return i
+            stack[i] = (k, a, res.model)
         return None
 
     def _step(self, a, b):
         """Assumptions that put state a at frame 0 and state b at frame 1."""
-        both = sorted(a.items()) + sorted(self._shift_state(b, 1).items())
+        both = sorted(a.items()) + sorted((self._next[v], x)
+                                          for v, x in b.items())
         return [v if val else -v for v, val in both]
 
     @functools.cached_property
     def _t_solver(self):
-        """One solver over T for every replay and counterexample step of the
-        run; it registers every input, even one that T does not read."""
-        return Solver(self.ts.trans,
-                      extra_vars=[v.id for v in self.ts.input_vars])
+        """One solver over T for the replay steps whose model is not T's."""
+        return Solver(self.ts.trans, extra_vars=self.ts.step_vars)
 
     # ---------------------------------------------------- main operations
 
     def _reachable_violation(self, k, targets):
-        """The first model of frame k's solver that falsifies a clause of
-        `targets` (over frame-1 variables) and whose source state the
-        backward walk proves reachable, with the walk's path; None once the
-        walks have excluded every such source from H_k."""
+        """The walk's path to the source state of the first model of frame
+        k's solver that falsifies a clause of `targets` (over frame-1
+        variables), ending in that model; None once the walks have excluded
+        every such source from H_k."""
         queries = [[-l for l in c] for c in targets]
         while True:
             m = first_model(self.chain.solver(k), queries)
             if m is None:
                 return None
-            path = self._backward_walk(k, {v: m[v] for v in self.state_ids})
+            path = self._backward_walk(
+                k, {v: m[v] for v in self.state_ids}, m)
             if path is not None:
-                return m, path
+                return path
 
     def rem_bad_st(self, j):
         """Strengthen H_{j-1} until no bad state is one original-T
@@ -173,12 +174,11 @@ class Checker:
         to a bad one.  Frame j-1 is the last frame, so its solver holds all
         of T and its model's frame-1 state is the bad successor."""
         prop1 = rename_frame(self.ts.prop, self.ts.table, {0: 1})
-        found = self._reachable_violation(j - 1, prop1)
-        if found is None:
+        path = self._reachable_violation(j - 1, prop1)
+        if path is None:
             return None
-        m, path = found
-        bad = [m[v] for v in self.ts.state_ids(1)]
-        return path + [dict(zip(self.state_ids, bad))]
+        bad = {v: path[-1][1][w] for v, w in self._next.items()}
+        return path + [(bad, None)]
 
     def fin_rlx(self, j):
         """Create H_j and strengthen it until it implies P.  After
@@ -205,21 +205,17 @@ class Checker:
             new = rename_frame(Cnf(chain.h[m][chain.co3_done[m]:]),
                                self.ts.table, {0: 1})
             while new and (viol := self._reachable_violation(m - 1, new)):
-                self._restore_step(m - 1, viol[0])
+                if not (broken := self._broken(m - 1, viol[-1][1])):
+                    raise CheckerError(
+                        "reachable state drives a real transition out of "
+                        "a boundary formula; invariant broken")
+                chain.restore(m - 1, broken)
             chain.co3_done[m] = len(chain.h[m])
 
-    def _restore_step(self, k, model):
-        """Un-relax: put back the dropped clauses of step k falsified by a
-        violating transition whose source state is genuinely reachable."""
-        chain = self.chain
-        broken = []
-        for i in sorted(chain.removed[k]):
-            if evaluate(Cnf([chain.trans_clauses[i]]), model) is False:
-                broken.append(i)
-        if not broken:
-            raise CheckerError("reachable state drives a real transition out "
-                               "of a boundary formula; invariant broken")
-        chain.restore(k, broken)
+    def _broken(self, k, model):
+        """The clauses dropped from step k that the model falsifies."""
+        return [i for i in sorted(self.chain.removed[k]) if evaluate(
+            Cnf([self.chain.trans_clauses[i]]), model) is False]
 
     def fin_touch(self):
         """Look for an invariant.  No clause needs pushing toward frame 0,
@@ -234,19 +230,17 @@ class Checker:
 
     def convert_cex(self, path):
         """The trace along `path`, T-steps from an initial state to a bad
-        one; a model of T over each step gives the step's inputs."""
+        one; the model kept with each state gives the step's inputs."""
         ts = self.ts
-        trace = [(None, path[0])]
-        for a, b in zip(path, path[1:]):
-            m = self._t_solver.solve(self._step(a, b)).model
-            trace.append(({v.name: m[v.id] for v in ts.input_vars}, b))
+        ins = [None] + [{v.name: m[v.id] for v in ts.input_vars}
+                        for _, m in path[:-1]]
         return Witness("counterexample", trace=[
-            (ins, {v.name: s[v.id] for v in ts.state_vars})
-            for ins, s in trace])
+            (i, {v.name: s[v.id] for v in ts.state_vars})
+            for i, (s, _) in zip(ins, path)])
 
     def run(self):
         if (bad := self._find_bad_state(0)) is not None:
-            return self.convert_cex([bad])
+            return self.convert_cex([(bad, None)])
         max_frames = self.opts.max_frames
         if max_frames is None:
             max_frames = 2 ** len(self.ts.state_vars) + 1

@@ -106,6 +106,17 @@ class TestCheck:
         assert main(["verify-witness", str(p), str(p) + ".witness"]) == 0
         assert "witness accepted" in capfd.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["lor", "lor-ic"])
+    def test_input_that_t_does_not_read(self, tmp_path, capfd, engine):
+        # every step's model must value y, which no clause of T reads
+        p = tmp_path / "unread.scirc"
+        p.write_text("input x\ninput y\nlatch s init 0 next (s OR x)\n"
+                     "prop NOT s\n")
+        assert main(["check", str(p), "--engine", engine]) == 1
+        assert "verdict: fails" in capfd.readouterr().out
+        assert main(["verify-witness", str(p), str(p) + ".witness"]) == 0
+        assert "witness accepted" in capfd.readouterr().out
+
     @pytest.mark.parametrize("circuit", ["stuck0_file", "toggle_file"])
     def test_unwritable_witness_exits_3(self, circuit, request, tmp_path,
                                         capfd):

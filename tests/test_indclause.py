@@ -342,20 +342,25 @@ class TestBackwardWalk:
         return c, ts
 
     def assert_path(self, ts, path, s0):
-        """path runs from an initial state to s0 through transitions of T."""
-        assert evaluate(ts.init, path[0]) is True
+        """path runs from an initial state to s0 through transitions of T,
+        as (state, model) pairs; the model kept with a state below s0 is a
+        model of T over the step out of it."""
+        states = [s for s, _ in path]
+        assert evaluate(ts.init, states[0]) is True
         shift = dict(zip(ts.state_ids(0), ts.state_ids(1)))
-        for a, b in zip(path, path[1:]):
+        for (a, m), b in zip(path, states[1:]):
             lits = [v if x else -v for v, x in a.items()]
             lits += [shift[v] if x else -shift[v] for v, x in b.items()]
             assert Solver(ts.trans).solve(lits)
-        assert path[-1] == s0
+            assert evaluate(ts.trans, m) is True
+            assert all(m[abs(l)] == (l > 0) for l in lits)
+        assert states[-1] == s0
 
     def test_reachable_from_frame_2(self, engine):
         c, ts = self.checker(engine, SHIFT2_SRC, 2)
         a, b = ts.state_ids(0)
         s0 = {a: False, b: True}
-        path = c._backward_walk(2, s0)
+        path = c._backward_walk(2, s0, None)
         assert len(path) == 3
         self.assert_path(ts, path, s0)
 
@@ -364,14 +369,14 @@ class TestBackwardWalk:
         # as the state is itself initial
         c, ts = self.checker(engine, SHIFT2_SRC, 2)
         s0 = dict.fromkeys(ts.state_ids(0), False)
-        path = c._backward_walk(2, s0)
+        path = c._backward_walk(2, s0, None)
         assert len(path) == (3 if engine is Checker else 1)
         self.assert_path(ts, path, s0)
 
     def test_unreachable_state_is_excluded(self, engine):
         c, ts = self.checker(engine, RING3_SRC, 2)
         s = dict(zip(ts.state_ids(0), (True, True, False)))
-        assert c._backward_walk(2, s) is None
+        assert c._backward_walk(2, s, None) is None
         assert evaluate(c.chain.h_cnf(2), s) is False
 
     def test_each_predecessor_question_asked_once(self, engine):
@@ -385,6 +390,7 @@ class TestBackwardWalk:
                           frozenset(chain.removed[k - 1])))
             return ask(k, s)
         c._predecessor = predecessor
-        c._backward_walk(2, dict(zip(ts.state_ids(0), (True, True, False))))
+        c._backward_walk(2, dict(zip(ts.state_ids(0), (True, True, False))),
+                         None)
         # a question repeats only if the chain it is asked of is unchanged
         assert len(set(asked)) == len(asked)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -221,6 +222,95 @@ def ctr_source(n):
         lines.append("latch c%d init 0 next (c%d XOR k%d)" % (i, i, i))
         carry = "k%d" % i
     return "\n".join(lines + ["prop NOT c%d" % (n - 1), ""])
+
+
+class TestReplay:
+    """A walk step is proved by the model that found it: the replay asks T
+    only about a step whose model falsifies a clause dropped from the step,
+    and the counterexample's inputs come from the kept models."""
+
+    @staticmethod
+    def relaxed_step(allowed):
+        """A lor checker of ctr2 with one clause dropped from step 0, and a
+        walk stack whose step from the initial state has a model that
+        falsifies the dropped clause; T allows the step iff `allowed`."""
+        ts = add_stuttering(encode(parse_circuit(ctr_source(2))))
+        c = Checker(ts)
+        c.chain.add_frame()
+        a = dict.fromkeys(ts.state_ids(0), False)
+        for i, cl in enumerate(c.chain.trans_clauses):
+            c.chain.removed[0] = {i}
+            rlx = Solver(c.chain.trlx_cnf(0), extra_vars=ts.step_vars)
+            for bits in itertools.product((False, True), repeat=2):
+                b = dict(zip(ts.state_ids(0), bits))
+                lits = c._step(a, b)
+                res = rlx.solve(lits + [-l for l in cl])
+                if res and bool(Solver(ts.trans).solve(lits)) == allowed:
+                    return c, [(1, b, None), (0, a, res.model)]
+        raise AssertionError("no such step")
+
+    @staticmethod
+    def count_sat(monkeypatch):
+        """Counts of Solver constructions and solve calls from now on."""
+        n = {"init": 0, "solve": 0}
+        init, solve = Solver.__init__, Solver.solve
+
+        def counted_init(self, *args, **kw):
+            n["init"] += 1
+            init(self, *args, **kw)
+
+        def counted_solve(self, *args, **kw):
+            n["solve"] += 1
+            return solve(self, *args, **kw)
+        monkeypatch.setattr(Solver, "__init__", counted_init)
+        monkeypatch.setattr(Solver, "solve", counted_solve)
+        return n
+
+    def test_step_model_within_t_asks_nothing(self, monkeypatch):
+        c, stack = self.relaxed_step(True)
+        k, a, _ = stack[1]
+        stack[1] = (k, a, Solver(c.ts.trans, extra_vars=c.ts.step_vars)
+                    .solve(c._step(a, stack[0][1])).model)
+        n = self.count_sat(monkeypatch)
+        assert c._replay(stack) is None
+        assert n == {"init": 0, "solve": 0}
+
+    def test_step_allowed_by_t_costs_one_query(self, monkeypatch):
+        c, stack = self.relaxed_step(True)
+        removed = set(c.chain.removed[0])
+        n = self.count_sat(monkeypatch)
+        assert c._replay(stack) is None
+        assert n["solve"] == 1
+        assert c.chain.removed[0] == removed
+        # T's model now stands for the step
+        (_, b, _), (_, a, m) = stack
+        assert evaluate(c.ts.trans, m) is True
+        assert all(m[abs(l)] == (l > 0) for l in c._step(a, b))
+
+    def test_step_refused_by_t_restores_what_its_model_breaks(self,
+                                                             monkeypatch):
+        c, stack = self.relaxed_step(False)
+        n = self.count_sat(monkeypatch)
+        assert c._replay(stack) == 1
+        assert n["solve"] == 1 and n["init"] == 1
+        assert c.chain.removed[0] == set()
+
+    @pytest.mark.parametrize("engine", [pc_lor, pc_lor_ic])
+    def test_convert_cex_makes_no_sat_call(self, monkeypatch, engine):
+        ts = add_stuttering(encode(parse_circuit(ctr_source(3))))
+        convert = Checker.convert_cex
+        counts = []
+
+        def converted(checker, path):
+            n = self.count_sat(monkeypatch)
+            w = convert(checker, path)
+            counts.append(dict(n))
+            return w
+        monkeypatch.setattr(Checker, "convert_cex", converted)
+        w = engine(ts)
+        assert w.kind == "counterexample" and len(w.trace) == 5
+        replay_trace(ts, w.trace)
+        assert counts == [{"init": 0, "solve": 0}]
 
 
 class TestFinTouch:
