@@ -14,20 +14,20 @@ class FrameChain:
 
     H_k is stored over canonical (frame-0) state variables and renamed on
     demand.  R_k is a set of indices into the canonical transition clauses,
-    so T = T^rlx ∧ R holds syntactically for every frame.
+    so T = T^rlx ∧ R holds syntactically for every frame.  Every frame has
+    an R_k; the last frame's is empty, as its step is not relaxed yet.
 
-    Each frame keeps one incremental solver over H_k ∧ T^rlx_{k,k+1}
-    (all of T for the last frame, whose step has no R_k yet).  It gains
-    the clauses that strengthen H_k, and is rebuilt on the next request
-    after R_k changes.  T^rlx allows a step from every state, so the
-    solver agrees with H_k alone on every query over frame-0 variables.
+    Each frame keeps one incremental solver over H_k ∧ T^rlx_{k,k+1}.  It
+    gains the clauses that strengthen H_k, and is rebuilt on the next
+    request after R_k changes.  T^rlx allows a step from every state, so
+    the solver agrees with H_k alone on every query over frame-0 variables.
     """
 
     def __init__(self, ts, pqe_budget=DEFAULT_BUDGET):
         self.ts = ts
         self.trans_clauses = list(ts.trans.clauses)
         self.h = [list(ts.init)]      # H_0 = I
-        self.removed = []             # removed[k]: indices dropped in T^rlx_{k,k+1}
+        self.removed = [set()]        # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
         self.implied_marks = set()    # (clause lits, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
@@ -51,8 +51,7 @@ class FrameChain:
     def solver(self, k):
         """Frame k's solver; its models value every step variable."""
         if k not in self.solvers:
-            trans = self.trlx_cnf(k) if k < self.j else self.ts.trans
-            self.solvers[k] = Solver(self.h[k] + list(trans),
+            self.solvers[k] = Solver(self.h[k] + list(self.trlx_cnf(k)),
                                      extra_vars=self.ts.step_vars)
         return self.solvers[k]
 

@@ -20,24 +20,17 @@ from .indclause import pc_lor_ic
 from .boundary import check_co
 
 
-class RunReport:
-    def __init__(self, verdict, frames_used=0, witness_path=None,
-                 clause_counts=(), seconds=0.0):
-        self.verdict = verdict
-        self.frames_used = frames_used
-        self.witness_path = witness_path
-        self.clause_counts = list(clause_counts)
-        self.seconds = seconds
-
-    def dump(self, out):
-        out.write("verdict: %s\n" % self.verdict)
-        out.write("frames: %d\n" % self.frames_used)
-        if self.clause_counts:
-            out.write("clauses: %s\n" % " ".join(
-                "H%d=%d" % (k, n) for k, n in enumerate(self.clause_counts)))
-        if self.witness_path:
-            out.write("witness: %s\n" % self.witness_path)
-        out.write("time: %.3fs\n" % self.seconds)
+def _report(out, verdict, clause_counts, witness_path, seconds):
+    """The run report; clause_counts holds |H_k| for k = 0..j after the
+    last completed main-loop iteration, so j frames were used."""
+    out.write("verdict: %s\n" % verdict)
+    out.write("frames: %d\n" % max(len(clause_counts) - 1, 0))
+    if clause_counts:
+        out.write("clauses: %s\n" % " ".join(
+            "H%d=%d" % (k, n) for k, n in enumerate(clause_counts)))
+    if witness_path:
+        out.write("witness: %s\n" % witness_path)
+    out.write("time: %.3fs\n" % seconds)
 
 
 def _positive_int(text):
@@ -61,7 +54,7 @@ def write_witness(path, ts, witness):
                          "".join("1" if ins[v.name] else "0"
                                  for v in ts.input_vars))
                 sbits = "".join("1" if st[v.name] else "0"
-                                for v in ts.state_vars)
+                                for v in ts.state_vars) or "-"
                 f.write("step %d: inputs %s state %s\n" % (i, ibits, sbits))
         else:
             f.write("invariant\n")
@@ -110,6 +103,8 @@ def verify_trace(ts, lines, report):
             i, ibits, sbits = int(words[1]), words[3], words[5]
             if ibits == "-":  # no inputs: step 0, or a system without any
                 ibits = ""
+            if sbits == "-":  # a system without latches
+                sbits = ""
             if (len(ibits) != (len(input_names) if i else 0)
                     or len(sbits) != len(state_names)
                     or (ibits + sbits).strip("01")):
@@ -273,14 +268,14 @@ def _check_circuit(args, load, default_path, answers, out, err):
     t0 = time.time()
     try:
         ts = encode(stutter(load()))
-    except (OSError, CircuitError) as e:
+    except (OSError, CircuitError, UnicodeDecodeError) as e:
         err.write("error: %s\n" % e)
         return 3
     try:
         witness, clause_counts = _run_engine(ts, args, err)
     except CheckerError as e:
         err.write("no verdict: %s\n" % e)
-        RunReport("unknown", 0, None, (), time.time() - t0).dump(out)
+        _report(out, "unknown", [], None, time.time() - t0)
         return 2
     path = args.witness or default_path
     try:
@@ -291,10 +286,8 @@ def _check_circuit(args, load, default_path, answers, out, err):
     holds = witness.kind == "invariant"
     if answers:
         out.write(answers[0 if holds else 1] + "\n")
-    # clause_counts holds |H_k| for k = 0..j after the last completed
-    # main-loop iteration
-    RunReport("holds" if holds else "fails", max(len(clause_counts) - 1, 0),
-              path, clause_counts, time.time() - t0).dump(out)
+    _report(out, "holds" if holds else "fails", clause_counts, path,
+            time.time() - t0)
     return 0 if holds else 1
 
 

@@ -17,30 +17,27 @@ from .pclor import Checker
 
 class Cti:
     """Counterexample to induction: an F-state one transition before the
-    state we tried to exclude, with the model of that step.  target and
-    model are None when the excluded state is itself initial."""
+    state we tried to exclude, with the model of that step."""
 
-    __slots__ = ("state", "target", "model")
+    __slots__ = ("state", "model")
 
-    def __init__(self, state, target, model):
+    def __init__(self, state, model):
         self.state = state
-        self.target = target
         self.model = model
 
 
-def make_inductive_clause(ts, f, s, init):
-    """A clause C excluding state s, implied by I and inductive relative to
-    f, and the solver over F ∧ C ∧ T that showed it; or the Cti blocking it,
-    whose state starts a model of F ∧ C ∧ T ∧ ¬C′.  `init` is I's solver."""
+def make_inductive_clause(ts, f, s):
+    """A clause C excluding the non-initial state s, implied by I and
+    inductive relative to f, and the solver over F ∧ C ∧ T that showed it;
+    or the Cti blocking it, whose state starts a model of F ∧ C ∧ T ∧ ¬C′.
+    C starts as the clause false only at s, which I implies as s is not
+    initial."""
     c = longest_falsified_clause(s)
-    if init.solve([-l for l in c]):
-        # s is an initial state: nothing implied by I can exclude it
-        return Cti(s, None, None)
     c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
     step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.step_vars)
     res = step.solve([-l for l in c1])
     if res:
-        return Cti({v: res.model[v] for v in ts.state_ids(0)}, s, res.model)
+        return Cti({v: res.model[v] for v in ts.state_ids(0)}, res.model)
     return c, step
 
 
@@ -136,13 +133,14 @@ class IcChecker(Checker):
         return Solver(self.ts.init)
 
     def _block(self, k, s):
-        """Exclude s from H_k by a generalized inductive clause C, and from
-        the lower frames down to the first that implies C, so that H_{i-1}
-        still implies H_i.  C holds on every state reachable within k steps."""
-        r = make_inductive_clause(self.ts, self.chain.h_cnf(k - 1), s,
-                                  self._init_solver)
+        """One walk step at a non-initial H_k-state s: the Cti's (state,
+        model), or None after excluding s from H_k by a generalized
+        inductive clause C, and from the lower frames down to the first
+        that implies C, so that H_{i-1} still implies H_i.  C holds on every
+        state reachable within k steps."""
+        r = make_inductive_clause(self.ts, self.chain.h_cnf(k - 1), s)
         if isinstance(r, Cti):
-            return "initial" if r.target is None else (r.state, r.model)
+            return r.state, r.model
         c = generalize(*r, self.ts, self._init_solver)
         for i in range(k, 0, -1):
             if i < k and clause_implied(self.chain, i, c):

@@ -93,29 +93,27 @@ class Checker:
         Returns the path of T-steps from an initial state to s0 that the
         walk finds, each state paired with the model of the step out of it
         (m0 for s0), or strengthens the chain until s0 falsifies H_{k0} and
-        returns None.  Only the top state is popped after a strengthening
-        step, and a replay that restores a step's clauses cuts the walk back
-        to that step's target."""
+        returns None.  The walk stops at the first initial state on top of
+        the stack, at any frame; every state of frame 0 is one, as H_0 = I.
+        Only the top state is popped after a strengthening step, and a
+        replay that restores a step's clauses cuts the walk back to that
+        step's target."""
         stack = [(k0, s0, m0)]
         while stack:
             k, s, _ = stack[-1]
-            if k == 0:
+            if evaluate(self.ts.init, s):
                 if (cut := self._replay(stack)) is None:
                     return [e[1:] for e in reversed(stack)]
                 del stack[cut:]
-                continue
-            r = self._block(k, s)
-            if r == "initial":
-                return [e[1:] for e in reversed(stack)]
-            if r is None:
+            elif (r := self._block(k, s)) is None:
                 stack.pop()
             else:
                 stack.append((k - 1, *r))
         return None
 
     def _block(self, k, s):
-        """One walk step at H_k-state s: (predecessor in H_{k-1}, model of the
-        step), None once H_k is false at s, or "initial" if s is initial."""
+        """One walk step at a non-initial H_k-state s: (predecessor in
+        H_{k-1}, model of the step), or None once H_k is false at s."""
         pred = self._predecessor(k, s)
         if pred is None:
             self._exclude_state(k, s)
@@ -171,8 +169,9 @@ class Checker:
     def rem_bad_st(self, j):
         """Strengthen H_{j-1} until no bad state is one original-T
         transition away, or return a path of T-steps from an initial state
-        to a bad one.  Frame j-1 is the last frame, so its solver holds all
-        of T and its model's frame-1 state is the bad successor."""
+        to a bad one.  Frame j-1 is the last frame, so R_{j-1} is empty, its
+        solver holds all of T and its model's frame-1 state is the bad
+        successor."""
         prop1 = rename_frame(self.ts.prop, self.ts.table, {0: 1})
         path = self._reachable_violation(j - 1, prop1)
         if path is None:

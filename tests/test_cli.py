@@ -595,3 +595,34 @@ class TestWitnessVerification:
                      "step 0: inputs - state 0\n%s\n" % line)
         assert main(["verify-witness", toggle_file, str(p)]) == 3
         assert "error:" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["lor", "lor-ic"])
+    @pytest.mark.parametrize("cmd, sources", [
+        ("check", ["input x\noutput z = x\nprop 0\n"]),
+        ("sec", ["input x\noutput z = 0\n", "input x\noutput z = 1\n"])])
+    def test_latch_free_counterexample(self, tmp_path, capfd, engine, cmd,
+                                       sources):
+        # a system without latches writes "-" for every state
+        files = []
+        for i, src in enumerate(sources):
+            files.append(tmp_path / ("c%d.scirc" % i))
+            files[-1].write_text(src)
+        w = tmp_path / "w"
+        assert main([cmd, *map(str, files), "--engine", engine,
+                     "--witness", str(w)]) == 1
+        assert "verdict: fails" in capfd.readouterr().out
+        assert w.read_text().endswith("# state: \nstep 0: inputs - state -\n")
+        miter = ["--miter-with", str(files[1])] if cmd == "sec" else []
+        assert main(["verify-witness", str(files[0]), str(w), *miter]) == 0
+        assert "witness accepted" in capfd.readouterr().out
+
+
+@pytest.mark.parametrize("cmd", ["check", "sec"])
+def test_undecodable_circuit_exits_3(tmp_path, capfd, cmd):
+    p = tmp_path / "latin1.scirc"
+    p.write_bytes("input x\nlatch s init 0 next s\nprop NOT s\n"
+                  "output café = s\n".encode("latin-1"))
+    assert main([cmd, str(p)] + [str(p)] * (cmd == "sec")) == 3
+    got = capfd.readouterr()
+    assert re.fullmatch(r"error: [^\n]*\n", got.err)
+    assert got.out == ""

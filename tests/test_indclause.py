@@ -21,36 +21,28 @@ from test_pclor import replay_trace, check_invariant_witness
 class TestMakeInductiveClause:
     def test_excludes_unreachable_state(self, stuck0):
         s = stuck0.state_ids(0)[0]
-        c, step = make_inductive_clause(stuck0, stuck0.init, {s: True},
-                                        Solver(stuck0.init))
+        c, step = make_inductive_clause(stuck0, stuck0.init, {s: True})
         assert c == Clause((-s,))
         # the solver that proved c inductive holds F ∧ c ∧ T
         assert not step.solve([s])
 
-    def test_initial_state_yields_rooted_cti(self, stuck0):
-        s = stuck0.state_ids(0)[0]
-        r = make_inductive_clause(stuck0, stuck0.init, {s: False},
-                                  Solver(stuck0.init))
-        assert isinstance(r, Cti)
-        assert r.target is None
-
     def test_reachable_state_yields_predecessor_cti(self, toggle):
         s = toggle.state_ids(0)[0]
-        r = make_inductive_clause(toggle, toggle.init, {s: True},
-                                  Solver(toggle.init))
+        r = make_inductive_clause(toggle, toggle.init, {s: True})
         assert isinstance(r, Cti)
         assert r.state == {s: False}
-        assert r.target == {s: True}
 
     def test_clause_really_is_inductive(self):
         rng = make_rng(51)
         for _ in range(20):
             ts = random_system(rng, 2, 1)
             ids = ts.state_ids(0)
-            f, init = ts.init, Solver(ts.init)
+            f = ts.init
             for bits in itertools.product([False, True], repeat=2):
                 s = dict(zip(ids, bits))
-                r = make_inductive_clause(ts, f, s, init)
+                if evaluate(ts.init, s):
+                    continue  # make_inductive_clause needs a non-initial s
+                r = make_inductive_clause(ts, f, s)
                 if isinstance(r, Cti):
                     continue
                 c = r[0]
@@ -76,11 +68,12 @@ class TestGeneralize:
             ts = random_system(rng, 3, 1)
             ids = ts.state_ids(0)
             s = dict(zip(ids, (True, True, True)))
-            init = Solver(ts.init)
-            r = make_inductive_clause(ts, ts.init, s, init)
+            if evaluate(ts.init, s):
+                continue
+            r = make_inductive_clause(ts, ts.init, s)
             if isinstance(r, Cti):
                 continue
-            g = generalize(*r, ts, init)
+            g = generalize(*r, ts, Solver(ts.init))
             assert set(g.lits) <= set(r[0].lits)
             assert implies(ts.init, Cnf([g]))
             g1 = rename_frame(Cnf([g]), ts.table, {0: 1})
@@ -108,8 +101,10 @@ class TestGeneralize:
             init = Solver(ts.init)
             for bits in itertools.product([False, True], repeat=3):
                 s = dict(zip(ts.state_ids(0), bits))
+                if evaluate(ts.init, s):
+                    continue
                 before = len(built_solvers)
-                r = make_inductive_clause(ts, ts.init, s, init)
+                r = make_inductive_clause(ts, ts.init, s)
                 if isinstance(r, Cti):
                     continue
                 g = generalize(*r, ts, init)
@@ -259,8 +254,8 @@ class TestIcChecker:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_one_init_solver_per_run(self, n, monkeypatch):
-        # make_inductive_clause and generalize ask every I question of a
-        # run on the checker's one solver over I
+        # generalize asks every I question of a run on the checker's one
+        # solver over I
         built = []
         init = Solver.__init__
 
@@ -365,13 +360,23 @@ class TestBackwardWalk:
         self.assert_path(ts, path, s0)
 
     def test_initial_state_above_frame_0(self, engine):
-        # lor walks down to frame 0 by stutter steps; lor-ic stops at once,
-        # as the state is itself initial
+        # both engines stop at once, as the state is itself initial
         c, ts = self.checker(engine, SHIFT2_SRC, 2)
         s0 = dict.fromkeys(ts.state_ids(0), False)
         path = c._backward_walk(2, s0, None)
-        assert len(path) == (3 if engine is Checker else 1)
+        assert len(path) == 1
         self.assert_path(ts, path, s0)
+
+    def test_initial_state_makes_no_sat_call(self, engine, monkeypatch):
+        # the walk tells an initial state by evaluating I on it
+        c, ts = self.checker(engine, RING3_SRC, 3)
+        s0 = dict(zip(ts.state_ids(0), (True, False, False)))
+        m0 = object()
+        solves = []
+        monkeypatch.setattr(Solver, "solve",
+                            lambda *a, **kw: solves.append(a))
+        assert c._backward_walk(3, s0, m0) == [(s0, m0)]
+        assert solves == []
 
     def test_unreachable_state_is_excluded(self, engine):
         c, ts = self.checker(engine, RING3_SRC, 2)

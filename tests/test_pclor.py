@@ -230,23 +230,25 @@ class TestReplay:
     and the counterexample's inputs come from the kept models."""
 
     @staticmethod
-    def relaxed_step(allowed):
-        """A lor checker of ctr2 with one clause dropped from step 0, and a
-        walk stack whose step from the initial state has a model that
-        falsifies the dropped clause; T allows the step iff `allowed`."""
+    def relaxed_step(allowed, k=0):
+        """A lor checker of ctr2 with one clause dropped from step k, and a
+        walk stack whose step from the initial state at frame k has a model
+        that falsifies the dropped clause; T allows the step iff
+        `allowed`."""
         ts = add_stuttering(encode(parse_circuit(ctr_source(2))))
         c = Checker(ts)
-        c.chain.add_frame()
+        for _ in range(k + 1):
+            c.chain.add_frame()
         a = dict.fromkeys(ts.state_ids(0), False)
         for i, cl in enumerate(c.chain.trans_clauses):
-            c.chain.removed[0] = {i}
-            rlx = Solver(c.chain.trlx_cnf(0), extra_vars=ts.step_vars)
+            c.chain.removed[k] = {i}
+            rlx = Solver(c.chain.trlx_cnf(k), extra_vars=ts.step_vars)
             for bits in itertools.product((False, True), repeat=2):
                 b = dict(zip(ts.state_ids(0), bits))
                 lits = c._step(a, b)
                 res = rlx.solve(lits + [-l for l in cl])
                 if res and bool(Solver(ts.trans).solve(lits)) == allowed:
-                    return c, [(1, b, None), (0, a, res.model)]
+                    return c, [(k + 1, b, None), (k, a, res.model)]
         raise AssertionError("no such step")
 
     @staticmethod
@@ -294,6 +296,13 @@ class TestReplay:
         assert c._replay(stack) == 1
         assert n["solve"] == 1 and n["init"] == 1
         assert c.chain.removed[0] == set()
+
+    def test_cut_step_above_frame_0(self):
+        # the walk stops at an initial state of any frame, so the step that
+        # T refuses may leave frame 1; its own step gets the clauses back
+        c, stack = self.relaxed_step(False, k=1)
+        assert c._replay(stack) == 1
+        assert c.chain.removed == [set(), set(), set()]
 
     @pytest.mark.parametrize("engine", [pc_lor, pc_lor_ic])
     def test_convert_cex_makes_no_sat_call(self, monkeypatch, engine):
