@@ -581,7 +581,8 @@ def add_stuttering(ts):
 
 
 def build_miter(n, k):
-    """Sequential-equivalence miter of circuits n and k.
+    """Sequential-equivalence miter of circuits n and k, whose outputs read
+    no input, directly or through signals.
 
     Inputs are pairwise constrained equal (the interface clauses of T),
     and the property says the output difference, a balanced OR tree of
@@ -600,8 +601,17 @@ def build_miter(n, k):
         m.inputs.extend(pre + x for x in src.inputs)
         for l in src.latches:
             m.latches.append(Latch(pre + l.name, l.init, ren(l.next)))
+        reads = dict(zip(src.inputs, src.inputs))  # name -> an input it reads
         for name, e in itertools.chain(src.signals.items(), src.outputs.items()):
             m.signals[pre + name] = ren(e)
+            refs = set()
+            _expr_names(e, refs)
+            reads[name] = min(filter(None, map(reads.get, refs)), default=None)
+            if name in src.outputs and reads[name]:
+                raise CircuitError(
+                    "sec compares outputs that read only latches, but output "
+                    "%r of the %s circuit reads input %r"
+                    % (name, "first" if pre == "n." else "second", reads[name]))
     m.eq_input_pairs = list(zip(("n." + x for x in n.inputs),
                                 ("k." + x for x in k.inputs)))
     k_inits = {l.name: l.init for l in k.latches}

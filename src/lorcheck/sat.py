@@ -1,5 +1,5 @@
-"""Self-contained CDCL SAT engine with assumptions, cores and a soft-clause
-relaxation search (MCS, CLD)."""
+"""Self-contained CDCL SAT engine with assumptions, cores, preferred
+decisions and a soft-clause relaxation search (MCS)."""
 
 from __future__ import annotations
 
@@ -46,7 +46,11 @@ class Solver:
 
     First-UIP learning, two watched literals, decaying variable activities,
     Luby restarts.  Decisions break activity ties on lowest variable id and
-    try positive polarity first, so runs are reproducible.
+    try positive polarity first, so runs are reproducible.  ``solve``
+    decides its preferred literals in order after the assumptions and
+    before any activity decision.  Unlike an assumption, one may be forced
+    false: by the clauses, the assumptions and the earlier preferred
+    literals true in the model.
 
     ``value`` maps both literals of every registered variable to True,
     False or None (unassigned), so a literal's value is one subscript.
@@ -269,9 +273,9 @@ class Solver:
                         seen.add(abs(l))
         return core
 
-    def solve(self, assumptions=()):
-        assumptions = list(assumptions)
-        for a in assumptions:
+    def solve(self, assumptions=(), prefer=()):
+        assumptions, prefer = list(assumptions), list(prefer)
+        for a in assumptions + prefer:
             self._register(abs(a))
         self._backtrack(0)
         if not self.ok:
@@ -333,16 +337,13 @@ class Solver:
                     reason[abs(a)] = None
                     trail.append(a)
                 continue
-            vid = self._decide_var()
-            if vid is None:
+            # the first unassigned preferred literal, else positive polarity
+            lit = prefer and next((p for p in prefer if value[p] is None), 0)
+            lit = lit or self._decide_var()
+            if lit is None:
                 return SatResult("sat", model={abs(l): l > 0 for l in trail})
             trail_lim.append(len(trail))
-            # positive polarity first
-            value[vid] = True
-            value[-vid] = False
-            level[vid] = len(trail_lim)
-            reason[vid] = None
-            trail.append(vid)
+            self._enqueue(lit)
         # not reached
 
 
@@ -369,13 +370,13 @@ def first_model(solver, queries):
 
 def max_relax_solve(hard, soft, target):
     """Satisfy hard plus the target assignment with a minimal correction
-    set of soft clauses left out, by CLD (Marques-Silva et al., IJCAI 2013).
+    set of soft clauses left out, by relaxation search (Bacchus, Davies,
+    Tsimpoukelli, Katsirelos, AAAI 2014).
 
-    A model splits the softs into the satisfied S and the rest U.  While a
-    model of hard, target and S satisfies the clause of all U's literals
-    (under a fresh activation literal), the U clauses it satisfies join S.
-    Returns the indices of U: every model of hard, target and the rest
-    falsifies exactly those, and none of them can be kept alone.
+    One solve prefers each soft clause's selector in turn, so a selector
+    is false only where hard, the target and the earlier kept softs refute
+    its clause.  Returns the indices of those clauses: every model of
+    hard, target and the rest falsifies them, and none can be kept alone.
     """
     hard, soft = [list(c) for c in hard], [list(c) for c in soft]
     top = max([abs(l) for c in hard + soft for l in c] + list(target),
@@ -383,19 +384,7 @@ def max_relax_solve(hard, soft, target):
     selectors = range(top + 1, top + 1 + len(soft))
     solver = Solver(hard + [[-sel] + c for sel, c in zip(selectors, soft)])
     target_lits = [vid if val else -vid for vid, val in sorted(target.items())]
-    res = solver.solve(target_lits)
+    res = solver.solve(target_lits, prefer=selectors)
     if not res:
         raise ValueError("hard formula with target is unsatisfiable")
-    kept, left, act = set(), range(len(soft)), selectors.stop
-    while res:
-        kept.update(i for i in left
-                    if any(res.model[abs(l)] == (l > 0) for l in soft[i]))
-        left = [i for i in left if i not in kept]
-        if not left:
-            break
-        solver.add_clause([-act] + [l for i in left for l in soft[i]])
-        res = solver.solve(target_lits + [selectors[i] for i in sorted(kept)]
-                           + [act])
-        solver.add_clause([-act])
-        act += 1
-    return set(left)
+    return {i for i, sel in enumerate(selectors) if not res.model[sel]}

@@ -307,6 +307,22 @@ class TestSec:
         b.write_text("input p\ninput q\nlatch s init 0 next p\noutput z = s\n")
         assert main(["sec", str(a), str(b)]) == 3
 
+    @pytest.mark.parametrize("src_n, src_k, tail", [
+        ("input x\noutput z = x\n", None, "'z' of the first"),
+        ("input x\nlatch s init 0 next x\nsignal q = (s AND x)\n"
+         "output z = s\noutput w = q\n", None, "'w' of the first"),
+        (DFF_SRC, "input x\noutput z = NOT x\n", "'z' of the second"),
+    ])
+    def test_output_reading_an_input_exits_3(self, tmp_path, capfd, src_n,
+                                             src_k, tail):
+        # the message names the user's output and input, not a miter signal
+        a = tmp_path / "a.scirc"; a.write_text(src_n)
+        b = tmp_path / "b.scirc"; b.write_text(src_k or src_n)
+        assert main(["sec", str(a), str(b)]) == 3
+        assert capfd.readouterr().err == (
+            "error: sec compares outputs that read only latches, but output "
+            "%s circuit reads input 'x'\n" % tail)
+
 
 def _renamed_shreg(n):
     """shreg_source(n) with latches named t0..t(n-1), declared in reverse."""

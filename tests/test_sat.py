@@ -195,6 +195,57 @@ class TestAssumptions:
         assert not res and res.core == {1, -1}
 
 
+class TestPrefer:
+    def test_false_preferred_literal_is_refuted_by_earlier_true_ones(self):
+        # a reused solver answers several (assumptions, prefer) queries; a
+        # preferred literal false in the model must be refuted by the
+        # clauses, the assumptions and the earlier preferred literals true
+        # in the model, which fresh solvers check
+        rng = random.Random(31)
+        refuted = 0
+        for _ in range(150):
+            f, n = random_cnf(rng, max_var=12, max_clauses=40, max_len=3)
+            s = Solver(f)
+            for _ in range(3):
+                assume = [v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, n + 1),
+                                              rng.randint(0, min(2, n)))]
+                prefer = [v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, n + 3),
+                                              rng.randint(1, n))]
+                res = s.solve(assume, prefer=prefer)
+                assert bool(res) == bool(Solver(f).solve(assume))
+                if not res:
+                    assert res.core <= set(assume)
+                    assert not Solver(f).solve(sorted(res.core))
+                    continue
+                m = res.model
+                assert evaluate(f, m) is True
+                assert all(m[abs(l)] == (l > 0) for l in assume)
+                for i, p in enumerate(prefer):
+                    if m[abs(p)] != (p > 0):
+                        earlier = [q for q in prefer[:i]
+                                   if m[abs(q)] == (q > 0)]
+                        assert not Solver(f).solve(assume + earlier + [p])
+                        refuted += 1
+        assert refuted > 50
+
+    def test_assumptions_win(self):
+        res = Solver([Clause((1, 2))]).solve([-1], prefer=[1, -2])
+        assert res.model == {1: False, 2: True}
+
+    def test_preferred_literals_decided_in_order(self):
+        res = Solver([Clause((-1, -2))]).solve(prefer=[-3, 2, 1])
+        assert res.model == {1: False, 2: True, 3: False}
+
+    def test_unregistered_preferred_variable_is_registered(self):
+        s = Solver([Clause((1, 2))])
+        res = s.solve([3], prefer=[-5, 4])
+        assert s.order == [1, 2, 3, 4, 5] and s.var_ids == {1, 2, 3, 4, 5}
+        assert res.model[5] is False and res.model[4] is True
+        TestKernelBookkeeping.assert_consistent(s)
+
+
 class TestImplies:
     def test_basic(self):
         a = Cnf([Clause((1,)), Clause((2,))])
@@ -227,6 +278,17 @@ class TestImplies:
         assert implies(a, b) == want
 
 
+def assert_minimal_correction_set(hard, soft, lits, left_out):
+    """hard, the literals and the softs outside left_out are satisfiable,
+    and adding any one left-out soft makes them unsatisfiable; fresh
+    solvers check both."""
+    assert left_out <= set(range(len(soft)))
+    kept = list(hard) + [c for i, c in enumerate(soft) if i not in left_out]
+    assert Solver(kept).solve(lits)
+    for i in left_out:
+        assert not Solver(kept + [soft.clauses[i]]).solve(lits)
+
+
 class TestMaxRelaxSolve:
     def test_target_reached_with_max_softs(self):
         rng = random.Random(13)
@@ -245,14 +307,9 @@ class TestMaxRelaxSolve:
                 assert not solve(hard, assumptions=[
                     target_var if target[target_var] else -target_var])
                 continue
-            # the kept softs are satisfiable with hard and the target, and
-            # each left-out one is not; fresh solvers check both
-            kept = list(hard) + [c for i, c in enumerate(soft)
-                                 if i not in res]
-            lits = [target_var if target[target_var] else -target_var]
-            assert Solver(kept).solve(lits)
-            for i in res:
-                assert not Solver(kept + [soft.clauses[i]]).solve(lits)
+            assert_minimal_correction_set(
+                hard, soft, [target_var if target[target_var] else -target_var],
+                res)
 
     def test_left_out_set_is_a_minimal_correction_set(self):
         rng = random.Random(29)
@@ -270,11 +327,7 @@ class TestMaxRelaxSolve:
                                                         rng.randint(1, 3))))
                        for _ in range(rng.randint(6, 20)))
             res = max_relax_solve(hard, soft, target)
-            assert res <= set(range(len(soft)))
-            kept = list(hard) + [c for i, c in enumerate(soft) if i not in res]
-            assert Solver(kept).solve(lits)
-            for i in res:
-                assert not Solver(kept + [soft.clauses[i]]).solve(lits)
+            assert_minimal_correction_set(hard, soft, lits, res)
             nonempty += bool(res)
         assert nonempty > 50
 
@@ -283,12 +336,20 @@ class TestMaxRelaxSolve:
         soft = Cnf([Clause((-1,)), Clause((2,))])
         assert max_relax_solve(hard, soft, {1: True}) == {0}
 
-    def test_one_solver_per_call(self, built_solvers):
+    def test_one_solver_per_call(self, built_solvers, monkeypatch):
+        solves = []
+        solve_ = Solver.solve
+
+        def counting(self, *args, **kw):
+            solves.append(self)
+            return solve_(self, *args, **kw)
+        monkeypatch.setattr(Solver, "solve", counting)
         hard = Cnf([Clause((1, 2))])
         soft = Cnf([Clause((-1,)), Clause((-2,)), Clause((3,)),
                     Clause((-3, 1))])
-        assert max_relax_solve(hard, soft, {3: True}) == {0}
-        assert len(built_solvers) == 1
+        res = max_relax_solve(hard, soft, {3: True})
+        assert len(built_solvers) == 1 and solves == built_solvers
+        assert_minimal_correction_set(hard, soft, [3], res)
 
 
 class TestKernelBookkeeping:
@@ -354,7 +415,8 @@ class TestSearchIsPinned:
     over 40 seeded instances hashes to DIGEST.  DIGEST gives the same value
     on the solver before its kernel was rewritten for speed, so a change to
     the kernel that moves any decision fails here even where the answers
-    agree.  max_relax_solve is left out: it is tested by its contract."""
+    agree.  Preferred literals, and so max_relax_solve, are left out: they
+    are tested by their contracts."""
 
     DIGEST = ("16e9f88c588762a18964f0a49d6abec7"
               "066087f5459b03cc1bba870ce963843b")
