@@ -309,6 +309,12 @@ def cmd_sec(args, out=None, err=None):
         out, err)
 
 
+def _rename(f, ids):
+    """f with every variable v replaced by ids[v]."""
+    return Cnf(Clause(tuple(ids[l] if l > 0 else -ids[-l] for l in c))
+               for c in f)
+
+
 def cmd_pqe(args, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
@@ -318,8 +324,15 @@ def cmd_pqe(args, out=None, err=None):
     except (OSError, ValueError) as e:
         err.write("error: %s\n" % e)
         return 3
+    # a solver takes room for its largest id, so take_out gets the task's
+    # ids renumbered 1..n; ascending order keeps every answer the same
+    ids = sorted(task.w | task.a.variables() | task.b.variables())
+    dense = {v: i for i, v in enumerate(ids, 1)}
+    renamed = PqeTask({dense[v] for v in task.w}, _rename(task.a, dense),
+                      _rename(task.b, dense))
     try:
-        a_star = take_out(task, budget=args.pqe_budget)
+        a_star = _rename(take_out(renamed, budget=args.pqe_budget),
+                         dict(enumerate(ids, 1)))
     except PqeBudgetError:
         err.write("no answer within budget\n")
         return 2

@@ -52,8 +52,20 @@ class Solver:
     false: by the clauses, the assumptions and the earlier preferred
     literals true in the model.
 
-    ``value`` maps both literals of every registered variable to True,
-    False or None (unassigned), so a literal's value is one subscript.
+    ``value`` and ``watches`` are lists indexed by the signed literal
+    itself, ``level``, ``reason`` and ``activity`` lists indexed by the
+    variable id.  With ``cap`` the largest id they have room for, the first
+    two have 2·cap+1 slots: Python puts ``value[-v]`` in slot 2·cap+1-v.
+    ``value`` holds True, False or None (unassigned), so a literal's value
+    is one subscript.  An id above ``cap`` (in the clauses, ``extra_vars``,
+    ``add_clause``, an assumption or a preferred literal) at least doubles
+    the room, and the negative half moves up to stay at the end.  An id
+    without a variable in this solver holds None and no watchers.  So the
+    memory is 2·(largest id)+1 slots per solver, whatever ids it uses, and
+    ids should be dense: every id here is a ``VarTable`` id or a selector
+    allocated just above the largest id of its formula, and ``lorcheck
+    pqe`` renumbers a task's ids to 1..n.
+
     ``level`` and ``reason`` keep the entries of variables unassigned by a
     backtrack: they are read only for assigned variables (the literals of
     a conflict or reason clause, a false assumption), and assigning a
@@ -74,34 +86,53 @@ class Solver:
                 self.units.append(lits[0])
             else:
                 self.clauses.append(lits)
-        self.value = {}
-        for vid in self.var_ids:
-            self.value[vid] = self.value[-vid] = None
-        self.level = {}
-        self.reason = {}
+        self.cap = 0
+        self.value = [None]
+        self.watches = [[]]
+        self.level = [0]
+        self.reason = [None]
+        self.activity = [0.0]
+        self._grow(max(self.var_ids, default=0))
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.watches = watches = {}
+        watches = self.watches
         for idx, lits in enumerate(self.clauses):
-            watches.setdefault(-lits[0], []).append(idx)
-            watches.setdefault(-lits[1], []).append(idx)
-        self.activity = dict.fromkeys(self.var_ids, 0.0)
+            watches[-lits[0]].append(idx)
+            watches[-lits[1]].append(idx)
         self.act_inc = 1.0
         self.order = sorted(self.var_ids)
         self.n_assumed = 0
+
+    def _grow(self, vid):
+        """Make room for id vid, at least doubling the room if it grows."""
+        if vid <= self.cap:
+            return
+        cap = max(vid, 2 * self.cap)
+        more = cap - self.cap
+        # the negative literals stay at the end: slot 2·cap+1-v holds -v
+        mid = self.cap + 1
+        self.value[mid:mid] = [None] * (2 * more)
+        self.watches[mid:mid] = [[] for _ in range(2 * more)]
+        self.level += [0] * more
+        self.reason += [None] * more
+        self.activity += [0.0] * more
+        self.cap = cap
 
     def add_clause(self, lits):
         """Add a clause at decision level 0: skip it if a literal is true
         there, and drop the literals that are false there."""
         self._backtrack(0)
+        self._grow(max(map(abs, lits), default=0))
+        value, var_ids = self.value, self.var_ids
         rest = []
         for l in lits:
-            v = self.value.get(l)  # None for an unregistered variable
+            v = value[l]
             if v is True:
                 return
             if v is None:
-                self._register(abs(l))
+                if abs(l) not in var_ids:
+                    self._register(abs(l))
                 rest.append(l)
         if not rest:
             self.ok = False
@@ -114,15 +145,13 @@ class Solver:
             self._watch(rest[1], idx)
 
     def _register(self, vid):
-        if vid not in self.var_ids:
-            self.var_ids.add(vid)
-            self.activity[vid] = 0.0
-            self.value[vid] = self.value[-vid] = None
-            bisect.insort(self.order, vid)
+        self._grow(vid)
+        self.var_ids.add(vid)
+        bisect.insort(self.order, vid)
 
     def _watch(self, lit, idx):
         # watcher lists are keyed by the literal whose falsification wakes them
-        self.watches.setdefault(-lit, []).append(idx)
+        self.watches[-lit].append(idx)
 
     def _enqueue(self, lit, reason=None):
         self.value[lit] = True
@@ -141,11 +170,11 @@ class Solver:
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
-            pending = watches.pop(lit, None)
+            pending = watches[lit]
             if not pending:
                 continue
             false_lit = -lit
-            keep = []
+            keep = watches[lit] = []
             conflict = None
             for pos, idx in enumerate(pending):
                 lits = clauses[idx]
@@ -159,7 +188,7 @@ class Solver:
                 for k in range(2, len(lits)):
                     if value[lits[k]] is not False:
                         lits[1], lits[k] = lits[k], lits[1]
-                        watches.setdefault(-lits[1], []).append(idx)
+                        watches[-lits[1]].append(idx)
                         break
                 else:
                     keep.append(idx)
@@ -173,8 +202,6 @@ class Solver:
                     level[vid] = lvl
                     reason[vid] = idx
                     trail.append(first)
-            if keep:
-                watches.setdefault(lit, []).extend(keep)
             if conflict is not None:
                 self.qhead = qhead
                 return conflict
@@ -182,10 +209,10 @@ class Solver:
         return None
 
     def _bump(self, vid):
-        self.activity[vid] += self.act_inc
-        if self.activity[vid] > 1e100:
-            for v in self.activity:
-                self.activity[v] *= 1e-100
+        activity = self.activity
+        activity[vid] += self.act_inc
+        if activity[vid] > 1e100:
+            activity[:] = [a * 1e-100 for a in activity]
             self.act_inc *= 1e-100
 
     def _analyze(self, conflict):
@@ -275,8 +302,10 @@ class Solver:
 
     def solve(self, assumptions=(), prefer=()):
         assumptions, prefer = list(assumptions), list(prefer)
+        var_ids = self.var_ids
         for a in assumptions + prefer:
-            self._register(abs(a))
+            if abs(a) not in var_ids:
+                self._register(abs(a))
         self._backtrack(0)
         if not self.ok:
             return SatResult("unsat", core=set())

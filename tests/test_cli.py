@@ -9,6 +9,7 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
 from lorcheck.pclor import pc_lor, Options, Witness
 from lorcheck.cnf import Cnf
+from lorcheck.sat import Solver
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, make_rng, random_system_source,
@@ -496,6 +497,27 @@ class TestPqe:
         got = capfd.readouterr()
         assert "verified" in got.err
         assert "1 2 0" in got.out
+
+    def test_large_ids_are_renumbered(self, tmp_path, capfd, monkeypatch):
+        # the same task over ids {1, 2, 3} and {1, 2, 10**9} gives the same
+        # answer, mapped back; no solver makes room for more than 3 ids
+        grow = Solver._grow
+
+        def bounded(self, vid):
+            assert vid <= 3 + 2  # the task's ids and A's selectors
+            grow(self, vid)
+        monkeypatch.setattr(Solver, "_grow", bounded)
+        outs = []
+        for top in (3, 10 ** 9):
+            p = tmp_path / ("t%d.pqe" % top)
+            p.write_text("p pqe {0} 2 2\nw 1 0\n1 {0} 0\n-1 -2 0\n%\n"
+                         "-1 2 {0} 0\n1 -{0} 0\n".format(top))
+            assert main(["pqe", str(p), "--verify"]) == 0
+            got = capfd.readouterr()
+            assert got.err == "verified\n"
+            outs.append(got.out)
+        assert outs[0] == "-2 0\n2 3 0\n"
+        assert outs[1] == outs[0].replace("3", str(10 ** 9))
 
     def test_parser_rejections(self):
         for text in ["", "p pqe 1 0\n", "p pqe 1 1 0\n",  # counts wrong

@@ -356,9 +356,12 @@ class TestKernelBookkeeping:
     @staticmethod
     def assert_consistent(s):
         # order lists the registered ids in ascending order; value holds
-        # both signs of each, True/False exactly for the literals on the trail
+        # both signs of each, True/False exactly for the literals on the
+        # trail; an id without a variable has None and no watchers on both
         assert s.order == sorted(s.var_ids)
-        assert set(s.value) == s.var_ids | {-v for v in s.var_ids}
+        assert len(s.value) == len(s.watches) == 2 * s.cap + 1
+        assert len(s.level) == len(s.reason) == len(s.activity) == s.cap + 1
+        assert max(s.var_ids, default=0) <= s.cap
         on_trail = {abs(l): l for l in s.trail}
         for v in s.var_ids:
             if v in on_trail:
@@ -366,6 +369,10 @@ class TestKernelBookkeeping:
                 assert s.value[l] is True and s.value[-l] is False
             else:
                 assert s.value[v] is None and s.value[-v] is None
+        for v in set(range(1, s.cap + 1)) - s.var_ids:
+            assert s.value[v] is None and s.value[-v] is None
+            assert not s.watches[v] and not s.watches[-v]
+            assert s.activity[v] == 0.0
 
     def test_ids_first_seen_late_and_out_of_order(self):
         s = Solver([Clause((5, -9))], extra_vars=[2])
@@ -401,6 +408,37 @@ class TestKernelBookkeeping:
                 s._backtrack(0)
                 self.assert_consistent(s)
 
+    def test_growth_past_capacity(self):
+        # each round, an id above the solver's room first appears in an
+        # added clause, then in an assumption, then in a preferred literal;
+        # the reused solver must answer as fresh solvers over its clauses
+        rng = random.Random(18)
+        sign = lambda v: v if rng.random() < 0.5 else -v
+        for _ in range(60):
+            f, n = random_cnf(rng, max_var=8, max_clauses=20, max_len=3)
+            s = Solver(f)
+            clauses = list(f)
+            for _ in range(3):
+                old = rng.sample(sorted(s.var_ids), min(2, len(s.var_ids)))
+                c = Clause(tuple(sign(v) for v in old + [s.cap + 1]))
+                s.add_clause(c)
+                clauses.append(c)
+                assume = [sign(v) for v in rng.sample(sorted(s.var_ids),
+                                                      min(2, len(s.var_ids)))]
+                assume.append(sign(s.cap + 1))
+                prefer = [sign(v) for v in sorted(s.var_ids)]
+                prefer.append(sign(s.cap + 1 + len(assume)))
+                res = s.solve(assume, prefer=prefer)
+                self.assert_consistent(s)
+                assert bool(res) == bool(Solver(clauses).solve(assume))
+                if res:
+                    assert evaluate(Cnf(clauses), res.model) is True
+                    assert all(res.model[abs(l)] == (l > 0) for l in assume)
+                    assert set(res.model) == s.var_ids
+                else:
+                    assert res.core <= set(assume)
+                    assert not Solver(clauses).solve(sorted(res.core))
+
 
 def random_3cnf(rng, n):
     """Random 3-CNF over n variables at the satisfiability threshold."""
@@ -415,8 +453,8 @@ class TestSearchIsPinned:
     over 40 seeded instances hashes to DIGEST.  DIGEST gives the same value
     on the solver before its kernel was rewritten for speed, so a change to
     the kernel that moves any decision fails here even where the answers
-    agree.  Preferred literals, and so max_relax_solve, are left out: they
-    are tested by their contracts."""
+    agree.  Preferred literals, and so max_relax_solve, are pinned by
+    TestPreferSearchIsPinned."""
 
     DIGEST = ("16e9f88c588762a18964f0a49d6abec7"
               "066087f5459b03cc1bba870ce963843b")
@@ -439,6 +477,56 @@ class TestSearchIsPinned:
             for c in more:
                 s.add_clause(c)
         out.append(s.clauses)
+        return out
+
+    def test_transcript_digest(self):
+        h = hashlib.sha256()
+        for seed in range(40):
+            h.update(repr(self.transcript(seed)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestPreferSearchIsPinned:
+    """The preferred-literal search that max_relax_solve relies on, pinned
+    like TestSearchIsPinned: every status, model (in dict order), core and
+    learnt clause of a fixed script of solve(assumptions, prefer) calls,
+    and the set that max_relax_solve returns, over 40 seeded instances,
+    hash to DIGEST.  DIGEST was recorded on the solver before its kernel
+    moved from dicts to literal-indexed lists."""
+
+    DIGEST = ("91176c7fd958e7f3769e308885ed9eac"
+              "39f52c2df16133c6b936fec53b4a3cd3")
+
+    @staticmethod
+    def transcript(seed):
+        rng = random.Random(seed)
+        n = rng.randint(30, 60)
+        # below the threshold, so that most solves are satisfiable
+        s = Solver(list(random_3cnf(rng, n))[:round(3.6 * n)])
+        out = []
+        for _ in range(4):
+            # assumptions and preferred literals may name unseen variables
+            vs = rng.sample(range(1, n + 4), rng.randint(0, 3))
+            ps = rng.sample(range(1, n + 8), rng.randint(1, n))
+            res = s.solve([v if rng.random() < 0.5 else -v for v in vs],
+                          prefer=[v if rng.random() < 0.5 else -v
+                                  for v in ps])
+            out.append((res.status, list(res.model.items()) if res
+                        else sorted(res.core)))
+            more, _ = random_cnf(rng, max_var=n + 3, max_clauses=3,
+                                 max_len=3)
+            for c in more:
+                s.add_clause(c)
+        out.append(s.clauses)
+        hard = Cnf(list(random_3cnf(rng, n))[:3 * n])
+        soft = Cnf(Clause(tuple(v if rng.random() < 0.5 else -v
+                                for v in rng.sample(range(1, n + 1), 2)))
+                   for _ in range(2 * n))
+        target = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), 3)}
+        try:
+            out.append(sorted(max_relax_solve(hard, soft, target)))
+        except ValueError:
+            out.append("unsat")
         return out
 
     def test_transcript_digest(self):
