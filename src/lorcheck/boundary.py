@@ -4,7 +4,7 @@ relaxation into makeup clauses, and the CO-condition checker."""
 
 from __future__ import annotations
 
-from .cnf import Cnf, rename_frame
+from .cnf import Cnf, rename
 from .sat import Solver, implies
 from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
 
@@ -12,10 +12,11 @@ from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
 class FrameChain:
     """H_0..H_j plus removed-clause sets R_k defining T^rlx_{k,k+1}.
 
-    H_k is stored over canonical (frame-0) state variables and renamed on
-    demand.  R_k is a set of indices into the canonical transition clauses,
-    so T = T^rlx ∧ R holds syntactically for every frame.  Every frame has
-    an R_k; the last frame's is empty, as its step is not relaxed yet.
+    H_k is stored over frame-0 state variables; h_next(k) is H_k′, its
+    copy over frame 1 by the map ts.next.  R_k is a set of indices into
+    the canonical transition clauses, so T = T^rlx ∧ R holds syntactically
+    for every frame.  Every frame has an R_k; the last frame's is empty, as
+    its step is not relaxed yet.
 
     Each frame keeps one incremental solver over H_k ∧ T^rlx_{k,k+1}.  It
     gains the clauses that strengthen H_k, and is rebuilt on the next
@@ -40,8 +41,9 @@ class FrameChain:
     def h_cnf(self, k):
         return Cnf(self.h[k])
 
-    def h_at(self, k, frame):
-        return rename_frame(self.h_cnf(k), self.ts.table, {0: frame})
+    def h_next(self, k):
+        """H_k′: H_k over the frame-1 state variables."""
+        return rename(self.h_cnf(k), self.ts.next)
 
     def trlx_cnf(self, k):
         """Relaxed transition relation of step k in canonical 0→1 form."""
@@ -80,18 +82,16 @@ class FrameChain:
 
 
 def unrolled_lhs(chain, k, extra):
-    """The PQE task for frame k, in canonical frames 0 and 1: take `extra`
-    (canonical 0→1 transition clauses) out of H_{k-1} ∧ H_k′ ∧ T^rlx_{k-1},
-    quantifying everything but the frame-1 state variables.  The chain
-    summarizes the prefix, so no earlier transition copies are needed.
+    """The PQE task for frame k, over frames 0 and 1 only: take `extra`
+    (transition clauses) out of H_{k-1} ∧ H_k′ ∧ T^rlx_{k-1}, quantifying
+    everything but the frame-1 state variables.  Nothing is unrolled: the
+    chain summarizes the prefix, so no earlier transition copy is needed.
     H_0..H_{k-2} are left out too: they share no variable with the rest
     and hold on every initial state, so they do not change ∃W[·].  The
-    task stays the same size at every depth and creates no variable past
-    frame 1."""
-    ts = chain.ts
+    task stays the same size at every depth."""
     a = Cnf(extra)
-    b = chain.h_cnf(k - 1) + chain.h_at(k, 1) + chain.trlx_cnf(k - 1)
-    w = (a.variables() | b.variables()) - set(ts.state_ids(1))
+    b = chain.h_cnf(k - 1) + chain.h_next(k) + chain.trlx_cnf(k - 1)
+    w = (a.variables() | b.variables()) - set(chain.ts.prev)
     return PqeTask(w, a, b.normalize())
 
 
@@ -110,7 +110,7 @@ def makeup_clauses(chain, k, indices):
     except PqeBudgetError as e:
         e.frame = k
         raise
-    return rename_frame(a_star, chain.ts.table, {1: 0})
+    return rename(a_star, chain.ts.prev)
 
 
 def check_co(chain):
@@ -123,7 +123,7 @@ def check_co(chain):
         entries.append((2, m, implies(chain.h_cnf(m), ts.prop)))
     for m in range(1, chain.j + 1):
         lhs = chain.h_cnf(m - 1) + chain.trlx_cnf(m - 1)
-        entries.append((3, m, implies(lhs, chain.h_at(m, 1))))
+        entries.append((3, m, implies(lhs, chain.h_next(m))))
         entries.append((4, m, implies(chain.h_cnf(m - 1), chain.h_cnf(m))))
     return [(c, m) for c, m, passed in entries if not passed]
 

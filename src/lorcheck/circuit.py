@@ -1,12 +1,13 @@
 """Circuit front-end: SCIRC parsing, Tseitin encoding to a transition
-relation, stuttering, miter construction, time-frame instantiation."""
+relation over the current and the next state, stuttering, miter
+construction."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 
-from .cnf import Cnf, Clause, VarTable, rename_frame
+from .cnf import Cnf, Clause, VarTable
 
 # Expressions are nested tuples:
 #   ('var', name) ('const', 0|1) ('not', e) ('and', a, b) ('or', a, b) ('xor', a, b)
@@ -254,28 +255,29 @@ def simulate(c, state, inputs):
 
 
 class TransitionSystem:
-    """CNF form of a circuit: I over S, T over S ∪ X ∪ Y ∪ S', P over S."""
+    """CNF form of a circuit: I over S, T over S ∪ X ∪ Y ∪ S', P over S.
 
-    def __init__(self, table, circ, init, trans, prop,
-                 state_vars, input_vars, stuttering_var=None, interface=None):
+    S is frame 0 and S' frame 1.  `next` maps each id of S to its id in
+    S' and `prev` maps back; every shift between the two frames is a
+    cnf.rename by one of them."""
+
+    def __init__(self, table, circ, init, trans, prop, state_vars, next_vars,
+                 input_vars, stuttering_var=None, interface=None):
         self.table = table
         self.circuit = circ
         self.init = init
         self.trans = trans
         self.prop = prop
         self.state_vars = state_vars        # frame-0 Vars, latch order
+        self.next = {v.id: n.id for v, n in zip(state_vars, next_vars)}
+        self.prev = {n: v for v, n in self.next.items()}
         self.input_vars = input_vars
         self.stuttering_var = stuttering_var
         self.interface = interface  # miter only: interface clause positions
 
-    def frame(self, j):
-        """T_{j,j+1}: the transition relation instantiated at frame j."""
-        if j < 0:
-            raise ValueError("frame index must be non-negative")
-        return rename_frame(self.trans, self.table, {0: j, 1: j + 1})
-
     def state_ids(self, j=0):
-        return [self.table.at_frame(v, j).id for v in self.state_vars]
+        """Ids of the state variables at frame j (0 or 1), latch order."""
+        return [self.table.get(v.name, j).id for v in self.state_vars]
 
     @functools.cached_property
     def step_vars(self):
@@ -510,7 +512,7 @@ def encode(c):
     table = VarTable()
     state_vars = [table.new(l.name, 0) for l in c.latches]
     input_vars = [table.new(n, 0) for n in c.inputs]
-    next_vars = [table.at_frame(v, 1) for v in state_vars]
+    next_vars = [table.new(v.name, 1) for v in state_vars]
     enc = _Encoder(table)
     for v in state_vars + input_vars:
         enc.env[v.name] = v.id
@@ -541,8 +543,8 @@ def encode(c):
     prop = (compile_state_predicate(c.prop, c, table) if c.prop is not None
             else Cnf([]))
     stut = table.get(c.stutter_input, 0) if c.stutter_input else None
-    return TransitionSystem(table, c, init, trans, prop,
-                            state_vars, input_vars, stut, interface)
+    return TransitionSystem(table, c, init, trans, prop, state_vars,
+                            next_vars, input_vars, stut, interface)
 
 
 # -------------------------------------------------------------- stuttering

@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from .cnf import Cnf, Clause, evaluate, rename_frame
+from .cnf import Cnf, Clause, evaluate, rename
 from .sat import Solver, implies
 from .circuit import CircuitError, parse_circuit, encode, stutter, build_miter
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
@@ -142,33 +142,38 @@ def verify_trace(ts, lines, report):
 
 
 def verify_invariant(ts, lines, report):
-    names = {}
+    """Check an invariant over the latches that its `c var` lines name,
+    each number once."""
+    latches = {v.name: v.id for v in ts.state_vars}
+    ids = {}
     clauses = []
-    for l in lines[1:]:
+    for lineno, l in enumerate(lines[1:], 2):
         words = l.split()
         if not words or words[0] == "p":
             continue
         if words[0] == "c":
             if len(words) == 4 and words[1] == "var":
-                names[int(words[2])] = words[3]
+                n, name = int(words[2]), words[3]
+                if n in ids:
+                    raise ValueError("line %d: variable %d named twice"
+                                     % (lineno, n))
+                if name not in latches:
+                    raise ValueError("line %d: %r is not a latch"
+                                     % (lineno, name))
+                ids[n] = latches[name]
             continue
         lits = [int(x) for x in words]
         if lits[-1] != 0:
             raise ValueError("clause line missing terminating 0: %r" % l)
         clauses.append(lits[:-1])
-    ids = {}
-    for n, nm in names.items():
-        ids[n] = ts.table.get(nm, 0).id
-    inv = Cnf(Clause(tuple(ids[abs(l)] * (1 if l > 0 else -1) for l in c))
-              for c in clauses)
+    inv = rename(clauses, ids)
     if not implies(ts.init, inv):
         report("condition 1: initial states do not satisfy the invariant")
         return False
     if not implies(inv, ts.prop):
         report("condition 2: invariant does not imply the property")
         return False
-    inv1 = rename_frame(inv, ts.table, {0: 1})
-    if not implies(inv + ts.trans, inv1):
+    if not implies(inv + ts.trans, rename(inv, ts.next)):
         report("condition 3: invariant is not inductive")
         return False
     return True
@@ -309,12 +314,6 @@ def cmd_sec(args, out=None, err=None):
         out, err)
 
 
-def _rename(f, ids):
-    """f with every variable v replaced by ids[v]."""
-    return Cnf(Clause(tuple(ids[l] if l > 0 else -ids[-l] for l in c))
-               for c in f)
-
-
 def cmd_pqe(args, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
@@ -328,11 +327,11 @@ def cmd_pqe(args, out=None, err=None):
     # ids renumbered 1..n; ascending order keeps every answer the same
     ids = sorted(task.w | task.a.variables() | task.b.variables())
     dense = {v: i for i, v in enumerate(ids, 1)}
-    renamed = PqeTask({dense[v] for v in task.w}, _rename(task.a, dense),
-                      _rename(task.b, dense))
+    renamed = PqeTask({dense[v] for v in task.w}, rename(task.a, dense),
+                      rename(task.b, dense))
     try:
-        a_star = _rename(take_out(renamed, budget=args.pqe_budget),
-                         dict(enumerate(ids, 1)))
+        a_star = rename(take_out(renamed, budget=args.pqe_budget),
+                        dict(enumerate(ids, 1)))
     except PqeBudgetError:
         err.write("no answer within budget\n")
         return 2

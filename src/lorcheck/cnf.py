@@ -1,4 +1,4 @@
-"""Clause-level formula machinery: variables, clauses, CNF, frame renaming."""
+"""Clause-level formula machinery: variables, clauses, CNF, renaming."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ class VarTable:
     """Allocates variables and resolves (name, frame) pairs to ids."""
 
     def __init__(self):
-        self.by_id = {}
         self.by_key = {}
         self._next = 1
 
@@ -32,23 +31,11 @@ class VarTable:
             raise ValueError("variable %r already declared at frame %r" % (name, frame))
         v = Var(self._next, name, frame)
         self._next += 1
-        self.by_id[v.id] = v
         self.by_key[key] = v
         return v
 
     def get(self, name, frame=None):
         return self.by_key[(name, frame)]
-
-    def lookup(self, vid):
-        return self.by_id[vid]
-
-    def at_frame(self, var, frame):
-        """The variable with var's name at another frame, created on demand."""
-        key = (var.name, frame)
-        v = self.by_key.get(key)
-        if v is None:
-            v = self.new(var.name, frame)
-        return v
 
 
 # Literals are signed ints (DIMACS style); an Assignment maps var id -> bool.
@@ -140,17 +127,11 @@ class Cnf:
         return out
 
 
-def rename_frame(f, table, frames):
-    """Move every variable to the frame that the map `frames` gives its own."""
-
-    def move(lit):
-        var = table.lookup(abs(lit))
-        if var.frame not in frames:
-            raise ValueError("frame %r not mapped" % (var.frame,))
-        nv = table.at_frame(var, frames[var.frame])
-        return nv.id if lit > 0 else -nv.id
-
-    return Cnf(Clause([move(l) for l in c]) for c in f)
+def rename(f, ids):
+    """f with every variable v replaced by ids[v]; KeyError for a variable
+    ids does not map."""
+    return Cnf(Clause(tuple(ids[l] if l > 0 else -ids[-l] for l in c))
+               for c in f)
 
 
 def evaluate(f, assignment):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 
-from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename_frame
+from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename
 from .sat import Solver
 from .boundary import makeup_clauses, clause_implied
 from .pclor import Checker
@@ -33,7 +33,7 @@ def make_inductive_clause(ts, f, s):
     C starts as the clause false only at s, which I implies as s is not
     initial."""
     c = longest_falsified_clause(s)
-    c1 = rename_frame(Cnf([c]), ts.table, {0: 1}).clauses[0]
+    c1 = rename(Cnf([c]), ts.next).clauses[0]
     step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.step_vars)
     res = step.solve([-l for l in c1])
     if res:
@@ -48,8 +48,7 @@ def generalize(c, step, ts, init):
     `init` over I and `step` over F ∧ C ∧ T serve every trial (a trial
     implies C, so C changes no answer).  A trial joins `step` under an
     activation literal, which the check assumes and a unit then retires."""
-    c1 = [u.lits[0] for u in rename_frame(Cnf((l,) for l in c), ts.table,
-                                          {0: 1})]
+    c1 = [u.lits[0] for u in rename(Cnf((l,) for l in c), ts.next)]
     shift = dict(zip(c, c1))
     act = max(step.var_ids | c.variables() | {abs(l) for l in c1})
     lits = list(c)
@@ -90,7 +89,7 @@ def houdini(ts, cands, required=()):
     required = set(required)
     while True:
         solver = Solver(cands + list(ts.trans))
-        shifted = rename_frame(Cnf(cands), ts.table, {0: 1}).clauses
+        shifted = rename(Cnf(cands), ts.next).clauses
         alive = [True] * len(cands)
         for i, c1 in enumerate(shifted):
             if not alive[i]:

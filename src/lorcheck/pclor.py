@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 
-from .cnf import Cnf, evaluate, rename_frame
+from .cnf import Cnf, evaluate, rename
 from .sat import Solver, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant
 from .circuit import CircuitError
@@ -42,7 +42,6 @@ class Checker:
         self.opts = opts or Options()
         self.chain = FrameChain(ts, self.opts.pqe_budget)
         self.state_ids = ts.state_ids(0)
-        self._next = dict(zip(self.state_ids, ts.state_ids(1)))
 
     # ------------------------------------------------------------ helpers
 
@@ -70,7 +69,7 @@ class Checker:
         hard = chain.h_cnf(k - 1)
         try:
             left_out = max_relax_solve(
-                hard, soft, {self._next[v]: b for v, b in target.items()})
+                hard, soft, {self.ts.next[v]: b for v, b in target.items()})
         except ValueError:
             raise CheckerError("frame %d: H_%d is unsatisfiable, so no "
                                "relaxation reaches a state" % (k, k - 1)) from None
@@ -140,7 +139,7 @@ class Checker:
 
     def _step(self, a, b):
         """Assumptions that put state a at frame 0 and state b at frame 1."""
-        both = sorted(a.items()) + sorted((self._next[v], x)
+        both = sorted(a.items()) + sorted((self.ts.next[v], x)
                                           for v, x in b.items())
         return [v if val else -v for v, val in both]
 
@@ -172,11 +171,11 @@ class Checker:
         to a bad one.  Frame j-1 is the last frame, so R_{j-1} is empty, its
         solver holds all of T and its model's frame-1 state is the bad
         successor."""
-        prop1 = rename_frame(self.ts.prop, self.ts.table, {0: 1})
-        path = self._reachable_violation(j - 1, prop1)
+        path = self._reachable_violation(
+            j - 1, rename(self.ts.prop, self.ts.next))
         if path is None:
             return None
-        bad = {v: path[-1][1][w] for v, w in self._next.items()}
+        bad = {v: path[-1][1][w] for v, w in self.ts.next.items()}
         return path + [(bad, None)]
 
     def fin_rlx(self, j):
@@ -201,8 +200,7 @@ class Checker:
         nor relax step m-1, so the new clauses are renamed once."""
         chain = self.chain
         for m in range(chain.j, 0, -1):
-            new = rename_frame(Cnf(chain.h[m][chain.co3_done[m]:]),
-                               self.ts.table, {0: 1})
+            new = rename(Cnf(chain.h[m][chain.co3_done[m]:]), self.ts.next)
             while new and (viol := self._reachable_violation(m - 1, new)):
                 if not (broken := self._broken(m - 1, viol[-1][1])):
                     raise CheckerError(

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
+from lorcheck.cnf import Cnf, Clause, evaluate
 from lorcheck.sat import solve, implies
 from lorcheck.circuit import parse_circuit, encode, add_stuttering, build_miter
 from lorcheck.pqe import PqeTask, take_out
@@ -156,12 +156,27 @@ def test_criterion_5_engines_match_brute_force():
 
 
 def bmc_sat(ts, depth):
-    f = rename_frame(ts.init, ts.table, {0: 0})
+    """Does a bad state lie exactly `depth` steps from I?  A test-local
+    unroller, independent of the checker's renaming: step i moves every id
+    v of T to v + i·size, and each next-state id to its state id one block
+    up, where step i+1 reads it."""
+    s0, s1 = ts.state_ids(0), ts.state_ids(1)
+    size = max(ts.trans.variables() | set(s0) | set(s1))
+
+    def move(f, ids):
+        return Cnf(Clause([ids[l] if l > 0 else -ids[-l] for l in c])
+                   for c in f)
+
+    def block(i):
+        ids = {v: v + i * size for v in range(1, size + 1)}
+        ids.update((b, a + (i + 1) * size) for a, b in zip(s0, s1))
+        return ids
+
+    f = ts.init
     for i in range(depth):
-        f = f + ts.frame(i)
-    for c in ts.prop:
-        cd = rename_frame(Cnf([c]), ts.table, {0: depth}).clauses[0]
-        if solve(f, assumptions=[-l for l in cd]):
+        f = f + move(ts.trans, block(i))
+    for c in move(ts.prop, block(depth)):
+        if solve(f, assumptions=[-l for l in c]):
             return True
     return False
 

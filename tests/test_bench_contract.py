@@ -3,6 +3,7 @@ string; these tests fail when the program drops or renames one of them."""
 
 import ast
 import importlib
+import json
 import os
 import sys
 
@@ -50,6 +51,19 @@ def test_corpus_imports_exist():
         module = importlib.import_module(node.module)
         for alias in node.names:
             assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+def test_corpus_self_check(perfbench, tmp_path):
+    """Every workload's corpus builds and its answers agree with
+    enumeration, so an attribute that corpus.py reads from the program,
+    such as ts.state_ids(0) or ts.circuit, cannot go missing unnoticed."""
+    corpus = importlib.import_module("corpus")
+    with open(os.path.join(os.path.dirname(PERFBENCH), "BENCHMARK.json")) as f:
+        workloads = [w["name"] for w in json.load(f)["workloads"]]
+    assert workloads
+    for w in workloads:
+        assert corpus.Corpus(w, 1, str(tmp_path)).instances, w
+        assert corpus.self_check(w) == [], w
 
 
 def _bindings(targets):

@@ -2,7 +2,7 @@ import pytest
 
 from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
                                check_co, clause_implied, detect_invariant)
-from lorcheck.cnf import Cnf, Clause, rename_frame, evaluate
+from lorcheck.cnf import Cnf, Clause, rename, evaluate
 from lorcheck.sat import Solver, implies
 from lorcheck.qe_oracle import check_pqe, verify_boundary
 from conftest import make_rng, random_system
@@ -56,11 +56,6 @@ class TestFrameChain:
         chain.strengthen(1, [c, c])
         chain.strengthen(1, [c])
         assert chain.h[1] == [c]
-
-    def test_h_at_renames(self, stuck0):
-        chain = FrameChain(stuck0)
-        h3 = chain.h_at(0, 3)
-        assert h3.variables() == {stuck0.state_ids(3)[0]}
 
 
 class TestUnrolledLhs:
@@ -122,7 +117,7 @@ class TestMakeupClauses:
         task_before = unrolled_lhs(chain, 1, drop)
         chain.restore(0, [0])
         g = makeup_clauses(chain, 1, [0])
-        g1 = rename_frame(g, toggle.table, {0: 1})
+        g1 = rename(g, toggle.next)
         assert check_pqe(task_before.w, task_before.a, task_before.b, g1)
 
 

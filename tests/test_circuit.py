@@ -9,7 +9,7 @@ from lorcheck.circuit import (CircuitError, parse_circuit, encode,
                               add_stuttering, build_miter, simulate,
                               eval_expr, compile_state_predicate, stutter)
 from lorcheck.cli import main
-from lorcheck.cnf import Cnf, Clause, evaluate
+from lorcheck.cnf import Cnf, Clause, evaluate, rename
 from lorcheck.sat import solve, implies
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
                       random_system_source, shreg_source, xorreg_source,
@@ -206,13 +206,40 @@ class TestEncoding:
         ts = encode(parse_circuit("input x\nlatch s init * next x\n"))
         assert list(ts.init) == []
 
-    def test_frame_instantiation(self):
-        ts = encode(parse_circuit(STUCK0_SRC))
-        f3 = ts.frame(3)
-        frames = {ts.table.lookup(v).frame for v in f3.variables()}
-        assert frames == {3, 4}
-        with pytest.raises(ValueError):
-            ts.frame(-1)
+
+FIXTURE_SYSTEMS = ["stuck0", "toggle", "dff_miter"]
+
+
+class TestNextMap:
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_round_trip(self, name, request):
+        ts = request.getfixturevalue(name)
+        ids = ts.state_ids(0)
+        mixed = Cnf([Clause([v if i % 2 else -v for i, v in enumerate(ids)])])
+        for f in (ts.init, ts.prop, mixed):
+            assert rename(rename(f, ts.next), ts.prev) == f
+
+    @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
+    def test_bijection_onto_next_state_ids_of_t(self, name, request):
+        ts = request.getfixturevalue(name)
+        frame1 = {v.id for v in ts.table.by_key.values() if v.frame == 1}
+        assert set(ts.next) == set(ts.state_ids(0))
+        assert len(set(ts.next.values())) == len(ts.next)
+        assert set(ts.next.values()) == frame1 & ts.trans.variables()
+        assert list(ts.next.values()) == ts.state_ids(1)
+        assert ts.prev == {n: v for v, n in ts.next.items()}
+
+    def test_non_state_literal_raises(self, stuck0):
+        ts = stuck0
+        before = dict(ts.table.by_key)
+        inputs = {v.id for v in ts.input_vars}
+        tseitin = ts.trans.variables() - set(ts.next) - set(ts.prev) - inputs
+        for v in sorted(inputs) + [min(tseitin)]:
+            with pytest.raises(KeyError):
+                rename(Cnf([Clause((-v,))]), ts.next)
+        with pytest.raises(KeyError):
+            rename(ts.prop, ts.prev)
+        assert ts.table.by_key == before
 
 
 class TestStuttering:
@@ -334,9 +361,7 @@ class TestMiter:
         ts = encode(m)
         sn, sk = ts.state_ids(0)
         eq = Cnf([Clause((sn, -sk)), Clause((-sn, sk))])
-        from lorcheck.cnf import rename_frame
-        eq1 = rename_frame(eq, ts.table, {0: 1})
-        assert implies(eq + ts.trans, eq1)
+        assert implies(eq + ts.trans, rename(eq, ts.next))
 
 
 def _ring(n, k):

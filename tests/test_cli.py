@@ -579,6 +579,25 @@ class TestWitnessVerification:
         assert replay(equal[:4] + equal[5:]) == 1
         assert "witness rejected" in capfd.readouterr().out
 
+    @pytest.mark.parametrize("second, why", [
+        ("c var 1 x", "variable 1 named twice"),
+        ("c var 2 x", "'x' is not a latch"),
+        ("c var 2 g", "'g' is not a latch"),
+        ("c var 2 nosuch", "'nosuch' is not a latch")])
+    def test_invariant_names_latches_once(self, tmp_path, capfd, second, why):
+        src = tmp_path / "g.scirc"
+        src.write_text("input x\nlatch s init 0 next g\n"
+                       "signal g = (s AND x)\nprop NOT s\n")
+        assert main(["check", str(src)]) == 0
+        assert main(["verify-witness", str(src), str(src) + ".witness"]) == 0
+        capfd.readouterr()
+        p = tmp_path / "w"
+        p.write_text("invariant\nc var 1 s\n%s\np cnf 2 2\n-1 0\n-1 -2 0\n"
+                     % second)
+        assert main(["verify-witness", str(src), str(p)]) == 3
+        assert capfd.readouterr().err == (
+            "error: malformed witness: line 3: %s\n" % why)
+
     def test_unknown_kind(self, stuck0_file, tmp_path, capfd):
         p = tmp_path / "w"
         p.write_text("maybe\n")

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lorcheck.cnf import (Clause, Cnf, VarTable, rename_frame, evaluate,
-                          lit_sat, longest_falsified_clause)
+from lorcheck.cnf import (Clause, Cnf, evaluate, lit_sat,
+                          longest_falsified_clause)
 
 
 def assignments(max_var=6):
@@ -19,30 +19,6 @@ class TestClause:
 
     def test_variables(self):
         assert Clause((-3, 1)).variables() == {1, 3}
-
-
-class TestRenameFrame:
-    def test_shift_round_trip(self):
-        t = VarTable()
-        s = t.new("s", 0)
-        f = Cnf([Clause((s.id,))])
-        g = rename_frame(f, t, {0: 2})
-        assert g.variables() == {t.get("s", 2).id}
-        assert rename_frame(g, t, {2: 0}) == f
-
-    def test_frame_map(self):
-        t = VarTable()
-        s0 = t.new("s", 0)
-        s1 = t.new("s", 1)
-        f = Cnf([Clause((s0.id, -s1.id))])
-        g = rename_frame(f, t, {0: 3, 1: 4})
-        assert g.variables() == {t.get("s", 3).id, t.get("s", 4).id}
-
-    def test_unmapped_frame_errors(self):
-        t = VarTable()
-        s = t.new("s", 0)
-        with pytest.raises(ValueError):
-            rename_frame(Cnf([Clause((s.id,))]), t, {1: 2})
 
 
 class TestEvaluate:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
+from lorcheck.cnf import Cnf, Clause, evaluate, rename
 from lorcheck.sat import Solver, implies
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
@@ -48,18 +48,20 @@ class TestMakeInductiveClause:
                 c = r[0]
                 assert evaluate(Cnf([c]), s) is False
                 assert implies(ts.init, Cnf([c]))
-                c1 = rename_frame(Cnf([c]), ts.table, {0: 1})
+                c1 = rename(Cnf([c]), ts.next)
                 assert implies(f + Cnf([c]) + ts.trans, c1)
 
 
 class TestGeneralize:
-    def test_drops_redundant_literals(self, stuck0):
-        s = stuck0.state_ids(0)[0]
-        stut = stuck0.stuttering_var.id
-        # artificially widened clause; only ¬s is needed
-        wide = Clause((-s, stut))
-        step = Solver(list(stuck0.init) + [wide] + list(stuck0.trans))
-        g = generalize(wide, step, stuck0, Solver(stuck0.init))
+    def test_drops_redundant_literals(self):
+        ts = add_stuttering(encode(parse_circuit(
+            "input x\nlatch s init 0 next (s AND x)\n"
+            "latch t init 0 next x\nprop NOT s\n")))
+        s, t = ts.state_ids(0)
+        # ¬s alone is inductive; ¬t is not, as x sets t
+        wide = Clause((-s, -t))
+        step = Solver(list(ts.init) + [wide] + list(ts.trans))
+        g = generalize(wide, step, ts, Solver(ts.init))
         assert g == Clause((-s,))
 
     def test_result_still_inductive(self):
@@ -76,7 +78,7 @@ class TestGeneralize:
             g = generalize(*r, ts, Solver(ts.init))
             assert set(g.lits) <= set(r[0].lits)
             assert implies(ts.init, Cnf([g]))
-            g1 = rename_frame(Cnf([g]), ts.table, {0: 1})
+            g1 = rename(Cnf([g]), ts.next)
             assert implies(ts.init + Cnf([g]) + ts.trans, g1)
 
 
@@ -87,7 +89,7 @@ class TestGeneralize:
                 if len(lits) == 1:
                     break
                 trial = Cnf([Clause(x for x in lits if x != l)])
-                trial1 = rename_frame(trial, ts.table, {0: 1})
+                trial1 = rename(trial, ts.next)
                 if (implies(ts.init, trial) and
                         implies(f + trial + ts.trans, trial1)):
                     lits = list(trial.clauses[0].lits)

@@ -5,7 +5,7 @@ import pytest
 
 from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
                               add_stuttering, build_miter)
-from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
+from lorcheck.cnf import Cnf, Clause, evaluate, rename
 from lorcheck.sat import Solver, implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
 from lorcheck.indclause import pc_lor_ic
@@ -41,7 +41,7 @@ def check_cex_steps(w, iterations):
 
 def check_invariant_witness(ts, inv):
     prop = ts.prop
-    inv1 = rename_frame(inv, ts.table, {0: 1})
+    inv1 = rename(inv, ts.next)
     assert implies(ts.init, inv)
     assert implies(inv, prop)
     assert implies(inv + ts.trans, inv1)
@@ -183,7 +183,7 @@ class TestThirdCoCond:
         assert chain.co3_done[m] == 0
         c.third_co_cond()
         asked = {tuple(a) for k, a in solves if k == m - 1}
-        h1 = chain.h_at(m, 1)
+        h1 = chain.h_next(m)
         assert all(tuple(-l for l in cl) in asked for cl in h1)
         assert chain.co3_done[m] == len(chain.h[m])
 
@@ -371,12 +371,14 @@ class TestFinTouch:
 
 class TestFrames:
     def test_no_variable_past_frame_1(self):
-        """PQE tasks and condition-3 queries stay in frames 0 and 1."""
+        """PQE tasks and condition-3 queries stay in frames 0 and 1, so
+        a run makes no variable."""
         ts = add_stuttering(encode(parse_circuit(ring_source(6))))
+        before = dict(ts.table.by_key)
         frames = []
         w = pc_lor(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
         assert w.kind == "invariant" and max(frames) > 2
-        assert max(v.frame or 0 for v in ts.table.by_id.values()) == 1
+        assert ts.table.by_key == before
 
     def test_no_variable_past_frame_1_in_a_counterexample(self):
         """The trace is the walk's path, so nothing unrolls T: ctr4 fails
@@ -386,10 +388,11 @@ class TestFrames:
         miter = add_stuttering(encode(build_miter(
             parse_circuit(shreg_source(4)), parse_circuit(shreg_source(3)))))
         for engine, ts, depth in ((pc_lor, ctr, 8), (pc_lor_ic, miter, 3)):
+            before = dict(ts.table.by_key)
             w = engine(ts)
             assert w.kind == "counterexample" and len(w.trace) == depth + 1
             replay_trace(ts, w.trace)
-            assert max(v.frame or 0 for v in ts.table.by_id.values()) == 1
+            assert ts.table.by_key == before
 
 
 class TestDifferential:

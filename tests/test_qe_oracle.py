@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
-from lorcheck.cnf import Cnf, Clause, evaluate, rename_frame
+from lorcheck.cnf import Cnf, Clause, evaluate
 from lorcheck.qe_oracle import (OracleBudgetError, qe_bruteforce, check_pqe,
                                 initial_states, reach_bruteforce, image_under,
                                 verify_boundary)
