@@ -115,37 +115,51 @@ def verify_trace(ts, lines, report):
     if [i for i, _, _ in steps] != list(range(len(steps))):
         raise ValueError("trace steps are not consecutive")
 
-    def state_assign(bits, frame):
-        return {ts.table.get(n, frame).id: b == "1"
-                for n, b in zip(state_names, bits)}
+    state_ids = [ts.table.get(n, 0).id for n in state_names]
+    next_ids = [ts.next[v] for v in state_ids]
+    input_ids = [ts.table.get(n, 0).id for n in input_names]
 
-    st = state_assign(steps[0][2], 0)
-    if evaluate(ts.init, st) is not True:
+    def lits(ids, bits):
+        return [v if b == "1" else -v for v, b in zip(ids, bits)]
+
+    def assignment(bits):
+        return {abs(l): l > 0 for l in lits(state_ids, bits)}
+
+    if evaluate(ts.init, assignment(steps[0][2])) is not True:
         report("step 0: state is not initial")
         return False
+    # a step that propagation neither refutes nor assigns in full is
+    # decided by a solve
     trans = Solver(ts.trans)
     for i, ibits, sbits in steps[1:]:
-        cur = state_assign(steps[i - 1][2], 0)
-        nxt = state_assign(sbits, 1)
-        ins = {ts.table.get(n, 0).id: b == "1"
-               for n, b in zip(input_names, ibits)}
-        assume = [(v if b else -v) for a in (cur, ins, nxt)
-                  for v, b in sorted(a.items())]
-        if not trans.solve(assume):
+        assume = (lits(state_ids, steps[i - 1][2]) + lits(input_ids, ibits)
+                  + lits(next_ids, sbits))
+        true = trans.propagate(assume)
+        if true is None or (len(true) < len(trans.var_ids)
+                            and not trans.solve(assume)):
             report("step %d: not a transition of the system" % i)
             return False
-    last = state_assign(steps[-1][2], 0)
-    if evaluate(ts.prop, last) is not False:
+    if evaluate(ts.prop, assignment(steps[-1][2])) is not False:
         report("final state does not violate the property")
         return False
     return True
 
 
+def _integer(word, lineno):
+    try:
+        return int(word)
+    except ValueError:
+        raise ValueError("line %d: %r is not an integer" % (lineno, word)) \
+            from None
+
+
 def verify_invariant(ts, lines, report):
-    """Check an invariant over the latches that its `c var` lines name,
-    each number once."""
+    """Check an invariant over the latches that its `c var` lines name:
+    each positive number names one latch, and each latch has one number.
+    A malformed line raises ValueError naming the line."""
     latches = {v.name: v.id for v in ts.state_vars}
     ids = {}
+    named = set()
     clauses = []
     for lineno, l in enumerate(lines[1:], 2):
         words = l.split()
@@ -153,20 +167,35 @@ def verify_invariant(ts, lines, report):
             continue
         if words[0] == "c":
             if len(words) == 4 and words[1] == "var":
-                n, name = int(words[2]), words[3]
+                n, name = _integer(words[2], lineno), words[3]
+                if n < 1:
+                    raise ValueError("line %d: variable %d is not positive"
+                                     % (lineno, n))
                 if n in ids:
                     raise ValueError("line %d: variable %d named twice"
                                      % (lineno, n))
                 if name not in latches:
                     raise ValueError("line %d: %r is not a latch"
                                      % (lineno, name))
+                if latches[name] in named:
+                    raise ValueError("line %d: latch %r named twice"
+                                     % (lineno, name))
                 ids[n] = latches[name]
+                named.add(ids[n])
             continue
-        lits = [int(x) for x in words]
-        if lits[-1] != 0:
-            raise ValueError("clause line missing terminating 0: %r" % l)
-        clauses.append(lits[:-1])
-    inv = rename(clauses, ids)
+        lits = [_integer(x, lineno) for x in words]
+        if lits[-1] != 0 or 0 in lits[:-1]:
+            raise ValueError("line %d: a clause must end in its only 0"
+                             % lineno)
+        clauses.append((lineno, lits[:-1]))
+    for lineno, lits in clauses:
+        for l in lits:
+            if abs(l) not in ids:
+                raise ValueError("line %d: no `c var` line names variable %d"
+                                 % (lineno, abs(l)))
+            if -l in lits:
+                raise ValueError("line %d: tautological clause" % lineno)
+    inv = rename([lits for _, lits in clauses], ids)
     if not implies(ts.init, inv):
         report("condition 1: initial states do not satisfy the invariant")
         return False

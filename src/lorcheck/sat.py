@@ -42,7 +42,10 @@ class Solver:
     decisions and the clause set only grows, so every learnt clause
     follows from the clauses added so far.  Activities carry over too, so
     a reused solver may return a different model than a fresh one, but
-    never a different answer.
+    never a different answer.  ``propagate`` asks unit propagation alone:
+    it returns the literals true under its assumptions, or None when they
+    conflict.  It learns nothing and moves no activity, so it changes no
+    answer of a later ``solve``.
 
     First-UIP learning, two watched literals, decaying variable activities,
     Luby restarts.  Decisions break activity ties on lowest variable id and
@@ -375,6 +378,45 @@ class Solver:
             self._enqueue(lit)
         # not reached
 
+    def propagate(self, assumptions):
+        """The set of literals true after unit propagation under the
+        assumptions, or None on a conflict.  The pending units go on level
+        0 and are propagated there, as ``solve`` would; all the assumptions
+        then go on level 1 and are propagated once.  A conflict-free set
+        that assigns every variable is a model.  Nothing is learnt and no
+        activity moves; a later ``solve`` may still return another model,
+        as propagation reorders the watch lists."""
+        var_ids = self.var_ids
+        for a in assumptions:
+            if abs(a) not in var_ids:
+                self._register(abs(a))
+        self._backtrack(0)
+        value = self.value
+        for u in self.units:
+            if value[u] is False:
+                self.ok = False
+            elif value[u] is None:
+                self._enqueue(u)
+        self.units.clear()
+        if not self.ok or self._propagate() is not None:
+            self.ok = False
+            return None
+        trail, level, reason = self.trail, self.level, self.reason
+        self.trail_lim.append(len(trail))
+        for a in assumptions:
+            v = value[a]
+            if v is None:
+                value[a] = True
+                value[-a] = False
+                level[abs(a)] = 1
+                reason[abs(a)] = None
+                trail.append(a)
+            elif v is False:
+                return None
+        if self._propagate() is not None:
+            return None
+        return set(trail)
+
 
 def solve(f, assumptions=(), extra_vars=()):
     """Decide CNF f under assumption literals."""
@@ -382,9 +424,26 @@ def solve(f, assumptions=(), extra_vars=()):
 
 
 def implies(a, b):
-    """True iff formula a implies every clause of b."""
+    """True iff formula a implies every clause of b.
+
+    Unit propagation settles most clauses (failed-literal probing, Lynce
+    and Marques-Silva, ICTAI 2003): a clause with first literal l holds
+    when propagating ¬l conflicts or makes another of its literals true.
+    One probe serves every clause with the same first literal; only a
+    clause it leaves open is decided by a solve of its negation."""
     s = Solver(a)
-    return not any(s.solve([-l for l in c]) for c in b)
+    by_first = {}
+    for c in b:
+        lits = list(c)
+        by_first.setdefault(lits[0] if lits else 0, []).append(lits)
+    for first, group in by_first.items():
+        true = s.propagate([-first]) if first else set()
+        for lits in group:
+            if true is None or any(l in true for l in lits[1:]):
+                continue
+            if s.solve([-l for l in lits]):
+                return False
+    return True
 
 
 def first_model(solver, queries):

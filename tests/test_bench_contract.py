@@ -66,6 +66,18 @@ def test_corpus_self_check(perfbench, tmp_path):
         assert corpus.self_check(w) == [], w
 
 
+def test_replay_corpus_answers(perfbench, tmp_path):
+    """verify-witness gives every witness of the replay corpus its known
+    answer, so a verifier that wrongly accepts or rejects one fails here
+    and not only in the benchmark."""
+    corpus = importlib.import_module("corpus")
+    c = corpus.Corpus("replay", 1, str(tmp_path))
+    c.write()
+    assert c.instances
+    for inst in c.instances:
+        assert main(inst.argv) == corpus.EXIT_CODE[inst.answer], inst.name
+
+
 def _bindings(targets):
     """Every module-level binding of the lorcheck modules, and every
     attribute of the classes in targets."""

@@ -1,3 +1,4 @@
+import copy
 import io
 import os
 import re
@@ -598,6 +599,30 @@ class TestWitnessVerification:
         assert capfd.readouterr().err == (
             "error: malformed witness: line 3: %s\n" % why)
 
+    @pytest.mark.parametrize("body, why", [
+        ("c var 1 s\np cnf 1 2\n-1 0\n-1 -2 0\n",
+         "line 5: no `c var` line names variable 2"),
+        ("c var 1 s\np cnf 1 1\n-1 x 0\n", "line 4: 'x' is not an integer"),
+        ("c var one s\np cnf 1 1\n-1 0\n", "line 2: 'one' is not an integer"),
+        ("c var 1 s\nc var 2 s\np cnf 2 1\n-1 2 0\n",
+         "line 3: latch 's' named twice"),
+        ("c var 1 s\nc var 2 s\np cnf 2 2\n-1 0\n-2 0\n",
+         "line 3: latch 's' named twice"),
+        ("c var 0 s\np cnf 1 1\n0 0\n", "line 2: variable 0 is not positive"),
+        ("c var 1 s\np cnf 1 1\n-1 0 1 0\n",
+         "line 4: a clause must end in its only 0"),
+        ("c var 1 s\np cnf 1 1\n-1\n",
+         "line 4: a clause must end in its only 0"),
+        ("c var 1 s\np cnf 1 2\n-1 0\n1 -1 0\n",
+         "line 5: tautological clause")])
+    def test_malformed_invariant_names_the_line(self, stuck0_file, tmp_path,
+                                                capfd, body, why):
+        p = tmp_path / "w"
+        p.write_text("invariant\n" + body)
+        assert main(["verify-witness", stuck0_file, str(p)]) == 3
+        assert capfd.readouterr().err == (
+            "error: malformed witness: %s\n" % why)
+
     def test_unknown_kind(self, stuck0_file, tmp_path, capfd):
         p = tmp_path / "w"
         p.write_text("maybe\n")
@@ -613,6 +638,42 @@ class TestWitnessVerification:
                  + ["step %d: inputs 11 state 1" % length])
         assert verify_trace(toggle, lines, pytest.fail)
         assert len(built_solvers) == 1
+
+    @pytest.mark.parametrize("extra, accepted", [
+        # one more clause over two fresh variables, which propagation
+        # leaves open: a valid trace is accepted only through a solve
+        (lambda f, s1: [(f, f + 1)], True),
+        # every value of the fresh pair forbids s' = 1, which propagation
+        # cannot see: the last step is refuted only by a solve
+        (lambda f, s1: [(a * f, b * (f + 1), -s1)
+                        for a in (1, -1) for b in (1, -1)], False)],
+        ids=["open", "refuted-by-solve"])
+    def test_trace_steps_propagation_leaves_open(self, toggle, extra,
+                                                 accepted, monkeypatch):
+        solves = []
+        solve_ = Solver.solve
+
+        def counting(self, *args, **kw):
+            solves.append(args)
+            return solve_(self, *args, **kw)
+        monkeypatch.setattr(Solver, "solve", counting)
+        s1 = toggle.next[toggle.table.get("s", 0).id]
+        fresh = max(toggle.trans.variables()) + 1
+        ts = copy.copy(toggle)
+        ts.trans = toggle.trans + Cnf(extra(fresh, s1))
+        lines = ["counterexample", "# inputs: x stut", "# state: s",
+                 "step 0: inputs - state 0", "step 1: inputs 00 state 0",
+                 "step 2: inputs 11 state 1"]
+        reports = []
+        assert verify_trace(ts, lines, reports.append) == accepted
+        assert len(solves) == 2
+        assert reports == ([] if accepted else
+                           ["step 2: not a transition of the system"])
+        # a flipped bit is refuted by propagation, before any solve
+        del solves[:]
+        flipped = lines[:4] + ["step 1: inputs 00 state 1"] + lines[5:]
+        assert not verify_trace(ts, flipped, reports.append)
+        assert solves == []
 
     def test_trace_with_wrong_init_rejected(self, stuck0_file, tmp_path, capfd):
         p = tmp_path / "w"

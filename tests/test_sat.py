@@ -115,6 +115,30 @@ class TestIncremental:
                 assert res.core <= set(assume)
                 assert not Solver(clauses).solve(sorted(res.core))
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_propagate_keeps_answers(self, data):
+        # propagate calls between the solves of a reused solver change no
+        # answer: it agrees with a fresh solver
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        f, n = random_cnf(rng, max_var=8, max_clauses=30)
+        s = Solver(f)
+        for _ in range(rng.randint(1, 10)):
+            for _ in range(rng.randint(0, 3)):
+                vs = rng.sample(range(1, n + 3), rng.randint(0, 3))
+                s.propagate([v if rng.random() < 0.5 else -v for v in vs])
+            vs = rng.sample(range(1, n + 3), rng.randint(0, n))
+            assume = [v if rng.random() < 0.5 else -v for v in vs]
+            res = s.solve(assume)
+            assert bool(res) == bool(Solver(f).solve(assume))
+            if res:
+                assert evaluate(f, res.model) is True
+                for l in assume:
+                    assert res.model[abs(l)] == (l > 0)
+            else:
+                assert res.core <= set(assume)
+                assert not Solver(f).solve(sorted(res.core))
+
     def test_add_clause_at_level_0(self):
         s = Solver([Clause((1,)), Clause((-1, 2))])
         assert s.solve()                 # level 0 holds 1 and 2
@@ -264,6 +288,34 @@ class TestImplies:
             implies(a, b)
             assert len(built_solvers) == 1
 
+    def test_against_one_solve_per_clause(self):
+        # a may be unsatisfiable or hold units (literals true at level 0),
+        # b may be empty or hold the empty clause
+        rng = random.Random(41)
+        seen = {"unsat a": 0, "empty b": 0, "empty clause": 0,
+                "level-0 literal": 0, "implied": 0, "not implied": 0}
+        # implied and not implied count satisfiable a only
+        for _ in range(400):
+            a, n = random_cnf(rng, max_var=7, max_clauses=10)
+            units = [Clause((v if rng.random() < 0.5 else -v,))
+                     for v in rng.sample(range(1, n + 1),
+                                         rng.randint(0, min(2, n)))]
+            a = a + units
+            b = list(random_cnf(rng, max_var=n, max_clauses=8)[0])
+            if rng.random() < 0.2:
+                b = []
+            if rng.random() < 0.1:
+                b.insert(rng.randint(0, len(b)), Clause(()))
+            want = not any(Solver(a).solve([-l for l in c]) for c in b)
+            assert implies(a, b) == want
+            seen["unsat a"] += not solve(a)
+            seen["empty b"] += not b
+            seen["empty clause"] += any(not c for c in b)
+            seen["level-0 literal"] += any(
+                -u.lits[0] in c or u.lits[0] in c for u in units for c in b)
+            seen["implied" if want else "not implied"] += bool(solve(a))
+        assert min(seen.values()) > 10, seen
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_semantic(self, data):
@@ -276,6 +328,53 @@ class TestImplies:
             for bits in itertools.product([False, True], repeat=n)
             if evaluate(a, dict(zip(range(1, n + 1), bits))) is True)
         assert implies(a, b) == want
+
+
+class TestPropagate:
+    def test_sound_and_closed(self):
+        # the answer is a conflict only when f and the assumptions are
+        # unsatisfiable; otherwise it holds the assumptions, f and them imply
+        # each of its literals, and no clause of f is unit or false under it
+        rng = random.Random(43)
+        conflicts = 0
+        for _ in range(200):
+            f, n = random_cnf(rng, max_var=8, max_clauses=25)
+            s = Solver(f)
+            for _ in range(rng.randint(1, 5)):
+                vs = rng.sample(range(1, n + 3), rng.randint(0, 3))
+                assume = [v if rng.random() < 0.5 else -v for v in vs]
+                if rng.random() < 0.3:
+                    s.solve(assume)
+                true = s.propagate(assume)
+                TestKernelBookkeeping.assert_consistent(s)
+                if true is None:
+                    conflicts += 1
+                    assert not Solver(f).solve(assume)
+                    continue
+                assert set(assume) <= true
+                assert not any(-l in true for l in true)
+                for c in f:
+                    open_lits = [l for l in c if -l not in true]
+                    assert any(l in true for l in c) or len(open_lits) >= 2
+                for l in true:
+                    assert not Solver(f).solve(assume + [-l])
+        assert conflicts > 20
+
+    def test_learns_nothing(self):
+        # pigeon i in hole j is variable 3i + j + 1; no pigeon fits in
+        # 1 (pigeon 0, hole 0) and 5 (pigeon 1, hole 1) leave pigeon 3 none
+        f = pigeonhole(4, 3)
+        s = Solver(f)
+        order, activity = list(s.order), list(s.activity)
+        assert s.propagate([1, 5]) is None
+        assert s.propagate([1]) == {1, -4, -7, -10}
+        assert len(s.clauses) == len(f)
+        assert s.order == order and s.activity == activity
+
+    def test_level_0_conflict_is_final(self):
+        s = Solver([Clause((1,)), Clause((-1, 2)), Clause((-1, -2))])
+        assert s.propagate([]) is None and not s.ok
+        assert not s.solve()
 
 
 def assert_minimal_correction_set(hard, soft, lits, left_out):
@@ -400,6 +499,12 @@ class TestKernelBookkeeping:
             for _ in range(rng.randint(1, 6)):
                 for c in random_cnf(rng, max_var=n + 4, max_clauses=2)[0]:
                     s.add_clause(c)
+                vs = rng.sample(range(1, n + 6), rng.randint(0, 4))
+                true = s.propagate([v if rng.random() < 0.5 else -v
+                                    for v in vs])
+                self.assert_consistent(s)
+                if true is not None:
+                    assert true == set(s.trail)
                 vs = rng.sample(range(1, n + 6), rng.randint(0, 4))
                 res = s.solve([v if rng.random() < 0.5 else -v for v in vs])
                 self.assert_consistent(s)
