@@ -4,6 +4,7 @@ relaxation into makeup clauses, and the CO-condition checker."""
 
 from __future__ import annotations
 
+from .circuit import CircuitError
 from .cnf import Cnf, rename
 from .sat import Solver, implies
 from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
@@ -22,9 +23,14 @@ class FrameChain:
     gains the clauses that strengthen H_k, and is rebuilt on the next
     request after R_k changes.  T^rlx allows a step from every state, so
     the solver agrees with H_k alone on every query over frame-0 variables.
+
+    The system must stutter: CO condition 4 and the covered region of the
+    makeup step both rest on the stutter step t → t being a transition.
     """
 
     def __init__(self, ts, pqe_budget=DEFAULT_BUDGET):
+        if ts.stuttering_var is None:
+            raise CircuitError("frame chain requires a stuttered system")
         self.ts = ts
         self.trans_clauses = list(ts.trans.clauses)
         self.h = [list(ts.init)]      # H_0 = I
@@ -98,7 +104,12 @@ def unrolled_lhs(chain, k, extra):
 def makeup_clauses(chain, k, indices):
     """Relax step k-1→k by the transition clauses at positions `indices`
     and return makeup clauses G over canonical state variables; conjoining
-    G to H_k preserves the chain's over-approximation equality."""
+    G to H_k preserves the chain's over-approximation equality.
+
+    H_{k-1}′ is passed to take_out as covered: the system stutters, so a
+    next state y of H_{k-1}′ where ∃W[B] holds, and so H_k′ too, is
+    reached from y itself by the stutter step, a transition of T and so of
+    T^rlx_old, and ∃W[A ∧ B] holds at y."""
     if chain.removed[k - 1].intersection(indices):
         raise ValueError("clause already removed from step %d" % (k - 1))
     chain.relax(k - 1, indices)
@@ -106,7 +117,8 @@ def makeup_clauses(chain, k, indices):
         return Cnf([])
     task = unrolled_lhs(chain, k, [chain.trans_clauses[i] for i in indices])
     try:
-        a_star = take_out(task, budget=chain.pqe_budget)
+        a_star = take_out(task, budget=chain.pqe_budget,
+                          covered=chain.h_next(k - 1))
     except PqeBudgetError as e:
         e.frame = k
         raise

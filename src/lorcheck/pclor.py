@@ -8,7 +8,6 @@ import functools
 from .cnf import Cnf, evaluate, rename
 from .sat import Solver, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant
-from .circuit import CircuitError
 from .pqe import DEFAULT_BUDGET
 
 
@@ -36,8 +35,6 @@ class Options:
 
 class Checker:
     def __init__(self, ts, opts=None):
-        if ts.stuttering_var is None:
-            raise CircuitError("checker requires a stuttered system")
         self.ts = ts
         self.opts = opts or Options()
         self.chain = FrameChain(ts, self.opts.pqe_budget)
@@ -218,9 +215,10 @@ class Checker:
         """Look for an invariant.  No clause needs pushing toward frame 0,
         as I ⊆ H_1 ⊆ … ⊆ H_j (CO condition 4) throughout a run: each H_k
         starts empty, and PQE makes a clause G added to H_k true wherever
-        ∃W[H_{k-1} ∧ H_k′ ∧ T^rlx_old] holds at the next state.  At a state t
-        of H_{k-1}, and so of H_k, the stutter step t → t is a transition of
-        T ⊆ T^rlx_old, so G holds at t.  IcChecker._block keeps it too."""
+        ∃W[H_{k-1} ∧ H_k′ ∧ T^rlx_old] holds at the next state.  That holds
+        at every state t of H_{k-1}, and so of H_k, by the stutter step
+        t → t (see makeup_clauses), so G holds at t.  IcChecker._block
+        keeps it too."""
         return detect_invariant(self.chain)
 
     # ------------------------------------------------------------- result

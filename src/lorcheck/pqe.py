@@ -13,11 +13,20 @@ A ∧ B (enumerate and generalize, after Goldberg's EG-PQE):
 
 Every clause of A* is implied by A ∧ B, and every point where ∃W[B] holds
 but ∃W[A ∧ B] does not is excluded by A*, so the equivalence holds.
+
+A caller may pass `covered`, a CNF on whose points ∃W[B] implies
+∃W[A ∧ B].  Its variables are free ones, or occur in no clause of the
+task; a literal of the latter counts as false.  A satisfiable point inside
+`covered` then blocks a cube of `covered` (one true literal per clause) in
+place of the lift of A ∧ B, which keeps nearly every free literal.  Answer
+clauses still come only from unsatisfiable points, so the equivalence holds
+whenever the caller's claim does; a `covered` that holds a point of
+∃W[B] \\ ∃W[A ∧ B] can make the answer wrong.
 """
 
 from __future__ import annotations
 
-from .cnf import Clause, Cnf
+from .cnf import Clause, Cnf, evaluate
 from .sat import Solver
 
 
@@ -35,9 +44,12 @@ class PqeTask:
         self.b = b if isinstance(b, Cnf) else Cnf(b)
 
 
-def take_out(task, budget=DEFAULT_BUDGET):
+def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     """Solve a PQE task; raises PqeBudgetError once it has enumerated
-    `budget` points without finishing."""
+    `budget` points without finishing.  `covered` (None: no region) is
+    the region of the module docstring.  A point's membership is asked
+    only after A ∧ B is found satisfiable there, as most points of a
+    costly task are not."""
     a, ab = list(task.a), list(task.a) + list(task.b)
     free = sorted((task.a.variables() | task.b.variables()) - task.w)
     # ¬A: selector s_i implies that clause i of A is false, and some s_i holds
@@ -56,7 +68,11 @@ def take_out(task, budget=DEFAULT_BUDGET):
         y = [v if res.model[v] else -v for v in free]
         res = ab_solver.solve(y)
         if res:
-            points.add_clause([-l for l in _lift(liftable, res.model, task.w)])
+            if covered is not None and evaluate(covered, res.model):
+                cube = _lift(covered, res.model, ())
+            else:
+                cube = _lift(liftable, res.model, task.w)
+            points.add_clause([-l for l in cube])
         else:
             c = Clause(-l for l in y if l in res.core)
             answer.append(c)
@@ -70,7 +86,7 @@ def _lift(clauses, model, w):
     for each clause that no true W-literal satisfies."""
     cube = set()
     for c in clauses:
-        true = [l for l in c if model[abs(l)] == (l > 0)]
+        true = [l for l in c if model.get(abs(l)) == (l > 0)]
         if any(abs(l) in w or l in cube for l in true):
             continue
         cube.add(true[0])

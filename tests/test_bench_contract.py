@@ -78,6 +78,21 @@ def test_replay_corpus_answers(perfbench, tmp_path):
         assert main(inst.argv) == corpus.EXIT_CODE[inst.answer], inst.name
 
 
+def test_check_and_sec_corpus_answers(perfbench, tmp_path):
+    """check and sec give every instance of their seed-1 corpora its known
+    answer, and verify-witness accepts each witness, so a wrong makeup
+    answer fails here and not only in the benchmark."""
+    corpus = importlib.import_module("corpus")
+    for workload in ("check", "sec"):
+        c = corpus.Corpus(workload, 1, str(tmp_path / workload))
+        c.write()
+        assert c.instances
+        for inst in c.instances:
+            assert main(inst.argv) == corpus.EXIT_CODE[inst.answer], \
+                inst.name
+            assert main(inst.replay) == 0, inst.name
+
+
 def _bindings(targets):
     """Every module-level binding of the lorcheck modules, and every
     attribute of the classes in targets."""

@@ -1,11 +1,19 @@
 import pytest
 
+from lorcheck import boundary
 from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
                                check_co, clause_implied, detect_invariant)
+from lorcheck.circuit import (CircuitError, add_stuttering, build_miter,
+                              encode, parse_circuit)
 from lorcheck.cnf import Cnf, Clause, rename, evaluate
+from lorcheck.indclause import pc_lor_ic
+from lorcheck.pclor import pc_lor
+from lorcheck.pqe import PqeBudgetError, take_out
 from lorcheck.sat import Solver, implies
-from lorcheck.qe_oracle import check_pqe, verify_boundary
-from conftest import make_rng, random_system
+from lorcheck.qe_oracle import (all_assignments, check_pqe, qe_bruteforce,
+                                verify_boundary)
+from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
+                      make_rng, random_system, shreg_source)
 
 
 def stuck0_drop_indices(ts):
@@ -16,6 +24,15 @@ def stuck0_drop_indices(ts):
 
 
 class TestFrameChain:
+    def test_requires_a_stuttered_system(self):
+        # CO condition 4 and the covered region of the makeup step rest on
+        # the stutter step, so no engine runs without it
+        ts = encode(parse_circuit(STUCK0_SRC))
+        for run in (FrameChain, pc_lor, pc_lor_ic):
+            with pytest.raises(CircuitError,
+                               match="requires a stuttered system"):
+                run(ts)
+
     def test_h0_is_initial(self, stuck0):
         chain = FrameChain(stuck0)
         assert chain.j == 0
@@ -119,6 +136,81 @@ class TestMakeupClauses:
         g = makeup_clauses(chain, 1, [0])
         g1 = rename(g, toggle.next)
         assert check_pqe(task_before.w, task_before.a, task_before.b, g1)
+
+
+def recorded_makeup_tasks(monkeypatch):
+    """A list that gains (task, covered, answer) for every take_out call
+    of makeup_clauses."""
+    calls = []
+
+    def record(task, **kw):
+        a_star = take_out(task, **kw)
+        calls.append((task, kw.get("covered"), a_star))
+        return a_star
+    monkeypatch.setattr(boundary, "take_out", record)
+    return calls
+
+
+def inside_the_contract(task, covered):
+    """Does ∃W[B] imply ∃W[A ∧ B] on every free point of `covered`?"""
+    free = (task.a.variables() | task.b.variables()) - task.w
+    eb = qe_bruteforce(task.w, task.b)
+    eab = qe_bruteforce(task.w, task.a + task.b)
+    return all(evaluate(eb, y) is False or evaluate(eab, y) is True
+               for y in all_assignments(free)
+               if evaluate(covered, y) is True)
+
+
+class TestMakeupAnswers:
+    ORACLE_VARS = 14    # larger tasks take the oracle too long
+
+    def test_every_answer_meets_the_pqe_contract(self, monkeypatch):
+        """Both engines on the fixture systems and on small random ones:
+        H_{k-1}′ meets take_out's precondition on each makeup task, and
+        each answer passes the PQE oracle."""
+        calls = recorded_makeup_tasks(monkeypatch)
+        systems = [add_stuttering(encode(parse_circuit(src)))
+                   for src in (STUCK0_SRC, TOGGLE_SRC)]
+        systems += [add_stuttering(encode(build_miter(
+            parse_circuit(a), parse_circuit(b))))
+            for a, b in ((DFF_SRC, DFF_SRC), (DFF_SRC, INV_DFF_SRC),
+                         (shreg_source(3), shreg_source(2)))]
+        rng = make_rng(5)
+        systems += [random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
+                    for _ in range(40)]
+        for ts in systems:
+            pc_lor(ts)
+            pc_lor_ic(ts)
+        checked = 0
+        for task, covered, a_star in calls:
+            assert covered is not None
+            if len(task.a.variables() | task.b.variables()) \
+                    > self.ORACLE_VARS:
+                continue
+            checked += 1
+            assert inside_the_contract(task, covered)
+            assert check_pqe(task.w, task.a, task.b, a_star)
+        assert checked >= 50
+
+    def test_seed_calls_are_pinned(self, monkeypatch):
+        """The points the seed calls of sec shreg5 against shreg4 enumerate
+        (least budget that finishes each call): 4 + 15 + 26 with nothing
+        covered, 4 + 9 + 11 with H_{k-1}′ covered."""
+        calls = recorded_makeup_tasks(monkeypatch)
+        ts = add_stuttering(encode(build_miter(
+            parse_circuit(shreg_source(5)), parse_circuit(shreg_source(4)))))
+        assert pc_lor_ic(ts).kind == "counterexample"
+        budgets = []
+        for task, covered, _ in calls:
+            budget = 1
+            while True:
+                try:
+                    take_out(task, budget, covered=covered)
+                    break
+                except PqeBudgetError:
+                    budget += 1
+            budgets.append(budget)
+        assert budgets == [4, 9, 11]
 
 
 class TestCheckCo:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorcheck import pqe
-from lorcheck.cnf import Cnf, Clause
+from lorcheck.cnf import Cnf, Clause, evaluate, longest_falsified_clause
 from lorcheck.pqe import PqeTask, PqeBudgetError, take_out
-from lorcheck.qe_oracle import check_pqe
+from lorcheck.qe_oracle import all_assignments, check_pqe, qe_bruteforce
 
 
 def random_task(rng, max_var=8, max_clauses=16):
@@ -183,3 +183,90 @@ class TestTakeOut:
             assert check_pqe(t.w, t.a, t.b, a_star)
         times.sort()
         assert times[len(times) // 2] < 0.05
+
+
+def allowed_points(t):
+    """The free points on which ∃W[B] implies ∃W[A ∧ B], by enumeration;
+    the free variables first."""
+    free = sorted((t.a.variables() | t.b.variables()) - t.w)
+    eb = qe_bruteforce(t.w, t.b)
+    eab = qe_bruteforce(t.w, t.a + t.b)
+    return free, [y for y in all_assignments(free)
+                  if evaluate(eb, y) is False or evaluate(eab, y) is True]
+
+
+def region_inside(rng, free, allowed):
+    """A random CNF over `free` whose every point is allowed: random short
+    clauses, then one blocking clause per point outside `allowed`."""
+    inside = {tuple(sorted(y.items())) for y in allowed}
+    out = [Clause(tuple(v if rng.random() < 0.5 else -v
+                        for v in rng.sample(free, rng.randint(1, len(free)))))
+           for _ in range(rng.randint(0, 3) if free else 0)]
+    region = Cnf(out)
+    for y in all_assignments(free):
+        if tuple(sorted(y.items())) not in inside and \
+                evaluate(region, y) is True:
+            out.append(longest_falsified_clause(y))
+    return Cnf(out)
+
+
+class TestCovered:
+    # `covered` is a region of free points on which ∃W[B] implies
+    # ∃W[A ∧ B]; take_out blocks its cubes without asking for a lift
+
+    def test_regions_inside_the_allowed_points(self, monkeypatch):
+        rng = random.Random(34)
+        cubes = 0
+        real = pqe._lift
+        for _ in range(300):
+            t = random_task(rng)
+            free, allowed = allowed_points(t)
+            covered = region_inside(rng, free, allowed)
+            for y in all_assignments(free):
+                if evaluate(covered, y) is True:
+                    assert y in allowed
+            calls = []
+
+            def lift(clauses, model, w):
+                calls.append(clauses is covered)
+                return real(clauses, model, w)
+            monkeypatch.setattr(pqe, "_lift", lift)
+            a_star = take_out(t, covered=covered)
+            cubes += sum(calls)
+            assert check_pqe(t.w, t.a, t.b, a_star)
+        assert cubes > 50
+
+    def test_a_region_outside_the_contract_gives_a_wrong_answer(self):
+        # ∃W[B] is true and ∃W[A ∧ B] is (1 ∨ 3); the region ¬1 holds the
+        # point 1 = 3 = 0 of the first but not of the second.  take_out
+        # finds the satisfiable point 1 = 0, 3 = 1 first and blocks all of
+        # ¬1, so the answer loses (1 ∨ 3)
+        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
+        assert list(take_out(t)) == [Clause((1, 3))]
+        a_star = take_out(t, covered=Cnf([Clause((-1,))]))
+        assert list(a_star) == []
+        assert not check_pqe(t.w, t.a, t.b, a_star)
+
+    def test_true_region(self):
+        # where ∃W[B] implies ∃W[A ∧ B] everywhere, covered = [] ends the
+        # search at its first point with an empty answer
+        rng = random.Random(35)
+        seen = 0
+        for _ in range(200):
+            t = random_task(rng)
+            free, allowed = allowed_points(t)
+            if len(allowed) < 2 ** len(free):
+                continue
+            seen += 1
+            a_star = take_out(t, budget=2, covered=Cnf([]))
+            assert list(a_star) == []
+            assert check_pqe(t.w, t.a, t.b, a_star)
+        assert seen > 50
+
+    def test_variables_outside_the_free_ones_count_as_false(self):
+        # 9 is in no clause of the task: ¬1 ∨ 9 is read as ¬1, a region
+        # outside the contract as above, and 1 ∨ 9 as 1, one inside it
+        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
+        assert list(take_out(t, covered=Cnf([Clause((-1, 9))]))) == []
+        a_star = take_out(t, covered=Cnf([Clause((1, 9))]))
+        assert list(a_star) == [Clause((1, 3))]
