@@ -12,7 +12,7 @@ import sys
 import time
 
 from .cnf import Cnf, Clause, evaluate, rename
-from .sat import Solver, implies
+from .sat import Solver, implies, propagate_lanes
 from .circuit import CircuitError, parse_circuit, encode, stutter, build_miter
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
 from .pclor import pc_lor, Options, CheckerError
@@ -78,15 +78,34 @@ def _read_witness(path):
 
 
 def _header(lines, key):
-    """Names on the trace header line that starts with key."""
+    """Names on the first trace header line that starts with key."""
     return next((l[len(key):].split() for l in lines if l.startswith(key)), [])
 
 
 def verify_trace(ts, lines, report):
-    """Replay a counterexample trace.  Its header must name exactly the
-    system's inputs and latches, so that no step leaves a latch free."""
-    input_names = _header(lines, "# inputs:")
-    state_names = _header(lines, "# state:")
+    """Replay a counterexample trace.  After the kind line come the
+    `# inputs:` and `# state:` headers, once each, step lines and blank
+    lines.  The headers must name exactly the system's inputs and latches,
+    so that no step leaves a latch free.
+
+    One ``propagate_lanes`` over T replays every step, step i in lane i-1.
+    The steps are then walked in order: a lane that conflicts rejects its
+    step, and a lane that propagation leaves open is decided by a solve."""
+    headers = {}
+    step_lines = []
+    for lineno, l in enumerate(lines[1:], 2):
+        if l.startswith("step "):
+            step_lines.append((lineno, l))
+        elif l.startswith(("# inputs:", "# state:")):
+            key = l[:l.index(":") + 1]
+            if key in headers:
+                raise ValueError("line %d: second %r header" % (lineno, key))
+            headers[key] = l[len(key):].split()
+        elif l.strip():
+            raise ValueError("line %d: not a header, step or blank line: %r"
+                             % (lineno, l))
+    input_names = headers.get("# inputs:", [])
+    state_names = headers.get("# state:", [])
     for what, names, vs in (("inputs", input_names, ts.input_vars),
                             ("state", state_names, ts.state_vars)):
         want = sorted(v.name for v in vs)
@@ -94,22 +113,21 @@ def verify_trace(ts, lines, report):
             raise ValueError("trace header '# %s:' must name exactly: %s"
                              % (what, " ".join(want)))
     steps = []
-    for l in lines[1:]:
-        if l.startswith("step "):
-            head, _, rest = l.partition(":")
-            words = head.split() + rest.split()
-            if len(words) != 6 or words[2] != "inputs" or words[4] != "state":
-                raise ValueError("malformed trace line: %r" % l)
-            i, ibits, sbits = int(words[1]), words[3], words[5]
-            if ibits == "-":  # no inputs: step 0, or a system without any
-                ibits = ""
-            if sbits == "-":  # a system without latches
-                sbits = ""
-            if (len(ibits) != (len(input_names) if i else 0)
-                    or len(sbits) != len(state_names)
-                    or (ibits + sbits).strip("01")):
-                raise ValueError("wrong bit strings in trace line: %r" % l)
-            steps.append((i, ibits, sbits))
+    for lineno, l in step_lines:
+        head, _, rest = l.partition(":")
+        words = head.split() + rest.split()
+        if len(words) != 6 or words[2] != "inputs" or words[4] != "state":
+            raise ValueError("malformed trace line: %r" % l)
+        i, ibits, sbits = _integer(words[1], lineno), words[3], words[5]
+        if ibits == "-":  # no inputs: step 0, or a system without any
+            ibits = ""
+        if sbits == "-":  # a system without latches
+            sbits = ""
+        if (len(ibits) != (len(input_names) if i else 0)
+                or len(sbits) != len(state_names)
+                or (ibits + sbits).strip("01")):
+            raise ValueError("wrong bit strings in trace line: %r" % l)
+        steps.append((i, ibits, sbits))
     if not steps:
         raise ValueError("trace has no steps")
     if [i for i, _, _ in steps] != list(range(len(steps))):
@@ -128,17 +146,35 @@ def verify_trace(ts, lines, report):
     if evaluate(ts.init, assignment(steps[0][2])) is not True:
         report("step 0: state is not initial")
         return False
-    # a step that propagation neither refutes nor assigns in full is
-    # decided by a solve
-    trans = Solver(ts.trans)
-    for i, ibits, sbits in steps[1:]:
-        assume = (lits(state_ids, steps[i - 1][2]) + lits(input_ids, ibits)
-                  + lits(next_ids, sbits))
-        true = trans.propagate(assume)
-        if true is None or (len(true) < len(trans.var_ids)
-                            and not trans.solve(assume)):
-            report("step %d: not a transition of the system" % i)
-            return False
+    # one mask per column of bits, the last step first, so that bit i-1
+    # of a column is its bit in step i
+    every = (1 << (len(steps) - 1)) - 1
+    lanes = {}
+    for ids, rows in ((state_ids, [s for _, _, s in steps[-2::-1]]),
+                      (input_ids, [b for _, b, _ in steps[:0:-1]]),
+                      (next_ids, [s for _, _, s in steps[:0:-1]])):
+        for v, column in zip(ids, zip(*rows)):
+            true = int("".join(column), 2)
+            lanes[v] = (true, every ^ true)
+    conflict, full = propagate_lanes(ts.trans, lanes)
+    bad = (conflict & -conflict).bit_length()  # the first refuted step, or 0
+    open_lanes = every & ~(conflict | full)
+    if bad:
+        open_lanes &= (1 << (bad - 1)) - 1
+    trans = None
+    while open_lanes:
+        i = (open_lanes & -open_lanes).bit_length()
+        open_lanes &= open_lanes - 1
+        if trans is None:
+            trans = Solver(ts.trans)
+        if not trans.solve(lits(state_ids, steps[i - 1][2])
+                           + lits(input_ids, steps[i][1])
+                           + lits(next_ids, steps[i][2])):
+            bad = i
+            break
+    if bad:
+        report("step %d: not a transition of the system" % bad)
+        return False
     if evaluate(ts.prop, assignment(steps[-1][2])) is not False:
         report("final state does not violate the property")
         return False

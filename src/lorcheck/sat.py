@@ -4,6 +4,7 @@ decisions and a soft-clause relaxation search (MCS)."""
 from __future__ import annotations
 
 import bisect
+from collections import deque
 
 
 class SatResult:
@@ -385,7 +386,9 @@ class Solver:
         then go on level 1 and are propagated once.  A conflict-free set
         that assigns every variable is a model.  Nothing is learnt and no
         activity moves; a later ``solve`` may still return another model,
-        as propagation reorders the watch lists."""
+        as propagation reorders the watch lists.  ``implies`` is its only
+        caller: its probes touch small cones, where one assumption set at a
+        time beats ``propagate_lanes``."""
         var_ids = self.var_ids
         for a in assumptions:
             if abs(a) not in var_ids:
@@ -416,6 +419,64 @@ class Solver:
         if self._propagate() is not None:
             return None
         return set(trail)
+
+
+def propagate_lanes(clauses, lanes):
+    """Unit propagation of one CNF under many assumption sets at once, one
+    bit (a lane) per set.  `lanes` maps a variable id to two int masks:
+    the lanes where it is true and the lanes where it is false.  The lanes
+    are bits 0..n-1, n the bit length of the largest mask.  Returns two
+    masks: the lanes that conflict, and the other lanes in which every
+    variable of the clauses is assigned (an assumption assigns its own).
+
+    Unit propagation is confluent, so lane i gets the answer of
+    ``Solver(clauses).propagate`` under the literals that lane i assumes: a
+    conflict, or a set that assigns every variable of that solver.  A
+    clause worklist drives the masks to their fixpoint; a clause goes back
+    on it when one of its literals turns false in more lanes."""
+    clauses = list(clauses)
+    variables = {abs(l) for c in clauses for l in c}
+    cap = max(variables | lanes.keys(), default=0)
+    true = [0] * (2 * cap + 1)      # true[l]: lanes where literal l holds
+    wake = [[] for _ in range(2 * cap + 1)]  # wake[l]: clauses holding -l
+    top = conflict = 0
+    for v, (t, f) in lanes.items():
+        true[v], true[-v] = t, f
+        top = max(top, t, f)
+        conflict |= t & f
+    every = (1 << top.bit_length()) - 1
+    for idx, c in enumerate(clauses):
+        for l in c:
+            wake[-l].append(idx)
+    live = every & ~conflict
+    queue = deque(range(len(clauses)))
+    queued = [True] * len(clauses)
+    while queue and live:
+        idx = queue.popleft()
+        queued[idx] = False
+        lits = clauses[idx]
+        none = live     # lanes where every literal so far is false
+        one = 0         # lanes where one is open and the others false
+        for l in lits:
+            f = true[-l]
+            one = (one & f) | (none & ~(true[l] | f))
+            none &= f
+        if none:
+            conflict |= none
+            live &= ~none
+        if one:
+            for l in lits:
+                new = one & ~true[-l]
+                if new:
+                    true[l] |= new
+                    for j in wake[l]:
+                        if not queued[j]:
+                            queued[j] = True
+                            queue.append(j)
+    full = live
+    for v in variables:
+        full &= true[v] | true[-v]
+    return conflict, full
 
 
 def solve(f, assumptions=(), extra_vars=()):

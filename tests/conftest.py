@@ -51,6 +51,19 @@ def xorreg_source(n, inverted=None):
     return "\n".join(lines) + "\n"
 
 
+def ctr_source(n):
+    """n-bit counter enabled by input en; the property fails once the top
+    bit is set, after 2^(n-1) enabled steps."""
+    lines = ["input en", "latch c0 init 0 next (c0 XOR en)"]
+    carry = "en"
+    for i in range(1, n):
+        lines.append("signal k%d = (%s AND c%d)" % (i, carry, i - 1))
+        carry = "k%d" % i
+        lines.append("latch c%d init 0 next (c%d XOR %s)" % (i, i, carry))
+    lines.append("prop NOT c%d" % (n - 1))
+    return "\n".join(lines) + "\n"
+
+
 # Definitions read before encode defines them: a signal reading a later
 # signal, a signal reading an output, and a cycle through outputs.
 FORWARD_REF_SRCS = [

@@ -14,7 +14,7 @@ from lorcheck.sat import Solver
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, make_rng, random_system_source,
-                      shreg_source, xorreg_source)
+                      shreg_source, xorreg_source, ctr_source)
 
 
 # Draw 43 of the random 6-8-latch systems that
@@ -535,6 +535,16 @@ class TestPqe:
         assert main(["pqe", str(p)]) == 3
 
 
+# clauses over two fresh variables f, f + 1 that propagation leaves open;
+# the second set forbids s' = 1, which propagation cannot see
+def _open_pair(f, s1):
+    return [(f, f + 1)]
+
+
+def _forbid_s1(f, s1):
+    return [(a * f, b * (f + 1), -s1) for a in (1, -1) for b in (1, -1)]
+
+
 class TestWitnessVerification:
     def test_corrupted_trace_rejected(self, toggle_file, tmp_path, capfd):
         main(["check", toggle_file])
@@ -629,27 +639,20 @@ class TestWitnessVerification:
         assert main(["verify-witness", stuck0_file, str(p)]) == 3
 
     @pytest.mark.parametrize("length", [1, 2, 5])
-    def test_trace_replay_builds_one_solver(self, toggle, length,
-                                            built_solvers):
-        # toggle: stut=0 holds s, stut=1 steps s to s XOR x
+    def test_trace_replay_builds_no_solver(self, toggle, length,
+                                           built_solvers):
+        # toggle: stut=0 holds s, stut=1 steps s to s XOR x; propagation
+        # assigns all of T at every step, so no step needs a solve
         steps = ["step %d: inputs 00 state 0" % i for i in range(1, length)]
         lines = (["counterexample", "# inputs: x stut", "# state: s",
                   "step 0: inputs - state 0"] + steps
                  + ["step %d: inputs 11 state 1" % length])
         assert verify_trace(toggle, lines, pytest.fail)
-        assert len(built_solvers) == 1
+        assert built_solvers == []
 
-    @pytest.mark.parametrize("extra, accepted", [
-        # one more clause over two fresh variables, which propagation
-        # leaves open: a valid trace is accepted only through a solve
-        (lambda f, s1: [(f, f + 1)], True),
-        # every value of the fresh pair forbids s' = 1, which propagation
-        # cannot see: the last step is refuted only by a solve
-        (lambda f, s1: [(a * f, b * (f + 1), -s1)
-                        for a in (1, -1) for b in (1, -1)], False)],
-        ids=["open", "refuted-by-solve"])
-    def test_trace_steps_propagation_leaves_open(self, toggle, extra,
-                                                 accepted, monkeypatch):
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """A list that gains the assumptions of every Solver.solve call."""
         solves = []
         solve_ = Solver.solve
 
@@ -657,16 +660,32 @@ class TestWitnessVerification:
             solves.append(args)
             return solve_(self, *args, **kw)
         monkeypatch.setattr(Solver, "solve", counting)
+        return solves
+
+    @staticmethod
+    def _toggle_with(toggle, extra):
         s1 = toggle.next[toggle.table.get("s", 0).id]
-        fresh = max(toggle.trans.variables()) + 1
         ts = copy.copy(toggle)
-        ts.trans = toggle.trans + Cnf(extra(fresh, s1))
+        ts.trans = toggle.trans + Cnf(
+            extra(max(toggle.trans.variables()) + 1, s1))
+        return ts
+
+    # a valid trace is accepted only through a solve; a trace to s = 1
+    # under _forbid_s1 has its last step refuted only by a solve
+    @pytest.mark.parametrize("extra, accepted", [(_open_pair, True),
+                                                 (_forbid_s1, False)],
+                             ids=["open", "refuted-by-solve"])
+    def test_trace_steps_propagation_leaves_open(self, toggle, extra,
+                                                 accepted, solves,
+                                                 built_solvers):
+        ts = self._toggle_with(toggle, extra)
         lines = ["counterexample", "# inputs: x stut", "# state: s",
                  "step 0: inputs - state 0", "step 1: inputs 00 state 0",
                  "step 2: inputs 11 state 1"]
         reports = []
         assert verify_trace(ts, lines, reports.append) == accepted
         assert len(solves) == 2
+        assert len(built_solvers) == 1
         assert reports == ([] if accepted else
                            ["step 2: not a transition of the system"])
         # a flipped bit is refuted by propagation, before any solve
@@ -674,6 +693,89 @@ class TestWitnessVerification:
         flipped = lines[:4] + ["step 1: inputs 00 state 1"] + lines[5:]
         assert not verify_trace(ts, flipped, reports.append)
         assert solves == []
+
+    @pytest.mark.parametrize("step2, step3, n_solves", [
+        # step 2 goes 0 -> 1 under T, which only its solve refutes; step 3
+        # breaks T
+        ("inputs 11 state 1", "inputs 00 state 0", 2),
+        # step 2 breaks T; step 3 holds s = 1 by the stutter step, which
+        # only a solve would refute, and comes after it, so is not solved
+        ("inputs 00 state 1", "inputs 00 state 1", 1)],
+        ids=["solve-first", "propagation-first"])
+    def test_first_refuted_step_is_named(self, toggle, step2, step3,
+                                         n_solves, solves):
+        ts = self._toggle_with(toggle, _forbid_s1)
+        lines = ["counterexample", "# inputs: x stut", "# state: s",
+                 "step 0: inputs - state 0", "step 1: inputs 00 state 0",
+                 "step 2: " + step2, "step 3: " + step3]
+        reports = []
+        assert not verify_trace(ts, lines, reports.append)
+        assert reports == ["step 2: not a transition of the system"]
+        assert len(solves) == n_solves
+
+    @pytest.fixture
+    def ctr12(self, tmp_path):
+        """ctr12 and its count-up trace of 2,048 steps, as a file and as
+        the list of its state bit strings, c0 first."""
+        src = tmp_path / "ctr12.scirc"
+        src.write_text(ctr_source(12))
+        states = ["".join("1" if t >> i & 1 else "0" for i in range(12))
+                  for t in range(2 ** 11 + 1)]
+        return str(src), states
+
+    @staticmethod
+    def _replay_ctr12(ctr12, tmp_path, states):
+        src, _ = ctr12
+        w = tmp_path / "ctr12.witness"
+        w.write_text("counterexample\n# inputs: en\n# state: %s\n"
+                     % " ".join("c%d" % i for i in range(12)) + "".join(
+                         "step %d: inputs %s state %s\n"
+                         % (t, "1" if t else "-", bits)
+                         for t, bits in enumerate(states)))
+        return main(["verify-witness", src, str(w)])
+
+    def test_long_trace_accepted(self, ctr12, tmp_path, capfd):
+        assert self._replay_ctr12(ctr12, tmp_path, ctr12[1]) == 0
+        assert capfd.readouterr().out == "witness accepted\n"
+
+    @pytest.mark.parametrize("flipped, named", [
+        ((1500, 700), 700), ((2048,), 2048)])
+    def test_corrupted_step_named(self, ctr12, tmp_path, capfd, flipped,
+                                  named):
+        # a flipped c0 in state t breaks the steps into and out of t
+        states = list(ctr12[1])
+        for t in flipped:
+            states[t] = ("1" if states[t][0] == "0" else "0") + states[t][1:]
+        assert self._replay_ctr12(ctr12, tmp_path, states) == 1
+        got = capfd.readouterr()
+        assert got.out == "witness rejected\n"
+        assert got.err == "step %d: not a transition of the system\n" % named
+
+    STRICT_SRC = "input x\nlatch s init 0 next (s OR x)\nprop NOT s\n"
+
+    @pytest.mark.parametrize("extra, why", [
+        ("hello world", "line 4: not a header, step or blank line: "
+                        "'hello world'"),
+        ("# state: q", "line 4: second '# state:' header"),
+        ("# inputs: x stut", "line 4: second '# inputs:' header"),
+        ("  ", None)])
+    def test_trace_lines_are_strict(self, tmp_path, capfd, extra, why):
+        src = tmp_path / "s.scirc"
+        src.write_text(self.STRICT_SRC)
+        assert main(["check", str(src)]) == 1
+        path = str(src) + ".witness"
+        lines = open(path).read().splitlines()
+        assert lines[1:3] == ["# inputs: x stut", "# state: s"]
+        assert main(["verify-witness", str(src), path]) == 0
+        capfd.readouterr()
+        with open(path, "w") as f:
+            f.write("\n".join(lines[:3] + [extra] + lines[3:]) + "\n")
+        got = main(["verify-witness", str(src), path])
+        if why is None:  # a blank line is allowed
+            assert got == 0
+            return
+        assert got == 3
+        assert capfd.readouterr().err == "error: malformed witness: %s\n" % why
 
     def test_trace_with_wrong_init_rejected(self, stuck0_file, tmp_path, capfd):
         p = tmp_path / "w"
@@ -703,16 +805,20 @@ class TestWitnessVerification:
         assert main(["verify-witness", str(src), str(p)]) == 3
         assert "error:" in capfd.readouterr().err
 
-    @pytest.mark.parametrize("line", ["step 1: inputs 11",
-                                      "step 1: inputs 1 state 1",
-                                      "step 1: inputs 12 state 1",
-                                      "step 1: inputs 11 state 10"])
-    def test_malformed_step_line(self, toggle_file, tmp_path, capfd, line):
+    @pytest.mark.parametrize("line, why", [
+        ("step 1: inputs 11", "malformed trace line"),
+        ("step 1: inputs 1 state 1", "wrong bit strings"),
+        ("step 1: inputs 12 state 1", "wrong bit strings"),
+        ("step 1: inputs 11 state 10", "wrong bit strings"),
+        ("step one: inputs 11 state 1", "line 5: 'one' is not an integer")])
+    def test_malformed_step_line(self, toggle_file, tmp_path, capfd, line,
+                                 why):
         p = tmp_path / "w"
         p.write_text("counterexample\n# inputs: x stut\n# state: s\n"
                      "step 0: inputs - state 0\n%s\n" % line)
         assert main(["verify-witness", toggle_file, str(p)]) == 3
-        assert "error:" in capfd.readouterr().err
+        assert capfd.readouterr().err.startswith(
+            "error: malformed witness: " + why)
 
     @pytest.mark.parametrize("engine", ["lor", "lor-ic"])
     @pytest.mark.parametrize("cmd, sources", [
