@@ -251,6 +251,16 @@ def simulate(c, state, inputs):
     return env, nxt
 
 
+def simulate_lanes(c, values, full):
+    """`simulate` in many lanes at once: values maps each latch and input
+    to the mask of the lanes where it is 1, and full is the mask of every
+    lane.  Returns the mask of each latch's next state."""
+    tables = dict(values)
+    for name, e in itertools.chain(c.signals.items(), c.outputs.items()):
+        tables[name] = _table(e, tables, full)
+    return {l.name: _table(l.next, tables, full) for l in c.latches}
+
+
 # --------------------------------------------------------------- encoding
 
 

@@ -8,12 +8,14 @@ Exit codes: 0 property holds / circuits equivalent, 1 fails / inequivalent,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
 from .cnf import Cnf, Clause, evaluate, rename
-from .sat import Solver, implies, propagate_lanes
-from .circuit import CircuitError, parse_circuit, encode, stutter, build_miter
+from .sat import implies
+from .circuit import (CircuitError, parse_circuit, encode, stutter,
+                      build_miter, simulate_lanes)
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
 from .pclor import pc_lor, Options, CheckerError
 from .indclause import pc_lor_ic
@@ -88,9 +90,9 @@ def verify_trace(ts, lines, report):
     lines.  The headers must name exactly the system's inputs and latches,
     so that no step leaves a latch free.
 
-    One ``propagate_lanes`` over T replays every step, step i in lane i-1.
-    The steps are then walked in order: a lane that conflicts rejects its
-    step, and a lane that propagation leaves open is decided by a solve."""
+    One ``simulate_lanes`` of the circuit replays every step, step i in
+    lane i-1.  A lane whose next state, or on a miter whose paired inputs,
+    differ from the trace rejects its step; the lowest names the first."""
     headers = {}
     step_lines = []
     for lineno, l in enumerate(lines[1:], 2):
@@ -117,7 +119,7 @@ def verify_trace(ts, lines, report):
         head, _, rest = l.partition(":")
         words = head.split() + rest.split()
         if len(words) != 6 or words[2] != "inputs" or words[4] != "state":
-            raise ValueError("malformed trace line: %r" % l)
+            raise ValueError("line %d: malformed trace line: %r" % (lineno, l))
         i, ibits, sbits = _integer(words[1], lineno), words[3], words[5]
         if ibits == "-":  # no inputs: step 0, or a system without any
             ibits = ""
@@ -126,54 +128,44 @@ def verify_trace(ts, lines, report):
         if (len(ibits) != (len(input_names) if i else 0)
                 or len(sbits) != len(state_names)
                 or (ibits + sbits).strip("01")):
-            raise ValueError("wrong bit strings in trace line: %r" % l)
+            raise ValueError("line %d: wrong bit strings in trace line: %r"
+                             % (lineno, l))
         steps.append((i, ibits, sbits))
     if not steps:
         raise ValueError("trace has no steps")
-    if [i for i, _, _ in steps] != list(range(len(steps))):
-        raise ValueError("trace steps are not consecutive")
+    for k, ((lineno, _), (i, _, _)) in enumerate(zip(step_lines, steps)):
+        if i != k:
+            raise ValueError("line %d: trace steps are not consecutive"
+                             % lineno)
 
     state_ids = [ts.table.get(n, 0).id for n in state_names]
-    next_ids = [ts.next[v] for v in state_ids]
-    input_ids = [ts.table.get(n, 0).id for n in input_names]
-
-    def lits(ids, bits):
-        return [v if b == "1" else -v for v, b in zip(ids, bits)]
 
     def assignment(bits):
-        return {abs(l): l > 0 for l in lits(state_ids, bits)}
+        return {v: b == "1" for v, b in zip(state_ids, bits)}
 
     if evaluate(ts.init, assignment(steps[0][2])) is not True:
         report("step 0: state is not initial")
         return False
-    # one mask per column of bits, the last step first, so that bit i-1
-    # of a column is its bit in step i
-    every = (1 << (len(steps) - 1)) - 1
-    lanes = {}
-    for ids, rows in ((state_ids, [s for _, _, s in steps[-2::-1]]),
-                      (input_ids, [b for _, b, _ in steps[:0:-1]]),
-                      (next_ids, [s for _, _, s in steps[:0:-1]])):
-        for v, column in zip(ids, zip(*rows)):
-            true = int("".join(column), 2)
-            lanes[v] = (true, every ^ true)
-    conflict, full = propagate_lanes(ts.trans, lanes)
-    bad = (conflict & -conflict).bit_length()  # the first refuted step, or 0
-    open_lanes = every & ~(conflict | full)
-    if bad:
-        open_lanes &= (1 << (bad - 1)) - 1
-    trans = None
-    while open_lanes:
-        i = (open_lanes & -open_lanes).bit_length()
-        open_lanes &= open_lanes - 1
-        if trans is None:
-            trans = Solver(ts.trans)
-        if not trans.solve(lits(state_ids, steps[i - 1][2])
-                           + lits(input_ids, steps[i][1])
-                           + lits(next_ids, steps[i][2])):
-            bad = i
-            break
-    if bad:
-        report("step %d: not a transition of the system" % bad)
+
+    def masks(names, rows):
+        """Each name's mask of the lanes where its bit is 1; the rows run
+        from the last step to the first, so that bit i-1 is step i."""
+        cols = dict.fromkeys(names, 0)
+        cols.update((n, int("".join(c), 2)) for n, c in zip(names, zip(*rows)))
+        return cols
+
+    cur = masks(state_names, [s for _, _, s in steps[-2::-1]])
+    cur.update(masks(input_names, [b for _, b, _ in steps[:0:-1]]))
+    nxt = masks(state_names, [s for _, _, s in steps[:0:-1]])
+    sim = simulate_lanes(ts.circuit, cur, (1 << (len(steps) - 1)) - 1)
+    wrong = 0
+    for name in state_names:
+        wrong |= sim[name] ^ nxt[name]
+    for a, b in ts.circuit.eq_input_pairs:  # the interface clauses of T
+        wrong |= cur[a] ^ cur[b]
+    if wrong:
+        report("step %d: not a transition of the system"
+               % (wrong & -wrong).bit_length())
         return False
     if evaluate(ts.prop, assignment(steps[-1][2])) is not False:
         report("final state does not violate the property")
@@ -460,6 +452,7 @@ def _add_engine_flags(p):
                    help="double-check every frame against enumeration oracles")
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="lorcheck",
                                  description="Safety-property model checker "

@@ -207,6 +207,46 @@ class TestEncoding:
         assert list(ts.init) == []
 
 
+class TestSimulateLanes:
+    """simulate_lanes against one simulate per lane."""
+
+    @staticmethod
+    def circuits(rng):
+        yield parse_circuit("input a\nsignal g = (a AND 1)\n"
+                            "latch s init 0 next (NOT g XOR 0)\n"
+                            "latch t init 1 next (z XOR s)\n"
+                            "output z = (s OR g)\n")
+        for _ in range(20):
+            n_latch, n_in = rng.randint(1, 4), rng.randint(1, 2)
+            c = parse_circuit(random_system_source(rng, n_latch, n_in))
+            yield c
+            yield stutter(c)
+            head, sigs, tail = _signal_circuit_lines(rng)
+            yield stutter(parse_circuit("\n".join(head + sigs + tail)))
+            n, k = (parse_circuit(random_system_source(rng, n_latch, n_in)
+                                  + "output z = (s0 XOR NOT s%d)\n"
+                                  % (n_latch - 1)) for _ in "nk")
+            yield build_miter(n, k)
+            yield stutter(build_miter(n, k))
+
+    def test_matches_simulate(self):
+        rng = make_rng(35)
+        for c in self.circuits(rng):
+            names = c.latch_names() + c.inputs
+            lanes = rng.choice([1, 2, 7, 70])
+            rows = [{nm: rng.random() < 0.5 for nm in names}
+                    for _ in range(lanes)]
+            values = {nm: sum(row[nm] << i for i, row in enumerate(rows))
+                      for nm in names}
+            nxt = circuit.simulate_lanes(c, values, (1 << lanes) - 1)
+            assert nxt.keys() == set(c.latch_names())
+            assert all(m >> lanes == 0 for m in nxt.values())
+            for i, row in enumerate(rows):
+                _, want = simulate(c, {s: row[s] for s in c.latch_names()},
+                                   {x: row[x] for x in c.inputs})
+                assert {s: bool(m >> i & 1) for s, m in nxt.items()} == want
+
+
 FIXTURE_SYSTEMS = ["stuck0", "toggle", "dff_miter"]
 
 

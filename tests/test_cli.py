@@ -1,4 +1,3 @@
-import copy
 import io
 import os
 import re
@@ -7,7 +6,8 @@ import pytest
 
 from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant)
-from lorcheck.circuit import parse_circuit, encode, add_stuttering
+from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
+                              build_miter)
 from lorcheck.pclor import pc_lor, Options, Witness
 from lorcheck.cnf import Cnf
 from lorcheck.sat import Solver
@@ -535,16 +535,6 @@ class TestPqe:
         assert main(["pqe", str(p)]) == 3
 
 
-# clauses over two fresh variables f, f + 1 that propagation leaves open;
-# the second set forbids s' = 1, which propagation cannot see
-def _open_pair(f, s1):
-    return [(f, f + 1)]
-
-
-def _forbid_s1(f, s1):
-    return [(a * f, b * (f + 1), -s1) for a in (1, -1) for b in (1, -1)]
-
-
 class TestWitnessVerification:
     def test_corrupted_trace_rejected(self, toggle_file, tmp_path, capfd):
         main(["check", toggle_file])
@@ -641,8 +631,8 @@ class TestWitnessVerification:
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_trace_replay_builds_no_solver(self, toggle, length,
                                            built_solvers):
-        # toggle: stut=0 holds s, stut=1 steps s to s XOR x; propagation
-        # assigns all of T at every step, so no step needs a solve
+        # toggle: stut=0 holds s, stut=1 steps s to s XOR x; a trace is
+        # replayed on the gates, so no step needs a solve
         steps = ["step %d: inputs 00 state 0" % i for i in range(1, length)]
         lines = (["counterexample", "# inputs: x stut", "# state: s",
                   "step 0: inputs - state 0"] + steps
@@ -650,68 +640,38 @@ class TestWitnessVerification:
         assert verify_trace(toggle, lines, pytest.fail)
         assert built_solvers == []
 
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """A list that gains the assumptions of every Solver.solve call."""
-        solves = []
-        solve_ = Solver.solve
-
-        def counting(self, *args, **kw):
-            solves.append(args)
-            return solve_(self, *args, **kw)
-        monkeypatch.setattr(Solver, "solve", counting)
-        return solves
-
-    @staticmethod
-    def _toggle_with(toggle, extra):
-        s1 = toggle.next[toggle.table.get("s", 0).id]
-        ts = copy.copy(toggle)
-        ts.trans = toggle.trans + Cnf(
-            extra(max(toggle.trans.variables()) + 1, s1))
-        return ts
-
-    # a valid trace is accepted only through a solve; a trace to s = 1
-    # under _forbid_s1 has its last step refuted only by a solve
-    @pytest.mark.parametrize("extra, accepted", [(_open_pair, True),
-                                                 (_forbid_s1, False)],
-                             ids=["open", "refuted-by-solve"])
-    def test_trace_steps_propagation_leaves_open(self, toggle, extra,
-                                                 accepted, solves,
-                                                 built_solvers):
-        ts = self._toggle_with(toggle, extra)
-        lines = ["counterexample", "# inputs: x stut", "# state: s",
-                 "step 0: inputs - state 0", "step 1: inputs 00 state 0",
-                 "step 2: inputs 11 state 1"]
-        reports = []
-        assert verify_trace(ts, lines, reports.append) == accepted
-        assert len(solves) == 2
-        assert len(built_solvers) == 1
-        assert reports == ([] if accepted else
-                           ["step 2: not a transition of the system"])
-        # a flipped bit is refuted by propagation, before any solve
-        del solves[:]
-        flipped = lines[:4] + ["step 1: inputs 00 state 1"] + lines[5:]
-        assert not verify_trace(ts, flipped, reports.append)
-        assert solves == []
-
-    @pytest.mark.parametrize("step2, step3, n_solves", [
-        # step 2 goes 0 -> 1 under T, which only its solve refutes; step 3
-        # breaks T
-        ("inputs 11 state 1", "inputs 00 state 0", 2),
-        # step 2 breaks T; step 3 holds s = 1 by the stutter step, which
-        # only a solve would refute, and comes after it, so is not solved
-        ("inputs 00 state 1", "inputs 00 state 1", 1)],
-        ids=["solve-first", "propagation-first"])
-    def test_first_refuted_step_is_named(self, toggle, step2, step3,
-                                         n_solves, solves):
-        ts = self._toggle_with(toggle, _forbid_s1)
+    @pytest.mark.parametrize("step2, step3", [
+        # stut=0 holds s at 0; s = 1 under x = 1 steps to 0
+        ("inputs 00 state 1", "inputs 11 state 1"),
+        # x alone holds s at 0; s = 1 under x = 0 steps to 1
+        ("inputs 10 state 1", "inputs 01 state 0")],
+        ids=["stutter", "no-stutter"])
+    def test_first_refuted_step_is_named(self, toggle, step2, step3):
         lines = ["counterexample", "# inputs: x stut", "# state: s",
                  "step 0: inputs - state 0", "step 1: inputs 00 state 0",
                  "step 2: " + step2, "step 3: " + step3]
         reports = []
-        assert not verify_trace(ts, lines, reports.append)
+        assert not verify_trace(toggle, lines, reports.append)
         assert reports == ["step 2: not a transition of the system"]
-        assert len(solves) == n_solves
+
+    @pytest.mark.parametrize("bad", [1, 2, 3])
+    def test_miter_inputs_must_agree(self, bad):
+        # n latches x and k latches NOT x, so a step whose n.x and k.x
+        # differ has a next state of its own; only T's interface clauses
+        # rule it out
+        ts = add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
+                                               parse_circuit(INV_DFF_SRC))))
+        assert [v.name for v in ts.input_vars] == ["n.x", "k.x", "stut"]
+        lines = ["counterexample", "# inputs: n.x k.x stut",
+                 "# state: n.s k.s", "step 0: inputs - state 00"]
+        good = lines + ["step %d: inputs 111 state 10" % i for i in (1, 2, 3)]
+        assert verify_trace(ts, good, pytest.fail)
+        lines += ["step %d: inputs %s" % (i, "101 state 11" if i == bad
+                                          else "111 state 10")
+                  for i in (1, 2, 3)]
+        reports = []
+        assert not verify_trace(ts, lines, reports.append)
+        assert reports == ["step %d: not a transition of the system" % bad]
 
     @pytest.fixture
     def ctr12(self, tmp_path):
@@ -806,10 +766,12 @@ class TestWitnessVerification:
         assert "error:" in capfd.readouterr().err
 
     @pytest.mark.parametrize("line, why", [
-        ("step 1: inputs 11", "malformed trace line"),
-        ("step 1: inputs 1 state 1", "wrong bit strings"),
-        ("step 1: inputs 12 state 1", "wrong bit strings"),
-        ("step 1: inputs 11 state 10", "wrong bit strings"),
+        ("step 1: inputs 11", "line 5: malformed trace line"),
+        ("step 1: inputs 1 state 1", "line 5: wrong bit strings"),
+        ("step 1: inputs 12 state 1", "line 5: wrong bit strings"),
+        ("step 1: inputs 11 state 10", "line 5: wrong bit strings"),
+        ("step 2: inputs 11 state 1", "line 5: trace steps are not "
+                                      "consecutive"),
         ("step one: inputs 11 state 1", "line 5: 'one' is not an integer")])
     def test_malformed_step_line(self, toggle_file, tmp_path, capfd, line,
                                  why):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorcheck.cnf import Clause, Cnf, evaluate
 from lorcheck.sat import (Solver, _luby, first_model, implies,
-                          max_relax_solve, propagate_lanes, solve)
+                          max_relax_solve, solve)
 
 
 def random_cnf(rng, max_var=8, max_clauses=20, max_len=4):
@@ -375,83 +375,6 @@ class TestPropagate:
         s = Solver([Clause((1,)), Clause((-1, 2)), Clause((-1, -2))])
         assert s.propagate([]) is None and not s.ok
         assert not s.solve()
-
-
-class TestPropagateLanes:
-    """propagate_lanes against one Solver(f).propagate per lane."""
-
-    @staticmethod
-    def check(f, sets):
-        lanes = {}
-        for i, assume in enumerate(sets):
-            for l in assume:
-                t, fl = lanes.get(abs(l), (0, 0))
-                lanes[abs(l)] = (t | 1 << i, fl) if l > 0 else (t, fl | 1 << i)
-        conflict, full = propagate_lanes(f, lanes)
-        assert conflict >> len(sets) == full >> len(sets) == 0
-        for i, assume in enumerate(sets):
-            s = Solver(f)
-            true = s.propagate(assume)
-            assert conflict >> i & 1 == (true is None), (f, assume)
-            assert full >> i & 1 == (true is not None
-                                     and len(true) == len(s.var_ids)), \
-                (f, assume)
-        return conflict, full
-
-    @staticmethod
-    def random_sets(rng, n, count):
-        # ids up to n + 3: the last three occur only in assumptions; the
-        # last set is never empty, so that every set is a lane
-        sets = []
-        for i in range(count):
-            vs = rng.sample(range(1, n + 4),
-                            rng.randint(i == count - 1, min(6, n + 3)))
-            assume = [v if rng.random() < 0.5 else -v for v in vs]
-            if assume and rng.random() < 0.1:  # contradicts itself
-                assume.append(-rng.choice(assume))
-            sets.append(assume)
-        return sets
-
-    def test_random(self):
-        rng = random.Random(34)
-        seen = {"conflict": 0, "full": 0, "open": 0}
-        for _ in range(150):
-            f, n = random_cnf(rng, max_var=8, max_clauses=25)
-            sets = self.random_sets(rng, n, rng.choice([1, 2, 5, 40]))
-            conflict, full = self.check(f, sets)
-            for i in range(len(sets)):
-                seen["conflict" if conflict >> i & 1 else
-                     "full" if full >> i & 1 else "open"] += 1
-        assert min(seen.values()) > 100, seen
-
-    def test_several_hundred_lanes(self):
-        rng = random.Random(35)
-        for _ in range(5):
-            f, n = random_cnf(rng, max_var=12, max_clauses=40, max_len=3)
-            self.check(f, self.random_sets(rng, n, 300))
-
-    def test_empty_clause(self):
-        rng = random.Random(36)
-        f, n = random_cnf(rng)
-        sets = self.random_sets(rng, n, 20)
-        assert self.check(f + Cnf([Clause(())]), sets) == ((1 << 20) - 1, 0)
-
-    def test_units_and_level_0_conflict(self):
-        rng = random.Random(37)
-        units = Cnf([Clause((1,)), Clause((-1, 2))])
-        clash = units + Cnf([Clause((-1, -2))])
-        for _ in range(20):
-            f, n = random_cnf(rng)
-            sets = self.random_sets(rng, max(n, 2), 20)
-            self.check(units + f, sets)
-            assert self.check(clash + f, sets)[0] == (1 << 20) - 1
-
-    def test_assumption_only_variables(self):
-        # 3 occurs in no clause: lanes that assume it can still be full,
-        # and a lane that assumes both its signs conflicts
-        f = Cnf([Clause((1, 2)), Clause((-1, 2))])
-        sets = [[2, -1, 3], [2, 1, -3], [2, 3, -3], [2], [-2]]
-        assert self.check(f, sets) == (0b10100, 0b00011)
 
 
 def assert_minimal_correction_set(hard, soft, lits, left_out):
