@@ -229,22 +229,46 @@ class TestSimulateLanes:
             yield build_miter(n, k)
             yield stutter(build_miter(n, k))
 
+    @staticmethod
+    def check(rng, c, lanes):
+        names = c.latch_names() + c.inputs
+        rows = [{nm: rng.random() < 0.5 for nm in names}
+                for _ in range(lanes)]
+        values = {nm: sum(row[nm] << i for i, row in enumerate(rows))
+                  for nm in names}
+        nxt = circuit.simulate_lanes(c, values, (1 << lanes) - 1)
+        assert nxt.keys() == set(c.latch_names())
+        assert all(m >> lanes == 0 for m in nxt.values())
+        for i, row in enumerate(rows):
+            _, want = simulate(c, {s: row[s] for s in c.latch_names()},
+                               {x: row[x] for x in c.inputs})
+            assert {s: bool(m >> i & 1) for s, m in nxt.items()} == want
+
     def test_matches_simulate(self):
         rng = make_rng(35)
         for c in self.circuits(rng):
-            names = c.latch_names() + c.inputs
-            lanes = rng.choice([1, 2, 7, 70])
-            rows = [{nm: rng.random() < 0.5 for nm in names}
-                    for _ in range(lanes)]
-            values = {nm: sum(row[nm] << i for i, row in enumerate(rows))
-                      for nm in names}
-            nxt = circuit.simulate_lanes(c, values, (1 << lanes) - 1)
-            assert nxt.keys() == set(c.latch_names())
-            assert all(m >> lanes == 0 for m in nxt.values())
-            for i, row in enumerate(rows):
-                _, want = simulate(c, {s: row[s] for s in c.latch_names()},
-                                   {x: row[x] for x in c.inputs})
-                assert {s: bool(m >> i & 1) for s, m in nxt.items()} == want
+            self.check(rng, c, rng.choice([1, 2, 7, 70]))
+
+    def test_several_hundred_lanes(self):
+        rng = make_rng(36)
+        for c in itertools.islice(self.circuits(rng), 12):
+            self.check(rng, c, 300)
+
+    def test_constants_and_not_stay_inside_full(self):
+        # a constant 1 or a NOT sets exactly the lanes of full
+        c = parse_circuit("input a\nlatch s init 0 next 1\n"
+                          "latch t init 0 next NOT 0\n"
+                          "latch u init 1 next (0 AND a)\n"
+                          "latch v init 0 next NOT s\n"
+                          "latch w init 0 next (a XOR 1)\n")
+        values = dict.fromkeys(c.latch_names(), 0)
+        values["a"] = 0b101
+        assert circuit.simulate_lanes(c, values, 0b111) == {
+            "s": 0b111, "t": 0b111, "u": 0, "v": 0b111, "w": 0b010}
+        # no lanes at all, as for a trace of step 0 alone
+        values["a"] = 0
+        assert circuit.simulate_lanes(c, values, 0) == dict.fromkeys(
+            c.latch_names(), 0)
 
 
 FIXTURE_SYSTEMS = ["stuck0", "toggle", "dff_miter"]

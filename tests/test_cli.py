@@ -654,13 +654,17 @@ class TestWitnessVerification:
         assert not verify_trace(toggle, lines, reports.append)
         assert reports == ["step 2: not a transition of the system"]
 
+    @staticmethod
+    def _dff_miter():
+        return add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
+                                                 parse_circuit(INV_DFF_SRC))))
+
     @pytest.mark.parametrize("bad", [1, 2, 3])
     def test_miter_inputs_must_agree(self, bad):
         # n latches x and k latches NOT x, so a step whose n.x and k.x
         # differ has a next state of its own; only T's interface clauses
         # rule it out
-        ts = add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
-                                               parse_circuit(INV_DFF_SRC))))
+        ts = self._dff_miter()
         assert [v.name for v in ts.input_vars] == ["n.x", "k.x", "stut"]
         lines = ["counterexample", "# inputs: n.x k.x stut",
                  "# state: n.s k.s", "step 0: inputs - state 00"]
@@ -672,6 +676,22 @@ class TestWitnessVerification:
         reports = []
         assert not verify_trace(ts, lines, reports.append)
         assert reports == ["step %d: not a transition of the system" % bad]
+
+    def test_headers_in_any_order(self):
+        # each bit string follows its own header, not the circuit's order
+        ts = self._dff_miter()
+        lines = ["counterexample", "# inputs: k.x stut n.x",
+                 "# state: k.s n.s", "step 0: inputs - state 00"]
+        # k.x = n.x = 1 under stut = 0 holds the state
+        held = "step 1: inputs 101 state 00"
+        assert verify_trace(ts, lines + [held, "step 2: inputs 111 state 01"],
+                            pytest.fail)
+        for tail in (["step 1: inputs 111 state 10"],  # the state swapped
+                     ["step 1: inputs 011 state 00",  # the inputs swapped
+                      "step 2: inputs 111 state 01"]):
+            reports = []
+            assert not verify_trace(ts, lines + tail, reports.append)
+            assert reports == ["step 1: not a transition of the system"]
 
     @pytest.fixture
     def ctr12(self, tmp_path):
