@@ -1,15 +1,19 @@
 """Inductive-clause machinery and the hybrid checker built on it: bad
 states are excluded by clauses that are inductive relative to the previous
-frame.  On a miter, each new frame is seeded from the educated guess of
-dropping the interface-equality clauses, and at frame 1 Houdini looks for
-an invariant among I and P first, and among the seed, I and P only when
-that fails."""
+frame.  On a miter, Houdini first looks for an invariant at frame 1 among
+I, P and the latch correspondences that simulation mines (van Eijk,
+*Sequential Equivalence Checking Based on Structural Similarities*, IEEE
+TCAD 2000); each new frame is then seeded from the educated guess of
+dropping the interface-equality clauses."""
 
 from __future__ import annotations
 
+import copy
 import functools
+import random
 
-from .cnf import Cnf, Clause, lit_sat, longest_falsified_clause, rename
+from .circuit import Latch, simulate_lanes, _simplify, _subst
+from .cnf import Cnf, Clause, longest_falsified_clause, rename
 from .sat import Solver
 from .boundary import makeup_clauses, clause_implied
 from .pclor import Checker
@@ -73,44 +77,129 @@ def educat_guess_rlx(chain, j):
                                      if i not in chain.removed[j - 1]])
 
 
+# Simulation runs this many lanes at once, each on its own random inputs,
+# from a fixed seed so that runs repeat.
+LANES = 64
+FULL = (1 << LANES) - 1
+SIM_SEED = 0
+
+
+class _Simulator:
+    """Random simulation of the circuit of ts in LANES lanes.  Inputs are
+    random, tied as T ties the interface pairs.  The stuttering input is
+    held at 1, as a stutter step reaches no new state: folding it away
+    leaves each latch its unstuttered next state.  Every simulated state is
+    reachable under T from the start."""
+
+    def __init__(self, ts):
+        self.ts = ts
+        self.rng = random.Random(SIM_SEED)
+        c = self.circuit = copy.copy(ts.circuit)
+
+        def hold(n):
+            return ("const", 1) if n == c.stutter_input else ("var", n)
+        c.latches = [Latch(l.name, l.init, _simplify(_subst(l.next, hold)))
+                     for l in c.latches]
+
+    def run(self, state):
+        """The states from `state`, a mask of lanes per latch name, each as
+        a mask per frame-0 state id, starting with `state` itself."""
+        c = self.circuit
+        while True:
+            yield {v.id: state[v.name] for v in self.ts.state_vars}
+            values = dict(state)
+            values.update((x, self.rng.getrandbits(LANES)) for x in c.inputs)
+            values.update((b, values[a]) for a, b in c.eq_input_pairs)
+            state = simulate_lanes(c, values, FULL)
+
+
+def _falsified(clause, masks):
+    """Whether the clause is false in some lane of the state `masks`."""
+    out = FULL
+    for l in clause:
+        out &= ~masks[l] if l > 0 else masks[-l]
+    return out != 0
+
+
+def mine(ts):
+    """Candidate invariant clauses from simulation of ts from I, len(latches)
+    + 1 steps in LANES lanes; None when a simulated state falsifies P, so
+    that no invariant implies P.  Only latches that I leaves unpaired are
+    mined: a unit for each one constant in every lane and step, and for
+    each class of equal or complementary signatures an equivalence or
+    anti-equivalence clause pair between each member and the first."""
+    c = ts.circuit
+    sim = _Simulator(ts)
+    init = {l.name: sim.rng.getrandbits(LANES) if l.init is None
+            else FULL if l.init else 0 for l in c.latches}
+    init.update((b, init[a]) for a, b in c.state_pairs)
+    paired = {x for pair in c.state_pairs for x in pair}
+    sig = {v.id: 0 for v in ts.state_vars if v.name not in paired}
+    steps = len(c.latches) + 2
+    for t, masks in zip(range(steps), sim.run(init)):
+        if any(_falsified(p, masks) for p in ts.prop):
+            return None
+        for v in sig:
+            sig[v] |= masks[v] << (LANES * t)
+    ones = (1 << (LANES * steps)) - 1
+    out, reps = [], {}
+    for v, s in sig.items():
+        if s in (0, ones):
+            out.append(Clause([v if s else -v]))
+            continue
+        r, rs = reps.setdefault(min(s, s ^ ones), (v, s))
+        if r != v:
+            w = v if rs == s else -v
+            out += [Clause([r, -w]), Clause([-r, w])]
+    return out
+
+
 def houdini(ts, cands, required=()):
     """The largest subset of the clauses `cands` (over frame-0 state
     variables) that is inductive under T, in the order given; None as soon
-    as a round drops a clause of `required`, which the result would then
+    as a clause of `required` is dropped, which the result would then
     lack.
 
     Each round loads the surviving candidates and T into one solver.  A
     model of Cands ∧ T ∧ ¬c′ starts in a state where every subset of Cands
-    holds, so an inductive subset holds at its frame 1 too: the round drops
-    every candidate the model falsifies there, c among them.  Rounds repeat
-    until one drops nothing, so the result does not depend on the models
-    the solver returns."""
+    holds, so an inductive subset holds at its frame 1 too, and at every
+    state simulated from there: the round drops every candidate that a
+    simulated state falsifies, c among them, simulating until a step drops
+    nothing.  Rounds repeat until one drops nothing, so the result does not
+    depend on the models the solver returns."""
     cands = list(Cnf(cands).normalize())
     required = set(required)
+    sim = _Simulator(ts)
     while True:
         solver = Solver(cands + list(ts.trans))
-        shifted = rename(Cnf(cands), ts.next).clauses
         alive = [True] * len(cands)
-        for i, c1 in enumerate(shifted):
-            if not alive[i]:
+        for i, c1 in enumerate(rename(Cnf(cands), ts.next)):
+            if not alive[i] or not (res := solver.solve([-l for l in c1])):
                 continue
-            res = solver.solve([-l for l in c1])
-            if res:
-                for k, d1 in enumerate(shifted):
-                    if alive[k] and all(lit_sat(l, res.model) is False
-                                        for l in d1):
-                        alive[k] = False
+            start = {v.name: FULL if res.model[ts.next[v.id]] else 0
+                     for v in ts.state_vars}
+            for masks in sim.run(start):
+                dropped = [k for k, d in enumerate(cands)
+                           if alive[k] and _falsified(d, masks)]
+                if not dropped:
+                    break
+                if any(cands[k] in required for k in dropped):
+                    return None
+                for k in dropped:
+                    alive[k] = False
         if all(alive):
             return cands
-        if any(not keep and c in required for c, keep in zip(cands, alive)):
-            return None
         cands = [c for c, keep in zip(cands, alive) if keep]
 
 
-def _houdini_invariant(ts, seed, init):
-    """Houdini over seed ∪ I ∪ P.  The survivors are an inductive invariant
-    when I implies them and every clause of P survived; otherwise None."""
-    inv = houdini(ts, list(seed) + list(ts.init) + list(ts.prop),
+def _houdini_invariant(ts, init):
+    """Houdini over I, the mined candidates and P.  The survivors are an
+    inductive invariant when I implies them and every clause of P survived;
+    otherwise None."""
+    mined = mine(ts)
+    if mined is None:
+        return None
+    inv = houdini(ts, list(ts.init) + mined + list(ts.prop),
                   required=ts.prop)
     if inv is not None and not any(init.solve([-l for l in c]) for c in inv):
         return Cnf(inv)
@@ -120,10 +209,9 @@ def _houdini_invariant(ts, seed, init):
 class IcChecker(Checker):
     """pc_lor with each backward-walk step strengthening H_k by a
     generalized inductive clause instead of relax-and-make-up.  On a miter,
-    each new frame is seeded by educat_guess_rlx, and fin_rlx(1) runs
-    Houdini over I and P before it seeds H_1, and over the seed, I and P
-    when that finds no invariant; it returns an invariant found either
-    way."""
+    fin_rlx(1) runs Houdini over I, P and the mined candidates and returns
+    an invariant it finds; otherwise each new frame is seeded by
+    educat_guess_rlx."""
 
     @functools.cached_property
     def _init_solver(self):
@@ -152,14 +240,12 @@ class IcChecker(Checker):
             return super().fin_rlx(j)
         self.chain.add_frame()
         if j == 1:
-            inv = _houdini_invariant(self.ts, [], self._init_solver)
+            inv = _houdini_invariant(self.ts, self._init_solver)
             if inv is not None:
                 self.chain.strengthen(j, list(self.ts.prop))
                 return inv
-        seed = list(educat_guess_rlx(self.chain, j))
-        self.chain.strengthen(j, seed + list(self.ts.prop))
-        if j == 1 and seed:
-            return _houdini_invariant(self.ts, seed, self._init_solver)
+        self.chain.strengthen(j, list(educat_guess_rlx(self.chain, j))
+                              + list(self.ts.prop))
         return None
 
 

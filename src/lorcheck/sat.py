@@ -324,6 +324,7 @@ class Solver:
         self.units.clear()  # level-0 assignments are never undone
         assumption_set = set(assumptions)
         conflicts = 0
+        pi = 0  # prefer[:pi] is assigned
         restart_num = 1
         restart_lim = 100 * _luby(restart_num)
         while True:
@@ -338,6 +339,7 @@ class Solver:
                 conflicts += 1
                 learnt, back = self._analyze(conflict)
                 self._backtrack(back)
+                pi = 0
                 idx = len(clauses)
                 clauses.append(learnt)
                 if len(learnt) >= 2:
@@ -369,9 +371,11 @@ class Solver:
                     reason[abs(a)] = None
                     trail.append(a)
                 continue
-            # the first unassigned preferred literal, else positive polarity
-            lit = prefer and next((p for p in prefer if value[p] is None), 0)
-            lit = lit or self._decide_var()
+            # the first unassigned preferred literal, else positive polarity;
+            # the trail only grows between backtracks, so the scan resumes
+            while pi < len(prefer) and value[prefer[pi]] is not None:
+                pi += 1
+            lit = prefer[pi] if pi < len(prefer) else self._decide_var()
             if lit is None:
                 return SatResult("sat", model={abs(l): l > 0 for l in trail})
             trail_lim.append(len(trail))

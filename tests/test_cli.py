@@ -261,10 +261,11 @@ class TestSec:
         assert "witness accepted" in capfd.readouterr().out
 
     def test_pqe_budget_unknown(self, tmp_path, capfd):
-        # renamed latches leave I without state pairs, so Houdini over I
-        # and P finds no invariant and the frame-1 seed asks PQE
+        # the Gray-coded copy shares no latch name and no latch signature
+        # but u0 with the shift register, so Houdini over I, P and the mined
+        # candidates finds no invariant and the frame-1 seed asks PQE
         a = tmp_path / "shreg4.scirc"; a.write_text(shreg_source(4))
-        b = tmp_path / "shreg4t.scirc"; b.write_text(_renamed_shreg(4))
+        b = tmp_path / "gray4.scirc"; b.write_text(GRAY_SHREG4_SRC)
         assert main(["sec", str(a), str(b), "--max-frames", "1",
                      "--pqe-budget", "2"]) == 2
         got = capfd.readouterr()
@@ -324,6 +325,18 @@ class TestSec:
         assert capfd.readouterr().err == (
             "error: sec compares outputs that read only latches, but output "
             "%s circuit reads input 'x'\n" % tail)
+
+
+# shreg_source(4) storing u0 = s0 and u_i = s(i-1) XOR s(i) for i > 0: an
+# equivalent copy whose invariant is not a latch correspondence
+GRAY_SHREG4_SRC = """\
+input x
+latch u0 init 0 next x
+latch u1 init 0 next (x XOR u0)
+latch u2 init 0 next u1
+latch u3 init 0 next u2
+output z = ((u0 XOR u1) XOR (u2 XOR u3))
+"""
 
 
 def _renamed_shreg(n):
@@ -402,12 +415,27 @@ class TestSecFamilies:
         assert code == 0 and calls == []
         assert re.search(r"^frames: 1$", out, re.M)
 
-    def test_inverted_stage_needs_the_seed(self, tmp_path, capfd,
-                                           monkeypatch):
+    def test_inverted_stage_by_mined_anti_equivalence(self, tmp_path, capfd,
+                                                      monkeypatch):
+        # I leaves n.s0 (init 0) and k.s0 (init 1) unpaired; simulation
+        # mines their complementary signatures, and the invariant keeps
+        # n.s0 = NOT k.s0 (ids 1 and 5) without the seed's PQE call
         calls = _count_take_out(monkeypatch)
         code, out = _sec_and_replay(tmp_path, capfd, shreg_source(4),
                                     _inverted_stage_shreg(4))
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == []
+        assert re.search(r"^frames: 1$", out, re.M)
+        lines = (tmp_path / "sec.witness").read_text().splitlines()
+        assert {"1 5 0", "-1 -5 0"} <= set(lines)
+
+    @pytest.mark.parametrize("copy, n", [(copy, n) for copy in (
+        _renamed_shreg, _inverted_stage_shreg) for n in range(2, 21)])
+    def test_renamed_or_inverted_at_frame_1_without_pqe(
+            self, tmp_path, capfd, monkeypatch, copy, n):
+        calls = _count_take_out(monkeypatch)
+        code, out = _sec_and_replay(tmp_path, capfd, shreg_source(n),
+                                    copy(n))
+        assert code == 0 and calls == []
         assert re.search(r"^frames: 1$", out, re.M)
 
     @pytest.mark.parametrize("n", [3, 4])

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -10,11 +11,11 @@ from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
 import lorcheck.indclause as indclause
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
                                 generalize, educat_guess_rlx, houdini,
-                                pc_lor_ic)
+                                mine, pc_lor_ic)
 from lorcheck.pclor import Checker, Options, pc_lor
-from lorcheck.qe_oracle import verify_boundary, image_under
-from conftest import (random_system, brute_force_verdict, make_rng,
-                      shreg_source)
+from lorcheck.qe_oracle import verify_boundary, image_under, reach_bruteforce
+from conftest import (random_system, random_system_source,
+                      brute_force_verdict, make_rng, shreg_source)
 from test_pclor import replay_trace, check_invariant_witness
 
 
@@ -139,19 +140,61 @@ def _inductive_by_enumeration(ts, clauses, succ):
     return all(holds(t) for s in succ if holds(s) for t in succ[s])
 
 
+def _random_clauses(rng, ids):
+    return list(Cnf(Clause(v if rng.random() < 0.5 else -v
+                           for v in rng.sample(ids, rng.randint(1, 2)))
+                    for _ in range(rng.randint(1, 8))).normalize())
+
+
+def _renamed(src):
+    return re.sub(r"\bs(\d+)", r"t\1", src)
+
+
+def _inverted_s0(src):
+    """src with latch s0 stored inverted: every read of s0 reads NOT s0,
+    and s0 starts at and steps to the complement."""
+    src = re.sub(r"\bs0\b(?! init)", "NOT s0", src)
+    return re.sub(r"latch s0 init 0 next (.*)", r"latch s0 init 1 next NOT \1",
+                  src)
+
+
+def _small_miter(src_n, src_k):
+    return add_stuttering(encode(build_miter(parse_circuit(src_n),
+                                             parse_circuit(src_k))))
+
+
+def _random_miters(rng, count):
+    """Stuttered miters of `count` random 2-latch systems, each with its
+    property as its output, against a renamed copy (which I cannot pair)
+    and against a copy that stores s0 inverted."""
+    for _ in range(count):
+        src = random_system_source(rng, 2, 1).replace("prop ", "output z = ")
+        for copy in (_renamed(src), _inverted_s0(src)):
+            yield _small_miter(src, copy)
+
+
+def _houdini_cases():
+    """(system, candidates): 40 random systems with random candidates, then
+    small miters whose candidates are drawn from I, the mined clauses, P
+    and random clauses."""
+    rng = make_rng(54)
+    for _ in range(40):
+        ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
+        yield ts, _random_clauses(rng, ts.state_ids(0))
+    for ts in _random_miters(rng, 8):
+        pool = list(Cnf(list(ts.init) + (mine(ts) or []) + list(ts.prop)
+                        + _random_clauses(rng, ts.state_ids(0))).normalize())
+        yield ts, rng.sample(pool, min(8, len(pool)))
+
+
 class TestHoudini:
     def test_largest_inductive_subset(self):
         """Differential check against state enumeration: the result is the
         union of all inductive subsets of the candidates, so it is itself
         inductive and contains every other one."""
-        rng = make_rng(54)
         strict = 0
-        for _ in range(40):
-            ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
+        for ts, cands in _houdini_cases():
             ids = ts.state_ids(0)
-            cands = Cnf(Clause(v if rng.random() < 0.5 else -v
-                               for v in rng.sample(ids, rng.randint(1, 2)))
-                        for _ in range(rng.randint(1, 8))).normalize()
             succ = {s: image_under(ts, ts.trans, {s})
                     for s in itertools.product((False, True), repeat=len(ids))}
             got = houdini(ts, cands)
@@ -165,18 +208,12 @@ class TestHoudini:
         assert strict >= 5
 
     def test_required_clause_dropped_stops_early(self):
-        """Differential check against the full fixpoint on the same 40
+        """Differential check against the full fixpoint on the same
         systems: with required clauses, houdini returns None exactly when
         the full result lacks one of them, and the full result otherwise."""
-        rng = make_rng(54)
         pick = make_rng(55)
         outcomes = {True: 0, False: 0}
-        for _ in range(40):
-            ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
-            ids = ts.state_ids(0)
-            cands = Cnf(Clause(v if rng.random() < 0.5 else -v
-                               for v in rng.sample(ids, rng.randint(1, 2)))
-                        for _ in range(rng.randint(1, 8))).normalize()
+        for ts, cands in _houdini_cases():
             full = houdini(ts, cands)
             for required in ([], full, list(cands),
                              [c for c in cands if pick.random() < 0.3]):
@@ -187,6 +224,19 @@ class TestHoudini:
                     assert got == full
                 outcomes[lacks] += 1
         assert outcomes[True] >= 5 and outcomes[False] >= 5
+
+    def test_simulation_prunes_whole_rounds(self, monkeypatch):
+        """On a shift-register self-miter each solver model sets one more
+        stage, so without simulation each round drops one stage's initial
+        values; simulation from the first model drops them all."""
+        built = []
+        monkeypatch.setattr(indclause, "Solver", lambda *a, **kw:
+                            built.append(a) or Solver(*a, **kw))
+        ts = _small_miter(shreg_source(16), shreg_source(16))
+        got = houdini(ts, list(ts.init) + list(ts.prop))
+        # the last pair's equality is also P
+        assert got == [c for c in ts.init if len(c) == 2]
+        assert len(built) == 2
 
     def test_shift_register_miter_invariant_at_frame_1(self):
         ts = add_stuttering(encode(build_miter(
@@ -215,6 +265,67 @@ class TestHoudini:
         w = pc_lor_ic(ts)
         assert w.kind == "counterexample"
         replay_trace(ts, w.trace)
+
+
+class TestMine:
+    def test_repeats(self):
+        """Two calls mine the same candidates, in the same order."""
+        rng = make_rng(56)
+        mined = 0
+        for ts in _random_miters(rng, 6):
+            assert mine(ts) == mine(ts)
+            mined += bool(mine(ts))
+        assert mined >= 3
+
+    def test_none_only_where_a_bad_state_is_reachable(self):
+        rng = make_rng(57)
+        systems = [random_system(rng, rng.randint(2, 4), rng.randint(1, 2))
+                   for _ in range(30)]
+        systems += _random_miters(rng, 6)
+        # miters of two unrelated systems, mostly unequal
+        systems += [_small_miter(*(random_system_source(rng, 2, 1).replace(
+            "prop ", "output z = ") for _ in range(2))) for _ in range(10)]
+        outcomes = {True: 0, False: 0}
+        for ts in systems:
+            none = mine(ts) is None
+            if none:
+                ids = ts.state_ids(0)
+                reach = reach_bruteforce(ts, 2 ** len(ids) + 1)
+                assert any(evaluate(ts.prop, dict(zip(ids, s))) is False
+                           for s in reach)
+            outcomes[none] += 1
+        assert outcomes[True] >= 5 and outcomes[False] >= 5
+
+    def test_steps_len_latches_plus_one_times(self):
+        """Without inputs every lane follows the one path from I, never
+        stuttering: a token ring of m stages against a constant 0 first
+        differs at depth m - 1, and its miter has m + 1 latches."""
+        m = 30
+        ring = ["latch s0 init 1 next s%d" % (m - 1)]
+        ring += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(1, m)]
+        ts = _small_miter("\n".join(ring) + "\noutput z = s%d\n" % (m - 1),
+                          "latch c init 0 next c\noutput z = c\n")
+        assert mine(ts) is None
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_renamed_shift_register(self, n):
+        """Each stage of a renamed copy equals its original and none is
+        constant, so mining gives exactly n.s_i = k.t_i, each chained to
+        n.s_i."""
+        ts = _small_miter(shreg_source(n), _renamed(shreg_source(n)))
+        ids = {v.name: v.id for v in ts.state_vars}
+        want = []
+        for i in range(n):
+            a, b = ids["n.s%d" % i], ids["k.t%d" % i]
+            want += [Clause([a, -b]), Clause([-a, b])]
+        assert mine(ts) == want
+
+    def test_inverted_stage(self):
+        """I pairs every stage but s0, whose inits differ; their signatures
+        are complementary."""
+        ts = _small_miter(shreg_source(4), _inverted_s0(shreg_source(4)))
+        a, b = (v.id for v in ts.state_vars if v.name.endswith(".s0"))
+        assert mine(ts) == [Clause([a, b]), Clause([-a, -b])]
 
 
 class TestIcChecker:
