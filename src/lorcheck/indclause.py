@@ -30,43 +30,60 @@ class Cti:
         self.model = model
 
 
-def make_inductive_clause(ts, f, s):
-    """A clause C excluding the non-initial state s, implied by I and
-    inductive relative to f, and the solver over F ∧ C ∧ T that showed it;
-    or the Cti blocking it, whose state starts a model of F ∧ C ∧ T ∧ ¬C′.
-    C starts as the clause false only at s, which I implies as s is not
-    initial."""
-    c = longest_falsified_clause(s)
-    c1 = rename(Cnf([c]), ts.next).clauses[0]
-    step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.step_vars)
-    res = step.solve([-l for l in c1])
+def _relative_induction(step, ts, lits, init):
+    """Ask `step`, a solver over F ∧ T, whether the clause `lits` over
+    frame-0 state variables is inductive relative to F.  The clause joins
+    under an activation literal just above the solver's largest id, which
+    the query assumes and a unit then retires.  Returns the model of
+    F ∧ C ∧ T ∧ ¬C′ and C, or None and C trimmed by the UNSAT core to the
+    literals whose primed negation the core holds.  Any subset of C is
+    still inductive relative to F, as it implies C; the trimmed clause is
+    kept when it is not empty and I implies it."""
+    act = max(step.var_ids) + 1
+    step.add_clause([-act] + lits)
+    primed = {-ts.next[l] if l > 0 else ts.next[-l]: l for l in lits}
+    res = step.solve([act, *primed])
+    step.add_clause([-act])
     if res:
-        return Cti({v: res.model[v] for v in ts.state_ids(0)}, res.model)
-    return c, step
+        return res.model, lits
+    core = [l for p, l in primed.items() if p in res.core]
+    if core and not init.solve([-l for l in core]):
+        return None, core
+    return None, lits
+
+
+def make_inductive_clause(ts, step, s, init):
+    """A clause C excluding the non-initial state s, implied by I and
+    inductive relative to F, asked of `step` over F ∧ T and trimmed by its
+    core (see _relative_induction); or the Cti blocking it, whose state
+    starts a model of F ∧ C ∧ T ∧ ¬C′.  C starts as the clause false only
+    at s, which I implies as s is not initial; `init` is a solver over I."""
+    model, lits = _relative_induction(
+        step, ts, list(longest_falsified_clause(s)), init)
+    if model is not None:
+        return Cti({v: model[v] for v in ts.state_ids(0)}, model)
+    return Clause(lits)
 
 
 def generalize(c, step, ts, init):
     """Drop literals of c greedily (ascending variable order) while the
     result stays implied by I and inductive relative to F.
 
-    `init` over I and `step` over F ∧ C ∧ T serve every trial (a trial
-    implies C, so C changes no answer).  A trial joins `step` under an
-    activation literal, which the check assumes and a unit then retires."""
-    c1 = [u.lits[0] for u in rename(Cnf((l,) for l in c), ts.next)]
-    shift = dict(zip(c, c1))
-    act = max(step.var_ids | c.variables() | {abs(l) for l in c1})
+    `init` over I and `step` over F ∧ T serve every trial.  A trial that
+    holds also drops the literals outside its core (see
+    _relative_induction)."""
     lits = list(c)
     for l in c:
         if len(lits) == 1:
             break
+        if l not in lits:
+            continue
         trial = [x for x in lits if x != l]
         if init.solve([-x for x in trial]):
             continue
-        act += 1
-        step.add_clause([-act] + trial)
-        if not step.solve([act] + [-shift[x] for x in trial]):
-            lits = trial
-        step.add_clause([-act])
+        model, kept = _relative_induction(step, ts, trial, init)
+        if model is None:
+            lits = kept
     return Clause(lits)
 
 
@@ -219,16 +236,45 @@ class IcChecker(Checker):
         sat/unsat questions, so sharing it changes no answer."""
         return Solver(self.ts.init)
 
+    @functools.cached_property
+    def _step_solvers(self):
+        """k -> [solver over H_k ∧ T, number of H_k's clauses it holds]."""
+        return {}
+
+    def _step_solver(self, k):
+        """Frame k's relative-induction solver over H_k ∧ T, built once per
+        run.  H_k only gains clauses, so the solver gains those it lacks.
+
+        Each query leaves a retired activation id in the solver, which
+        `Solver._decide_var` still scans: on ctr8 the solvers reach 176 ids
+        for 49 step variables, on r20 309 for 94.  The solver is not
+        rebuilt when its retired ids outnumber its step variables, as that
+        did not pay (CLI, 2-vCPU x86): ctr8, r17 and r23 moved within
+        noise, and r20 went from 17 to 22 frames (1.6 to 2.4 s), since a
+        rebuilt solver loses its learnt clauses and returns other models.
+        The scan is cheap: all of `_decide_var` takes 0.24 of 8.6 profiled
+        s on ctr8 and 0.32 of 5.8 s on r20."""
+        h = self.chain.h[k]
+        entry = self._step_solvers.get(k)
+        if entry is None:
+            entry = self._step_solvers[k] = [Solver(
+                h + list(self.ts.trans), extra_vars=self.ts.step_vars), len(h)]
+        for c in h[entry[1]:]:
+            entry[0].add_clause(c)
+        entry[1] = len(h)
+        return entry[0]
+
     def _block(self, k, s):
         """One walk step at a non-initial H_k-state s: the Cti's (state,
         model), or None after excluding s from H_k by a generalized
         inductive clause C, and from the lower frames down to the first
         that implies C, so that H_{i-1} still implies H_i.  C holds on every
         state reachable within k steps."""
-        r = make_inductive_clause(self.ts, self.chain.h_cnf(k - 1), s)
+        step = self._step_solver(k - 1)
+        r = make_inductive_clause(self.ts, step, s, self._init_solver)
         if isinstance(r, Cti):
             return r.state, r.model
-        c = generalize(*r, self.ts, self._init_solver)
+        c = generalize(r, step, self.ts, self._init_solver)
         for i in range(k, 0, -1):
             if i < k and clause_implied(self.chain, i, c):
                 break

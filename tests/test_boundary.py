@@ -194,8 +194,8 @@ class TestMakeupAnswers:
 
     def test_seed_calls_are_pinned(self, monkeypatch):
         """The points the seed calls of sec shreg5 against shreg4 enumerate
-        (least budget that finishes each call): 4 + 15 + 26 with nothing
-        covered, 4 + 9 + 11 with H_{k-1}′ covered."""
+        (least budget that finishes each call): 4 + 7 + 17 with nothing
+        covered, 4 + 7 + 11 with H_{k-1}′ covered."""
         calls = recorded_makeup_tasks(monkeypatch)
         ts = add_stuttering(encode(build_miter(
             parse_circuit(shreg_source(5)), parse_circuit(shreg_source(4)))))
@@ -210,7 +210,7 @@ class TestMakeupAnswers:
                 except PqeBudgetError:
                     budget += 1
             budgets.append(budget)
-        assert budgets == [4, 9, 11]
+        assert budgets == [4, 7, 11]
 
 
 class TestCheckCo:

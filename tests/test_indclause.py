@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from lorcheck.cnf import Cnf, Clause, evaluate, rename
+from lorcheck.cnf import (Cnf, Clause, evaluate, longest_falsified_clause,
+                          rename)
 from lorcheck.sat import Solver, implies
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
@@ -15,21 +16,46 @@ from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
 from lorcheck.pclor import Checker, Options, pc_lor
 from lorcheck.qe_oracle import verify_boundary, image_under, reach_bruteforce
 from conftest import (random_system, random_system_source,
-                      brute_force_verdict, make_rng, shreg_source)
+                      brute_force_verdict, make_rng, shreg_source, ctr_source)
 from test_pclor import replay_trace, check_invariant_witness
+
+
+def step_solver(ts, f):
+    """A relative-induction solver over f ∧ T, as IcChecker keeps per frame."""
+    return Solver(list(f) + list(ts.trans), extra_vars=ts.step_vars)
+
+
+def fresh_answer(ts, f, c):
+    """Is c not inductive relative to f, by a fresh Solver(f ∧ c ∧ T)?"""
+    c1 = rename(Cnf([c]), ts.next).clauses[0]
+    step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.step_vars)
+    return bool(step.solve([-l for l in c1]))
+
+
+def assert_inductive_clause(ts, f, c, wide):
+    """c is a subset of the clause `wide`, I implies it and it is inductive
+    relative to f, by fresh solvers."""
+    assert set(c.lits) <= set(wide.lits)
+    assert implies(ts.init, Cnf([c]))
+    assert implies(Cnf(list(f)) + Cnf([c]) + ts.trans,
+                   rename(Cnf([c]), ts.next))
 
 
 class TestMakeInductiveClause:
     def test_excludes_unreachable_state(self, stuck0):
         s = stuck0.state_ids(0)[0]
-        c, step = make_inductive_clause(stuck0, stuck0.init, {s: True})
+        step = step_solver(stuck0, [])
+        c = make_inductive_clause(stuck0, step, {s: True},
+                                  Solver(stuck0.init))
         assert c == Clause((-s,))
-        # the solver that proved c inductive holds F ∧ c ∧ T
-        assert not step.solve([s])
+        # c joined the kept solver only under an activation literal, which
+        # is retired, so the solver still holds T alone
+        assert step.solve([s])
 
     def test_reachable_state_yields_predecessor_cti(self, toggle):
         s = toggle.state_ids(0)[0]
-        r = make_inductive_clause(toggle, toggle.init, {s: True})
+        r = make_inductive_clause(toggle, step_solver(toggle, toggle.init),
+                                  {s: True}, Solver(toggle.init))
         assert isinstance(r, Cti)
         assert r.state == {s: False}
 
@@ -39,18 +65,63 @@ class TestMakeInductiveClause:
             ts = random_system(rng, 2, 1)
             ids = ts.state_ids(0)
             f = ts.init
+            step, init = step_solver(ts, f), Solver(ts.init)
             for bits in itertools.product([False, True], repeat=2):
                 s = dict(zip(ids, bits))
                 if evaluate(ts.init, s):
                     continue  # make_inductive_clause needs a non-initial s
-                r = make_inductive_clause(ts, f, s)
-                if isinstance(r, Cti):
+                c = make_inductive_clause(ts, step, s, init)
+                if isinstance(c, Cti):
                     continue
-                c = r[0]
                 assert evaluate(Cnf([c]), s) is False
-                assert implies(ts.init, Cnf([c]))
-                c1 = rename(Cnf([c]), ts.next)
-                assert implies(f + Cnf([c]) + ts.trans, c1)
+                assert_inductive_clause(ts, f, c, longest_falsified_clause(s))
+
+    def test_kept_solver_answers_as_a_fresh_one(self):
+        """Differential check: a series of calls on one kept solver while F
+        gains clauses between them, as H_k does.  Each answer is a fresh
+        Solver(F ∧ C ∧ T)'s, and each clause, before and after
+        generalize, is a subset of C that I implies and that is inductive
+        relative to F."""
+        rng = make_rng(58)
+        outcomes = {True: 0, False: 0}
+        trimmed = 0
+        for _ in range(25):
+            ts = random_system(rng, rng.randint(2, 4), rng.randint(1, 2),
+                               init_zero=False)
+            ids = ts.state_ids(0)
+            f = list(ts.init)
+            step, init = step_solver(ts, f), Solver(ts.init)
+            for _ in range(12):
+                s = {v: rng.random() < 0.5 for v in ids}
+                if evaluate(ts.init, s):
+                    continue
+                wide = longest_falsified_clause(s)
+                r = make_inductive_clause(ts, step, s, init)
+                cti = isinstance(r, Cti)
+                assert cti == fresh_answer(ts, f, wide)
+                outcomes[cti] += 1
+                if cti:
+                    assert evaluate(Cnf(f + [wide]) + ts.trans,
+                                    r.model) is True
+                    assert evaluate(rename(Cnf([wide]), ts.next),
+                                    r.model) is False
+                    continue
+                assert_inductive_clause(ts, f, r, wide)
+                g = generalize(r, step, ts, init)
+                assert_inductive_clause(ts, f, g, r)
+                trimmed += len(r) < len(wide)
+                # F gains the clause, and now and then a random clause,
+                # which I need not imply: then a core can lose every
+                # literal that I implies
+                new = [g]
+                if rng.random() < 0.3:
+                    new.append(Clause(v if rng.random() < 0.5 else -v
+                                      for v in rng.sample(ids, 2)))
+                for c in new:
+                    f.append(c)
+                    step.add_clause(c)
+        assert outcomes[True] >= 30 and outcomes[False] >= 100
+        assert trimmed >= 50
 
 
 class TestGeneralize:
@@ -61,8 +132,7 @@ class TestGeneralize:
         s, t = ts.state_ids(0)
         # ¬s alone is inductive; ¬t is not, as x sets t
         wide = Clause((-s, -t))
-        step = Solver(list(ts.init) + [wide] + list(ts.trans))
-        g = generalize(wide, step, ts, Solver(ts.init))
+        g = generalize(wide, step_solver(ts, ts.init), ts, Solver(ts.init))
         assert g == Clause((-s,))
 
     def test_result_still_inductive(self):
@@ -73,48 +143,36 @@ class TestGeneralize:
             s = dict(zip(ids, (True, True, True)))
             if evaluate(ts.init, s):
                 continue
-            r = make_inductive_clause(ts, ts.init, s)
-            if isinstance(r, Cti):
+            step, init = step_solver(ts, ts.init), Solver(ts.init)
+            c = make_inductive_clause(ts, step, s, init)
+            if isinstance(c, Cti):
                 continue
-            g = generalize(*r, ts, Solver(ts.init))
-            assert set(g.lits) <= set(r[0].lits)
-            assert implies(ts.init, Cnf([g]))
-            g1 = rename(Cnf([g]), ts.next)
-            assert implies(ts.init + Cnf([g]) + ts.trans, g1)
-
+            g = generalize(c, step, ts, init)
+            assert_inductive_clause(ts, ts.init, g, c)
 
     def test_two_solvers_give_the_fresh_solver_answer(self, built_solvers):
-        def fresh(c, f, ts):
-            lits = list(c.lits)
-            for l in sorted(lits, key=abs):
-                if len(lits) == 1:
-                    break
-                trial = Cnf([Clause(x for x in lits if x != l)])
-                trial1 = rename(trial, ts.next)
-                if (implies(ts.init, trial) and
-                        implies(f + trial + ts.trans, trial1)):
-                    lits = list(trial.clauses[0].lits)
-            return Clause(lits)
-
+        """One solver over I and one over F ∧ T serve every call on a
+        system, and their answers are those of fresh solvers: the same
+        sat/unsat answer, and a clause that holds its properties."""
         rng = make_rng(54)
         shrunk = 0
         for _ in range(10):
             ts = random_system(rng, 3, 1)
-            # one solver over I serves every call on ts
-            init = Solver(ts.init)
+            step, init = step_solver(ts, ts.init), Solver(ts.init)
             for bits in itertools.product([False, True], repeat=3):
                 s = dict(zip(ts.state_ids(0), bits))
                 if evaluate(ts.init, s):
                     continue
-                before = len(built_solvers)
-                r = make_inductive_clause(ts, ts.init, s)
-                if isinstance(r, Cti):
-                    continue
-                g = generalize(*r, ts, init)
-                # the solver that proved r[0] inductive serves every trial
-                assert len(built_solvers) - before == 1
-                assert g == fresh(r[0], ts.init, ts)
-                shrunk += len(g) < len(r[0])
+                wide = longest_falsified_clause(s)
+                n = len(built_solvers)
+                r = make_inductive_clause(ts, step, s, init)
+                g = None if isinstance(r, Cti) else generalize(r, step, ts,
+                                                               init)
+                assert len(built_solvers) == n
+                assert isinstance(r, Cti) == fresh_answer(ts, ts.init, wide)
+                if g is not None:
+                    assert_inductive_clause(ts, ts.init, g, wide)
+                    shrunk += len(g) < len(wide)
         assert shrunk
 
 
@@ -387,6 +445,28 @@ class TestIcChecker:
         assert calls
         assert all(a[3] is calls[0][3] for a in calls)
         assert built.count([list(c) for c in ts.init]) == 1
+
+    @pytest.mark.parametrize("circuit", [
+        lambda: parse_circuit(ctr_source(4)),
+        lambda: build_miter(parse_circuit(shreg_source(6)),
+                            parse_circuit(shreg_source(5)))],
+        ids=["ctr4", "shreg6-vs-5"])
+    def test_one_step_solver_per_frame(self, circuit, monkeypatch):
+        """A run builds at most one relative-induction solver per frame,
+        on a counter and on a shift-register miter, both walk-heavy."""
+        built = []
+        monkeypatch.setattr(indclause, "Solver", lambda *a, **kw:
+                            built.append(kw) or Solver(*a, **kw))
+        frames = []
+        kept = IcChecker._step_solver
+        monkeypatch.setattr(IcChecker, "_step_solver", lambda self, k:
+                            frames.append(k) or kept(self, k))
+        assert pc_lor_ic(add_stuttering(encode(circuit()))).kind \
+            == "counterexample"
+        # the step solvers are the ones built over the step variables
+        steps = [kw for kw in built if "extra_vars" in kw]
+        assert len(frames) > 2 * len(set(frames))
+        assert len(steps) == len(set(frames))
 
 
 class TestBlock:
