@@ -38,6 +38,7 @@ class FrameChain:
         self.pqe_budget = pqe_budget
         self.implied_marks = set()    # (clause lits, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
+        self.step_solvers = {}        # k -> solver over H_k ∧ T
         self.co3_done = [0]           # co3_done[m]: leading clauses of H_m known to meet CO condition 3
 
     @property
@@ -63,6 +64,21 @@ class FrameChain:
                                      extra_vars=self.ts.step_vars)
         return self.solvers[k]
 
+    def step_solver(self, k):
+        """Frame k's relative-induction solver over H_k ∧ T, built once per
+        run; it gains the clauses that strengthen H_k, and outlives relax.
+        Each query leaves a retired activation id that `Solver._decide_var`
+        still scans (ctr8: 176 ids for 49 step variables; r20: 309 for 94),
+        but rebuilding once they outnumber the step variables did not pay
+        (CLI, 2-vCPU x86): ctr8, r17 and r23 moved within noise, and r20
+        went from 17 to 22 frames (1.6 to 2.4 s), as a rebuilt solver loses
+        its learnt clauses and returns other models.  `_decide_var` takes
+        0.24 of 8.6 profiled s on ctr8 and 0.32 of 5.8 s on r20."""
+        if k not in self.step_solvers:
+            self.step_solvers[k] = Solver(self.h[k] + list(self.ts.trans),
+                                          extra_vars=self.ts.step_vars)
+        return self.step_solvers[k]
+
     def add_frame(self):
         self.h.append([])
         self.removed.append(set())
@@ -74,8 +90,9 @@ class FrameChain:
             if c.lits not in present:
                 self.h[k].append(c)
                 present.add(c.lits)
-                if k in self.solvers:
-                    self.solvers[k].add_clause(c)
+                for solvers in (self.solvers, self.step_solvers):
+                    if k in solvers:
+                        solvers[k].add_clause(c)
 
     def relax(self, k, indices):
         self.removed[k] |= set(indices)
@@ -98,7 +115,7 @@ def unrolled_lhs(chain, k, extra):
     a = Cnf(extra)
     b = chain.h_cnf(k - 1) + chain.h_next(k) + chain.trlx_cnf(k - 1)
     w = (a.variables() | b.variables()) - set(chain.ts.prev)
-    return PqeTask(w, a, b.normalize())
+    return PqeTask(w, a, b)
 
 
 def makeup_clauses(chain, k, indices):

@@ -181,17 +181,32 @@ def _integer(word, lineno):
             from None
 
 
+def _zero_ended(words, lineno, what="a clause"):
+    """The integers of a DIMACS line that ends in its only 0, without it."""
+    nums = [_integer(x, lineno) for x in words]
+    if not nums or nums[-1] != 0 or 0 in nums[:-1]:
+        raise ValueError("line %d: %s must end in its only 0" % (lineno, what))
+    return nums[:-1]
+
+
 def verify_invariant(ts, lines, report):
     """Check an invariant over the latches that its `c var` lines name:
     each positive number names one latch, and each latch has one number.
+    An optional `p` line must read `p cnf <c var lines> <clause lines>`.
     A malformed line raises ValueError naming the line."""
     latches = {v.name: v.id for v in ts.state_vars}
     ids = {}
     named = set()
     clauses = []
+    header = None
     for lineno, l in enumerate(lines[1:], 2):
         words = l.split()
-        if not words or words[0] == "p":
+        if not words:
+            continue
+        if words[0] == "p":
+            if header is not None:
+                raise ValueError("line %d: second `p` line" % lineno)
+            header = lineno, words
             continue
         if words[0] == "c":
             if len(words) == 4 and words[1] == "var":
@@ -211,11 +226,11 @@ def verify_invariant(ts, lines, report):
                 ids[n] = latches[name]
                 named.add(ids[n])
             continue
-        lits = [_integer(x, lineno) for x in words]
-        if lits[-1] != 0 or 0 in lits[:-1]:
-            raise ValueError("line %d: a clause must end in its only 0"
-                             % lineno)
-        clauses.append((lineno, lits[:-1]))
+        clauses.append((lineno, _zero_ended(words, lineno)))
+    want = ["p", "cnf", str(len(ids)), str(len(clauses))]
+    if header is not None and header[1] != want:
+        raise ValueError("line %d: the `p` line must read %r"
+                         % (header[0], " ".join(want)))
     for lineno, lits in clauses:
         for l in lits:
             if abs(l) not in ids:
@@ -240,40 +255,46 @@ def verify_invariant(ts, lines, report):
 
 
 def parse_pqe_dimacs(text):
+    """A PQE task from extended DIMACS; a malformed line raises ValueError
+    naming it.  Blank lines and lines whose first word is `c` are skipped."""
     w = set()
     a, b = [], []
     section = a
     header = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    used = []   # (line, variable) for each variable of a w or clause line
+    for lineno, line in enumerate(text.splitlines(), 1):
+        words = line.split()
+        if not words or words[0] == "c":
             continue
-        if line.startswith("p "):
-            words = line.split()
+        if words[0] == "p":
+            if header is not None:
+                raise ValueError("line %d: second `p` line" % lineno)
             if len(words) != 5 or words[1] != "pqe":
-                raise ValueError("expected header 'p pqe <vars> <A> <B>'")
-            header = tuple(int(x) for x in words[2:])
-            continue
-        if line.startswith("w "):
-            ids = [int(x) for x in line.split()[1:]]
-            if not ids or ids[-1] != 0:
-                raise ValueError("w line must end in 0")
-            w.update(ids[:-1])
-            continue
-        if line == "%":
+                raise ValueError("line %d: expected header "
+                                 "'p pqe <vars> <A> <B>'" % lineno)
+            header = lineno, [_integer(x, lineno) for x in words[2:]]
+        elif words[0] == "w":  # variables, not literals
+            ids = _zero_ended(words[1:], lineno, "a w line")
+            w.update(ids)
+            used += [(lineno, v) for v in ids]
+        elif words == ["%"]:
             section = b
-            continue
-        lits = [int(x) for x in line.split()]
-        if not lits or lits[-1] != 0:
-            raise ValueError("clause line must end in 0: %r" % raw)
-        section.append(Clause(tuple(lits[:-1])))
+        else:
+            lits = _zero_ended(words, lineno)
+            if any(-l in lits for l in lits):
+                raise ValueError("line %d: tautological clause" % lineno)
+            section.append(Clause(lits))
+            used += [(lineno, abs(l)) for l in lits]
     if header is None:
         raise ValueError("missing 'p pqe' header")
-    if header[1] != len(a) or header[2] != len(b):
-        raise ValueError("header clause counts do not match body")
-    bad = [v for v in w | Cnf(a + b).variables() if not 0 < v <= header[0]]
-    if bad:
-        raise ValueError("variable %d is not in 1..%d" % (min(bad), header[0]))
+    header_line, (n, n_a, n_b) = header
+    if n_a != len(a) or n_b != len(b):
+        raise ValueError("line %d: header clause counts do not match body"
+                         % header_line)
+    for lineno, v in used:
+        if not 0 < v <= n:
+            raise ValueError("line %d: variable %d is not in 1..%d"
+                             % (lineno, v, n))
     return PqeTask(w, Cnf(a), Cnf(b))
 
 

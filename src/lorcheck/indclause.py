@@ -236,41 +236,13 @@ class IcChecker(Checker):
         sat/unsat questions, so sharing it changes no answer."""
         return Solver(self.ts.init)
 
-    @functools.cached_property
-    def _step_solvers(self):
-        """k -> [solver over H_k ∧ T, number of H_k's clauses it holds]."""
-        return {}
-
-    def _step_solver(self, k):
-        """Frame k's relative-induction solver over H_k ∧ T, built once per
-        run.  H_k only gains clauses, so the solver gains those it lacks.
-
-        Each query leaves a retired activation id in the solver, which
-        `Solver._decide_var` still scans: on ctr8 the solvers reach 176 ids
-        for 49 step variables, on r20 309 for 94.  The solver is not
-        rebuilt when its retired ids outnumber its step variables, as that
-        did not pay (CLI, 2-vCPU x86): ctr8, r17 and r23 moved within
-        noise, and r20 went from 17 to 22 frames (1.6 to 2.4 s), since a
-        rebuilt solver loses its learnt clauses and returns other models.
-        The scan is cheap: all of `_decide_var` takes 0.24 of 8.6 profiled
-        s on ctr8 and 0.32 of 5.8 s on r20."""
-        h = self.chain.h[k]
-        entry = self._step_solvers.get(k)
-        if entry is None:
-            entry = self._step_solvers[k] = [Solver(
-                h + list(self.ts.trans), extra_vars=self.ts.step_vars), len(h)]
-        for c in h[entry[1]:]:
-            entry[0].add_clause(c)
-        entry[1] = len(h)
-        return entry[0]
-
     def _block(self, k, s):
         """One walk step at a non-initial H_k-state s: the Cti's (state,
         model), or None after excluding s from H_k by a generalized
         inductive clause C, and from the lower frames down to the first
         that implies C, so that H_{i-1} still implies H_i.  C holds on every
         state reachable within k steps."""
-        step = self._step_solver(k - 1)
+        step = self.chain.step_solver(k - 1)
         r = make_inductive_clause(self.ts, step, s, self._init_solver)
         if isinstance(r, Cti):
             return r.state, r.model

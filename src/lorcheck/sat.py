@@ -303,25 +303,30 @@ class Solver:
                         seen.add(abs(l))
         return core
 
-    def solve(self, assumptions=(), prefer=()):
-        assumptions, prefer = list(assumptions), list(prefer)
+    def _settle(self, lits):
+        """Register the variables of `lits`, then put the pending units on
+        level 0 and propagate them; False, for good, on a conflict there."""
         var_ids = self.var_ids
-        for a in assumptions + prefer:
+        for a in lits:
             if abs(a) not in var_ids:
                 self._register(abs(a))
         self._backtrack(0)
-        if not self.ok:
+        value = self.value
+        for u in self.units:
+            if value[u] is False:
+                self.ok = False
+            elif value[u] is None:
+                self._enqueue(u)
+        self.units.clear()  # level-0 assignments are never undone
+        self.ok = self.ok and self._propagate() is None
+        return self.ok
+
+    def solve(self, assumptions=(), prefer=()):
+        assumptions, prefer = list(assumptions), list(prefer)
+        if not self._settle(assumptions + prefer):
             return SatResult("unsat", core=set())
         trail, trail_lim, value = self.trail, self.trail_lim, self.value
         clauses, level, reason = self.clauses, self.level, self.reason
-        for u in self.units:
-            v = value[u]
-            if v is False:
-                self.ok = False
-                return SatResult("unsat", core=set())
-            if v is None:
-                self._enqueue(u)
-        self.units.clear()  # level-0 assignments are never undone
         assumption_set = set(assumptions)
         conflicts = 0
         pi = 0  # prefer[:pi] is assigned
@@ -391,31 +396,14 @@ class Solver:
         activity moves; a later ``solve`` may still return another model,
         as propagation reorders the watch lists.  ``implies`` is its only
         caller."""
-        var_ids = self.var_ids
-        for a in assumptions:
-            if abs(a) not in var_ids:
-                self._register(abs(a))
-        self._backtrack(0)
-        value = self.value
-        for u in self.units:
-            if value[u] is False:
-                self.ok = False
-            elif value[u] is None:
-                self._enqueue(u)
-        self.units.clear()
-        if not self.ok or self._propagate() is not None:
-            self.ok = False
+        if not self._settle(assumptions):
             return None
-        trail, level, reason = self.trail, self.level, self.reason
+        trail, value = self.trail, self.value
         self.trail_lim.append(len(trail))
         for a in assumptions:
             v = value[a]
             if v is None:
-                value[a] = True
-                value[-a] = False
-                level[abs(a)] = 1
-                reason[abs(a)] = None
-                trail.append(a)
+                self._enqueue(a)
             elif v is False:
                 return None
         if self._propagate() is not None:

@@ -75,6 +75,73 @@ class TestFrameChain:
         assert chain.h[1] == [c]
 
 
+class TestStepSolver:
+    """Frame k's solver over H_k ∧ T, kept for relative induction."""
+
+    def test_agrees_with_a_fresh_solver(self):
+        """After random strengthen, relax and restore calls, a live step
+        solver answers as a fresh Solver(H_k ∧ T)."""
+        rng = make_rng(38)
+        for _ in range(25):
+            ts = random_system(rng, rng.randint(1, 3), rng.randint(1, 2))
+            chain = FrameChain(ts)
+            for _ in range(2):
+                chain.add_frame()
+            n_trans = len(chain.trans_clauses)
+            ids = ts.state_ids(0) + ts.state_ids(1)
+
+            def random_lits(pool, n):
+                return [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(pool, min(n, len(pool)))]
+
+            steps = [chain.step_solver(k) for k in range(chain.j + 1)]
+            for _ in range(10):
+                op = rng.choice(("strengthen", "strengthen", "relax",
+                                 "restore"))
+                k = rng.randint(0, chain.j)
+                if op == "strengthen":
+                    lits = random_lits(ts.state_ids(0), rng.randint(1, 3))
+                    chain.strengthen(k, [Clause(lits)])
+                elif op == "relax" and k < chain.j:
+                    chain.relax(k, rng.sample(range(n_trans),
+                                              rng.randint(1, 3)))
+                elif op == "restore" and k < chain.j and chain.removed[k]:
+                    chain.restore(k, sorted(chain.removed[k])[:1])
+                for m in range(chain.j + 1):
+                    assert chain.step_solver(m) is steps[m]
+                    fresh = Solver(list(chain.h[m]) + list(ts.trans))
+                    for _ in range(3):
+                        a = random_lits(ids, rng.randint(1, len(ids)))
+                        assert (bool(steps[m].solve(a))
+                                == bool(fresh.solve(a)))
+
+    def test_relax_and_restore_keep_it(self, stuck0, built_solvers):
+        chain = FrameChain(stuck0)
+        chain.add_frame()
+        relaxed, step = chain.solver(0), chain.step_solver(0)
+        for change in (chain.relax, chain.restore):
+            change(0, [0])
+            assert chain.step_solver(0) is step
+            assert chain.solver(0) is not relaxed
+            relaxed = chain.solver(0)
+        # the first two, and one relaxed solver per change
+        assert len(built_solvers) == 4
+
+    def test_a_duplicate_reaches_neither_solver(self, stuck0, monkeypatch):
+        chain = FrameChain(stuck0)
+        chain.add_frame()
+        s = stuck0.state_ids(0)[0]
+        c, d = Clause((-s,)), Clause((s,))
+        chain.strengthen(1, [c])
+        solvers = [chain.solver(1), chain.step_solver(1)]
+        added = []
+        monkeypatch.setattr(Solver, "add_clause", lambda self, lits:
+                            added.append((self, list(lits))))
+        chain.strengthen(1, [c, d, d])
+        assert chain.h[1] == [c, d]
+        assert added == [(x, [s]) for x in solvers]
+
+
 class TestUnrolledLhs:
     def test_task_shape_and_answer(self, stuck0):
         chain = FrameChain(stuck0)

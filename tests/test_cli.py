@@ -58,7 +58,7 @@ class TestParserDefaults:
         assert parse(["sec", "n", "k", "--engine", "lor"]).engine == "lor"
 
 
-PQE_SRC = "c example\np pqe 3 1 1\nw 3 0\n1 3 0\n%\n-3 2 0\n"
+PQE_SRC = "c example\nc\n\tc\tnote\np pqe 3 1 1\nw 3 0\n1 3 0\n%\n-3 2 0\n"
 
 
 class TestUsageErrors:
@@ -557,6 +557,30 @@ class TestPqe:
             with pytest.raises(ValueError):
                 parse_pqe_dimacs(text)
 
+    @pytest.mark.parametrize("text, why", [
+        ("p pqe 2 1 0\n1 x 0\n", "line 2: 'x' is not an integer"),
+        ("p pqe 2 1 0\n1 0 2 0\n",
+         "line 2: a clause must end in its only 0"),
+        ("p pqe 2 1 0\n1\n", "line 2: a clause must end in its only 0"),
+        ("p pqe 2 1 0\nw 1\n1 0\n", "line 2: a w line must end in its only 0"),
+        ("p pqe 2 1 0\np pqe 2 1 0\n1 0\n", "line 2: second `p` line"),
+        ("p pqe 2 1 0\ncnf junk\n1 0\n", "line 2: 'cnf' is not an integer"),
+        ("c\np pqe 2 x 0\n", "line 2: 'x' is not an integer"),
+        ("p cnf 2 1\n1 0\n",
+         "line 1: expected header 'p pqe <vars> <A> <B>'"),
+        ("p pqe 2 1 0\n1 -1 0\n", "line 2: tautological clause"),
+        ("p pqe 2 2 0\n1 0\n",
+         "line 1: header clause counts do not match body"),
+        ("p pqe 2 1 1\nw 1 0\n1 0\n%\n\n2 -3 0\n",
+         "line 6: variable 3 is not in 1..2"),
+        ("p pqe 3 1 1\nw -3 0\n1 3 0\n%\n-3 2 0\n",
+         "line 2: variable -3 is not in 1..3")])
+    def test_malformed_task_names_the_line(self, tmp_path, capfd, text, why):
+        p = tmp_path / "t.pqe"
+        p.write_text(text)
+        assert main(["pqe", str(p)]) == 3
+        assert capfd.readouterr().err == "error: %s\n" % why
+
     def test_bad_file_exit_code(self, tmp_path):
         p = tmp_path / "bad.pqe"
         p.write_text("no header\n")
@@ -642,7 +666,15 @@ class TestWitnessVerification:
         ("c var 1 s\np cnf 1 1\n-1\n",
          "line 4: a clause must end in its only 0"),
         ("c var 1 s\np cnf 1 2\n-1 0\n1 -1 0\n",
-         "line 5: tautological clause")])
+         "line 5: tautological clause"),
+        ("c var 1 s\np garbage\n-1 0\n",
+         "line 3: the `p` line must read 'p cnf 1 1'"),
+        ("c var 1 s\np cnf 7 1\n-1 0\n-1 0\n",
+         "line 3: the `p` line must read 'p cnf 1 2'"),
+        ("c var 1 s\nc note\n-1 0\np cnf 2 1\n",
+         "line 5: the `p` line must read 'p cnf 1 1'"),
+        ("c var 1 s\np cnf 1 1\np cnf 1 1\n-1 0\n",
+         "line 4: second `p` line")])
     def test_malformed_invariant_names_the_line(self, stuck0_file, tmp_path,
                                                 capfd, body, why):
         p = tmp_path / "w"

@@ -454,19 +454,17 @@ class TestIcChecker:
     def test_one_step_solver_per_frame(self, circuit, monkeypatch):
         """A run builds at most one relative-induction solver per frame,
         on a counter and on a shift-register miter, both walk-heavy."""
-        built = []
-        monkeypatch.setattr(indclause, "Solver", lambda *a, **kw:
-                            built.append(kw) or Solver(*a, **kw))
-        frames = []
-        kept = IcChecker._step_solver
-        monkeypatch.setattr(IcChecker, "_step_solver", lambda self, k:
-                            frames.append(k) or kept(self, k))
+        asked = []
+        kept = FrameChain.step_solver
+        monkeypatch.setattr(FrameChain, "step_solver", lambda self, k:
+                            asked.append((k, kept(self, k))) or asked[-1][1])
         assert pc_lor_ic(add_stuttering(encode(circuit()))).kind \
             == "counterexample"
-        # the step solvers are the ones built over the step variables
-        steps = [kw for kw in built if "extra_vars" in kw]
-        assert len(frames) > 2 * len(set(frames))
-        assert len(steps) == len(set(frames))
+        frames = {k for k, _ in asked}
+        assert len(asked) > 2 * len(frames)
+        # one solver per frame, and no frame shares another's
+        assert (len({(k, id(s)) for k, s in asked})
+                == len({id(s) for _, s in asked}) == len(frames))
 
 
 class TestBlock:
