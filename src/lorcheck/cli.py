@@ -190,8 +190,8 @@ def _zero_ended(words, lineno, what="a clause"):
 
 
 def verify_invariant(ts, lines, report):
-    """Check an invariant over the latches that its `c var` lines name:
-    each positive number names one latch, and each latch has one number.
+    """Check an invariant over the latches that its `c var <n> <latch>`
+    lines name: each positive n names one latch, and each latch has one n.
     An optional `p` line must read `p cnf <c var lines> <clause lines>`.
     A malformed line raises ValueError naming the line."""
     latches = {v.name: v.id for v in ts.state_vars}
@@ -209,7 +209,10 @@ def verify_invariant(ts, lines, report):
             header = lineno, words
             continue
         if words[0] == "c":
-            if len(words) == 4 and words[1] == "var":
+            if words[1:2] == ["var"]:
+                if len(words) != 4:
+                    raise ValueError("line %d: a `c var` line must read "
+                                     "`c var <n> <latch>`" % lineno)
                 n, name = _integer(words[2], lineno), words[3]
                 if n < 1:
                     raise ValueError("line %d: variable %d is not positive"
@@ -256,7 +259,8 @@ def verify_invariant(ts, lines, report):
 
 def parse_pqe_dimacs(text):
     """A PQE task from extended DIMACS; a malformed line raises ValueError
-    naming it.  Blank lines and lines whose first word is `c` are skipped."""
+    naming it.  The clauses of A come before the one `%` line, those of B
+    after it.  Blank lines and lines whose first word is `c` are skipped."""
     w = set()
     a, b = [], []
     section = a
@@ -278,6 +282,8 @@ def parse_pqe_dimacs(text):
             w.update(ids)
             used += [(lineno, v) for v in ids]
         elif words == ["%"]:
+            if section is b:
+                raise ValueError("line %d: second `%%` line" % lineno)
             section = b
         else:
             lits = _zero_ended(words, lineno)

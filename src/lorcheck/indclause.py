@@ -3,16 +3,16 @@ states are excluded by clauses that are inductive relative to the previous
 frame.  On a miter, Houdini first looks for an invariant at frame 1 among
 I, P and the latch correspondences that simulation mines (van Eijk,
 *Sequential Equivalence Checking Based on Structural Similarities*, IEEE
-TCAD 2000); each new frame is then seeded from the educated guess of
+TCAD 2000); a simulated state that falsifies P ends the run with its path
+instead.  Each new frame is then seeded from the educated guess of
 dropping the interface-equality clauses."""
 
 from __future__ import annotations
 
-import copy
 import functools
 import random
 
-from .circuit import Latch, simulate_lanes, _simplify, _subst
+from .circuit import simulate_lanes
 from .cnf import Cnf, Clause, longest_falsified_clause, rename
 from .sat import Solver
 from .boundary import makeup_clauses, clause_implied
@@ -104,47 +104,61 @@ SIM_SEED = 0
 class _Simulator:
     """Random simulation of the circuit of ts in LANES lanes.  Inputs are
     random, tied as T ties the interface pairs.  The stuttering input is
-    held at 1, as a stutter step reaches no new state: folding it away
-    leaves each latch its unstuttered next state.  Every simulated state is
-    reachable under T from the start."""
+    held at 1, as a stutter step reaches no new state.  Every simulated
+    state is reachable under T from the start, by the recorded inputs."""
 
     def __init__(self, ts):
         self.ts = ts
         self.rng = random.Random(SIM_SEED)
-        c = self.circuit = copy.copy(ts.circuit)
-
-        def hold(n):
-            return ("const", 1) if n == c.stutter_input else ("var", n)
-        c.latches = [Latch(l.name, l.init, _simplify(_subst(l.next, hold)))
-                     for l in c.latches]
+        self.inputs = []
 
     def run(self, state):
         """The states from `state`, a mask of lanes per latch name, each as
-        a mask per frame-0 state id, starting with `state` itself."""
-        c = self.circuit
+        a mask per frame-0 state id, starting with `state` itself.  Once the
+        run goes past the state of step t, self.inputs[t] holds the masks
+        per input name of the step out of it."""
+        c = self.ts.circuit
+        self.inputs = []
         while True:
             yield {v.id: state[v.name] for v in self.ts.state_vars}
-            values = dict(state)
-            values.update((x, self.rng.getrandbits(LANES)) for x in c.inputs)
-            values.update((b, values[a]) for a, b in c.eq_input_pairs)
-            state = simulate_lanes(c, values, FULL)
+            ins = {x: self.rng.getrandbits(LANES) for x in c.inputs}
+            if c.stutter_input is not None:
+                ins[c.stutter_input] = FULL
+            ins.update((b, ins[a]) for a, b in c.eq_input_pairs)
+            self.inputs.append(ins)
+            state = simulate_lanes(c, {**state, **ins}, FULL)
 
 
 def _falsified(clause, masks):
-    """Whether the clause is false in some lane of the state `masks`."""
+    """The mask of the lanes where the clause is false in the state
+    `masks`."""
     out = FULL
     for l in clause:
         out &= ~masks[l] if l > 0 else masks[-l]
-    return out != 0
+    return out
+
+
+def _lane_path(ts, states, inputs, lane):
+    """Lane `lane` of the simulated states and of the inputs between them,
+    as a path for Checker.convert_cex: each state by id with the input
+    model of the step out of it, the last state with None."""
+    def bit(mask):
+        return bool(mask >> lane & 1)
+    models = [{v.id: bit(ins[v.name]) for v in ts.input_vars}
+              for ins in inputs]
+    return [({v: bit(m) for v, m in s.items()}, model)
+            for s, model in zip(states, models + [None])]
 
 
 def mine(ts):
-    """Candidate invariant clauses from simulation of ts from I, len(latches)
-    + 1 steps in LANES lanes; None when a simulated state falsifies P, so
-    that no invariant implies P.  Only latches that I leaves unpaired are
-    mined: a unit for each one constant in every lane and step, and for
-    each class of equal or complementary signatures an equivalence or
-    anti-equivalence clause pair between each member and the first."""
+    """Simulate ts from I, len(latches) + 1 steps in LANES lanes.  Returns
+    candidate invariant clauses and None; or, at the first step where a
+    simulated state falsifies P, so that no invariant implies P, None and
+    the path of T-steps from I to that state of the lowest lane bad there.
+    Only latches that I leaves unpaired are mined: a unit for each one
+    constant in every lane and step, and for each class of equal or
+    complementary signatures an equivalence or anti-equivalence clause
+    pair between each member and the first."""
     c = ts.circuit
     sim = _Simulator(ts)
     init = {l.name: sim.rng.getrandbits(LANES) if l.init is None
@@ -153,9 +167,15 @@ def mine(ts):
     paired = {x for pair in c.state_pairs for x in pair}
     sig = {v.id: 0 for v in ts.state_vars if v.name not in paired}
     steps = len(c.latches) + 2
+    states = []
     for t, masks in zip(range(steps), sim.run(init)):
-        if any(_falsified(p, masks) for p in ts.prop):
-            return None
+        states.append(masks)
+        bad = 0
+        for p in ts.prop:
+            bad |= _falsified(p, masks)
+        if bad:
+            lane = (bad & -bad).bit_length() - 1
+            return None, _lane_path(ts, states, sim.inputs, lane)
         for v in sig:
             sig[v] |= masks[v] << (LANES * t)
     ones = (1 << (LANES * steps)) - 1
@@ -168,7 +188,7 @@ def mine(ts):
         if r != v:
             w = v if rs == s else -v
             out += [Clause([r, -w]), Clause([-r, w])]
-    return out
+    return out, None
 
 
 def houdini(ts, cands, required=()):
@@ -212,10 +232,10 @@ def houdini(ts, cands, required=()):
 def _houdini_invariant(ts, init):
     """Houdini over I, the mined candidates and P.  The survivors are an
     inductive invariant when I implies them and every clause of P survived;
-    otherwise None."""
-    mined = mine(ts)
-    if mined is None:
-        return None
+    otherwise None.  When mining reaches a bad state, its path instead."""
+    mined, path = mine(ts)
+    if path is not None:
+        return path
     inv = houdini(ts, list(ts.init) + mined + list(ts.prop),
                   required=ts.prop)
     if inv is not None and not any(init.solve([-l for l in c]) for c in inv):
@@ -227,8 +247,8 @@ class IcChecker(Checker):
     """pc_lor with each backward-walk step strengthening H_k by a
     generalized inductive clause instead of relax-and-make-up.  On a miter,
     fin_rlx(1) runs Houdini over I, P and the mined candidates and returns
-    an invariant it finds; otherwise each new frame is seeded by
-    educat_guess_rlx."""
+    an invariant it finds, or the path to a bad state that mining
+    simulated; otherwise each new frame is seeded by educat_guess_rlx."""
 
     @functools.cached_property
     def _init_solver(self):
@@ -258,10 +278,11 @@ class IcChecker(Checker):
             return super().fin_rlx(j)
         self.chain.add_frame()
         if j == 1:
-            inv = _houdini_invariant(self.ts, self._init_solver)
-            if inv is not None:
+            found = _houdini_invariant(self.ts, self._init_solver)
+            if isinstance(found, Cnf):
                 self.chain.strengthen(j, list(self.ts.prop))
-                return inv
+            if found is not None:
+                return found
         self.chain.strengthen(j, list(educat_guess_rlx(self.chain, j))
                               + list(self.ts.prop))
         return None

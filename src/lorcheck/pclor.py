@@ -178,7 +178,8 @@ class Checker:
     def fin_rlx(self, j):
         """Create H_j and strengthen it until it implies P.  After
         rem_bad_st(j), no bad state of H_j has a predecessor in H_{j-1}.
-        An override may return an invariant it found, ending the run."""
+        An override may end the run by returning an invariant it found (a
+        Cnf) or a path to a bad state (a list, as rem_bad_st returns)."""
         chain = self.chain
         chain.add_frame()
         while True:
@@ -243,6 +244,8 @@ class Checker:
             if (path := self.rem_bad_st(j)) is not None:
                 return self.convert_cex(path)
             inv = self.fin_rlx(j)
+            if isinstance(inv, list):
+                return self.convert_cex(inv)
             self.third_co_cond()
             if inv is None:
                 inv = self.fin_touch()

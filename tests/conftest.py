@@ -64,6 +64,21 @@ def ctr_source(n):
     return "\n".join(lines) + "\n"
 
 
+def deep_ctr_miter_sources():
+    """Two 5-bit counters whose outputs, c4 and (c4 AND c0), first differ
+    after 16 enabled steps: their miter has 10 latches, so the 12 steps
+    that mining simulates cannot refute it, and lor-ic fails it at frame
+    15 by the educated-guess seed and the backward walk."""
+    src = ctr_source(5).replace("prop NOT c4", "output z = c4")
+    return src, src.replace("output z = c4", "output z = (c4 AND c0)")
+
+
+def deep_ctr_miter():
+    """The stuttered miter of deep_ctr_miter_sources."""
+    return add_stuttering(encode(build_miter(
+        *map(parse_circuit, deep_ctr_miter_sources()))))
+
+
 # Definitions read before encode defines them: a signal reading a later
 # signal, a signal reading an output, and a cycle through outputs.
 FORWARD_REF_SRCS = [

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from lorcheck.cli import main
-from conftest import DFF_SRC, INV_DFF_SRC, TOGGLE_SRC, shreg_source
+from conftest import (DFF_SRC, INV_DFF_SRC, TOGGLE_SRC,
+                      deep_ctr_miter_sources, shreg_source)
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -100,9 +101,11 @@ def _bindings(targets):
 
 def test_traced_runs(perfbench, tmp_path, capfd):
     files = {}
+    deep_n, deep_k = deep_ctr_miter_sources()
     for name, src in (("dff", DFF_SRC), ("inv", INV_DFF_SRC),
                       ("toggle", TOGGLE_SRC), ("shreg3", shreg_source(3)),
-                      ("shreg2", shreg_source(2))):
+                      ("shreg2", shreg_source(2)), ("deep_n", deep_n),
+                      ("deep_k", deep_k)):
         files[name] = str(tmp_path / (name + ".scirc"))
         with open(files[name], "w") as f:
             f.write(src)
@@ -113,13 +116,16 @@ def test_traced_runs(perfbench, tmp_path, capfd):
         codes = [main(["check", files["toggle"]]),
                  main(["sec", files["dff"], files["dff"]]),
                  main(["sec", files["dff"], files["inv"]]),
-                 # unequal, with its counterexample at depth 2: frame 1
-                 # needs the educated-guess seed
-                 main(["sec", files["shreg3"], files["shreg2"]])]
+                 # unequal, with its counterexample at depth 2, which
+                 # mining's simulation finds
+                 main(["sec", files["shreg3"], files["shreg2"]]),
+                 # unequal at depth 16, deeper than simulation goes: the
+                 # frames need the educated-guess seed
+                 main(["sec", files["deep_n"], files["deep_k"]])]
     finally:
         tr.uninstall()
     after = _bindings(perfbench.TARGETS)
-    assert codes == [1, 0, 1, 1]
+    assert codes == [1, 0, 1, 1, 1]
     assert [k for k in before if after.get(k) is not before[k]] == []
     metrics = tr.metrics()
     assert set(metrics) == set(perfbench.UNITS)

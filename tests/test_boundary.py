@@ -13,7 +13,7 @@ from lorcheck.sat import Solver, implies
 from lorcheck.qe_oracle import (all_assignments, check_pqe, qe_bruteforce,
                                 verify_boundary)
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
-                      make_rng, random_system, shreg_source)
+                      deep_ctr_miter, make_rng, random_system, shreg_source)
 
 
 def stuck0_drop_indices(ts):
@@ -260,12 +260,11 @@ class TestMakeupAnswers:
         assert checked >= 50
 
     def test_seed_calls_are_pinned(self, monkeypatch):
-        """The points the seed calls of sec shreg5 against shreg4 enumerate
-        (least budget that finishes each call): 4 + 7 + 17 with nothing
-        covered, 4 + 7 + 11 with H_{k-1}′ covered."""
+        """The points the 15 seed calls of sec on the deep counter miter
+        enumerate (least budget that finishes each call): 916 in all with
+        nothing covered, 113 with H_{k-1}′ covered."""
         calls = recorded_makeup_tasks(monkeypatch)
-        ts = add_stuttering(encode(build_miter(
-            parse_circuit(shreg_source(5)), parse_circuit(shreg_source(4)))))
+        ts = deep_ctr_miter()
         assert pc_lor_ic(ts).kind == "counterexample"
         budgets = []
         for task, covered, _ in calls:
@@ -277,7 +276,7 @@ class TestMakeupAnswers:
                 except PqeBudgetError:
                     budget += 1
             budgets.append(budget)
-        assert budgets == [4, 7, 11]
+        assert budgets == [4, 7, 7, 8, 8, 7, 7, 7, 8, 8, 10, 8, 8, 8, 8]
 
 
 class TestCheckCo:

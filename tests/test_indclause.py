@@ -13,10 +13,12 @@ import lorcheck.indclause as indclause
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
                                 generalize, educat_guess_rlx, houdini,
                                 mine, pc_lor_ic)
+from lorcheck.cli import main
 from lorcheck.pclor import Checker, Options, pc_lor
 from lorcheck.qe_oracle import verify_boundary, image_under, reach_bruteforce
 from conftest import (random_system, random_system_source,
-                      brute_force_verdict, make_rng, shreg_source, ctr_source)
+                      brute_force_verdict, make_rng, shreg_source, ctr_source,
+                      deep_ctr_miter, deep_ctr_miter_sources)
 from test_pclor import replay_trace, check_invariant_witness
 
 
@@ -221,14 +223,28 @@ def _small_miter(src_n, src_k):
                                              parse_circuit(src_k))))
 
 
-def _random_miters(rng, count):
-    """Stuttered miters of `count` random 2-latch systems, each with its
+def _random_miter_sources(rng, count):
+    """Equal source pairs: `count` random 2-latch systems, each with its
     property as its output, against a renamed copy (which I cannot pair)
     and against a copy that stores s0 inverted."""
     for _ in range(count):
         src = random_system_source(rng, 2, 1).replace("prop ", "output z = ")
         for copy in (_renamed(src), _inverted_s0(src)):
-            yield _small_miter(src, copy)
+            yield src, copy
+
+
+def _random_miters(rng, count):
+    """Stuttered miters of _random_miter_sources."""
+    for pair in _random_miter_sources(rng, count):
+        yield _small_miter(*pair)
+
+
+def _unrelated_miter_sources(rng, count):
+    """Source pairs of two unrelated random 2-latch systems, mostly
+    unequal."""
+    for _ in range(count):
+        yield tuple(random_system_source(rng, 2, 1).replace(
+            "prop ", "output z = ") for _ in range(2))
 
 
 def _houdini_cases():
@@ -240,7 +256,7 @@ def _houdini_cases():
         ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
         yield ts, _random_clauses(rng, ts.state_ids(0))
     for ts in _random_miters(rng, 8):
-        pool = list(Cnf(list(ts.init) + (mine(ts) or []) + list(ts.prop)
+        pool = list(Cnf(list(ts.init) + (mine(ts)[0] or []) + list(ts.prop)
                         + _random_clauses(rng, ts.state_ids(0))).normalize())
         yield ts, rng.sample(pool, min(8, len(pool)))
 
@@ -310,8 +326,9 @@ class TestHoudini:
         assert not any(len(c) == 1 for c in w.invariant)
 
     def test_unequal_miter_falls_back(self):
-        ts = add_stuttering(encode(build_miter(
-            parse_circuit(shreg_source(4)), parse_circuit(shreg_source(3)))))
+        # simulation does not reach the first difference, so Houdini runs
+        # and drops a clause of P
+        ts = deep_ctr_miter()
         chain = FrameChain(ts)
         chain.add_frame()
         seed = educat_guess_rlx(chain, 1)
@@ -332,26 +349,34 @@ class TestMine:
         mined = 0
         for ts in _random_miters(rng, 6):
             assert mine(ts) == mine(ts)
-            mined += bool(mine(ts))
+            mined += bool(mine(ts)[0])
         assert mined >= 3
 
-    def test_none_only_where_a_bad_state_is_reachable(self):
+    def test_path_only_where_a_bad_state_is_reachable(self):
+        """A path comes back only where enumeration reaches a bad state.
+        It starts in I, every step is a transition of T, it ends in a
+        state that falsifies P, and it is no shorter than the shallowest
+        bad state."""
         rng = make_rng(57)
         systems = [random_system(rng, rng.randint(2, 4), rng.randint(1, 2))
                    for _ in range(30)]
         systems += _random_miters(rng, 6)
-        # miters of two unrelated systems, mostly unequal
-        systems += [_small_miter(*(random_system_source(rng, 2, 1).replace(
-            "prop ", "output z = ") for _ in range(2))) for _ in range(10)]
+        systems += [_small_miter(*pair)
+                    for pair in _unrelated_miter_sources(rng, 10)]
         outcomes = {True: 0, False: 0}
         for ts in systems:
-            none = mine(ts) is None
-            if none:
+            cands, path = mine(ts)
+            assert (cands is None) == (path is not None)
+            if path is not None:
                 ids = ts.state_ids(0)
-                reach = reach_bruteforce(ts, 2 ** len(ids) + 1)
-                assert any(evaluate(ts.prop, dict(zip(ids, s))) is False
-                           for s in reach)
-            outcomes[none] += 1
+                depth = 0
+                while not any(evaluate(ts.prop, dict(zip(ids, s))) is False
+                              for s in reach_bruteforce(ts, depth)):
+                    depth += 1
+                    assert depth <= 2 ** len(ids)
+                assert len(path) - 1 >= depth
+                replay_trace(ts, Checker(ts).convert_cex(path).trace)
+            outcomes[path is not None] += 1
         assert outcomes[True] >= 5 and outcomes[False] >= 5
 
     def test_steps_len_latches_plus_one_times(self):
@@ -363,7 +388,9 @@ class TestMine:
         ring += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(1, m)]
         ts = _small_miter("\n".join(ring) + "\noutput z = s%d\n" % (m - 1),
                           "latch c init 0 next c\noutput z = c\n")
-        assert mine(ts) is None
+        cands, path = mine(ts)
+        assert cands is None and len(path) == m
+        replay_trace(ts, Checker(ts).convert_cex(path).trace)
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_renamed_shift_register(self, n):
@@ -376,14 +403,44 @@ class TestMine:
         for i in range(n):
             a, b = ids["n.s%d" % i], ids["k.t%d" % i]
             want += [Clause([a, -b]), Clause([-a, b])]
-        assert mine(ts) == want
+        assert mine(ts) == (want, None)
 
     def test_inverted_stage(self):
         """I pairs every stage but s0, whose inits differ; their signatures
         are complementary."""
         ts = _small_miter(shreg_source(4), _inverted_s0(shreg_source(4)))
         a, b = (v.id for v in ts.state_vars if v.name.endswith(".s0"))
-        assert mine(ts) == [Clause([a, b]), Clause([-a, -b])]
+        assert mine(ts) == ([Clause([a, b]), Clause([-a, -b])], None)
+
+
+class TestSimulatedCounterexample:
+    def test_sec_on_random_and_small_miters(self, tmp_path, capfd):
+        """sec ends a miter whose first difference mining's simulation
+        reaches with that lane's trace: verify-witness accepts every
+        counterexample, two runs write the same witness, and no equal miter
+        gets a simulated one."""
+        rng = make_rng(58)
+        pairs = list(_random_miter_sources(rng, 6))
+        pairs += _unrelated_miter_sources(rng, 10)
+        a, b = tmp_path / "n.scirc", tmp_path / "k.scirc"
+        simulated = 0
+        for src_n, src_k in pairs:
+            ts = _small_miter(src_n, src_k)
+            want = brute_force_verdict(ts)
+            path = mine(ts)[1]
+            assert path is None or want == "counterexample"
+            simulated += path is not None
+            a.write_text(src_n)
+            b.write_text(src_k)
+            runs = []
+            for w in (tmp_path / "w0", tmp_path / "w1"):
+                runs.append((main(["sec", str(a), str(b), "--witness",
+                                   str(w)]), w.read_bytes()))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == (1 if want == "counterexample" else 0)
+            assert main(["verify-witness", str(a), str(tmp_path / "w0"),
+                         "--miter-with", str(b)]) == 0
+        assert simulated >= 3
 
 
 class TestIcChecker:
@@ -423,8 +480,7 @@ class TestIcChecker:
             else:
                 check_invariant_witness(ts, w.invariant)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_one_init_solver_per_run(self, n, monkeypatch):
+    def test_one_init_solver_per_run(self, monkeypatch):
         # generalize asks every I question of a run on the checker's one
         # solver over I
         built = []
@@ -438,9 +494,7 @@ class TestIcChecker:
         calls = []
         monkeypatch.setattr(indclause, "generalize",
                             lambda *a: calls.append(a) or generalize(*a))
-        ts = add_stuttering(encode(build_miter(
-            parse_circuit(shreg_source(n)),
-            parse_circuit(shreg_source(n - 1)))))
+        ts = deep_ctr_miter()
         assert pc_lor_ic(ts).kind == "counterexample"
         assert calls
         assert all(a[3] is calls[0][3] for a in calls)
@@ -448,12 +502,11 @@ class TestIcChecker:
 
     @pytest.mark.parametrize("circuit", [
         lambda: parse_circuit(ctr_source(4)),
-        lambda: build_miter(parse_circuit(shreg_source(6)),
-                            parse_circuit(shreg_source(5)))],
-        ids=["ctr4", "shreg6-vs-5"])
+        lambda: build_miter(*map(parse_circuit, deep_ctr_miter_sources()))],
+        ids=["ctr4", "deep-ctr-miter"])
     def test_one_step_solver_per_frame(self, circuit, monkeypatch):
         """A run builds at most one relative-induction solver per frame,
-        on a counter and on a shift-register miter, both walk-heavy."""
+        on a counter and on a counter miter, both walk-heavy."""
         asked = []
         kept = FrameChain.step_solver
         monkeypatch.setattr(FrameChain, "step_solver", lambda self, k:
