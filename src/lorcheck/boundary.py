@@ -13,11 +13,12 @@ from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
 class FrameChain:
     """H_0..H_j plus removed-clause sets R_k defining T^rlx_{k,k+1}.
 
-    H_k is stored over frame-0 state variables; h_next(k) is H_k′, its
-    copy over frame 1 by the map ts.next.  R_k is a set of indices into
-    the canonical transition clauses, so T = T^rlx ∧ R holds syntactically
-    for every frame.  Every frame has an R_k; the last frame's is empty, as
-    its step is not relaxed yet.
+    H_k is stored over frame-0 state variables, and beside it H_k′, its
+    copy over frame 1 by the map ts.next; both change only through
+    strengthen.  R_k is a set of indices into the canonical transition
+    clauses, so T = T^rlx ∧ R holds syntactically for every frame.  Every
+    frame has an R_k; the last frame's is empty, as its step is not
+    relaxed yet.  T^rlx_{k,k+1} is kept until relax or restore changes R_k.
 
     Each frame keeps one incremental solver over H_k ∧ T^rlx_{k,k+1}.  It
     gains the clauses that strengthen H_k, and is rebuilt on the next
@@ -34,8 +35,10 @@ class FrameChain:
         self.ts = ts
         self.trans_clauses = list(ts.trans.clauses)
         self.h = [list(ts.init)]      # H_0 = I
+        self.h1 = [list(rename(ts.init, ts.next))]  # h1[k]: H_k′, over frame 1
         self.removed = [set()]        # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
+        self.trlx = [None]            # trlx[k]: T^rlx_{k,k+1}, None once stale
         self.implied_marks = set()    # (clause lits, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
         self.step_solvers = {}        # k -> solver over H_k ∧ T
@@ -50,12 +53,15 @@ class FrameChain:
 
     def h_next(self, k):
         """H_k′: H_k over the frame-1 state variables."""
-        return rename(self.h_cnf(k), self.ts.next)
+        return Cnf(self.h1[k])
 
     def trlx_cnf(self, k):
         """Relaxed transition relation of step k in canonical 0→1 form."""
-        r = self.removed[k]
-        return Cnf(c for i, c in enumerate(self.trans_clauses) if i not in r)
+        if self.trlx[k] is None:
+            r = self.removed[k]
+            self.trlx[k] = Cnf([c for i, c in enumerate(self.trans_clauses)
+                                if i not in r])
+        return self.trlx[k]
 
     def solver(self, k):
         """Frame k's solver; its models value every step variable."""
@@ -72,8 +78,9 @@ class FrameChain:
         but rebuilding once they outnumber the step variables did not pay
         (CLI, 2-vCPU x86): ctr8, r17 and r23 moved within noise, and r20
         went from 17 to 22 frames (1.6 to 2.4 s), as a rebuilt solver loses
-        its learnt clauses and returns other models.  `_decide_var` takes
-        0.24 of 8.6 profiled s on ctr8 and 0.32 of 5.8 s on r20."""
+        its learnt clauses and returns other models.  Under cProfile,
+        `_decide_var` takes 4% of ctr8's time and 7% of r20's (0.44 of
+        11.0 s and 0.59 of 8.1 s, 2-vCPU x86)."""
         if k not in self.step_solvers:
             self.step_solvers[k] = Solver(self.h[k] + list(self.ts.trans),
                                           extra_vars=self.ts.step_vars)
@@ -81,26 +88,34 @@ class FrameChain:
 
     def add_frame(self):
         self.h.append([])
+        self.h1.append([])
         self.removed.append(set())
+        self.trlx.append(None)
         self.co3_done.append(0)
 
     def strengthen(self, k, clauses):
-        present = set(c.lits for c in self.h[k])
+        present = set(self.h[k])
+        new = []
         for c in clauses:
-            if c.lits not in present:
-                self.h[k].append(c)
-                present.add(c.lits)
-                for solvers in (self.solvers, self.step_solvers):
-                    if k in solvers:
-                        solvers[k].add_clause(c)
+            if c not in present:
+                present.add(c)
+                new.append(c)
+        self.h[k] += new
+        self.h1[k] += rename(new, self.ts.next)
+        for solvers in (self.solvers, self.step_solvers):
+            if k in solvers:
+                for c in new:
+                    solvers[k].add_clause(c)
 
     def relax(self, k, indices):
         self.removed[k] |= set(indices)
+        self.trlx[k] = None
         self.solvers.pop(k, None)
         self.co3_done[k + 1] = 0
 
     def restore(self, k, indices):
         self.removed[k] -= set(indices)
+        self.trlx[k] = None
         self.solvers.pop(k, None)
 
 

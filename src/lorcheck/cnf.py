@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import neg
+
+
 class Var:
     """A propositional variable with an optional time frame."""
 
@@ -48,44 +52,34 @@ def lit_sat(lit, assignment):
     return val == (lit > 0)
 
 
-class Clause:
-    """An immutable duplicate-free disjunction of literals.
+class Clause(tuple):
+    """An immutable duplicate-free disjunction of literals, sorted by
+    variable: a tuple, so iteration, length and membership run at C speed.
 
     Tautologies are rejected outright.
     """
 
-    __slots__ = ("lits",)
+    __slots__ = ()
 
-    def __init__(self, lits):
-        seen = {}
-        for l in lits:
-            if l == 0:
-                raise ValueError("zero literal")
-            if -l in seen:
-                raise ValueError("tautological clause %r" % (list(lits),))
-            seen[l] = True
-        self.lits = tuple(sorted(seen, key=lambda l: (abs(l), l < 0)))
+    def __new__(cls, lits):
+        lits = set(lits)
+        if 0 in lits:
+            raise ValueError("zero literal")
+        if not lits.isdisjoint(map(neg, lits)):
+            raise ValueError("tautological clause %r" % sorted(lits))
+        # no variable occurs twice, so the variable alone orders the literals
+        return tuple.__new__(cls, sorted(lits, key=abs))
 
-    def __iter__(self):
-        return iter(self.lits)
-
-    def __len__(self):
-        return len(self.lits)
-
-    def __contains__(self, lit):
-        return lit in self.lits
-
-    def __eq__(self, other):
-        return isinstance(other, Clause) and self.lits == other.lits
-
-    def __hash__(self):
-        return hash(self.lits)
+    @property
+    def lits(self):
+        """The literals as a plain tuple."""
+        return tuple(self)
 
     def __repr__(self):
-        return "Clause(%s)" % (" ".join(str(l) for l in self.lits) or "empty")
+        return "Clause(%s)" % (" ".join(map(str, self)) or "empty")
 
     def variables(self):
-        return set(abs(l) for l in self.lits)
+        return set(map(abs, self))
 
 
 class Cnf:
@@ -94,7 +88,11 @@ class Cnf:
     __slots__ = ("clauses",)
 
     def __init__(self, clauses=()):
-        self.clauses = tuple(c if isinstance(c, Clause) else Clause(c) for c in clauses)
+        clauses = tuple(clauses)
+        if not {Clause}.issuperset(map(type, clauses)):
+            clauses = tuple(c if isinstance(c, Clause) else Clause(c)
+                            for c in clauses)
+        self.clauses = clauses
 
     def __iter__(self):
         return iter(self.clauses)
@@ -115,16 +113,13 @@ class Cnf:
         seen = set()
         out = []
         for c in self.clauses:
-            if c.lits not in seen:
-                seen.add(c.lits)
+            if c not in seen:
+                seen.add(c)
                 out.append(c)
         return Cnf(out)
 
     def variables(self):
-        out = set()
-        for c in self.clauses:
-            out |= c.variables()
-        return out
+        return set(map(abs, chain.from_iterable(self.clauses)))
 
 
 def rename(f, ids):

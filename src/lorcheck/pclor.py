@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 
-from .cnf import Cnf, evaluate, rename
+from .cnf import evaluate, lit_sat, rename
 from .sat import Solver, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant
 from .pqe import DEFAULT_BUDGET
@@ -62,11 +62,10 @@ class Checker:
         chain = self.chain
         kept = [i for i in range(len(chain.trans_clauses))
                 if i not in chain.removed[k - 1]]
-        soft = Cnf(chain.trans_clauses[i] for i in kept)
-        hard = chain.h_cnf(k - 1)
         try:
             left_out = max_relax_solve(
-                hard, soft, {self.ts.next[v]: b for v, b in target.items()})
+                chain.h[k - 1], chain.trlx_cnf(k - 1),
+                {self.ts.next[v]: b for v, b in target.items()})
         except ValueError:
             raise CheckerError("frame %d: H_%d is unsatisfiable, so no "
                                "relaxation reaches a state" % (k, k - 1)) from None
@@ -195,10 +194,10 @@ class Checker:
         H_m past chain.co3_done[m] are checked: strengthening H_{m-1} and
         restoring step m-1 keep the rest implied, and relaxing step m-1
         resets the mark.  The walks from frame m-1 neither strengthen H_m
-        nor relax step m-1, so the new clauses are renamed once."""
+        nor relax step m-1, so the new clauses are read once, from H_m′."""
         chain = self.chain
         for m in range(chain.j, 0, -1):
-            new = rename(Cnf(chain.h[m][chain.co3_done[m]:]), self.ts.next)
+            new = chain.h1[m][chain.co3_done[m]:]
             while new and (viol := self._reachable_violation(m - 1, new)):
                 if not (broken := self._broken(m - 1, viol[-1][1])):
                     raise CheckerError(
@@ -209,8 +208,9 @@ class Checker:
 
     def _broken(self, k, model):
         """The clauses dropped from step k that the model falsifies."""
-        return [i for i in sorted(self.chain.removed[k]) if evaluate(
-            Cnf([self.chain.trans_clauses[i]]), model) is False]
+        trans = self.chain.trans_clauses
+        return [i for i in sorted(self.chain.removed[k])
+                if all(lit_sat(l, model) is False for l in trans[i])]
 
     def fin_touch(self):
         """Look for an invariant.  No clause needs pushing toward frame 0,

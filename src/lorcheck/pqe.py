@@ -26,6 +26,8 @@ whenever the caller's claim does; a `covered` that holds a point of
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .cnf import Clause, Cnf, evaluate
 from .sat import Solver
 
@@ -50,16 +52,17 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     the region of the module docstring.  A point's membership is asked
     only after A ∧ B is found satisfiable there, as most points of a
     costly task are not."""
+    w = task.w
     a, ab = list(task.a), list(task.a) + list(task.b)
-    free = sorted((task.a.variables() | task.b.variables()) - task.w)
+    free = sorted(set(map(abs, chain.from_iterable(ab))) - w)
     # ¬A: selector s_i implies that clause i of A is false, and some s_i holds
-    top = max(task.w | set(free), default=0)
+    top = max(chain(w, free), default=0)
     sels = range(top + 1, top + 1 + len(a))
     not_a = [(-s, -l) for s, c in zip(sels, a) for l in c] + [tuple(sels)]
     points = Solver(list(task.b) + not_a, extra_vars=free)
     ab_solver = Solver(ab, extra_vars=free)
     # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
-    liftable = [c for c in ab if any(abs(l) not in task.w for l in c)]
+    liftable = [c for c in ab if not w.issuperset(map(abs, c))]
     answer = []
     for _ in range(budget):
         res = points.solve()
@@ -71,7 +74,7 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
             if covered is not None and evaluate(covered, res.model):
                 cube = _lift(covered, res.model, ())
             else:
-                cube = _lift(liftable, res.model, task.w)
+                cube = _lift(liftable, res.model, w)
             points.add_clause([-l for l in cube])
         else:
             c = Clause(-l for l in y if l in res.core)

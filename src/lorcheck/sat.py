@@ -4,6 +4,7 @@ decisions and a soft-clause relaxation search (MCS)."""
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 
 
 class SatResult:
@@ -76,19 +77,20 @@ class Solver:
     """
 
     def __init__(self, clauses, extra_vars=()):
-        self.clauses = []           # clause storage, lists of lits
-        self.var_ids = set(extra_vars)
+        self.clauses = store = []   # clause storage, lists of lits
+        self.units = units = []     # unit clauses not yet on the trail
         self.ok = True
-        self.units = []             # unit clauses not yet on the trail
         for c in clauses:
             lits = list(c)
-            self.var_ids.update(map(abs, lits))
-            if not lits:
-                self.ok = False
-            elif len(lits) == 1:
-                self.units.append(lits[0])
+            if len(lits) > 1:
+                store.append(lits)
+            elif lits:
+                units.append(lits[0])
             else:
-                self.clauses.append(lits)
+                self.ok = False
+        self.var_ids = set(extra_vars)
+        self.var_ids.update(map(abs, chain.from_iterable(store)),
+                            map(abs, units))
         self.cap = 0
         self.value = [None]
         self.watches = [[]]
@@ -100,12 +102,11 @@ class Solver:
         self.trail_lim = []
         self.qhead = 0
         watches = self.watches
-        for idx, lits in enumerate(self.clauses):
+        for idx, lits in enumerate(store):
             watches[-lits[0]].append(idx)
             watches[-lits[1]].append(idx)
         self.act_inc = 1.0
         self.order = sorted(self.var_ids)
-        self.n_assumed = 0
 
     def _grow(self, vid):
         """Make room for id vid, at least doubling the room if it grows."""
@@ -165,7 +166,8 @@ class Solver:
         self.trail.append(lit)
 
     def _propagate(self):
-        """Exhaustive unit propagation; returns a conflict clause or None."""
+        """Exhaustive unit propagation; returns a conflict clause or None.
+        Watcher lists are compacted in place, in their order."""
         trail, value, watches = self.trail, self.value, self.watches
         clauses, level, reason = self.clauses, self.level, self.reason
         lvl = len(self.trail_lim)
@@ -173,99 +175,104 @@ class Solver:
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
-            pending = watches[lit]
-            if not pending:
+            ws = watches[lit]
+            if not ws:
                 continue
             false_lit = -lit
-            keep = watches[lit] = []
-            conflict = None
-            for pos, idx in enumerate(pending):
+            j = 0
+            for i, idx in enumerate(ws, 1):
                 lits = clauses[idx]
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
+                if first == false_lit:  # the clause watches it at 0 or 1
+                    first = lits[0] = lits[1]
+                    lits[1] = false_lit
                 v = value[first]
                 if v is True:
-                    keep.append(idx)
+                    ws[j] = idx
+                    j += 1
                     continue
                 for k in range(2, len(lits)):
-                    if value[lits[k]] is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[-lits[1]].append(idx)
+                    other = lits[k]
+                    if value[other] is not False:
+                        lits[1] = other
+                        lits[k] = false_lit
+                        watches[-other].append(idx)
                         break
                 else:
-                    keep.append(idx)
+                    ws[j] = idx
+                    j += 1
                     if v is False:
-                        keep.extend(pending[pos + 1:])
-                        conflict = lits
-                        break
+                        del ws[j:i]
+                        self.qhead = qhead
+                        return lits
                     value[first] = True
                     value[-first] = False
-                    vid = abs(first)
+                    vid = first if first > 0 else -first
                     level[vid] = lvl
                     reason[vid] = idx
                     trail.append(first)
-            if conflict is not None:
-                self.qhead = qhead
-                return conflict
+            del ws[j:]
         self.qhead = qhead
         return None
 
-    def _bump(self, vid):
-        activity = self.activity
-        activity[vid] += self.act_inc
-        if activity[vid] > 1e100:
-            activity[:] = [a * 1e-100 for a in activity]
-            self.act_inc *= 1e-100
-
     def _analyze(self, conflict):
-        """First-UIP analysis; returns (learnt clause lits, backtrack level)."""
+        """First-UIP analysis; returns (learnt clause lits, backtrack
+        level) and bumps the activity of every variable it meets.  The
+        learnt clause's second literal is its first of the backtrack
+        level."""
+        trail, level, reason = self.trail, self.level, self.reason
+        activity, inc = self.activity, self.act_inc
         cur = len(self.trail_lim)
         seen = set()
-        learnt = []
+        learnt = [0]
+        back = second = 0
         counter = 0
         lits = conflict
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             for l in lits:
-                vid = abs(l)
-                if vid in seen or self.level[vid] == 0:
+                vid = l if l > 0 else -l
+                if vid in seen:
+                    continue
+                lv = level[vid]
+                if lv == 0:
                     continue
                 seen.add(vid)
-                self._bump(vid)
-                if self.level[vid] == cur:
+                a = activity[vid] = activity[vid] + inc
+                if a > 1e100:
+                    activity[:] = [x * 1e-100 for x in activity]
+                    inc = self.act_inc = inc * 1e-100
+                if lv == cur:
                     counter += 1
                 else:
+                    if lv > back:
+                        back, second = lv, len(learnt)
                     learnt.append(l)
-            while abs(self.trail[idx]) not in seen:
+            while abs(trail[idx]) not in seen:
                 idx -= 1
-            uip = self.trail[idx]
-            seen.discard(abs(uip))
+            uip = trail[idx]
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            lits = [l for l in self.clauses[self.reason[abs(uip)]] if l != uip]
-        learnt.insert(0, -uip)
-        if len(learnt) == 1:
-            return learnt, 0
-        back = max(self.level[abs(l)] for l in learnt[1:])
-        for k in range(1, len(learnt)):
-            if self.level[abs(learnt[k])] == back:
-                learnt[1], learnt[k] = learnt[k], learnt[1]
-                break
+            # uip stays in seen, so its own literal in its reason is skipped
+            lits = self.clauses[reason[abs(uip)]]
+        learnt[0] = -uip
+        if second > 1:
+            learnt[1], learnt[second] = learnt[second], learnt[1]
         return learnt, back
 
     def _backtrack(self, lvl):
-        if len(self.trail_lim) > lvl:
-            mark = self.trail_lim[lvl]
-            value = self.value
-            for lit in self.trail[mark:]:
+        trail_lim = self.trail_lim
+        if len(trail_lim) > lvl:
+            trail, value = self.trail, self.value
+            mark = trail_lim[lvl]
+            for lit in trail[mark:]:
                 value[lit] = value[-lit] = None
-            del self.trail[mark:]
-            del self.trail_lim[lvl:]
-        self.qhead = min(self.qhead, len(self.trail))
-        self.n_assumed = min(self.n_assumed, lvl)
+            del trail[mark:]
+            del trail_lim[lvl:]
+            if self.qhead > mark:
+                self.qhead = mark
 
     def _decide_var(self):
         value, activity = self.value, self.activity
@@ -278,47 +285,41 @@ class Solver:
 
     def _analyze_final(self, start_lits, assumption_set):
         """Explain the falsity of start_lits as a set of assumption literals.
-        Every literal of start_lits is assigned."""
-        trail, level, reason = self.trail, self.level, self.reason
+        Every literal of start_lits and of a reason clause is assigned; the
+        level-0 ones join `seen` but lie below the walk."""
+        trail, reason, clauses = self.trail, self.reason, self.clauses
         core = set()
-        seen = set()
-        for l in start_lits:
-            vid = abs(l)
-            if level[vid] > 0:
-                seen.add(vid)
-        # nothing at level 0 is ever seen
+        seen = set(map(abs, start_lits))
         stop = self.trail_lim[0] if self.trail_lim else len(trail)
-        for i in range(len(trail) - 1, stop - 1, -1):
-            lit = trail[i]
-            vid = abs(lit)
-            if vid not in seen:
-                continue
-            r = reason[vid]
-            if r is None:
-                if lit in assumption_set:
+        for lit in reversed(trail[stop:]):
+            vid = lit if lit > 0 else -lit
+            if vid in seen:
+                r = reason[vid]
+                if r is not None:
+                    seen.update(map(abs, clauses[r]))
+                elif lit in assumption_set:
                     core.add(lit)
-            else:
-                for l in self.clauses[r]:
-                    if abs(l) != vid and level[abs(l)] > 0:
-                        seen.add(abs(l))
         return core
 
     def _settle(self, lits):
         """Register the variables of `lits`, then put the pending units on
         level 0 and propagate them; False, for good, on a conflict there."""
         var_ids = self.var_ids
-        for a in lits:
-            if abs(a) not in var_ids:
-                self._register(abs(a))
+        if not var_ids.issuperset(map(abs, lits)):
+            for a in lits:
+                if abs(a) not in var_ids:
+                    self._register(abs(a))
         self._backtrack(0)
-        value = self.value
-        for u in self.units:
-            if value[u] is False:
-                self.ok = False
-            elif value[u] is None:
-                self._enqueue(u)
-        self.units.clear()  # level-0 assignments are never undone
-        self.ok = self.ok and self._propagate() is None
+        if self.units:
+            value = self.value
+            for u in self.units:
+                if value[u] is False:
+                    self.ok = False
+                elif value[u] is None:
+                    self._enqueue(u)
+            self.units.clear()  # level-0 assignments are never undone
+        if self.ok and self.qhead < len(self.trail):
+            self.ok = self._propagate() is None
         return self.ok
 
     def solve(self, assumptions=(), prefer=()):
@@ -327,23 +328,27 @@ class Solver:
             return SatResult("unsat", core=set())
         trail, trail_lim, value = self.trail, self.trail_lim, self.value
         clauses, level, reason = self.clauses, self.level, self.reason
+        propagate, decide_var = self._propagate, self._decide_var
         assumption_set = set(assumptions)
+        n_assumptions, n_prefer = len(assumptions), len(prefer)
+        n_assumed = 0  # levels 1..n_assumed hold the assumptions
         conflicts = 0
         pi = 0  # prefer[:pi] is assigned
         restart_num = 1
         restart_lim = 100 * _luby(restart_num)
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 if not trail_lim:
                     self.ok = False
                     return SatResult("unsat", core=set())
-                if len(trail_lim) <= self.n_assumed:
+                if len(trail_lim) <= n_assumed:
                     core = self._analyze_final(conflict, assumption_set)
                     return SatResult("unsat", core=core)
                 conflicts += 1
                 learnt, back = self._analyze(conflict)
                 self._backtrack(back)
+                n_assumed = min(n_assumed, back)
                 pi = 0
                 idx = len(clauses)
                 clauses.append(learnt)
@@ -358,33 +363,34 @@ class Solver:
                     conflicts = 0
                     restart_num += 1
                     restart_lim = 100 * _luby(restart_num)
-                    self._backtrack(self.n_assumed)
+                    self._backtrack(n_assumed)
                 continue
-            if self.n_assumed < len(assumptions):
-                a = assumptions[self.n_assumed]
-                v = value[a]
-                if v is False:
-                    core = self._analyze_final([a], assumption_set)
-                    core.add(a)
+            if n_assumed < n_assumptions:
+                # an assumption opens a level even when it is already true
+                lit = assumptions[n_assumed]
+                if value[lit] is False:
+                    core = self._analyze_final([lit], assumption_set)
+                    core.add(lit)
                     return SatResult("unsat", core=core)
-                trail_lim.append(len(trail))
-                self.n_assumed += 1
-                if v is None:
-                    value[a] = True
-                    value[-a] = False
-                    level[abs(a)] = len(trail_lim)
-                    reason[abs(a)] = None
-                    trail.append(a)
-                continue
-            # the first unassigned preferred literal, else positive polarity;
-            # the trail only grows between backtracks, so the scan resumes
-            while pi < len(prefer) and value[prefer[pi]] is not None:
-                pi += 1
-            lit = prefer[pi] if pi < len(prefer) else self._decide_var()
-            if lit is None:
-                return SatResult("sat", model={abs(l): l > 0 for l in trail})
+                n_assumed += 1
+            else:
+                # the first unassigned preferred literal, else positive
+                # polarity; the trail only grows between backtracks, so the
+                # scan resumes
+                while pi < n_prefer and value[prefer[pi]] is not None:
+                    pi += 1
+                lit = prefer[pi] if pi < n_prefer else decide_var()
+                if lit is None:
+                    return SatResult("sat", model=dict(
+                        zip(map(abs, trail), map((0).__lt__, trail))))
             trail_lim.append(len(trail))
-            self._enqueue(lit)
+            if value[lit] is None:
+                value[lit] = True
+                value[-lit] = False
+                vid = abs(lit)
+                level[vid] = len(trail_lim)
+                reason[vid] = None
+                trail.append(lit)
         # not reached
 
     def propagate(self, assumptions):
@@ -432,7 +438,7 @@ def implies(a, b):
     for first, group in by_first.items():
         true = s.propagate([-first]) if first else set()
         for lits in group:
-            if true is None or any(l in true for l in lits[1:]):
+            if true is None or not true.isdisjoint(lits[1:]):
                 continue
             if s.solve([-l for l in lits]):
                 return False
@@ -460,7 +466,7 @@ def max_relax_solve(hard, soft, target):
     hard, target and the rest falsifies them, and none can be kept alone.
     """
     hard, soft = [list(c) for c in hard], [list(c) for c in soft]
-    top = max([abs(l) for c in hard + soft for l in c] + list(target),
+    top = max(chain(map(abs, chain.from_iterable(hard + soft)), target),
               default=0)
     selectors = range(top + 1, top + 1 + len(soft))
     solver = Solver(hard + [[-sel] + c for sel, c in zip(selectors, soft)])

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import re
@@ -520,6 +521,48 @@ class TestDeterminism:
             out = self._twice(tmp_path, capfd, lambda w: [
                 "sec", str(a), str(b), "--witness", w])
             assert out[0] == "inequivalent"
+
+
+class TestEngineSearchIsPinned:
+    """The engines' search end to end: the exit code, the `frames:` and
+    `clauses:` lines and the witness bytes of each run hash to its digest.
+    The digests were recorded before the SAT kernel was rewritten for
+    speed, so a change anywhere below the engine that moves a model, and
+    with it a relaxation, a makeup clause or a frame, fails here even
+    where the verdict stays."""
+
+    RUNS = {
+        # name: (source, engine, sha256 of the transcript)
+        "ring7": (_ring_out(7).replace("output z = s0",
+                                       "prop NOT (s0 AND s1)"), "lor",
+                  "268dd8fd9f0205d73a17fbd4b94e6b0c"
+                  "8208079fea43b3eee65fc0bb1f78ecb1"),
+        # a 6-latch random system that holds at frame 5
+        "rand6": (random_system_source(make_rng(14), 6, 1), "lor",
+                  "31bdf8f9fc1e03c2df71481867cd5d33"
+                  "b9861074dc5513d3abff17984f33905e"),
+        # both engines end at frame 7 with the same clause counts and
+        # write the same trace
+        "ctr4": (ctr_source(4), "lor",
+                 "98e1cecda77fef4a6241882ab3456b90"
+                 "aaf4ca7f74707b831c6451b87173e0e1"),
+        "ctr4-ic": (ctr_source(4), "lor-ic",
+                    "98e1cecda77fef4a6241882ab3456b90"
+                    "aaf4ca7f74707b831c6451b87173e0e1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_transcript_digest(self, tmp_path, capfd, name):
+        src, engine, digest = self.RUNS[name]
+        f, w = tmp_path / "c.scirc", tmp_path / "c.witness"
+        f.write_text(src)
+        code = main(["check", str(f), "--engine", engine, "--witness",
+                     str(w)])
+        lines = [l for l in capfd.readouterr().out.splitlines()
+                 if l.startswith(("frames:", "clauses:"))]
+        h = hashlib.sha256(repr((code, lines)).encode())
+        h.update(w.read_bytes())
+        assert h.hexdigest() == digest, lines
 
 
 class TestPqe:

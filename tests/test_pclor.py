@@ -241,7 +241,8 @@ class TestReplay:
             c.chain.add_frame()
         a = dict.fromkeys(ts.state_ids(0), False)
         for i, cl in enumerate(c.chain.trans_clauses):
-            c.chain.removed[k] = {i}
+            c.chain.restore(k, c.chain.removed[k])
+            c.chain.relax(k, [i])
             rlx = Solver(c.chain.trlx_cnf(k), extra_vars=ts.step_vars)
             for bits in itertools.product((False, True), repeat=2):
                 b = dict(zip(ts.state_ids(0), bits))

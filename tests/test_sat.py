@@ -639,3 +639,54 @@ class TestPreferSearchIsPinned:
         for seed in range(40):
             h.update(repr(self.transcript(seed)).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+class TestPropagateSearchIsPinned:
+    """Unit propagation and what it leaves behind, pinned like
+    TestSearchIsPinned: a fixed script interleaves propagate, implies,
+    solve and add_clause over 40 seeded instances, and every literal set
+    propagate returns, every answer of implies, every status, model (in
+    dict order) and core, and at the end the clauses and the watch list of
+    every literal, hash to DIGEST.  propagate reorders watch lists and so
+    steers the models of later solves; implies and clause_implied rest on
+    it.  DIGEST was recorded on the solver before its propagation loop was
+    rewritten for speed."""
+
+    DIGEST = ("a8262f4740e3e6903dd774b13577fe50"
+              "ef72a9e6109ca4240ca9e792c40ca7c3")
+
+    @staticmethod
+    def transcript(seed):
+        rng = random.Random(seed)
+        n = rng.randint(30, 60)
+        sign = lambda v: v if rng.random() < 0.5 else -v
+        f = list(random_3cnf(rng, n))[:round(3.8 * n)]
+        s = Solver(f)
+        out = []
+        for _ in range(5):
+            for _ in range(rng.randint(1, 4)):
+                # assumptions may name variables the solver has not seen yet
+                vs = rng.sample(range(1, n + 4), rng.randint(1, 5))
+                true = s.propagate([sign(v) for v in vs])
+                out.append(None if true is None else sorted(true))
+            b, _ = random_cnf(rng, max_var=n, max_clauses=6, max_len=4)
+            out.append(implies(f, b))
+            vs = rng.sample(range(1, n + 4), rng.randint(0, 4))
+            res = s.solve([sign(v) for v in vs])
+            out.append((res.status, list(res.model.items()) if res
+                        else sorted(res.core)))
+            more, _ = random_cnf(rng, max_var=n + 3, max_clauses=3,
+                                 max_len=3)
+            for c in more:
+                s.add_clause(c)
+                f.append(c)
+        out.append(s.clauses)
+        out.append([(l, s.watches[l]) for v in range(1, s.cap + 1)
+                    for l in (v, -v)])
+        return out
+
+    def test_transcript_digest(self):
+        h = hashlib.sha256()
+        for seed in range(40):
+            h.update(repr(self.transcript(seed)).encode())
+        assert h.hexdigest() == self.DIGEST
