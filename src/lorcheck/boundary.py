@@ -35,6 +35,7 @@ class FrameChain:
         self.ts = ts
         self.trans_clauses = list(ts.trans.clauses)
         self.h = [list(ts.init)]      # H_0 = I
+        self.h_set = [set(ts.init)]   # h_set[k]: the clauses of H_k
         self.h1 = [list(rename(ts.init, ts.next))]  # h1[k]: H_k′, over frame 1
         self.removed = [set()]        # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
@@ -88,13 +89,14 @@ class FrameChain:
 
     def add_frame(self):
         self.h.append([])
+        self.h_set.append(set())
         self.h1.append([])
         self.removed.append(set())
         self.trlx.append(None)
         self.co3_done.append(0)
 
     def strengthen(self, k, clauses):
-        present = set(self.h[k])
+        present = self.h_set[k]
         new = []
         for c in clauses:
             if c not in present:
@@ -141,7 +143,10 @@ def makeup_clauses(chain, k, indices):
     H_{k-1}′ is passed to take_out as covered: the system stutters, so a
     next state y of H_{k-1}′ where ∃W[B] holds, and so H_k′ too, is
     reached from y itself by the stutter step, a transition of T and so of
-    T^rlx_old, and ∃W[A ∧ B] holds at y."""
+    T^rlx_old, and ∃W[A ∧ B] holds at y.  take_out also tries its clauses
+    as answers before it enumerates a point.  A ∧ B implies most of them,
+    so H_k inherits them literally, and clause_implied answers them
+    without a solve."""
     if chain.removed[k - 1].intersection(indices):
         raise ValueError("clause already removed from step %d" % (k - 1))
     chain.relax(k - 1, indices)
@@ -173,12 +178,15 @@ def check_co(chain):
 
 
 def clause_implied(chain, m, clause):
-    """Does H_m imply the clause?  Positive verdicts are cached for good:
-    frames only ever gain clauses, so an implied clause stays implied."""
+    """Does H_m imply the clause?  A clause of H_m is answered without a
+    solve; it is common, as makeup_clauses hands H_{m-1}'s clauses to
+    take_out as candidates.  Positive verdicts are cached for good: frames
+    only ever gain clauses, so an implied clause stays implied."""
     key = (clause.lits, m)
     if key in chain.implied_marks:
         return True
-    if chain.solver(m).solve([-l for l in clause]):
+    if clause not in chain.h_set[m] and \
+            chain.solver(m).solve([-l for l in clause]):
         return False
     chain.implied_marks.add(key)
     return True

@@ -343,7 +343,8 @@ def _run_engine(ts, args, err):
         witness = engine(ts, opts)
     except PqeBudgetError as e:
         raise CheckerError("PQE budget of %d points exhausted (--pqe-budget)"
-                           " at frame %d" % (args.pqe_budget, e.frame)) from None
+                           " in %s at frame %d"
+                           % (args.pqe_budget, e.phase, e.frame)) from None
     return witness, clause_counts
 
 

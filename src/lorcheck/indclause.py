@@ -17,6 +17,7 @@ from .cnf import Cnf, Clause, longest_falsified_clause, rename
 from .sat import Solver
 from .boundary import makeup_clauses, clause_implied
 from .pclor import Checker
+from .pqe import PqeBudgetError
 
 
 class Cti:
@@ -90,8 +91,12 @@ def generalize(c, step, ts, init):
 def educat_guess_rlx(chain, j):
     """Seed H_j of a miter from the educated guess: drop its interface
     clauses still present at step j-1→j and return the PQE makeup clauses."""
-    return makeup_clauses(chain, j, [i for i in chain.ts.interface
-                                     if i not in chain.removed[j - 1]])
+    try:
+        return makeup_clauses(chain, j, [i for i in chain.ts.interface
+                                         if i not in chain.removed[j - 1]])
+    except PqeBudgetError as e:
+        e.phase = "the sec seed"
+        raise
 
 
 # Simulation runs this many lanes at once, each on its own random inputs,

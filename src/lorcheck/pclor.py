@@ -8,7 +8,7 @@ import functools
 from .cnf import evaluate, lit_sat, rename
 from .sat import Solver, first_model, max_relax_solve
 from .boundary import FrameChain, makeup_clauses, detect_invariant
-from .pqe import DEFAULT_BUDGET
+from .pqe import DEFAULT_BUDGET, PqeBudgetError
 
 
 class CheckerError(Exception):
@@ -240,19 +240,27 @@ class Checker:
         max_frames = self.opts.max_frames
         if max_frames is None:
             max_frames = 2 ** len(self.ts.state_vars) + 1
-        for j in range(1, max_frames + 1):
-            if (path := self.rem_bad_st(j)) is not None:
-                return self.convert_cex(path)
-            inv = self.fin_rlx(j)
-            if isinstance(inv, list):
-                return self.convert_cex(inv)
-            self.third_co_cond()
-            if inv is None:
-                inv = self.fin_touch()
-            if self.opts.iter_hook:
-                self.opts.iter_hook(self.chain)
-            if inv is not None:
-                return Witness("invariant", invariant=inv)
+        phase = None   # names the phase in a spent PQE budget
+        try:
+            for j in range(1, max_frames + 1):
+                phase = "the rem_bad_st walk"
+                if (path := self.rem_bad_st(j)) is not None:
+                    return self.convert_cex(path)
+                phase = "fin_rlx"
+                inv = self.fin_rlx(j)
+                if isinstance(inv, list):
+                    return self.convert_cex(inv)
+                phase = "the third_co_cond walk"
+                self.third_co_cond()
+                if inv is None:
+                    inv = self.fin_touch()
+                if self.opts.iter_hook:
+                    self.opts.iter_hook(self.chain)
+                if inv is not None:
+                    return Witness("invariant", invariant=inv)
+        except PqeBudgetError as e:
+            e.phase = e.phase or phase
+            raise
         raise CheckerError("frame limit %d reached without a verdict"
                            % max_frames)
 

@@ -16,11 +16,20 @@ but ∃W[A ∧ B] does not is excluded by A*, so the equivalence holds.
 
 A caller may pass `covered`, a CNF on whose points ∃W[B] implies
 ∃W[A ∧ B].  Its variables are free ones, or occur in no clause of the
-task; a literal of the latter counts as false.  A satisfiable point inside
-`covered` then blocks a cube of `covered` (one true literal per clause) in
-place of the lift of A ∧ B, which keeps nearly every free literal.  Answer
-clauses still come only from unsatisfiable points, so the equivalence holds
-whenever the caller's claim does; a `covered` that holds a point of
+task; a literal of the latter counts as false.  Before enumerating,
+take_out tries each clause of `covered`, restricted to the free variables,
+as an answer: one solve of A ∧ B under its negation, and where that is
+unsatisfiable the clause joins A* and blocks its points.  The makeup step
+passes H_{k-1}′, most of whose clauses A ∧ B implies, so most of a frame's
+answer is found without enumerating a point.  A candidate check is not an
+enumerated point and does not count against the budget.  During the
+enumeration, a satisfiable point inside `covered` blocks a cube of the
+clauses of `covered` left after that (one true literal per clause) in
+place of the lift of A ∧ B, which keeps nearly every free literal.  The
+points it blocks that are still open satisfy the clauses taken as answers
+too, so they lie inside `covered`.  Every answer clause is implied by
+A ∧ B, whether a candidate or a core, so the equivalence holds whenever
+the caller's claim does; a `covered` that holds a point of
 ∃W[B] \\ ∃W[A ∧ B] can make the answer wrong.
 """
 
@@ -36,7 +45,9 @@ DEFAULT_BUDGET = 10 ** 6   # enumerated points per take_out call
 
 
 class PqeBudgetError(Exception):
-    pass
+    """A spent budget; the engine sets the frame and phase that spent it."""
+
+    frame = phase = None
 
 
 class PqeTask:
@@ -49,12 +60,15 @@ class PqeTask:
 def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     """Solve a PQE task; raises PqeBudgetError once it has enumerated
     `budget` points without finishing.  `covered` (None: no region) is
-    the region of the module docstring.  A point's membership is asked
-    only after A ∧ B is found satisfiable there, as most points of a
-    costly task are not."""
+    the region of the module docstring, and its clauses, restricted to the
+    free variables, are tried as answers first; an emptied clause is
+    skipped, and a covered cube needs a literal only for a clause not
+    taken.  A point's membership is asked only after A ∧ B is found
+    satisfiable there, as most points of a costly task are not."""
     w = task.w
     a, ab = list(task.a), list(task.a) + list(task.b)
-    free = sorted(set(map(abs, chain.from_iterable(ab))) - w)
+    free_set = set(map(abs, chain.from_iterable(ab))) - w
+    free = sorted(free_set)
     # ¬A: selector s_i implies that clause i of A is false, and some s_i holds
     top = max(chain(w, free), default=0)
     sels = range(top + 1, top + 1 + len(a))
@@ -63,7 +77,14 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     ab_solver = Solver(ab, extra_vars=free)
     # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
     liftable = [c for c in ab if not w.issuperset(map(abs, c))]
-    answer = []
+    answer, rest = [], []     # rest: the clauses of covered not taken
+    for c in covered or ():
+        r = Clause(l for l in c if abs(l) in free_set)
+        if r and not ab_solver.solve([-l for l in r]):
+            answer.append(r)
+            points.add_clause(r)
+        else:
+            rest.append(c)
     for _ in range(budget):
         res = points.solve()
         if not res:
@@ -71,8 +92,8 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
         y = [v if res.model[v] else -v for v in free]
         res = ab_solver.solve(y)
         if res:
-            if covered is not None and evaluate(covered, res.model):
-                cube = _lift(covered, res.model, ())
+            if covered is not None and evaluate(rest, res.model):
+                cube = _lift(rest, res.model, ())
             else:
                 cube = _lift(liftable, res.model, w)
             points.add_clause([-l for l in cube])

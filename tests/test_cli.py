@@ -15,7 +15,8 @@ from lorcheck.sat import Solver
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, make_rng, random_system_source,
-                      shreg_source, xorreg_source, ctr_source)
+                      shreg_source, xorreg_source, ctr_source,
+                      deep_ctr_miter_sources)
 
 
 # Draw 43 of the random 6-8-latch systems that
@@ -208,6 +209,29 @@ class TestCheck:
         assert main(["check", str(p), "--max-frames", "1"]) == 2
         assert "verdict: unknown" in capfd.readouterr().out
 
+    @pytest.mark.parametrize("src, budget, where", [
+        ("ring7", 1, "in fin_rlx at frame 1"),
+        ("ring7", 2, "in fin_rlx at frame 2"),
+        ((17, 5), 1, "in the rem_bad_st walk at frame 1"),
+        ((17, 6), 3, "in the third_co_cond walk at frame 1"),
+    ])
+    def test_pqe_budget_names_its_phase(self, tmp_path, capfd, src, budget,
+                                        where):
+        if src == "ring7":
+            src = _ring_out(7).replace("output z = s0",
+                                       "prop NOT (s0 AND s1)")
+        else:
+            seed, n = src
+            src = random_system_source(make_rng(seed), n, 1)
+        p = tmp_path / "c.scirc"
+        p.write_text(src)
+        assert main(["check", str(p), "--pqe-budget", str(budget)]) == 2
+        got = capfd.readouterr()
+        assert "verdict: unknown" in got.out
+        assert re.search(r"^no verdict: PQE budget of %d points exhausted "
+                         r"\(--pqe-budget\) %s$" % (budget, where),
+                         got.err, re.M)
+
     def test_makeup_failure_names_frame(self, tmp_path, capfd, monkeypatch):
         import lorcheck.pclor as pclor
         # makeup clauses that relax nothing and exclude nothing
@@ -272,7 +296,23 @@ class TestSec:
         got = capfd.readouterr()
         assert "verdict: unknown" in got.out
         assert re.search(r"^no verdict: PQE budget of 2 points exhausted "
-                         r"\(--pqe-budget\) at frame 1$", got.err, re.M)
+                         r"\(--pqe-budget\) in the sec seed at frame 1$",
+                         got.err, re.M)
+
+    def test_pqe_budget_spent_in_the_seed_of_a_deep_miter(self, tmp_path,
+                                                         capfd):
+        # mining cannot refute the deep counter miter, so frame 1 is
+        # seeded by PQE, and one point does not finish the seed
+        a, b = tmp_path / "a.scirc", tmp_path / "b.scirc"
+        for f, src in zip((a, b), deep_ctr_miter_sources()):
+            f.write_text(src)
+        assert main(["sec", str(a), str(b), "--max-frames", "1",
+                     "--pqe-budget", "1"]) == 2
+        got = capfd.readouterr()
+        assert "verdict: unknown" in got.out
+        assert re.search(r"^no verdict: PQE budget of 1 points exhausted "
+                         r"\(--pqe-budget\) in the sec seed at frame 1$",
+                         got.err, re.M)
 
     def test_pqe_budget_unused_on_equal_miter(self, tmp_path, capfd):
         p = tmp_path / "xorreg4.scirc"; p.write_text(xorreg_source(4))
@@ -526,29 +566,29 @@ class TestDeterminism:
 class TestEngineSearchIsPinned:
     """The engines' search end to end: the exit code, the `frames:` and
     `clauses:` lines and the witness bytes of each run hash to its digest.
-    The digests were recorded before the SAT kernel was rewritten for
-    speed, so a change anywhere below the engine that moves a model, and
-    with it a relaxation, a makeup clause or a frame, fails here even
-    where the verdict stays."""
+    The digests were recorded once the makeup step tried H_{k-1}′'s
+    clauses as answers, so a change anywhere below the engine that moves
+    a model, and with it a relaxation, a makeup clause or a frame, fails
+    here even where the verdict stays."""
 
     RUNS = {
         # name: (source, engine, sha256 of the transcript)
         "ring7": (_ring_out(7).replace("output z = s0",
                                        "prop NOT (s0 AND s1)"), "lor",
-                  "268dd8fd9f0205d73a17fbd4b94e6b0c"
-                  "8208079fea43b3eee65fc0bb1f78ecb1"),
-        # a 6-latch random system that holds at frame 5
+                  "4d4df1c35e78b79a1df25ac776102038"
+                  "1f363ef78577f1af3ad6489a5f651055"),
+        # a 6-latch random system that holds at frame 3
         "rand6": (random_system_source(make_rng(14), 6, 1), "lor",
-                  "31bdf8f9fc1e03c2df71481867cd5d33"
-                  "b9861074dc5513d3abff17984f33905e"),
+                  "fab828bcddb1a7b9dfbb0c9e1efa4b73"
+                  "34eef011bccc02cd79b3f6098ea66d34"),
         # both engines end at frame 7 with the same clause counts and
         # write the same trace
         "ctr4": (ctr_source(4), "lor",
-                 "98e1cecda77fef4a6241882ab3456b90"
-                 "aaf4ca7f74707b831c6451b87173e0e1"),
+                 "b23c17124dda38141bbb716f3786ee70"
+                 "f8f621f84ee4b5a5cda920dcae2b0666"),
         "ctr4-ic": (ctr_source(4), "lor-ic",
-                    "98e1cecda77fef4a6241882ab3456b90"
-                    "aaf4ca7f74707b831c6451b87173e0e1"),
+                    "b23c17124dda38141bbb716f3786ee70"
+                    "f8f621f84ee4b5a5cda920dcae2b0666"),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))

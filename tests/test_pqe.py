@@ -215,10 +215,12 @@ class TestCovered:
     # ∃W[A ∧ B]; take_out blocks its cubes without asking for a lift
 
     def test_regions_inside_the_allowed_points(self, monkeypatch):
+        # the clauses of `covered` taken as answers block most points that
+        # would take a covered cube, so it takes 400 tasks for 50 cubes
         rng = random.Random(34)
         cubes = 0
         real = pqe._lift
-        for _ in range(300):
+        for _ in range(400):
             t = random_task(rng)
             free, allowed = allowed_points(t)
             covered = region_inside(rng, free, allowed)
@@ -228,7 +230,7 @@ class TestCovered:
             calls = []
 
             def lift(clauses, model, w):
-                calls.append(clauses is covered)
+                calls.append(not w)
                 return real(clauses, model, w)
             monkeypatch.setattr(pqe, "_lift", lift)
             a_star = take_out(t, covered=covered)
@@ -269,4 +271,70 @@ class TestCovered:
         t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
         assert list(take_out(t, covered=Cnf([Clause((-1, 9))]))) == []
         a_star = take_out(t, covered=Cnf([Clause((1, 9))]))
+        assert list(a_star) == [Clause((1, 3))]
+
+
+def implied_by(eab, free, clause):
+    """Does ∃W[A ∧ B], given by enumeration, imply `clause` over `free`?"""
+    return all(evaluate([clause], y) is True for y in all_assignments(free)
+               if evaluate(eab, y) is True)
+
+
+class TestSeeding:
+    # take_out tries each clause of `covered`, restricted to the free
+    # variables, as an answer before it enumerates a point
+
+    def test_every_implied_candidate_is_an_answer(self):
+        """Random tasks, each with a region inside the contract that also
+        holds random implied and unimplied clauses, some with literals over
+        variables outside the task: the answer passes the oracle, holds
+        every implied candidate restricted to the free variables, and no
+        unimplied one."""
+        rng = random.Random(36)
+        implied = unimplied = outside = 0
+        for _ in range(300):
+            t = random_task(rng)
+            free, allowed = allowed_points(t)
+            if not free:
+                continue
+            eab = qe_bruteforce(t.w, t.a + t.b)
+            top = max(t.w | set(free))
+            extra = []
+            for _ in range(rng.randint(1, 6)):
+                lits = [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(free, rng.randint(1, len(free)))]
+                if rng.random() < 0.3:
+                    lits.append(rng.choice((1, -1)) * rng.randint(top + 1,
+                                                                  top + 3))
+                extra.append(Clause(lits))
+            covered = Cnf(extra) + region_inside(rng, free, allowed)
+            a_star = take_out(t, covered=covered)
+            assert check_pqe(t.w, t.a, t.b, a_star)
+            answer = set(a_star)
+            for c in covered:
+                r = Clause(l for l in c if abs(l) in free)
+                outside += len(r) < len(c)
+                if r and implied_by(eab, free, r):
+                    implied += 1
+                    assert r in answer
+                elif r:
+                    unimplied += 1
+                    assert r not in answer
+        assert min(implied, unimplied, outside) > 50
+
+    def test_candidate_checks_are_not_enumerated_points(self):
+        # the chain task's answer (x) needs two points without it as a
+        # candidate: one to find it and one to see that nothing is left
+        n = 50
+        t = chain_task(n)
+        with pytest.raises(PqeBudgetError):
+            take_out(t, budget=1)
+        x = Clause((n + 1,))
+        assert list(take_out(t, budget=1, covered=Cnf([x]))) == [x]
+
+    def test_an_emptied_candidate_is_skipped(self):
+        # 9 is in no clause of the task, so (9) restricts to the empty
+        # clause, which is no answer
+        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
+        a_star = take_out(t, covered=Cnf([Clause((9,)), Clause((1, 3, 9))]))
         assert list(a_star) == [Clause((1, 3))]
