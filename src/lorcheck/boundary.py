@@ -40,7 +40,7 @@ class FrameChain:
         self.removed = [set()]        # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
         self.trlx = [None]            # trlx[k]: T^rlx_{k,k+1}, None once stale
-        self.implied_marks = set()    # (clause lits, frame) with a cached "implied" verdict
+        self.implied_marks = set()    # (clause, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
         self.step_solvers = {}        # k -> solver over H_k ∧ T
         self.co3_done = [0]           # co3_done[m]: leading clauses of H_m known to meet CO condition 3
@@ -182,7 +182,7 @@ def clause_implied(chain, m, clause):
     solve; it is common, as makeup_clauses hands H_{m-1}'s clauses to
     take_out as candidates.  Positive verdicts are cached for good: frames
     only ever gain clauses, so an implied clause stays implied."""
-    key = (clause.lits, m)
+    key = (clause, m)
     if key in chain.implied_marks:
         return True
     if clause not in chain.h_set[m] and \

@@ -549,7 +549,7 @@ def encode(c):
         va, vb = table.get(a, 0).id, table.get(b, 0).id
         init_clauses.append(Clause([va, -vb]))
         init_clauses.append(Clause([-va, vb]))
-    init = Cnf(init_clauses).normalize()
+    init = Cnf(init_clauses)
     prop = (compile_state_predicate(c.prop, c, table) if c.prop is not None
             else Cnf([]))
     stut = table.get(c.stutter_input, 0) if c.stutter_input else None

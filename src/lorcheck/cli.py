@@ -19,7 +19,6 @@ from .circuit import (CircuitError, parse_circuit, encode, stutter,
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
 from .pclor import pc_lor, Options, CheckerError
 from .indclause import pc_lor_ic
-from .boundary import check_co
 
 
 def _report(out, verdict, clause_counts, witness_path, seconds):
@@ -307,35 +306,11 @@ def parse_pqe_dimacs(text):
 # ------------------------------------------------------------- commands
 
 
-def _oracle_hook(ts, out):
-    from .qe_oracle import verify_boundary, OracleBudgetError
-
-    def hook(chain):
-        failures = check_co(chain)
-        if failures:
-            raise CheckerError("oracle check: CO conditions failed: %s"
-                               % failures)
-        for k in range(1, chain.j + 1):
-            try:
-                ok = verify_boundary(chain.h_cnf(k), ts,
-                                     chain.trlx_cnf(k - 1), k)
-            except OracleBudgetError:
-                out.write("oracle check: H_%d too large to enumerate\n" % k)
-                continue
-            if not ok:
-                raise CheckerError("oracle check: H_%d is not a boundary "
-                                   "formula" % k)
-    return hook
-
-
-def _run_engine(ts, args, err):
-    oracle = _oracle_hook(ts, err) if args.oracle_check else None
+def _run_engine(ts, args):
     clause_counts = []
 
     def hook(chain):
         clause_counts[:] = [len(h) for h in chain.h]
-        if oracle:
-            oracle(chain)
     opts = Options(max_frames=args.max_frames, pqe_budget=args.pqe_budget,
                    iter_hook=hook)
     engine = pc_lor_ic if args.engine == "lor-ic" else pc_lor
@@ -362,7 +337,7 @@ def _check_circuit(args, load, default_path, answers, out, err):
         err.write("error: %s\n" % e)
         return 3
     try:
-        witness, clause_counts = _run_engine(ts, args, err)
+        witness, clause_counts = _run_engine(ts, args)
     except CheckerError as e:
         err.write("no verdict: %s\n" % e)
         _report(out, "unknown", [], None, time.time() - t0)
@@ -476,8 +451,6 @@ def _add_engine_flags(p):
     p.add_argument("--max-frames", type=_positive_int, default=None)
     p.add_argument("--pqe-budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--witness", default=None, help="witness output path")
-    p.add_argument("--oracle-check", action="store_true",
-                   help="double-check every frame against enumeration oracles")
 
 
 @functools.cache

@@ -32,6 +32,14 @@ output z = s
 """
 
 
+def ring_source(n):
+    """One-hot token ring of n stages; stages 0 and 1 never both hold."""
+    return "\n".join(["latch s0 init 1 next s%d" % (n - 1)] +
+                     ["latch s%d init 0 next s%d" % (i, i - 1)
+                      for i in range(1, n)] +
+                     ["prop NOT (s0 AND s1)", ""])
+
+
 def shreg_source(n):
     """n-stage shift register; output is the last stage."""
     lines = ["input x", "latch s0 init 0 next x"]

@@ -13,6 +13,7 @@ from lorcheck.cnf import Cnf, Clause, evaluate, rename
 from lorcheck.sat import solve, implies
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
                       random_system_source, shreg_source, xorreg_source,
+                      ring_source, ctr_source, deep_ctr_miter_sources,
                       make_rng)
 
 
@@ -205,6 +206,27 @@ class TestEncoding:
     def test_free_init_unconstrained(self):
         ts = encode(parse_circuit("input x\nlatch s init * next x\n"))
         assert list(ts.init) == []
+
+    def test_init_has_no_duplicate_clause(self):
+        # encode adds I's clauses as they come: one unit per constant-init
+        # latch and two distinct binary clauses per state pair, and a latch
+        # is in at most one pair, so no clause can come twice
+        rng = make_rng(62)
+        srcs = ([f(n) for f in (ring_source, ctr_source, shreg_source,
+                                xorreg_source) for n in (3, 6)]
+                + [xorreg_source(3, inverted=1)]
+                + [random_system_source(rng, rng.randint(2, 6),
+                                        rng.randint(1, 2), init_zero=False)
+                   for _ in range(20)])
+        pairs = ([(s, s) for s in srcs] + [deep_ctr_miter_sources(),
+                 (shreg_source(8), shreg_source(7)),
+                 (xorreg_source(3), xorreg_source(3, inverted=1))])
+        circuits = ([parse_circuit(s) for s in srcs]
+                    + [build_miter(parse_circuit(a), parse_circuit(b))
+                       for a, b in pairs])
+        for c in circuits:
+            init = list(encode(stutter(c)).init)
+            assert len(set(init)) == len(init)
 
 
 class TestSimulateLanes:

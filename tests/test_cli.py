@@ -70,6 +70,8 @@ class TestUsageErrors:
         ["sec", "{f}", "{f}", "--guess", "bogus"],
         ["sec", "{f}", "{f}", "--guess", "drop:interface"],
         ["check", "{f}", "--bogus"],
+        ["check", "{f}", "--oracle-check"],
+        ["sec", "{f}", "{f}", "--oracle-check"],
         ["check", "{f}", "--max-frames", "0"],
         ["check", "{f}", "--max-frames", "-1"],
         ["check", "{f}", "--pqe-budget", "-5"],
@@ -164,9 +166,6 @@ class TestCheck:
         assert "frames: %d\n" % (len(seen[-1]) - 1) in out
         assert "clauses: %s\n" % " ".join(
             "H%d=%d" % kn for kn in enumerate(seen[-1])) in out
-
-    def test_oracle_check_flag(self, stuck0_file):
-        assert main(["check", stuck0_file, "--oracle-check"]) == 0
 
     def test_missing_file(self, tmp_path, capfd):
         assert main(["check", str(tmp_path / "nope.scirc")]) == 3
@@ -521,12 +520,6 @@ class TestSecFamilies:
                                     _ring_out(4))
         assert code == 1
         assert out.startswith("inequivalent\n")
-
-    def test_oracle_check_quiet(self, tmp_path, capfd):
-        a = tmp_path / "a.scirc"; a.write_text(shreg_source(3))
-        assert main(["sec", str(a), str(a), "--oracle-check",
-                     "--witness", str(tmp_path / "w")]) == 0
-        assert capfd.readouterr().err == ""
 
 
 class TestDeterminism:

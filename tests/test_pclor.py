@@ -12,7 +12,8 @@ from lorcheck.indclause import pc_lor_ic
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.qe_oracle import verify_boundary
 from conftest import (STUCK0_SRC, random_system, random_system_source,
-                      brute_force_verdict, make_rng, shreg_source)
+                      brute_force_verdict, make_rng, shreg_source, ring_source,
+                      ctr_source)
 from test_boundary import stuck0_drop_indices
 
 
@@ -99,21 +100,37 @@ class TestVerdicts:
             c.select_relaxation(1, target)
 
 
+def _shreg3_self_miter():
+    c = parse_circuit(shreg_source(3))
+    return add_stuttering(encode(build_miter(c, c)))
+
+
+# (system, engine): stuck0 under lor, and the shreg3 self-miter under
+# lor-ic, the engine sec runs by default
+CHAIN_INPUTS = [
+    pytest.param(lambda: add_stuttering(encode(parse_circuit(STUCK0_SRC))),
+                 pc_lor, id="stuck0-lor"),
+    pytest.param(_shreg3_self_miter, pc_lor_ic, id="shreg3-miter-lor-ic"),
+]
+
+
 class TestChainSoundness:
-    def test_co_holds_each_iteration(self, stuck0):
+    @pytest.mark.parametrize("system, engine", CHAIN_INPUTS)
+    def test_co_holds_each_iteration(self, system, engine):
         reports = []
         opts = Options(iter_hook=lambda ch: reports.append(check_co(ch)))
-        pc_lor(stuck0, opts)
+        engine(system(), opts)
         assert reports and all(r == [] for r in reports)
 
-    def test_boundaries_verified(self, stuck0):
-        results = []
+    @pytest.mark.parametrize("system, engine", CHAIN_INPUTS)
+    def test_boundaries_verified(self, system, engine):
+        ts, results = system(), []
 
         def hook(ch):
             for k in range(1, ch.j + 1):
                 results.append(verify_boundary(
-                    ch.h_cnf(k), stuck0, ch.trlx_cnf(k - 1), k))
-        pc_lor(stuck0, Options(iter_hook=hook))
+                    ch.h_cnf(k), ts, ch.trlx_cnf(k - 1), k))
+        engine(ts, Options(iter_hook=hook))
         assert results and all(results)
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -203,25 +220,6 @@ class TestThirdCoCond:
                 engine(ts, Options(iter_hook=lambda ch: reports.append(
                     check_co(ch))))
         assert len(reports) > 80 and all(r == [] for r in reports)
-
-
-def ring_source(n):
-    """One-hot token ring of n stages; stages 0 and 1 never both hold."""
-    return "\n".join(["latch s0 init 1 next s%d" % (n - 1)] +
-                     ["latch s%d init 0 next s%d" % (i, i - 1)
-                      for i in range(1, n)] +
-                     ["prop NOT (s0 AND s1)", ""])
-
-
-def ctr_source(n):
-    """n-bit counter enabled by input en; its top bit is a bad state."""
-    lines = ["input en", "latch c0 init 0 next (c0 XOR en)"]
-    carry = "en"
-    for i in range(1, n):
-        lines.append("signal k%d = (%s AND c%d)" % (i, carry, i - 1))
-        lines.append("latch c%d init 0 next (c%d XOR k%d)" % (i, i, i))
-        carry = "k%d" % i
-    return "\n".join(lines + ["prop NOT c%d" % (n - 1), ""])
 
 
 class TestReplay:
