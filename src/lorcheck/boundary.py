@@ -5,7 +5,7 @@ relaxation into makeup clauses, and the CO-condition checker."""
 from __future__ import annotations
 
 from .circuit import CircuitError
-from .cnf import Cnf, rename
+from .cnf import rename, variables
 from .sat import Solver, implies
 from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
 
@@ -33,10 +33,10 @@ class FrameChain:
         if ts.stuttering_var is None:
             raise CircuitError("frame chain requires a stuttered system")
         self.ts = ts
-        self.trans_clauses = list(ts.trans.clauses)
+        self.trans_clauses = ts.trans
         self.h = [list(ts.init)]      # H_0 = I
         self.h_set = [set(ts.init)]   # h_set[k]: the clauses of H_k
-        self.h1 = [list(rename(ts.init, ts.next))]  # h1[k]: H_k′, over frame 1
+        self.h1 = [rename(ts.init, ts.next)]  # h1[k]: H_k′, over frame 1
         self.removed = [set()]        # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
         self.trlx = [None]            # trlx[k]: T^rlx_{k,k+1}, None once stale
@@ -49,25 +49,18 @@ class FrameChain:
     def j(self):
         return len(self.h) - 1
 
-    def h_cnf(self, k):
-        return Cnf(self.h[k])
-
-    def h_next(self, k):
-        """H_k′: H_k over the frame-1 state variables."""
-        return Cnf(self.h1[k])
-
     def trlx_cnf(self, k):
         """Relaxed transition relation of step k in canonical 0→1 form."""
         if self.trlx[k] is None:
             r = self.removed[k]
-            self.trlx[k] = Cnf([c for i, c in enumerate(self.trans_clauses)
-                                if i not in r])
+            self.trlx[k] = [c for i, c in enumerate(self.trans_clauses)
+                            if i not in r]
         return self.trlx[k]
 
     def solver(self, k):
         """Frame k's solver; its models value every step variable."""
         if k not in self.solvers:
-            self.solvers[k] = Solver(self.h[k] + list(self.trlx_cnf(k)),
+            self.solvers[k] = Solver(self.h[k] + self.trlx_cnf(k),
                                      extra_vars=self.ts.step_vars)
         return self.solvers[k]
 
@@ -83,7 +76,7 @@ class FrameChain:
         `_decide_var` takes 4% of ctr8's time and 7% of r20's (0.44 of
         11.0 s and 0.59 of 8.1 s, 2-vCPU x86)."""
         if k not in self.step_solvers:
-            self.step_solvers[k] = Solver(self.h[k] + list(self.ts.trans),
+            self.step_solvers[k] = Solver(self.h[k] + self.ts.trans,
                                           extra_vars=self.ts.step_vars)
         return self.step_solvers[k]
 
@@ -129,10 +122,9 @@ def unrolled_lhs(chain, k, extra):
     H_0..H_{k-2} are left out too: they share no variable with the rest
     and hold on every initial state, so they do not change ∃W[·].  The
     task stays the same size at every depth."""
-    a = Cnf(extra)
-    b = chain.h_cnf(k - 1) + chain.h_next(k) + chain.trlx_cnf(k - 1)
-    w = (a.variables() | b.variables()) - set(chain.ts.prev)
-    return PqeTask(w, a, b)
+    b = chain.h[k - 1] + chain.h1[k] + chain.trlx_cnf(k - 1)
+    w = (variables(extra) | variables(b)) - set(chain.ts.prev)
+    return PqeTask(w, extra, b)
 
 
 def makeup_clauses(chain, k, indices):
@@ -151,11 +143,11 @@ def makeup_clauses(chain, k, indices):
         raise ValueError("clause already removed from step %d" % (k - 1))
     chain.relax(k - 1, indices)
     if not indices:
-        return Cnf([])
+        return []
     task = unrolled_lhs(chain, k, [chain.trans_clauses[i] for i in indices])
     try:
         a_star = take_out(task, budget=chain.pqe_budget,
-                          covered=chain.h_next(k - 1))
+                          covered=chain.h1[k - 1])
     except PqeBudgetError as e:
         e.frame = k
         raise
@@ -166,14 +158,14 @@ def check_co(chain):
     """The (condition, frame) pairs of the four CO conditions that fail."""
     ts = chain.ts
     entries = []
-    init = Cnf(chain.h[0])
+    h = chain.h
     for m in range(chain.j + 1):
-        entries.append((1, m, implies(init, chain.h_cnf(m))))
-        entries.append((2, m, implies(chain.h_cnf(m), ts.prop)))
+        entries.append((1, m, implies(h[0], h[m])))
+        entries.append((2, m, implies(h[m], ts.prop)))
     for m in range(1, chain.j + 1):
-        lhs = chain.h_cnf(m - 1) + chain.trlx_cnf(m - 1)
-        entries.append((3, m, implies(lhs, chain.h_next(m))))
-        entries.append((4, m, implies(chain.h_cnf(m - 1), chain.h_cnf(m))))
+        lhs = h[m - 1] + chain.trlx_cnf(m - 1)
+        entries.append((3, m, implies(lhs, chain.h1[m])))
+        entries.append((4, m, implies(h[m - 1], h[m])))
     return [(c, m) for c, m, passed in entries if not passed]
 
 
@@ -196,5 +188,5 @@ def detect_invariant(chain):
     """H_{m-1} is an inductive invariant as soon as H_m implies it."""
     for m in range(1, chain.j + 1):
         if all(clause_implied(chain, m, c) for c in chain.h[m - 1]):
-            return chain.h_cnf(m - 1)
+            return list(chain.h[m - 1])
     return None

@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .cnf import Cnf, Clause, VarTable
+from .cnf import Clause, VarTable, variables
 
 # Expressions are nested tuples:
 #   ('var', name) ('const', 0|1) ('not', e) ('and', a, b) ('or', a, b) ('xor', a, b)
@@ -292,7 +292,7 @@ class TransitionSystem:
     @functools.cached_property
     def step_vars(self):
         """What a model of one step values: T's variables and every input."""
-        return self.trans.variables() | {v.id for v in self.input_vars}
+        return variables(self.trans) | {v.id for v in self.input_vars}
 
 
 class _Encoder:
@@ -514,7 +514,7 @@ def compile_state_predicate(expr, c, table):
             if bit == "1":
                 clauses.append(Clause([-v if j >> (n - 1 - i) & 1 else v
                                        for i, v in enumerate(ids)]))
-    return Cnf(clauses).normalize()
+    return list(dict.fromkeys(clauses))
 
 
 def encode(c):
@@ -538,22 +538,20 @@ def encode(c):
         enc.add([la, -lb])
         enc.add([-la, lb])
     interface = tuple(range(first, len(enc.clauses))) if c.miter else None
-    trans = Cnf(enc.clauses)
-    init_clauses = []
+    init = []
     for latch, v in zip(c.latches, state_vars):
         if latch.init is True:
-            init_clauses.append(Clause([v.id]))
+            init.append(Clause([v.id]))
         elif latch.init is False:
-            init_clauses.append(Clause([-v.id]))
+            init.append(Clause([-v.id]))
     for a, b in c.state_pairs:
         va, vb = table.get(a, 0).id, table.get(b, 0).id
-        init_clauses.append(Clause([va, -vb]))
-        init_clauses.append(Clause([-va, vb]))
-    init = Cnf(init_clauses)
+        init.append(Clause([va, -vb]))
+        init.append(Clause([-va, vb]))
     prop = (compile_state_predicate(c.prop, c, table) if c.prop is not None
-            else Cnf([]))
+            else [])
     stut = table.get(c.stutter_input, 0) if c.stutter_input else None
-    return TransitionSystem(table, c, init, trans, prop, state_vars,
+    return TransitionSystem(table, c, init, enc.clauses, prop, state_vars,
                             next_vars, input_vars, stut, interface)
 
 

@@ -12,7 +12,7 @@ import functools
 import sys
 import time
 
-from .cnf import Cnf, Clause, evaluate, rename
+from .cnf import Clause, evaluate, rename, variables
 from .sat import implies
 from .circuit import (CircuitError, parse_circuit, encode, stutter,
                       build_miter, simulate_lanes)
@@ -63,7 +63,7 @@ def write_witness(path, ts, witness):
             for n, v in enumerate(ts.state_vars, 1):
                 idx[v.id] = n
                 f.write("c var %d %s\n" % (n, v.name))
-            clauses = list(witness.invariant)
+            clauses = witness.invariant
             f.write("p cnf %d %d\n" % (len(ts.state_vars), len(clauses)))
             for c in clauses:
                 f.write(" ".join(str(idx[abs(l)] * (1 if l > 0 else -1))
@@ -300,7 +300,7 @@ def parse_pqe_dimacs(text):
         if not 0 < v <= n:
             raise ValueError("line %d: variable %d is not in 1..%d"
                              % (lineno, v, n))
-    return PqeTask(w, Cnf(a), Cnf(b))
+    return PqeTask(w, a, b)
 
 
 # ------------------------------------------------------------- commands
@@ -385,7 +385,7 @@ def cmd_pqe(args, out=None, err=None):
         return 3
     # a solver takes room for its largest id, so take_out gets the task's
     # ids renumbered 1..n; ascending order keeps every answer the same
-    ids = sorted(task.w | task.a.variables() | task.b.variables())
+    ids = sorted(task.w | variables(task.a) | variables(task.b))
     dense = {v: i for i, v in enumerate(ids, 1)}
     renamed = PqeTask({dense[v] for v in task.w}, rename(task.a, dense),
                       rename(task.b, dense))

@@ -1,4 +1,6 @@
-"""Clause-level formula machinery: variables, clauses, CNF, renaming."""
+"""Clause-level formula machinery: variables, clauses, CNF, renaming.
+
+A CNF is a list of Clause."""
 
 from __future__ import annotations
 
@@ -82,51 +84,15 @@ class Clause(tuple):
         return set(map(abs, self))
 
 
-class Cnf:
-    """A sequence of clauses; duplicates allowed, removed by normalize()."""
-
-    __slots__ = ("clauses",)
-
-    def __init__(self, clauses=()):
-        clauses = tuple(clauses)
-        if not {Clause}.issuperset(map(type, clauses)):
-            clauses = tuple(c if isinstance(c, Clause) else Clause(c)
-                            for c in clauses)
-        self.clauses = clauses
-
-    def __iter__(self):
-        return iter(self.clauses)
-
-    def __len__(self):
-        return len(self.clauses)
-
-    def __add__(self, other):
-        return Cnf(self.clauses + tuple(other))
-
-    def __eq__(self, other):
-        return isinstance(other, Cnf) and self.clauses == other.clauses
-
-    def __repr__(self):
-        return "Cnf[%s]" % ", ".join(repr(c) for c in self.clauses)
-
-    def normalize(self):
-        seen = set()
-        out = []
-        for c in self.clauses:
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return Cnf(out)
-
-    def variables(self):
-        return set(map(abs, chain.from_iterable(self.clauses)))
+def variables(f):
+    """The variable ids of the clauses f."""
+    return set(map(abs, chain.from_iterable(f)))
 
 
 def rename(f, ids):
     """f with every variable v replaced by ids[v]; KeyError for a variable
     ids does not map."""
-    return Cnf(Clause(tuple(ids[l] if l > 0 else -ids[-l] for l in c))
-               for c in f)
+    return [Clause(ids[l] if l > 0 else -ids[-l] for l in c) for c in f]
 
 
 def evaluate(f, assignment):

@@ -13,10 +13,10 @@ import functools
 import random
 
 from .circuit import simulate_lanes
-from .cnf import Cnf, Clause, longest_falsified_clause, rename
+from .cnf import Clause, longest_falsified_clause, rename
 from .sat import Solver
 from .boundary import makeup_clauses, clause_implied
-from .pclor import Checker
+from .pclor import Checker, Witness
 from .pqe import PqeBudgetError
 
 
@@ -209,13 +209,13 @@ def houdini(ts, cands, required=()):
     simulated state falsifies, c among them, simulating until a step drops
     nothing.  Rounds repeat until one drops nothing, so the result does not
     depend on the models the solver returns."""
-    cands = list(Cnf(cands).normalize())
+    cands = list(dict.fromkeys(cands))
     required = set(required)
     sim = _Simulator(ts)
     while True:
-        solver = Solver(cands + list(ts.trans))
+        solver = Solver(cands + ts.trans)
         alive = [True] * len(cands)
-        for i, c1 in enumerate(rename(Cnf(cands), ts.next)):
+        for i, c1 in enumerate(rename(cands, ts.next)):
             if not alive[i] or not (res := solver.solve([-l for l in c1])):
                 continue
             start = {v.name: FULL if res.model[ts.next[v.id]] else 0
@@ -232,20 +232,6 @@ def houdini(ts, cands, required=()):
         if all(alive):
             return cands
         cands = [c for c, keep in zip(cands, alive) if keep]
-
-
-def _houdini_invariant(ts, init):
-    """Houdini over I, the mined candidates and P.  The survivors are an
-    inductive invariant when I implies them and every clause of P survived;
-    otherwise None.  When mining reaches a bad state, its path instead."""
-    mined, path = mine(ts)
-    if path is not None:
-        return path
-    inv = houdini(ts, list(ts.init) + mined + list(ts.prop),
-                  required=ts.prop)
-    if inv is not None and not any(init.solve([-l for l in c]) for c in inv):
-        return Cnf(inv)
-    return None
 
 
 class IcChecker(Checker):
@@ -279,17 +265,23 @@ class IcChecker(Checker):
         return None
 
     def fin_rlx(self, j):
-        if self.ts.interface is None:
+        """Houdini's survivors are an inductive invariant when I implies
+        them and every clause of P survived."""
+        ts, chain = self.ts, self.chain
+        if ts.interface is None:
             return super().fin_rlx(j)
-        self.chain.add_frame()
+        chain.add_frame()
         if j == 1:
-            found = _houdini_invariant(self.ts, self._init_solver)
-            if isinstance(found, Cnf):
-                self.chain.strengthen(j, list(self.ts.prop))
-            if found is not None:
-                return found
-        self.chain.strengthen(j, list(educat_guess_rlx(self.chain, j))
-                              + list(self.ts.prop))
+            init = self._init_solver
+            mined, path = mine(ts)
+            if path is not None:
+                return self.convert_cex(path)
+            inv = houdini(ts, ts.init + mined + ts.prop, required=ts.prop)
+            if inv is not None and \
+                    not any(init.solve([-l for l in c]) for c in inv):
+                chain.strengthen(j, ts.prop)
+                return Witness("invariant", invariant=inv)
+        chain.strengthen(j, educat_guess_rlx(chain, j) + ts.prop)
         return None
 
 

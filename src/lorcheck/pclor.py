@@ -21,7 +21,7 @@ class Witness:
     def __init__(self, kind, trace=None, invariant=None):
         self.kind = kind          # "counterexample" | "invariant"
         self.trace = trace        # [(inputs dict | None, state dict)], by name
-        self.invariant = invariant  # Cnf over canonical state vars
+        self.invariant = invariant  # clauses over canonical state vars
 
 
 class Options:
@@ -77,8 +77,8 @@ class Checker:
         PQE makeup clauses, which exclude s by the makeup equality."""
         chain = self.chain
         idx = self.select_relaxation(k, s)
-        chain.strengthen(k, list(makeup_clauses(chain, k, idx)))
-        if evaluate(chain.h_cnf(k), s) is not False:
+        chain.strengthen(k, makeup_clauses(chain, k, idx))
+        if evaluate(chain.h[k], s) is not False:
             raise CheckerError("frame %d: the makeup clauses do not exclude "
                                "a state without a predecessor" % k)
 
@@ -177,8 +177,7 @@ class Checker:
     def fin_rlx(self, j):
         """Create H_j and strengthen it until it implies P.  After
         rem_bad_st(j), no bad state of H_j has a predecessor in H_{j-1}.
-        An override may end the run by returning an invariant it found (a
-        Cnf) or a path to a bad state (a list, as rem_bad_st returns)."""
+        An override may end the run by returning a Witness it found."""
         chain = self.chain
         chain.add_frame()
         while True:
@@ -220,7 +219,8 @@ class Checker:
         at every state t of H_{k-1}, and so of H_k, by the stutter step
         t → t (see makeup_clauses), so G holds at t.  IcChecker._block
         keeps it too."""
-        return detect_invariant(self.chain)
+        inv = detect_invariant(self.chain)
+        return None if inv is None else Witness("invariant", invariant=inv)
 
     # ------------------------------------------------------------- result
 
@@ -247,17 +247,17 @@ class Checker:
                 if (path := self.rem_bad_st(j)) is not None:
                     return self.convert_cex(path)
                 phase = "fin_rlx"
-                inv = self.fin_rlx(j)
-                if isinstance(inv, list):
-                    return self.convert_cex(inv)
+                found = self.fin_rlx(j)
+                if found is not None and found.kind == "counterexample":
+                    return found
                 phase = "the third_co_cond walk"
                 self.third_co_cond()
-                if inv is None:
-                    inv = self.fin_touch()
+                if found is None:
+                    found = self.fin_touch()
                 if self.opts.iter_hook:
                     self.opts.iter_hook(self.chain)
-                if inv is not None:
-                    return Witness("invariant", invariant=inv)
+                if found is not None:
+                    return found
         except PqeBudgetError as e:
             e.phase = e.phase or phase
             raise

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .cnf import Clause, Cnf, evaluate
+from .cnf import Clause, evaluate
 from .sat import Solver
 
 
@@ -53,8 +53,8 @@ class PqeBudgetError(Exception):
 class PqeTask:
     def __init__(self, w, a, b):
         self.w = frozenset(w)
-        self.a = a if isinstance(a, Cnf) else Cnf(a)
-        self.b = b if isinstance(b, Cnf) else Cnf(b)
+        self.a = a
+        self.b = b
 
 
 def take_out(task, budget=DEFAULT_BUDGET, covered=None):
@@ -66,14 +66,14 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     taken.  A point's membership is asked only after A ∧ B is found
     satisfiable there, as most points of a costly task are not."""
     w = task.w
-    a, ab = list(task.a), list(task.a) + list(task.b)
+    a, ab = task.a, task.a + task.b
     free_set = set(map(abs, chain.from_iterable(ab))) - w
     free = sorted(free_set)
     # ¬A: selector s_i implies that clause i of A is false, and some s_i holds
     top = max(chain(w, free), default=0)
     sels = range(top + 1, top + 1 + len(a))
     not_a = [(-s, -l) for s, c in zip(sels, a) for l in c] + [tuple(sels)]
-    points = Solver(list(task.b) + not_a, extra_vars=free)
+    points = Solver(task.b + not_a, extra_vars=free)
     ab_solver = Solver(ab, extra_vars=free)
     # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
     liftable = [c for c in ab if not w.issuperset(map(abs, c))]
@@ -88,7 +88,7 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     for _ in range(budget):
         res = points.solve()
         if not res:
-            return Cnf(answer)
+            return answer
         y = [v if res.model[v] else -v for v in free]
         res = ab_solver.solve(y)
         if res:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cnf import Cnf, Clause, evaluate, longest_falsified_clause
+from .cnf import evaluate, longest_falsified_clause, variables
 from .circuit import simulate
 
 
@@ -37,7 +37,7 @@ def qe_bruteforce(w_ids, f):
     """∃W[f] as a canonical CNF: one longest-falsified clause per excluded
     point of V = vars(f) \\ W."""
     w_ids = set(w_ids)
-    all_vars = f.variables()
+    all_vars = variables(f)
     if len(all_vars) > 24:
         raise OracleBudgetError("qe_bruteforce: %d vars exceeds budget" % len(all_vars))
     v_ids = sorted(all_vars - w_ids)
@@ -46,7 +46,7 @@ def qe_bruteforce(w_ids, f):
     for v in all_assignments(v_ids):
         if not _exists(f, v, w_used):
             clauses.append(longest_falsified_clause(v))
-    return Cnf(clauses)
+    return clauses
 
 
 def check_pqe(w_ids, a, b, a_star):
@@ -56,7 +56,7 @@ def check_pqe(w_ids, a, b, a_star):
         bad = c.variables() & w_ids
         if bad:
             raise ValueError("A* mentions quantified variable %s" % sorted(bad))
-    all_vars = a.variables() | b.variables() | a_star.variables()
+    all_vars = variables(a) | variables(b) | variables(a_star)
     if len(all_vars) > 24:
         raise OracleBudgetError("check_pqe: %d vars exceeds budget" % len(all_vars))
     v_ids = sorted(all_vars - w_ids)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from lorcheck.cnf import Cnf, Clause, evaluate
+from lorcheck.cnf import Clause, evaluate, variables
 from lorcheck.sat import solve, implies
 from lorcheck.circuit import parse_circuit, encode, add_stuttering, build_miter
 from lorcheck.pqe import PqeTask, take_out
@@ -47,7 +47,7 @@ def random_pqe_task(rng):
             vs = rng.sample(range(1, n + 1), k)
             out.append(Clause(tuple(v if rng.random() < 0.5 else -v
                                     for v in vs)))
-        return Cnf(out)
+        return out
     w = set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
     return PqeTask(w, cnf(1, 10), cnf(0, 20))
 
@@ -77,7 +77,7 @@ def test_criterion_2_boundary_formulas_verified():
         def hook(ch):
             for k in range(1, ch.j + 1):
                 results.append(verify_boundary(
-                    ch.h_cnf(k), ts, ch.trlx_cnf(k - 1), k))
+                    ch.h[k], ts, ch.trlx_cnf(k - 1), k))
         return hook
 
     for ts in fixture_corpus():
@@ -94,7 +94,7 @@ def test_criterion_3_sec_seed_exact_and_fast():
     chain.add_frame()
     seed = educat_guess_rlx(chain, 1)
     sn, sk = ts.state_ids(0)
-    eq = Cnf([Clause((sn, -sk)), Clause((-sn, sk))])
+    eq = [Clause((sn, -sk)), Clause((-sn, sk))]
     exact = implies(seed, eq) and implies(eq, seed)
     frames = []
     t0 = time.perf_counter()
@@ -161,11 +161,11 @@ def bmc_sat(ts, depth):
     v of T to v + i·size, and each next-state id to its state id one block
     up, where step i+1 reads it."""
     s0, s1 = ts.state_ids(0), ts.state_ids(1)
-    size = max(ts.trans.variables() | set(s0) | set(s1))
+    size = max(variables(ts.trans) | set(s0) | set(s1))
 
     def move(f, ids):
-        return Cnf(Clause([ids[l] if l > 0 else -ids[-l] for l in c])
-                   for c in f)
+        return [Clause([ids[l] if l > 0 else -ids[-l] for l in c])
+                for c in f]
 
     def block(i):
         ids = {v: v + i * size for v in range(1, size + 1)}
@@ -239,7 +239,7 @@ def test_criterion_9_sat_differential():
             vs = rng.sample(range(1, n + 1), k)
             clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v
                                         for v in vs)))
-        f = Cnf(clauses)
+        f = clauses
         res = solve(f)
         want = any(
             evaluate(f, dict(zip(range(1, n + 1), bits))) is True

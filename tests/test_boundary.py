@@ -5,7 +5,7 @@ from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
                                check_co, clause_implied, detect_invariant)
 from lorcheck.circuit import (CircuitError, add_stuttering, build_miter,
                               encode, parse_circuit)
-from lorcheck.cnf import Cnf, Clause, rename, evaluate
+from lorcheck.cnf import Clause, rename, evaluate, variables
 from lorcheck.indclause import pc_lor_ic
 from lorcheck.pclor import pc_lor
 from lorcheck.pqe import PqeBudgetError, take_out
@@ -36,7 +36,7 @@ class TestFrameChain:
     def test_h0_is_initial(self, stuck0):
         chain = FrameChain(stuck0)
         assert chain.j == 0
-        assert chain.h_cnf(0) == stuck0.init
+        assert chain.h[0] == stuck0.init
 
     def test_relax_and_restore_rebuild_one_solver(self, stuck0,
                                                   built_solvers):
@@ -166,7 +166,7 @@ class TestUnrolledLhs:
             chain.strengthen(k, [Clause((-s,))])
             extra = [chain.trans_clauses[0]]
             task = unrolled_lhs(chain, k, extra)
-            sizes.append((len(task.a.variables() | task.b.variables()),
+            sizes.append((len(variables(task.a) | variables(task.b)),
                           len(task.a) + len(task.b)))
             chain.restore(k - 1, [0])
         assert len(set(sizes)) == 1, sizes
@@ -178,7 +178,7 @@ class TestMakeupClauses:
         chain.add_frame()
         g = makeup_clauses(chain, 1, stuck0_drop_indices(stuck0))
         chain.strengthen(1, list(g))
-        assert verify_boundary(chain.h_cnf(1), stuck0, chain.trlx_cnf(0), 1)
+        assert verify_boundary(chain.h[1], stuck0, chain.trlx_cnf(0), 1)
 
     def test_double_removal_rejected(self, stuck0):
         chain = FrameChain(stuck0)
@@ -207,12 +207,14 @@ class TestMakeupClauses:
 
 def recorded_makeup_tasks(monkeypatch):
     """A list that gains (task, covered, answer) for every take_out call
-    of makeup_clauses."""
+    of makeup_clauses; covered is copied, as H_{k-1}′ grows later."""
     calls = []
 
     def record(task, **kw):
         a_star = take_out(task, **kw)
-        calls.append((task, kw.get("covered"), a_star))
+        covered = kw.get("covered")
+        calls.append((task, covered if covered is None else list(covered),
+                      a_star))
         return a_star
     monkeypatch.setattr(boundary, "take_out", record)
     return calls
@@ -220,7 +222,7 @@ def recorded_makeup_tasks(monkeypatch):
 
 def inside_the_contract(task, covered):
     """Does ∃W[B] imply ∃W[A ∧ B] on every free point of `covered`?"""
-    free = (task.a.variables() | task.b.variables()) - task.w
+    free = (variables(task.a) | variables(task.b)) - task.w
     eb = qe_bruteforce(task.w, task.b)
     eab = qe_bruteforce(task.w, task.a + task.b)
     return all(evaluate(eb, y) is False or evaluate(eab, y) is True
@@ -251,7 +253,7 @@ class TestMakeupAnswers:
         checked = 0
         for task, covered, a_star in calls:
             assert covered is not None
-            if len(task.a.variables() | task.b.variables()) \
+            if len(variables(task.a) | variables(task.b)) \
                     > self.ORACLE_VARS:
                 continue
             checked += 1
@@ -328,8 +330,8 @@ class TestInvariantDetection:
         chain.strengthen(1, [Clause((-s,))])
         inv = detect_invariant(chain)
         assert inv is not None
-        assert implies(inv, Cnf([Clause((-s,))]))
-        assert implies(Cnf([Clause((-s,))]), inv)
+        assert implies(inv, [Clause((-s,))])
+        assert implies([Clause((-s,))], inv)
 
     def test_no_fixpoint(self, toggle):
         chain = FrameChain(toggle)
@@ -349,12 +351,12 @@ class TestInvariantDetection:
         before = len(built_solvers)
         inv = detect_invariant(chain)
         # frame 1 fails on one of I's four clauses, frame 2 implies H_1
-        assert inv == Cnf(init[:1])
+        assert inv == init[:1]
         assert len(built_solvers) - before == 2
         # the new clause goes to H_1's solver, and a second scan reuses it
         # for the clauses of I that H_1 implies without holding them
         chain.strengthen(1, init[2:3])
-        assert detect_invariant(chain) == Cnf(init)
+        assert detect_invariant(chain) == init
         assert len(built_solvers) - before == 2
 
     def test_a_member_is_implied_without_a_solve(self, stuck0, monkeypatch):

@@ -9,7 +9,7 @@ from lorcheck.circuit import (CircuitError, parse_circuit, encode,
                               add_stuttering, build_miter, simulate,
                               eval_expr, compile_state_predicate, stutter)
 from lorcheck.cli import main
-from lorcheck.cnf import Cnf, Clause, evaluate, rename
+from lorcheck.cnf import Clause, evaluate, rename, variables
 from lorcheck.sat import solve, implies
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
                       random_system_source, shreg_source, xorreg_source,
@@ -301,7 +301,7 @@ class TestNextMap:
     def test_round_trip(self, name, request):
         ts = request.getfixturevalue(name)
         ids = ts.state_ids(0)
-        mixed = Cnf([Clause([v if i % 2 else -v for i, v in enumerate(ids)])])
+        mixed = [Clause([v if i % 2 else -v for i, v in enumerate(ids)])]
         for f in (ts.init, ts.prop, mixed):
             assert rename(rename(f, ts.next), ts.prev) == f
 
@@ -311,7 +311,7 @@ class TestNextMap:
         frame1 = {v.id for v in ts.table.by_key.values() if v.frame == 1}
         assert set(ts.next) == set(ts.state_ids(0))
         assert len(set(ts.next.values())) == len(ts.next)
-        assert set(ts.next.values()) == frame1 & ts.trans.variables()
+        assert set(ts.next.values()) == frame1 & variables(ts.trans)
         assert list(ts.next.values()) == ts.state_ids(1)
         assert ts.prev == {n: v for v, n in ts.next.items()}
 
@@ -319,10 +319,10 @@ class TestNextMap:
         ts = stuck0
         before = dict(ts.table.by_key)
         inputs = {v.id for v in ts.input_vars}
-        tseitin = ts.trans.variables() - set(ts.next) - set(ts.prev) - inputs
+        tseitin = variables(ts.trans) - set(ts.next) - set(ts.prev) - inputs
         for v in sorted(inputs) + [min(tseitin)]:
             with pytest.raises(KeyError):
-                rename(Cnf([Clause((-v,))]), ts.next)
+                rename([Clause((-v,))], ts.next)
         with pytest.raises(KeyError):
             rename(ts.prop, ts.prev)
         assert ts.table.by_key == before
@@ -401,7 +401,7 @@ class TestMiter:
         ts = add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
                                                parse_circuit(DFF_SRC))))
         a, b = ts.table.get("n.x", 0).id, ts.table.get("k.x", 0).id
-        assert [ts.trans.clauses[i] for i in ts.interface] == [
+        assert [ts.trans[i] for i in ts.interface] == [
             Clause((a, -b)), Clause((-a, b))]
         assert encode(parse_circuit(DFF_SRC)).interface is None
         assert add_stuttering(encode(parse_circuit(DFF_SRC))).interface is None
@@ -446,7 +446,7 @@ class TestMiter:
         m = build_miter(parse_circuit(DFF_SRC), parse_circuit(DFF_SRC))
         ts = encode(m)
         sn, sk = ts.state_ids(0)
-        eq = Cnf([Clause((sn, -sk)), Clause((-sn, sk))])
+        eq = [Clause((sn, -sk)), Clause((-sn, sk))]
         assert implies(eq + ts.trans, rename(eq, ts.next))
 
 
@@ -593,7 +593,7 @@ def enumerated_prop(c, table):
         if not _prop_value(c, state):
             clauses.append(Clause([-table.get(n, 0).id if b else table.get(n, 0).id
                                    for n, b in zip(names, bits)]))
-    return Cnf(clauses)
+    return clauses
 
 
 def _random_prop_source(rng):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
 from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
                               build_miter)
 from lorcheck.pclor import pc_lor, Options, Witness
-from lorcheck.cnf import Cnf
 from lorcheck.sat import Solver
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
@@ -235,7 +235,7 @@ class TestCheck:
         import lorcheck.pclor as pclor
         # makeup clauses that relax nothing and exclude nothing
         monkeypatch.setattr(pclor, "makeup_clauses",
-                            lambda chain, k, r_new: Cnf([]))
+                            lambda chain, k, r_new: [])
         p = tmp_path / "ring7.scirc"
         p.write_text("latch s0 init 1 next s6\n"
                      + "".join("latch s%d init 0 next s%d\n" % (i, i - 1)
@@ -673,11 +673,11 @@ class TestWitnessVerification:
         main(["check", toggle_file])
         capfd.readouterr()
         path = toggle_file + ".witness"
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         # flip the final state bit
         last = lines[-1]
         lines[-1] = last[:-1] + ("0" if last.endswith("1") else "1")
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         assert main(["verify-witness", toggle_file, path]) == 1
         assert "witness rejected" in capfd.readouterr().out
 
@@ -685,8 +685,8 @@ class TestWitnessVerification:
         main(["check", stuck0_file])
         capfd.readouterr()
         path = stuck0_file + ".witness"
-        text = open(path).read().replace("-1 0", "1 0")
-        open(path, "w").write(text)
+        text = Path(path).read_text().replace("-1 0", "1 0")
+        Path(path).write_text(text)
         assert main(["verify-witness", stuck0_file, path]) == 1
         got = capfd.readouterr()
         assert "witness rejected" in got.out
@@ -889,7 +889,7 @@ class TestWitnessVerification:
         src.write_text(self.STRICT_SRC)
         assert main(["check", str(src)]) == 1
         path = str(src) + ".witness"
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[1:3] == ["# inputs: x stut", "# state: s"]
         assert main(["verify-witness", str(src), path]) == 0
         capfd.readouterr()

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lorcheck.cnf import (Clause, Cnf, evaluate, lit_sat,
-                          longest_falsified_clause)
+from lorcheck.cnf import Clause, evaluate, lit_sat, longest_falsified_clause
 
 
 def assignments(max_var=6):
@@ -23,13 +22,13 @@ class TestClause:
 
 class TestEvaluate:
     def test_three_valued(self):
-        f = Cnf([Clause((1, 2))])
+        f = [Clause((1, 2))]
         assert evaluate(f, {1: True}) is True
         assert evaluate(f, {1: False, 2: False}) is False
         assert evaluate(f, {1: False}) is None
 
     def test_empty_formula_true(self):
-        assert evaluate(Cnf([]), {}) is True
+        assert evaluate([], {}) is True
 
 
 def test_lit_sat():
@@ -48,8 +47,8 @@ class TestLongestFalsifiedClause:
         if not a:
             return
         c = longest_falsified_clause(a)
-        assert evaluate(Cnf([c]), a) is False
+        assert evaluate([c], a) is False
         flipped = dict(a)
         v = sorted(a)[0]
         flipped[v] = not flipped[v]
-        assert evaluate(Cnf([c]), flipped) is True
+        assert evaluate([c], flipped) is True

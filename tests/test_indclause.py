@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from lorcheck.cnf import (Cnf, Clause, evaluate, longest_falsified_clause,
+from lorcheck.cnf import (Clause, evaluate, longest_falsified_clause,
                           rename)
 from lorcheck.sat import Solver, implies
 from lorcheck.boundary import FrameChain, check_co
@@ -29,7 +29,7 @@ def step_solver(ts, f):
 
 def fresh_answer(ts, f, c):
     """Is c not inductive relative to f, by a fresh Solver(f ∧ c ∧ T)?"""
-    c1 = rename(Cnf([c]), ts.next).clauses[0]
+    c1 = rename([c], ts.next)[0]
     step = Solver(list(f) + [c] + list(ts.trans), extra_vars=ts.step_vars)
     return bool(step.solve([-l for l in c1]))
 
@@ -38,9 +38,9 @@ def assert_inductive_clause(ts, f, c, wide):
     """c is a subset of the clause `wide`, I implies it and it is inductive
     relative to f, by fresh solvers."""
     assert set(c.lits) <= set(wide.lits)
-    assert implies(ts.init, Cnf([c]))
-    assert implies(Cnf(list(f)) + Cnf([c]) + ts.trans,
-                   rename(Cnf([c]), ts.next))
+    assert implies(ts.init, [c])
+    assert implies(list(f) + [c] + ts.trans,
+                   rename([c], ts.next))
 
 
 class TestMakeInductiveClause:
@@ -75,7 +75,7 @@ class TestMakeInductiveClause:
                 c = make_inductive_clause(ts, step, s, init)
                 if isinstance(c, Cti):
                     continue
-                assert evaluate(Cnf([c]), s) is False
+                assert evaluate([c], s) is False
                 assert_inductive_clause(ts, f, c, longest_falsified_clause(s))
 
     def test_kept_solver_answers_as_a_fresh_one(self):
@@ -103,9 +103,9 @@ class TestMakeInductiveClause:
                 assert cti == fresh_answer(ts, f, wide)
                 outcomes[cti] += 1
                 if cti:
-                    assert evaluate(Cnf(f + [wide]) + ts.trans,
+                    assert evaluate(f + [wide] + ts.trans,
                                     r.model) is True
-                    assert evaluate(rename(Cnf([wide]), ts.next),
+                    assert evaluate(rename([wide], ts.next),
                                     r.model) is False
                     continue
                 assert_inductive_clause(ts, f, r, wide)
@@ -185,7 +185,7 @@ class TestGuessSeeding:
         chain.add_frame()
         seed = educat_guess_rlx(chain, 1)
         sn, sk = ts.state_ids(0)
-        eq = Cnf([Clause((sn, -sk)), Clause((-sn, sk))])
+        eq = [Clause((sn, -sk)), Clause((-sn, sk))]
         assert implies(seed, eq) and implies(eq, seed)
         assert verify_boundary(seed, ts, chain.trlx_cnf(0), 1)
 
@@ -193,17 +193,17 @@ class TestGuessSeeding:
 def _inductive_by_enumeration(ts, clauses, succ):
     """Every successor of a state satisfying `clauses` satisfies them too."""
     ids = ts.state_ids(0)
-    f = Cnf(clauses)
 
     def holds(s):
-        return evaluate(f, dict(zip(ids, s))) is True
+        return evaluate(clauses, dict(zip(ids, s))) is True
     return all(holds(t) for s in succ if holds(s) for t in succ[s])
 
 
 def _random_clauses(rng, ids):
-    return list(Cnf(Clause(v if rng.random() < 0.5 else -v
-                           for v in rng.sample(ids, rng.randint(1, 2)))
-                    for _ in range(rng.randint(1, 8))).normalize())
+    return list(dict.fromkeys(
+        Clause(v if rng.random() < 0.5 else -v
+               for v in rng.sample(ids, rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 8))))
 
 
 def _renamed(src):
@@ -256,8 +256,8 @@ def _houdini_cases():
         ts = random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
         yield ts, _random_clauses(rng, ts.state_ids(0))
     for ts in _random_miters(rng, 8):
-        pool = list(Cnf(list(ts.init) + (mine(ts)[0] or []) + list(ts.prop)
-                        + _random_clauses(rng, ts.state_ids(0))).normalize())
+        pool = list(dict.fromkeys(ts.init + (mine(ts)[0] or []) + ts.prop
+                                  + _random_clauses(rng, ts.state_ids(0))))
         yield ts, rng.sample(pool, min(8, len(pool)))
 
 
@@ -319,7 +319,7 @@ class TestHoudini:
         chk = IcChecker(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
         w = chk.run()
         assert w.kind == "invariant" and frames == [1]
-        assert list(w.invariant) == list(IcChecker(ts).fin_rlx(1))
+        assert list(w.invariant) == list(IcChecker(ts).fin_rlx(1).invariant)
         check_invariant_witness(ts, w.invariant)
         # the state-pair equalities of I survive, the zero initial values not
         assert set(w.invariant) >= {c for c in ts.init if len(c) == 2}
@@ -335,8 +335,8 @@ class TestHoudini:
         chk = IcChecker(ts)
         assert chk.fin_rlx(1) is None
         # H_1 holds the seed and P only, as without Houdini
-        want = Cnf(list(seed) + list(ts.prop)).normalize()
-        assert chk.chain.h[1] == list(want)
+        want = list(dict.fromkeys(seed + ts.prop))
+        assert chk.chain.h[1] == want
         w = pc_lor_ic(ts)
         assert w.kind == "counterexample"
         replay_trace(ts, w.trace)
@@ -462,7 +462,7 @@ class TestIcChecker:
         check_invariant_witness(dff_miter, w.invariant)
         assert max(frames) <= 2
         sn, sk = dff_miter.state_ids(0)
-        eq = Cnf([Clause((sn, -sk)), Clause((-sn, sk))])
+        eq = [Clause((sn, -sk)), Clause((-sn, sk))]
         assert implies(w.invariant, eq)
 
     def test_matches_plain_engine(self):
@@ -626,7 +626,7 @@ class TestBackwardWalk:
         c, ts = self.checker(engine, RING3_SRC, 2)
         s = dict(zip(ts.state_ids(0), (True, True, False)))
         assert c._backward_walk(2, s, None) is None
-        assert evaluate(c.chain.h_cnf(2), s) is False
+        assert evaluate(c.chain.h[2], s) is False
 
     def test_each_predecessor_question_asked_once(self, engine):
         c, ts = self.checker(engine, RING3_SRC, 2)

@@ -5,7 +5,7 @@ import pytest
 
 from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
                               add_stuttering, build_miter)
-from lorcheck.cnf import Cnf, Clause, evaluate, rename
+from lorcheck.cnf import Clause, evaluate, rename
 from lorcheck.sat import Solver, implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
 from lorcheck.indclause import pc_lor_ic
@@ -54,7 +54,7 @@ class TestVerdicts:
         assert w.kind == "invariant"
         check_invariant_witness(stuck0, w.invariant)
         s = stuck0.state_ids(0)[0]
-        assert implies(w.invariant, Cnf([Clause((-s,))]))
+        assert implies(w.invariant, [Clause((-s,))])
 
     def test_toggle_counterexample(self, toggle):
         w = pc_lor(toggle)
@@ -129,7 +129,7 @@ class TestChainSoundness:
         def hook(ch):
             for k in range(1, ch.j + 1):
                 results.append(verify_boundary(
-                    ch.h_cnf(k), ts, ch.trlx_cnf(k - 1), k))
+                    ch.h[k], ts, ch.trlx_cnf(k - 1), k))
         engine(ts, Options(iter_hook=hook))
         assert results and all(results)
 
@@ -148,7 +148,7 @@ class TestChainSoundness:
         def hook(ch):
             for k in range(1, ch.j + 1):
                 results.append(verify_boundary(
-                    ch.h_cnf(k), ts, ch.trlx_cnf(k - 1), k))
+                    ch.h[k], ts, ch.trlx_cnf(k - 1), k))
         for engine in (pc_lor, pc_lor_ic):
             engine(ts, Options(iter_hook=hook))
         assert results and all(results)
@@ -200,7 +200,7 @@ class TestThirdCoCond:
         assert chain.co3_done[m] == 0
         c.third_co_cond()
         asked = {tuple(a) for k, a in solves if k == m - 1}
-        h1 = chain.h_next(m)
+        h1 = chain.h1[m]
         assert all(tuple(-l for l in cl) in asked for cl in h1)
         assert chain.co3_done[m] == len(chain.h[m])
 
@@ -340,7 +340,7 @@ class TestFinTouch:
 
         def checked(chain, k, clauses):
             clauses = list(clauses)
-            assert implies(chain.h_cnf(k - 1), Cnf(clauses))
+            assert implies(chain.h[k - 1], clauses)
             added.extend(clauses)
             strengthen(chain, k, clauses)
         monkeypatch.setattr(FrameChain, "strengthen", checked)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorcheck import pqe
-from lorcheck.cnf import Cnf, Clause, evaluate, longest_falsified_clause
+from lorcheck.cnf import Clause, evaluate, longest_falsified_clause, variables
 from lorcheck.pqe import PqeTask, PqeBudgetError, take_out
 from lorcheck.qe_oracle import all_assignments, check_pqe, qe_bruteforce
 
@@ -20,7 +20,7 @@ def random_task(rng, max_var=8, max_clauses=16):
             vs = rng.sample(range(1, n + 1), k)
             out.append(Clause(tuple(v if rng.random() < 0.5 else -v
                                     for v in vs)))
-        return Cnf(out)
+        return out
     w = set(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
     return PqeTask(w, cnf(1, max_clauses // 3), cnf(0, max_clauses))
 
@@ -29,7 +29,7 @@ def chain_task(n):
     """w_1..w_n quantified, x = n + 1 free: A = (x ∨ w_1), B = the chain
     w_1 → w_2 → … → w_n with ¬w_n, a chain of n implications."""
     b = [Clause((-i, i + 1)) for i in range(1, n)] + [Clause((-n,))]
-    return PqeTask(range(1, n + 1), Cnf([Clause((n + 1, 1))]), Cnf(b))
+    return PqeTask(range(1, n + 1), [Clause((n + 1, 1))], b)
 
 
 class TestTrivialRedundancy:
@@ -38,23 +38,23 @@ class TestTrivialRedundancy:
 
     def test_satisfied(self):
         # every model of B satisfies the free literal 1 of (1 ∨ 2)
-        t = PqeTask({2, 3}, Cnf([Clause((1, 2))]),
-                    Cnf([Clause((1, 3)), Clause((1, -3))]))
+        t = PqeTask({2, 3}, [Clause((1, 2))],
+                    [Clause((1, 3)), Clause((1, -3))])
         assert list(take_out(t)) == []
 
     def test_subsumed_cofactor(self):
         # (1 ∨ 2) with B clause (2)
-        t = PqeTask({1}, Cnf([Clause((1, 2))]), Cnf([Clause((2,))]))
+        t = PqeTask({1}, [Clause((1, 2))], [Clause((2,))])
         assert list(take_out(t)) == []
 
     def test_blocked(self):
         # w-var 2 appears only positively: no resolution partner
-        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((3, 2))]))
+        t = PqeTask({2}, [Clause((1, 2))], [Clause((3, 2))])
         assert list(take_out(t)) == []
 
     def test_open_obligation(self):
         # the resolvent (1 ∨ 3) on w-var 2 is what A adds to ∃W[B]
-        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
+        t = PqeTask({2}, [Clause((1, 2))], [Clause((-2, 3))])
         assert list(take_out(t)) == [Clause((1, 3))]
 
 
@@ -64,7 +64,7 @@ class TestTakeOut:
         for _ in range(50):
             t = random_task(rng)
             a_star = take_out(t)
-            assert not (a_star.variables() & t.w)
+            assert not (variables(a_star) & t.w)
 
     def test_random_differential(self):
         rng = random.Random(32)
@@ -80,11 +80,11 @@ class TestTakeOut:
         assert check_pqe(t.w, t.a, t.b, take_out(t))
 
     def test_empty_a(self):
-        t = PqeTask({1}, Cnf([]), Cnf([Clause((1, 2))]))
+        t = PqeTask({1}, [], [Clause((1, 2))])
         assert list(take_out(t)) == []
 
     def test_w_free_a_passes_through(self):
-        t = PqeTask({3}, Cnf([Clause((1, 2))]), Cnf([Clause((3, 1))]))
+        t = PqeTask({3}, [Clause((1, 2))], [Clause((3, 1))])
         a_star = take_out(t)
         assert check_pqe(t.w, t.a, t.b, a_star)
 
@@ -153,21 +153,21 @@ class TestTakeOut:
     def test_unsat_core_case(self):
         # A ∧ B unsatisfiable: A* must be (equivalent to) false wherever
         # ∃W[B] holds; B alone is satisfiable everywhere here.
-        t = PqeTask({1}, Cnf([Clause((1,))]), Cnf([Clause((-1,))]))
+        t = PqeTask({1}, [Clause((1,))], [Clause((-1,))])
         a_star = take_out(t)
         assert check_pqe(t.w, t.a, t.b, a_star)
 
     def test_budget_error_when_enumeration_impossible(self):
         # a one-point budget cannot finish a 26-variable task
-        big = Cnf([Clause((v, v + 1)) for v in range(1, 26)])
-        t = PqeTask(set(range(1, 26, 2)), big, Cnf([]))
+        big = [Clause((v, v + 1)) for v in range(1, 26)]
+        t = PqeTask(set(range(1, 26, 2)), big, [])
         with pytest.raises(PqeBudgetError):
             take_out(t, budget=1)
 
     def test_budget_fallback_when_small(self):
         # a spent budget is an error even when the task is small enough to
         # enumerate: take_out never switches to another algorithm
-        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
+        t = PqeTask({2}, [Clause((1, 2))], [Clause((-2, 3))])
         with pytest.raises(PqeBudgetError):
             take_out(t, budget=1)
         assert check_pqe(t.w, t.a, t.b, take_out(t))
@@ -188,7 +188,7 @@ class TestTakeOut:
 def allowed_points(t):
     """The free points on which ∃W[B] implies ∃W[A ∧ B], by enumeration;
     the free variables first."""
-    free = sorted((t.a.variables() | t.b.variables()) - t.w)
+    free = sorted((variables(t.a) | variables(t.b)) - t.w)
     eb = qe_bruteforce(t.w, t.b)
     eab = qe_bruteforce(t.w, t.a + t.b)
     return free, [y for y in all_assignments(free)
@@ -202,12 +202,12 @@ def region_inside(rng, free, allowed):
     out = [Clause(tuple(v if rng.random() < 0.5 else -v
                         for v in rng.sample(free, rng.randint(1, len(free)))))
            for _ in range(rng.randint(0, 3) if free else 0)]
-    region = Cnf(out)
+    region = list(out)
     for y in all_assignments(free):
         if tuple(sorted(y.items())) not in inside and \
                 evaluate(region, y) is True:
             out.append(longest_falsified_clause(y))
-    return Cnf(out)
+    return out
 
 
 class TestCovered:
@@ -243,9 +243,9 @@ class TestCovered:
         # point 1 = 3 = 0 of the first but not of the second.  take_out
         # finds the satisfiable point 1 = 0, 3 = 1 first and blocks all of
         # ¬1, so the answer loses (1 ∨ 3)
-        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
+        t = PqeTask({2}, [Clause((1, 2))], [Clause((-2, 3))])
         assert list(take_out(t)) == [Clause((1, 3))]
-        a_star = take_out(t, covered=Cnf([Clause((-1,))]))
+        a_star = take_out(t, covered=[Clause((-1,))])
         assert list(a_star) == []
         assert not check_pqe(t.w, t.a, t.b, a_star)
 
@@ -260,7 +260,7 @@ class TestCovered:
             if len(allowed) < 2 ** len(free):
                 continue
             seen += 1
-            a_star = take_out(t, budget=2, covered=Cnf([]))
+            a_star = take_out(t, budget=2, covered=[])
             assert list(a_star) == []
             assert check_pqe(t.w, t.a, t.b, a_star)
         assert seen > 50
@@ -268,9 +268,9 @@ class TestCovered:
     def test_variables_outside_the_free_ones_count_as_false(self):
         # 9 is in no clause of the task: ¬1 ∨ 9 is read as ¬1, a region
         # outside the contract as above, and 1 ∨ 9 as 1, one inside it
-        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
-        assert list(take_out(t, covered=Cnf([Clause((-1, 9))]))) == []
-        a_star = take_out(t, covered=Cnf([Clause((1, 9))]))
+        t = PqeTask({2}, [Clause((1, 2))], [Clause((-2, 3))])
+        assert list(take_out(t, covered=[Clause((-1, 9))])) == []
+        a_star = take_out(t, covered=[Clause((1, 9))])
         assert list(a_star) == [Clause((1, 3))]
 
 
@@ -307,7 +307,7 @@ class TestSeeding:
                     lits.append(rng.choice((1, -1)) * rng.randint(top + 1,
                                                                   top + 3))
                 extra.append(Clause(lits))
-            covered = Cnf(extra) + region_inside(rng, free, allowed)
+            covered = extra + region_inside(rng, free, allowed)
             a_star = take_out(t, covered=covered)
             assert check_pqe(t.w, t.a, t.b, a_star)
             answer = set(a_star)
@@ -330,11 +330,11 @@ class TestSeeding:
         with pytest.raises(PqeBudgetError):
             take_out(t, budget=1)
         x = Clause((n + 1,))
-        assert list(take_out(t, budget=1, covered=Cnf([x]))) == [x]
+        assert list(take_out(t, budget=1, covered=[x])) == [x]
 
     def test_an_emptied_candidate_is_skipped(self):
         # 9 is in no clause of the task, so (9) restricts to the empty
         # clause, which is no answer
-        t = PqeTask({2}, Cnf([Clause((1, 2))]), Cnf([Clause((-2, 3))]))
-        a_star = take_out(t, covered=Cnf([Clause((9,)), Clause((1, 3, 9))]))
+        t = PqeTask({2}, [Clause((1, 2))], [Clause((-2, 3))])
+        a_star = take_out(t, covered=[Clause((9,)), Clause((1, 3, 9))])
         assert list(a_star) == [Clause((1, 3))]

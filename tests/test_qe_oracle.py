@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lorcheck.circuit import parse_circuit, encode, add_stuttering
-from lorcheck.cnf import Cnf, Clause, evaluate
+from lorcheck.cnf import Clause, evaluate, variables
 from lorcheck.qe_oracle import (OracleBudgetError, qe_bruteforce, check_pqe,
                                 initial_states, reach_bruteforce, image_under,
                                 verify_boundary)
@@ -20,7 +20,7 @@ def random_cnf(rng, max_var=6, max_clauses=10, max_len=3):
         k = rng.randint(1, min(max_len, n))
         vs = rng.sample(range(1, n + 1), k)
         out.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
-    return Cnf(out), n
+    return out, n
 
 
 class TestQeBruteforce:
@@ -30,7 +30,7 @@ class TestQeBruteforce:
             f, n = random_cnf(rng)
             w = set(rng.sample(range(1, n + 1), rng.randint(0, n)))
             g = qe_bruteforce(w, f)
-            assert not (g.variables() & w)
+            assert not (variables(g) & w)
             v_ids = sorted(set(range(1, n + 1)) - w)
             for bits in itertools.product([False, True], repeat=len(v_ids)):
                 va = dict(zip(v_ids, bits))
@@ -40,7 +40,7 @@ class TestQeBruteforce:
                 assert (evaluate(g, va) is True) == want
 
     def test_budget(self):
-        f = Cnf([Clause((v,)) for v in range(1, 26)])
+        f = [Clause((v,)) for v in range(1, 26)]
         with pytest.raises(OracleBudgetError):
             qe_bruteforce({1}, f)
 
@@ -60,15 +60,15 @@ class TestCheckPqe:
 
     def test_rejects_wrong_answer(self):
         # A = (v1), B = empty, W = {2}: A* must be equivalent to (v1)
-        a = Cnf([Clause((1,))])
-        b = Cnf([])
-        assert check_pqe({2}, a, b, Cnf([Clause((1,))]))
-        assert not check_pqe({2}, a, b, Cnf([]))
-        assert not check_pqe({2}, a, b, Cnf([Clause((-1,))]))
+        a = [Clause((1,))]
+        b = []
+        assert check_pqe({2}, a, b, [Clause((1,))])
+        assert not check_pqe({2}, a, b, [])
+        assert not check_pqe({2}, a, b, [Clause((-1,))])
 
     def test_quantified_var_in_answer_rejected(self):
         with pytest.raises(ValueError):
-            check_pqe({2}, Cnf([]), Cnf([]), Cnf([Clause((2,))]))
+            check_pqe({2}, [], [], [Clause((2,))])
 
 
 class TestReachability:
@@ -106,19 +106,19 @@ class TestVerifyBoundary:
     def test_exact_reachability_formula_accepted(self, toggle):
         # Reach(1) of TOGGLE is everything, so the empty CNF is H_1 for the
         # unrelaxed system (no relaxed-only states exist).
-        assert verify_boundary(Cnf([]), toggle, toggle.trans, 1)
+        assert verify_boundary([], toggle, toggle.trans, 1)
 
     def test_relaxed_only_state_must_be_excluded(self, stuck0):
         s = stuck0.state_ids(0)[0]
         # drop every transition clause: relaxation reaches s=1, so H_1 must
         # be 0 there; the constant-true formula is rejected, (¬s) accepted.
-        empty_rlx = Cnf([])
-        assert not verify_boundary(Cnf([]), stuck0, empty_rlx, 1)
-        assert verify_boundary(Cnf([Clause((-s,))]), stuck0, empty_rlx, 1)
+        empty_rlx = []
+        assert not verify_boundary([], stuck0, empty_rlx, 1)
+        assert verify_boundary([Clause((-s,))], stuck0, empty_rlx, 1)
 
     def test_reach_state_must_be_included(self, toggle):
         s = toggle.state_ids(0)[0]
-        assert not verify_boundary(Cnf([Clause((-s,))]), toggle,
+        assert not verify_boundary([Clause((-s,))], toggle,
                                    toggle.trans, 1)
 
 

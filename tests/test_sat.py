@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from lorcheck.cnf import Clause, Cnf, evaluate
+from lorcheck.cnf import Clause, evaluate
 from lorcheck.sat import (Solver, _luby, first_model, implies,
                           max_relax_solve, solve)
 
@@ -16,7 +16,7 @@ def random_cnf(rng, max_var=8, max_clauses=20, max_len=4):
         k = rng.randint(1, min(max_len, n))
         vs = rng.sample(range(1, n + 1), k)
         out.append(Clause(tuple(v if rng.random() < 0.5 else -v for v in vs)))
-    return Cnf(out), n
+    return out, n
 
 
 def pigeonhole(p, h):
@@ -26,7 +26,7 @@ def pigeonhole(p, h):
     for j in range(h):
         for a, b in itertools.combinations(range(p), 2):
             out.append(Clause((-v(a, j), -v(b, j))))
-    return Cnf(out)
+    return out
 
 
 def truth_table_sat(f, n):
@@ -47,13 +47,13 @@ class TestSolveDifferential:
                 assert evaluate(f, res.model) is True
 
     def test_model_covers_extra_vars(self):
-        f = Cnf([Clause((1,))])
+        f = [Clause((1,))]
         res = solve(f, extra_vars=[5, 6])
         assert 5 in res.model and 6 in res.model
 
     def test_trivial(self):
-        assert solve(Cnf([]))
-        assert not solve(Cnf([Clause((1,)), Clause((-1,))]))
+        assert solve([])
+        assert not solve([Clause((1,)), Clause((-1,))])
 
 
 class TestRestarts:
@@ -108,7 +108,7 @@ class TestIncremental:
             res = s.solve(assume)
             assert bool(res) == bool(Solver(clauses).solve(assume))
             if res:
-                assert evaluate(Cnf(clauses), res.model) is True
+                assert evaluate(clauses, res.model) is True
                 for l in assume:
                     assert res.model[abs(l)] == (l > 0)
             else:
@@ -157,7 +157,7 @@ class TestIncremental:
         # pigeonhole(6, 5) guarded by a selector: unsat only under it
         f = pigeonhole(6, 5)
         sel = 6 * 5 + 1
-        s = Solver(Cnf(Clause((-sel,) + c.lits) for c in f))
+        s = Solver([Clause((-sel,) + c.lits) for c in f])
         first = s.solve([sel])
         learnt = len(s.clauses)
         assert not first and first.core == {sel}
@@ -181,7 +181,7 @@ class TestIncremental:
                         for v in rng.sample(range(1, n + 1),
                                             rng.randint(1, n))]
                        for _ in range(rng.randint(1, 5))]
-            sat = [truth_table_sat(f + Cnf(Clause((l,)) for l in q), n)
+            sat = [truth_table_sat(f + [Clause((l,)) for l in q], n)
                    for q in queries]
             m = first_model(Solver(f, extra_vars=[n + 1]), queries)
             if not any(sat):
@@ -202,7 +202,7 @@ class TestAssumptions:
                       for v in rng.sample(range(1, n + 1), k)]
             res = solve(f, assumptions=assume)
             want = truth_table_sat(
-                f + Cnf([Clause((l,)) for l in assume]), n)
+                f + [Clause((l,)) for l in assume], n)
             assert bool(res) == want
             if res:
                 for l in assume:
@@ -215,7 +215,7 @@ class TestAssumptions:
                 assert not again
 
     def test_conflicting_assumptions(self):
-        res = solve(Cnf([]), assumptions=[1, -1])
+        res = solve([], assumptions=[1, -1])
         assert not res and res.core == {1, -1}
 
 
@@ -272,8 +272,8 @@ class TestPrefer:
 
 class TestImplies:
     def test_basic(self):
-        a = Cnf([Clause((1,)), Clause((2,))])
-        b = Cnf([Clause((1, 2))])
+        a = [Clause((1,)), Clause((2,))]
+        b = [Clause((1, 2))]
         assert implies(a, b)
         assert not implies(b, a)
 
@@ -385,7 +385,7 @@ def assert_minimal_correction_set(hard, soft, lits, left_out):
     kept = list(hard) + [c for i, c in enumerate(soft) if i not in left_out]
     assert Solver(kept).solve(lits)
     for i in left_out:
-        assert not Solver(kept + [soft.clauses[i]]).solve(lits)
+        assert not Solver(kept + [soft[i]]).solve(lits)
 
 
 class TestMaxRelaxSolve:
@@ -395,9 +395,9 @@ class TestMaxRelaxSolve:
             hard, n = random_cnf(rng, max_var=6, max_clauses=5)
             if not solve(hard):
                 continue
-            soft = [random_cnf(rng, max_var=6, max_clauses=1)[0].clauses
+            soft = [random_cnf(rng, max_var=6, max_clauses=1)[0]
                     for _ in range(rng.randint(1, 6))]
-            soft = Cnf([c for cs in soft for c in cs])
+            soft = [c for cs in soft for c in cs]
             target_var = rng.randint(1, n)
             target = {target_var: rng.random() < 0.5}
             try:
@@ -421,18 +421,18 @@ class TestMaxRelaxSolve:
             lits = [v if b else -v for v, b in target.items()]
             if not solve(hard, assumptions=lits):
                 continue
-            soft = Cnf(Clause(tuple(v if rng.random() < 0.5 else -v
-                                    for v in rng.sample(range(1, n + 1),
-                                                        rng.randint(1, 3))))
-                       for _ in range(rng.randint(6, 20)))
+            soft = [Clause(tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1),
+                                                     rng.randint(1, 3))))
+                    for _ in range(rng.randint(6, 20))]
             res = max_relax_solve(hard, soft, target)
             assert_minimal_correction_set(hard, soft, lits, res)
             nonempty += bool(res)
         assert nonempty > 50
 
     def test_drops_exactly_the_blocking_clause(self):
-        hard = Cnf([])
-        soft = Cnf([Clause((-1,)), Clause((2,))])
+        hard = []
+        soft = [Clause((-1,)), Clause((2,))]
         assert max_relax_solve(hard, soft, {1: True}) == {0}
 
     def test_one_solver_per_call(self, built_solvers, monkeypatch):
@@ -443,9 +443,9 @@ class TestMaxRelaxSolve:
             solves.append(self)
             return solve_(self, *args, **kw)
         monkeypatch.setattr(Solver, "solve", counting)
-        hard = Cnf([Clause((1, 2))])
-        soft = Cnf([Clause((-1,)), Clause((-2,)), Clause((3,)),
-                    Clause((-3, 1))])
+        hard = [Clause((1, 2))]
+        soft = [Clause((-1,)), Clause((-2,)), Clause((3,)),
+                    Clause((-3, 1))]
         res = max_relax_solve(hard, soft, {3: True})
         assert len(built_solvers) == 1 and solves == built_solvers
         assert_minimal_correction_set(hard, soft, [3], res)
@@ -537,7 +537,7 @@ class TestKernelBookkeeping:
                 self.assert_consistent(s)
                 assert bool(res) == bool(Solver(clauses).solve(assume))
                 if res:
-                    assert evaluate(Cnf(clauses), res.model) is True
+                    assert evaluate(clauses, res.model) is True
                     assert all(res.model[abs(l)] == (l > 0) for l in assume)
                     assert set(res.model) == s.var_ids
                 else:
@@ -547,9 +547,9 @@ class TestKernelBookkeeping:
 
 def random_3cnf(rng, n):
     """Random 3-CNF over n variables at the satisfiability threshold."""
-    return Cnf(Clause(tuple(v if rng.random() < 0.5 else -v
-                            for v in rng.sample(range(1, n + 1), 3)))
-               for _ in range(round(4.26 * n)))
+    return [Clause(tuple(v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, n + 1), 3)))
+            for _ in range(round(4.26 * n))]
 
 
 class TestSearchIsPinned:
@@ -623,10 +623,10 @@ class TestPreferSearchIsPinned:
             for c in more:
                 s.add_clause(c)
         out.append(s.clauses)
-        hard = Cnf(list(random_3cnf(rng, n))[:3 * n])
-        soft = Cnf(Clause(tuple(v if rng.random() < 0.5 else -v
-                                for v in rng.sample(range(1, n + 1), 2)))
-                   for _ in range(2 * n))
+        hard = random_3cnf(rng, n)[:3 * n]
+        soft = [Clause(tuple(v if rng.random() < 0.5 else -v
+                             for v in rng.sample(range(1, n + 1), 2)))
+                for _ in range(2 * n)]
         target = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), 3)}
         try:
             out.append(sorted(max_relax_solve(hard, soft, target)))
