@@ -18,7 +18,7 @@ class FrameChain:
     strengthen.  R_k is a set of indices into the canonical transition
     clauses, so T = T^rlx ∧ R holds syntactically for every frame.  Every
     frame has an R_k; the last frame's is empty, as its step is not
-    relaxed yet.  T^rlx_{k,k+1} is kept until relax or restore changes R_k.
+    relaxed yet.
 
     Each frame keeps one incremental solver over H_k ∧ T^rlx_{k,k+1}.  It
     gains the clauses that strengthen H_k, and is rebuilt on the next
@@ -30,16 +30,14 @@ class FrameChain:
     """
 
     def __init__(self, ts, pqe_budget=DEFAULT_BUDGET):
-        if ts.stuttering_var is None:
+        if ts.circuit.stutter_input is None:
             raise CircuitError("frame chain requires a stuttered system")
         self.ts = ts
-        self.trans_clauses = ts.trans
         self.h = [list(ts.init)]      # H_0 = I
         self.h_set = [set(ts.init)]   # h_set[k]: the clauses of H_k
         self.h1 = [rename(ts.init, ts.next)]  # h1[k]: H_k′, over frame 1
         self.removed = [set()]        # removed[k]: indices dropped in T^rlx_{k,k+1}
         self.pqe_budget = pqe_budget
-        self.trlx = [None]            # trlx[k]: T^rlx_{k,k+1}, None once stale
         self.implied_marks = set()    # (clause, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
         self.step_solvers = {}        # k -> solver over H_k ∧ T
@@ -51,11 +49,8 @@ class FrameChain:
 
     def trlx_cnf(self, k):
         """Relaxed transition relation of step k in canonical 0→1 form."""
-        if self.trlx[k] is None:
-            r = self.removed[k]
-            self.trlx[k] = [c for i, c in enumerate(self.trans_clauses)
-                            if i not in r]
-        return self.trlx[k]
+        r = self.removed[k]
+        return [c for i, c in enumerate(self.ts.trans) if i not in r]
 
     def solver(self, k):
         """Frame k's solver; its models value every step variable."""
@@ -85,7 +80,6 @@ class FrameChain:
         self.h_set.append(set())
         self.h1.append([])
         self.removed.append(set())
-        self.trlx.append(None)
         self.co3_done.append(0)
 
     def strengthen(self, k, clauses):
@@ -104,13 +98,11 @@ class FrameChain:
 
     def relax(self, k, indices):
         self.removed[k] |= set(indices)
-        self.trlx[k] = None
         self.solvers.pop(k, None)
         self.co3_done[k + 1] = 0
 
     def restore(self, k, indices):
         self.removed[k] -= set(indices)
-        self.trlx[k] = None
         self.solvers.pop(k, None)
 
 
@@ -144,7 +136,7 @@ def makeup_clauses(chain, k, indices):
     chain.relax(k - 1, indices)
     if not indices:
         return []
-    task = unrolled_lhs(chain, k, [chain.trans_clauses[i] for i in indices])
+    task = unrolled_lhs(chain, k, [chain.ts.trans[i] for i in indices])
     try:
         a_star = take_out(task, budget=chain.pqe_budget,
                           covered=chain.h1[k - 1])

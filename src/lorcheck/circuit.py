@@ -272,7 +272,7 @@ class TransitionSystem:
     cnf.rename by one of them."""
 
     def __init__(self, table, circ, init, trans, prop, state_vars, next_vars,
-                 input_vars, stuttering_var=None, interface=None):
+                 input_vars, interface=None):
         self.table = table
         self.circuit = circ
         self.init = init
@@ -282,7 +282,6 @@ class TransitionSystem:
         self.next = {v.id: n.id for v, n in zip(state_vars, next_vars)}
         self.prev = {n: v for v, n in self.next.items()}
         self.input_vars = input_vars
-        self.stuttering_var = stuttering_var
         self.interface = interface  # miter only: interface clause positions
 
     def state_ids(self, j=0):
@@ -550,9 +549,8 @@ def encode(c):
         init.append(Clause([-va, vb]))
     prop = (compile_state_predicate(c.prop, c, table) if c.prop is not None
             else [])
-    stut = table.get(c.stutter_input, 0) if c.stutter_input else None
     return TransitionSystem(table, c, init, enc.clauses, prop, state_vars,
-                            next_vars, input_vars, stut, interface)
+                            next_vars, input_vars, interface)
 
 
 # -------------------------------------------------------------- stuttering

@@ -328,8 +328,6 @@ def _check_circuit(args, load, default_path, answers, out, err):
     stuttering, run the engine, write the witness and print the report.
     `answers` (sec only) holds the line printed before the report when the
     property holds and when it fails."""
-    out = out or sys.stdout
-    err = err or sys.stderr
     t0 = time.time()
     try:
         ts = encode(stutter(load()))
@@ -361,12 +359,12 @@ def _read_circuit(path):
         return parse_circuit(f.read())
 
 
-def cmd_check(args, out=None, err=None):
+def cmd_check(args, out, err):
     return _check_circuit(args, lambda: _read_circuit(args.file),
                           args.file + ".witness", None, out, err)
 
 
-def cmd_sec(args, out=None, err=None):
+def cmd_sec(args, out, err):
     return _check_circuit(
         args, lambda: build_miter(_read_circuit(args.file_n),
                                   _read_circuit(args.file_k)),
@@ -374,9 +372,7 @@ def cmd_sec(args, out=None, err=None):
         out, err)
 
 
-def cmd_pqe(args, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_pqe(args, out, err):
     try:
         with open(args.file) as f:
             task = parse_pqe_dimacs(f.read())
@@ -411,9 +407,7 @@ def cmd_pqe(args, out=None, err=None):
     return 0
 
 
-def cmd_verify_witness(args, out=None, err=None):
-    out = out or sys.stdout
-    err = err or sys.stderr
+def cmd_verify_witness(args, out, err):
     try:
         circ = _read_circuit(args.circuit)
         if args.miter_with:
@@ -491,7 +485,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # --help, or a usage error: malformed input
         return 3 if e.code else 0
-    return args.fn(args)
+    return args.fn(args, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -80,9 +80,6 @@ class Clause(tuple):
     def __repr__(self):
         return "Clause(%s)" % (" ".join(map(str, self)) or "empty")
 
-    def variables(self):
-        return set(map(abs, self))
-
 
 def variables(f):
     """The variable ids of the clauses f."""

@@ -272,13 +272,12 @@ class IcChecker(Checker):
             return super().fin_rlx(j)
         chain.add_frame()
         if j == 1:
-            init = self._init_solver
             mined, path = mine(ts)
             if path is not None:
                 return self.convert_cex(path)
             inv = houdini(ts, ts.init + mined + ts.prop, required=ts.prop)
-            if inv is not None and \
-                    not any(init.solve([-l for l in c]) for c in inv):
+            if inv is not None and not any(
+                    self._init_solver.solve([-l for l in c]) for c in inv):
                 chain.strengthen(j, ts.prop)
                 return Witness("invariant", invariant=inv)
         chain.strengthen(j, educat_guess_rlx(chain, j) + ts.prop)

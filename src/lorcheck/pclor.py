@@ -60,7 +60,7 @@ class Checker:
         """Clause indices to drop from T^rlx_{k-1,k} so that `target`
         becomes reachable from an H_{k-1}-state in one transition."""
         chain = self.chain
-        kept = [i for i in range(len(chain.trans_clauses))
+        kept = [i for i in range(len(self.ts.trans))
                 if i not in chain.removed[k - 1]]
         try:
             left_out = max_relax_solve(
@@ -207,7 +207,7 @@ class Checker:
 
     def _broken(self, k, model):
         """The clauses dropped from step k that the model falsifies."""
-        trans = self.chain.trans_clauses
+        trans = self.ts.trans
         return [i for i in sorted(self.chain.removed[k])
                 if all(lit_sat(l, model) is False for l in trans[i])]
 

@@ -53,7 +53,7 @@ def check_pqe(w_ids, a, b, a_star):
     """Does a_star ∧ ∃W[b] ≡ ∃W[a ∧ b] hold on every free-variable point?"""
     w_ids = set(w_ids)
     for c in a_star:
-        bad = c.variables() & w_ids
+        bad = variables([c]) & w_ids
         if bad:
             raise ValueError("A* mentions quantified variable %s" % sorted(bad))
     all_vars = variables(a) | variables(b) | variables(a_star)

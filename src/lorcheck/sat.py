@@ -417,11 +417,6 @@ class Solver:
         return set(trail)
 
 
-def solve(f, assumptions=(), extra_vars=()):
-    """Decide CNF f under assumption literals."""
-    return Solver(f, extra_vars=extra_vars).solve(assumptions)
-
-
 def implies(a, b):
     """True iff formula a implies every clause of b.
 

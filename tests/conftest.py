@@ -126,6 +126,21 @@ def built_solvers(monkeypatch):
     return built
 
 
+@pytest.fixture
+def built_clauses(monkeypatch):
+    """A list that gains the clauses, as lists, of each Solver built during
+    the test."""
+    built = []
+    init = Solver.__init__
+
+    def recording(self, clauses, *args, **kw):
+        clauses = list(clauses)
+        built.append([list(c) for c in clauses])
+        init(self, clauses, *args, **kw)
+    monkeypatch.setattr(Solver, "__init__", recording)
+    return built
+
+
 def random_system_source(rng, n_latch, n_in, init_zero=True):
     """A random SCIRC source with a property over the latches."""
     names = ["s%d" % i for i in range(n_latch)]

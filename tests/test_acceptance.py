@@ -8,7 +8,7 @@ import time
 import pytest
 
 from lorcheck.cnf import Clause, evaluate, variables
-from lorcheck.sat import solve, implies
+from lorcheck.sat import Solver, implies
 from lorcheck.circuit import parse_circuit, encode, add_stuttering, build_miter
 from lorcheck.pqe import PqeTask, take_out
 from lorcheck.pclor import pc_lor, Options
@@ -176,7 +176,7 @@ def bmc_sat(ts, depth):
     for i in range(depth):
         f = f + move(ts.trans, block(i))
     for c in move(ts.prop, block(depth)):
-        if solve(f, assumptions=[-l for l in c]):
+        if Solver(f).solve([-l for l in c]):
             return True
     return False
 
@@ -240,7 +240,7 @@ def test_criterion_9_sat_differential():
             clauses.append(Clause(tuple(v if rng.random() < 0.5 else -v
                                         for v in vs)))
         f = clauses
-        res = solve(f)
+        res = Solver(f).solve()
         want = any(
             evaluate(f, dict(zip(range(1, n + 1), bits))) is True
             for bits in itertools.product([False, True], repeat=n))

@@ -20,7 +20,7 @@ def stuck0_drop_indices(ts):
     """Indices of the transition clauses forcing s@1 false when s@0 is."""
     chain = FrameChain(ts)
     s1 = ts.state_ids(1)[0]
-    return [i for i, c in enumerate(chain.trans_clauses) if -s1 in c]
+    return [i for i, c in enumerate(chain.ts.trans) if -s1 in c]
 
 
 class TestFrameChain:
@@ -56,15 +56,15 @@ class TestFrameChain:
     def test_relax_restore_roundtrip(self, stuck0):
         chain = FrameChain(stuck0)
         chain.add_frame()
-        n = len(chain.trans_clauses)
+        n = len(chain.ts.trans)
         chain.relax(0, [0, 1])
         assert len(list(chain.trlx_cnf(0))) == n - 2
         chain.restore(0, [1])
         assert len(list(chain.trlx_cnf(0))) == n - 1
         # T = T^rlx ∧ R syntactically
         assert set(chain.trlx_cnf(0)) | \
-            {chain.trans_clauses[i] for i in chain.removed[0]} == \
-            set(chain.trans_clauses)
+            {chain.ts.trans[i] for i in chain.removed[0]} == \
+            set(chain.ts.trans)
 
     def test_strengthen_dedups(self, stuck0):
         chain = FrameChain(stuck0)
@@ -87,7 +87,7 @@ class TestStepSolver:
             chain = FrameChain(ts)
             for _ in range(2):
                 chain.add_frame()
-            n_trans = len(chain.trans_clauses)
+            n_trans = len(chain.ts.trans)
             ids = ts.state_ids(0) + ts.state_ids(1)
 
             def random_lits(pool, n):
@@ -146,7 +146,7 @@ class TestUnrolledLhs:
     def test_task_shape_and_answer(self, stuck0):
         chain = FrameChain(stuck0)
         chain.add_frame()
-        extra = [chain.trans_clauses[i] for i in stuck0_drop_indices(stuck0)]
+        extra = [chain.ts.trans[i] for i in stuck0_drop_indices(stuck0)]
         task = unrolled_lhs(chain, 1, extra)
         assert not (set(stuck0.state_ids(1)) & task.w)
         assert set(stuck0.state_ids(0)) <= task.w
@@ -164,7 +164,7 @@ class TestUnrolledLhs:
         for k in range(1, 6):
             chain.add_frame()
             chain.strengthen(k, [Clause((-s,))])
-            extra = [chain.trans_clauses[0]]
+            extra = [chain.ts.trans[0]]
             task = unrolled_lhs(chain, k, extra)
             sizes.append((len(variables(task.a) | variables(task.b)),
                           len(task.a) + len(task.b)))
@@ -197,7 +197,7 @@ class TestMakeupClauses:
         (prefix ∧ T^rlx) ∧ G — checked pointwise by the PQE oracle."""
         chain = FrameChain(toggle)
         chain.add_frame()
-        drop = [chain.trans_clauses[0]]
+        drop = [chain.ts.trans[0]]
         task_before = unrolled_lhs(chain, 1, drop)
         chain.restore(0, [0])
         g = makeup_clauses(chain, 1, [0])
@@ -389,7 +389,7 @@ class TestFrameSolvers:
             ts = random_system(rng, rng.randint(1, 3), rng.randint(1, 2))
             chain = FrameChain(ts)
             chain.add_frame()
-            n_trans = len(chain.trans_clauses)
+            n_trans = len(chain.ts.trans)
             ids = ts.state_ids(0) + ts.state_ids(1)
 
             def random_lits(pool, n):

@@ -10,7 +10,7 @@ from lorcheck.circuit import (CircuitError, parse_circuit, encode,
                               eval_expr, compile_state_predicate, stutter)
 from lorcheck.cli import main
 from lorcheck.cnf import Clause, evaluate, rename, variables
-from lorcheck.sat import solve, implies
+from lorcheck.sat import Solver, implies
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
                       random_system_source, shreg_source, xorreg_source,
                       ring_source, ctr_source, deep_ctr_miter_sources,
@@ -161,8 +161,7 @@ def exhaustive_encoding_check(ts):
                       zip(ts.state_ids(0), sbits)]
             assume += [ts.table.get(n, 0).id if b else -ts.table.get(n, 0).id
                        for n, b in zip(ins, xbits)]
-            res = solve(ts.trans, assumptions=assume,
-                        extra_vars=ts.state_ids(1))
+            res = Solver(ts.trans, extra_vars=ts.state_ids(1)).solve(assume)
             if any(xbits[a] != xbits[b] for a, b in eq_pairs):
                 assert not res
                 continue
@@ -173,8 +172,7 @@ def exhaustive_encoding_check(ts):
             # and the wrong successor is excluded
             flip = ts.state_ids(1)[0]
             want = nxt[latch[0]]
-            res2 = solve(ts.trans,
-                         assumptions=assume + [-flip if want else flip])
+            res2 = Solver(ts.trans).solve(assume + [-flip if want else flip])
             assert not res2
 
 
@@ -331,23 +329,23 @@ class TestNextMap:
 class TestStuttering:
     def test_adds_identity_transition(self):
         ts = add_stuttering(encode(parse_circuit(TOGGLE_SRC)))
-        stut = ts.stuttering_var.id
+        stut = ts.table.get(ts.circuit.stutter_input, 0).id
         for sval in (False, True):
             s0 = ts.state_ids(0)[0]
             s1 = ts.state_ids(1)[0]
             assume = [s0 if sval else -s0, -stut]
-            res = solve(ts.trans, assumptions=assume, extra_vars=[s1])
+            res = Solver(ts.trans, extra_vars=[s1]).solve(assume)
             assert res and res.model[s1] == sval
 
     def test_preserves_behavior_when_active(self):
         plain = encode(parse_circuit(TOGGLE_SRC))
         ts = add_stuttering(encode(parse_circuit(TOGGLE_SRC)))
         x = ts.table.get("x", 0).id
-        stut = ts.stuttering_var.id
+        stut = ts.table.get(ts.circuit.stutter_input, 0).id
         s0, s1 = ts.state_ids(0)[0], ts.state_ids(1)[0]
         for sv, xv in itertools.product([False, True], repeat=2):
-            res = solve(ts.trans, assumptions=[
-                s0 if sv else -s0, x if xv else -x, stut], extra_vars=[s1])
+            res = Solver(ts.trans, extra_vars=[s1]).solve(
+                [s0 if sv else -s0, x if xv else -x, stut])
             assert res.model[s1] == (sv != xv)
 
     def test_double_stutter_rejected(self):
@@ -358,7 +356,7 @@ class TestStuttering:
     def test_name_collision_avoided(self):
         src = "input stut\nlatch s init 0 next stut\nprop NOT s\n"
         ts = add_stuttering(encode(parse_circuit(src)))
-        assert ts.stuttering_var.name != "stut"
+        assert ts.circuit.stutter_input != "stut"
 
 
 class TestMiter:
@@ -382,7 +380,7 @@ class TestMiter:
         ts = encode(m)
         xn = ts.table.get("n.x", 0).id
         xk = ts.table.get("k.x", 0).id
-        assert not solve(ts.trans, assumptions=[xn, -xk])
+        assert not Solver(ts.trans).solve([xn, -xk])
 
     def test_state_pairs_follow_declared_inits(self):
         def circ(*inits):
@@ -395,7 +393,7 @@ class TestMiter:
         # constant; inits 1 and 0 conflict, so pairing s2 would leave no
         # initial state
         assert m.state_pairs == [("n.s0", "k.s0"), ("n.s4", "k.s4")]
-        assert solve(encode(m).init)
+        assert Solver(encode(m).init).solve()
 
     def test_interface_positions(self):
         ts = add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),

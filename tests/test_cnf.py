@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lorcheck.cnf import Clause, evaluate, lit_sat, longest_falsified_clause
+from lorcheck.cnf import (Clause, evaluate, lit_sat, longest_falsified_clause,
+                          variables)
 
 
 def assignments(max_var=6):
@@ -17,7 +18,7 @@ class TestClause:
             Clause((1, -1))
 
     def test_variables(self):
-        assert Clause((-3, 1)).variables() == {1, 3}
+        assert variables([Clause((-3, 1))]) == {1, 3}
 
 
 class TestEvaluate:

@@ -480,17 +480,9 @@ class TestIcChecker:
             else:
                 check_invariant_witness(ts, w.invariant)
 
-    def test_one_init_solver_per_run(self, monkeypatch):
+    def test_one_init_solver_per_run(self, built_clauses, monkeypatch):
         # generalize asks every I question of a run on the checker's one
         # solver over I
-        built = []
-        init = Solver.__init__
-
-        def recording(self, clauses, *args, **kw):
-            clauses = list(clauses)
-            built.append([list(c) for c in clauses])
-            init(self, clauses, *args, **kw)
-        monkeypatch.setattr(Solver, "__init__", recording)
         calls = []
         monkeypatch.setattr(indclause, "generalize",
                             lambda *a: calls.append(a) or generalize(*a))
@@ -498,7 +490,18 @@ class TestIcChecker:
         assert pc_lor_ic(ts).kind == "counterexample"
         assert calls
         assert all(a[3] is calls[0][3] for a in calls)
-        assert built.count([list(c) for c in ts.init]) == 1
+        assert built_clauses.count([list(c) for c in ts.init]) == 1
+
+    @pytest.mark.parametrize("n, k, kind, init_solvers", [
+        (8, 7, "counterexample", 0), (6, 6, "invariant", 1)],
+        ids=["shreg8-vs-7", "shreg6-vs-6"])
+    def test_init_solver_built_on_first_question(self, n, k, kind,
+                                                 init_solvers, built_clauses):
+        # mining ends shreg8 against shreg7 at frame 0, before any I
+        # question; Houdini's invariant on the equal miter asks one
+        ts = _small_miter(shreg_source(n), shreg_source(k))
+        assert pc_lor_ic(ts).kind == kind
+        assert built_clauses.count([list(c) for c in ts.init]) == init_solvers
 
     @pytest.mark.parametrize("circuit", [
         lambda: parse_circuit(ctr_source(4)),

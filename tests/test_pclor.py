@@ -194,7 +194,7 @@ class TestThirdCoCond:
         c, solves = self.ring_checker(monkeypatch, 3)
         chain, m = c.chain, 2
         assert chain.co3_done[m] == len(chain.h[m]) > 1
-        free = next(i for i in range(len(chain.trans_clauses))
+        free = next(i for i in range(len(chain.ts.trans))
                     if i not in chain.removed[m - 1])
         chain.relax(m - 1, [free])
         assert chain.co3_done[m] == 0
@@ -238,7 +238,7 @@ class TestReplay:
         for _ in range(k + 1):
             c.chain.add_frame()
         a = dict.fromkeys(ts.state_ids(0), False)
-        for i, cl in enumerate(c.chain.trans_clauses):
+        for i, cl in enumerate(c.chain.ts.trans):
             c.chain.restore(k, c.chain.removed[k])
             c.chain.relax(k, [i])
             rlx = Solver(c.chain.trlx_cnf(k), extra_vars=ts.step_vars)

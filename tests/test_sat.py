@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorcheck.cnf import Clause, evaluate
 from lorcheck.sat import (Solver, _luby, first_model, implies,
-                          max_relax_solve, solve)
+                          max_relax_solve)
 
 
 def random_cnf(rng, max_var=8, max_clauses=20, max_len=4):
@@ -41,19 +41,19 @@ class TestSolveDifferential:
         rng = random.Random(11)
         for _ in range(800):
             f, n = random_cnf(rng)
-            res = solve(f)
+            res = Solver(f).solve()
             assert bool(res) == truth_table_sat(f, n)
             if res:
                 assert evaluate(f, res.model) is True
 
     def test_model_covers_extra_vars(self):
         f = [Clause((1,))]
-        res = solve(f, extra_vars=[5, 6])
+        res = Solver(f, extra_vars=[5, 6]).solve()
         assert 5 in res.model and 6 in res.model
 
     def test_trivial(self):
-        assert solve([])
-        assert not solve([Clause((1,)), Clause((-1,))])
+        assert Solver([]).solve()
+        assert not Solver([Clause((1,)), Clause((-1,))]).solve()
 
 
 class TestRestarts:
@@ -200,7 +200,7 @@ class TestAssumptions:
             k = rng.randint(1, n)
             assume = [v if rng.random() < 0.5 else -v
                       for v in rng.sample(range(1, n + 1), k)]
-            res = solve(f, assumptions=assume)
+            res = Solver(f).solve(assume)
             want = truth_table_sat(
                 f + [Clause((l,)) for l in assume], n)
             assert bool(res) == want
@@ -211,11 +211,11 @@ class TestAssumptions:
                 assert res.core is not None
                 assert res.core <= set(assume)
                 # the core itself must be unsatisfiable with f
-                again = solve(f, assumptions=sorted(res.core))
+                again = Solver(f).solve(sorted(res.core))
                 assert not again
 
     def test_conflicting_assumptions(self):
-        res = solve([], assumptions=[1, -1])
+        res = Solver([]).solve([1, -1])
         assert not res and res.core == {1, -1}
 
 
@@ -308,12 +308,13 @@ class TestImplies:
                 b.insert(rng.randint(0, len(b)), Clause(()))
             want = not any(Solver(a).solve([-l for l in c]) for c in b)
             assert implies(a, b) == want
-            seen["unsat a"] += not solve(a)
+            seen["unsat a"] += not Solver(a).solve()
             seen["empty b"] += not b
             seen["empty clause"] += any(not c for c in b)
             seen["level-0 literal"] += any(
                 -u.lits[0] in c or u.lits[0] in c for u in units for c in b)
-            seen["implied" if want else "not implied"] += bool(solve(a))
+            seen["implied" if want else "not implied"] += bool(
+                Solver(a).solve())
         assert min(seen.values()) > 10, seen
 
     @given(st.data())
@@ -393,7 +394,7 @@ class TestMaxRelaxSolve:
         rng = random.Random(13)
         for _ in range(200):
             hard, n = random_cnf(rng, max_var=6, max_clauses=5)
-            if not solve(hard):
+            if not Solver(hard).solve():
                 continue
             soft = [random_cnf(rng, max_var=6, max_clauses=1)[0]
                     for _ in range(rng.randint(1, 6))]
@@ -403,8 +404,8 @@ class TestMaxRelaxSolve:
             try:
                 res = max_relax_solve(hard, soft, target)
             except ValueError:
-                assert not solve(hard, assumptions=[
-                    target_var if target[target_var] else -target_var])
+                assert not Solver(hard).solve(
+                    [target_var if target[target_var] else -target_var])
                 continue
             assert_minimal_correction_set(
                 hard, soft, [target_var if target[target_var] else -target_var],
@@ -419,7 +420,7 @@ class TestMaxRelaxSolve:
             target = {v: rng.random() < 0.5
                       for v in rng.sample(range(1, n + 1), 2)}
             lits = [v if b else -v for v, b in target.items()]
-            if not solve(hard, assumptions=lits):
+            if not Solver(hard).solve(lits):
                 continue
             soft = [Clause(tuple(v if rng.random() < 0.5 else -v
                                  for v in rng.sample(range(1, n + 1),
