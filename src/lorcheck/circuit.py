@@ -4,6 +4,7 @@ construction."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 
@@ -59,9 +60,9 @@ _KEYWORDS = {"NOT", "AND", "OR", "XOR"}
 MAX_NESTING = 256
 
 
-def _tokenize(text, lineno):
+def _tokenize(text, lineno, i):
+    """The tokens of text from position i on, each with its position."""
     toks = []
-    i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -87,7 +88,8 @@ class _ExprParser:
         self.lineno = lineno
 
     def _err(self, msg):
-        col = self.toks[self.pos - 1][1] + 1 if self.pos and self.pos <= len(self.toks) else 0
+        """Fail at the last token read."""
+        col = self.toks[self.pos - 1][1] + 1
         raise CircuitError("line %d col %d: %s" % (self.lineno, col, msg))
 
     def _next(self):
@@ -125,12 +127,17 @@ class _ExprParser:
     def parse(self):
         e = self.term()
         if self.pos != len(self.toks):
+            self.pos += 1   # point at the first trailing token
             self._err("trailing tokens after expression")
         return e
 
 
-def _parse_expr(text, lineno):
-    return _ExprParser(_tokenize(text, lineno), lineno).parse()
+def _parse_expr(line, lineno, n=0):
+    """The expression after the first n words of line; an error gives its
+    column in line."""
+    rest = line.split(None, n)[n:]
+    start = len(line) - len(rest[0]) if rest else len(line)
+    return _ExprParser(_tokenize(line, lineno, start), lineno).parse()
 
 
 def _name(word, lineno):
@@ -147,10 +154,10 @@ def parse_circuit(text):
     """Parse SCIRC source into a validated Circuit."""
     c = Circuit()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         words = line.split()
+        if not words:
+            continue
         kind = words[0]
         if kind == "input":
             if len(words) != 2:
@@ -162,12 +169,12 @@ def parse_circuit(text):
             init = {"0": False, "1": True, "*": None}.get(words[3], "bad")
             if init == "bad":
                 raise CircuitError("line %d: init must be 0, 1 or *" % lineno)
-            expr = _parse_expr(" ".join(words[5:]), lineno)
+            expr = _parse_expr(line, lineno, 5)
             c.latches.append(Latch(_name(words[1], lineno), init, expr))
         elif kind in ("signal", "output"):
             if len(words) < 4 or words[2] != "=":
                 raise CircuitError("line %d: %s <name> = <expr>" % (lineno, kind))
-            expr = _parse_expr(" ".join(words[3:]), lineno)
+            expr = _parse_expr(line, lineno, 3)
             defs = c.signals if kind == "signal" else c.outputs
             name = _name(words[1], lineno)
             if name in defs:
@@ -176,7 +183,7 @@ def parse_circuit(text):
         elif kind == "prop":
             if c.prop is not None:
                 raise CircuitError("line %d: duplicate prop" % lineno)
-            c.prop = _parse_expr(" ".join(words[1:]), lineno)
+            c.prop = _parse_expr(line, lineno, 1)
         else:
             raise CircuitError("line %d: unknown directive %r" % (lineno, kind))
     _validate(c)
@@ -558,24 +565,19 @@ def encode(c):
 
 def stutter(old):
     """old with an extra input v: v=1 steps normally, v=0 copies the current
-    state, making reachability monotone in the frame count."""
+    state, making reachability monotone in the frame count.  Every other
+    field is shared with old."""
     if old.stutter_input is not None:
         raise CircuitError("system already stuttered")
-    c = Circuit()
     v = "stut"
     while v in old.declared():
         v = "_" + v
-    c.inputs = list(old.inputs) + [v]
-    for l in old.latches:
-        guarded = ("or", ("and", ("var", v), l.next),
-                   ("and", ("not", ("var", v)), ("var", l.name)))
-        c.latches.append(Latch(l.name, l.init, guarded))
-    c.signals = dict(old.signals)
-    c.outputs = dict(old.outputs)
-    c.prop = old.prop
-    c.miter = old.miter
-    c.eq_input_pairs = list(old.eq_input_pairs)
-    c.state_pairs = list(old.state_pairs)
+    c = copy.copy(old)
+    c.inputs = old.inputs + [v]
+    c.latches = [Latch(l.name, l.init,
+                       ("or", ("and", ("var", v), l.next),
+                        ("and", ("not", ("var", v)), ("var", l.name))))
+                 for l in old.latches]
     c.stutter_input = v
     return c
 

@@ -9,19 +9,16 @@ from operator import neg
 
 
 class Var:
-    """A propositional variable with an optional time frame."""
+    """A propositional variable; its VarTable key holds its time frame."""
 
-    __slots__ = ("id", "name", "frame")
+    __slots__ = ("id", "name")
 
-    def __init__(self, id, name, frame=None):
+    def __init__(self, id, name):
         self.id = id
         self.name = name
-        self.frame = frame
 
     def __repr__(self):
-        if self.frame is None:
-            return "Var(%d:%s)" % (self.id, self.name)
-        return "Var(%d:%s@%d)" % (self.id, self.name, self.frame)
+        return "Var(%d:%s)" % (self.id, self.name)
 
 
 class VarTable:
@@ -35,7 +32,7 @@ class VarTable:
         key = (name, frame)
         if key in self.by_key:
             raise ValueError("variable %r already declared at frame %r" % (name, frame))
-        v = Var(self._next, name, frame)
+        v = Var(self._next, name)
         self._next += 1
         self.by_key[key] = v
         return v

@@ -17,7 +17,6 @@ from .cnf import Clause, longest_falsified_clause, rename
 from .sat import Solver
 from .boundary import makeup_clauses, clause_implied
 from .pclor import Checker, Witness
-from .pqe import PqeBudgetError
 
 
 class Cti:
@@ -91,12 +90,8 @@ def generalize(c, step, ts, init):
 def educat_guess_rlx(chain, j):
     """Seed H_j of a miter from the educated guess: drop its interface
     clauses still present at step j-1→j and return the PQE makeup clauses."""
-    try:
-        return makeup_clauses(chain, j, [i for i in chain.ts.interface
-                                         if i not in chain.removed[j - 1]])
-    except PqeBudgetError as e:
-        e.phase = "the sec seed"
-        raise
+    return makeup_clauses(chain, j, [i for i in chain.ts.interface
+                                     if i not in chain.removed[j - 1]])
 
 
 # Simulation runs this many lanes at once, each on its own random inputs,
@@ -280,6 +275,7 @@ class IcChecker(Checker):
                     self._init_solver.solve([-l for l in c]) for c in inv):
                 chain.strengthen(j, ts.prop)
                 return Witness("invariant", invariant=inv)
+        self.phase = "the sec seed"
         chain.strengthen(j, educat_guess_rlx(chain, j) + ts.prop)
         return None
 

@@ -39,22 +39,16 @@ class Checker:
         self.opts = opts or Options()
         self.chain = FrameChain(ts, self.opts.pqe_budget)
         self.state_ids = ts.state_ids(0)
+        self.phase = None   # names the phase in a spent PQE budget
 
     # ------------------------------------------------------------ helpers
 
-    def _find_bad_state(self, k):
-        """A state of H_k that violates P."""
+    def _violation(self, k, clauses):
+        """(frame-0 state, model) of the first model of frame k's solver
+        that falsifies a clause of `clauses`, or None."""
         m = first_model(self.chain.solver(k),
-                        ([-l for l in c] for c in self.ts.prop))
-        return None if m is None else {v: m[v] for v in self.state_ids}
-
-    def _predecessor(self, k, s):
-        """An H_{k-1}-state one T^rlx_{k-1,k}-transition before state s,
-        with the model of that step."""
-        res = self.chain.solver(k - 1).solve(self._step({}, s))
-        if not res:
-            return None
-        return {v: res.model[v] for v in self.state_ids}, res.model
+                        ([-l for l in c] for c in clauses))
+        return None if m is None else ({v: m[v] for v in self.state_ids}, m)
 
     def select_relaxation(self, k, target):
         """Clause indices to drop from T^rlx_{k-1,k} so that `target`
@@ -108,11 +102,13 @@ class Checker:
 
     def _block(self, k, s):
         """One walk step at a non-initial H_k-state s: (predecessor in
-        H_{k-1}, model of the step), or None once H_k is false at s."""
-        pred = self._predecessor(k, s)
-        if pred is None:
-            self._exclude_state(k, s)
-        return pred
+        H_{k-1} one T^rlx_{k-1,k}-transition before s, model of the step),
+        or None once H_k is false at s."""
+        res = self.chain.solver(k - 1).solve(self._step({}, s))
+        if res:
+            return {v: res.model[v] for v in self.state_ids}, res.model
+        self._exclude_state(k, s)
+        return None
 
     def _replay(self, stack):
         """Replay the walk's path, from its initial state at the top of the
@@ -151,15 +147,10 @@ class Checker:
         k's solver that falsifies a clause of `targets` (over frame-1
         variables), ending in that model; None once the walks have excluded
         every such source from H_k."""
-        queries = [[-l for l in c] for c in targets]
-        while True:
-            m = first_model(self.chain.solver(k), queries)
-            if m is None:
-                return None
-            path = self._backward_walk(
-                k, {v: m[v] for v in self.state_ids}, m)
-            if path is not None:
+        while (start := self._violation(k, targets)) is not None:
+            if (path := self._backward_walk(k, *start)) is not None:
                 return path
+        return None
 
     def rem_bad_st(self, j):
         """Strengthen H_{j-1} until no bad state is one original-T
@@ -178,13 +169,10 @@ class Checker:
         """Create H_j and strengthen it until it implies P.  After
         rem_bad_st(j), no bad state of H_j has a predecessor in H_{j-1}.
         An override may end the run by returning a Witness it found."""
-        chain = self.chain
-        chain.add_frame()
-        while True:
-            bad = self._find_bad_state(j)
-            if bad is None:
-                return None
-            self._exclude_state(j, bad)
+        self.chain.add_frame()
+        while (bad := self._violation(j, self.ts.prop)) is not None:
+            self._exclude_state(j, bad[0])
+        return None
 
     def third_co_cond(self):
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
@@ -235,22 +223,21 @@ class Checker:
             for i, (s, _) in zip(ins, path)])
 
     def run(self):
-        if (bad := self._find_bad_state(0)) is not None:
-            return self.convert_cex([(bad, None)])
+        if (bad := self._violation(0, self.ts.prop)) is not None:
+            return self.convert_cex([(bad[0], None)])
         max_frames = self.opts.max_frames
         if max_frames is None:
             max_frames = 2 ** len(self.ts.state_vars) + 1
-        phase = None   # names the phase in a spent PQE budget
         try:
             for j in range(1, max_frames + 1):
-                phase = "the rem_bad_st walk"
+                self.phase = "the rem_bad_st walk"
                 if (path := self.rem_bad_st(j)) is not None:
                     return self.convert_cex(path)
-                phase = "fin_rlx"
+                self.phase = "fin_rlx"
                 found = self.fin_rlx(j)
                 if found is not None and found.kind == "counterexample":
                     return found
-                phase = "the third_co_cond walk"
+                self.phase = "the third_co_cond walk"
                 self.third_co_cond()
                 if found is None:
                     found = self.fin_touch()
@@ -259,7 +246,7 @@ class Checker:
                 if found is not None:
                     return found
         except PqeBudgetError as e:
-            e.phase = e.phase or phase
+            e.phase = self.phase
             raise
         raise CheckerError("frame limit %d reached without a verdict"
                            % max_frames)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lorcheck.circuit import parse_circuit, encode, add_stuttering, build_miter
+from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.cnf import evaluate
 from lorcheck.qe_oracle import reach_bruteforce
 from lorcheck.sat import Solver
@@ -32,12 +32,12 @@ output z = s
 """
 
 
-def ring_source(n):
-    """One-hot token ring of n stages; stages 0 and 1 never both hold."""
+def ring_source(n, k=1):
+    """One-hot token ring of n stages; stages 0 and k never both hold."""
     return "\n".join(["latch s0 init 1 next s%d" % (n - 1)] +
                      ["latch s%d init 0 next s%d" % (i, i - 1)
                       for i in range(1, n)] +
-                     ["prop NOT (s0 AND s1)", ""])
+                     ["prop NOT (s0 AND s%d)" % k, ""])
 
 
 def shreg_source(n):
@@ -83,7 +83,7 @@ def deep_ctr_miter_sources():
 
 def deep_ctr_miter():
     """The stuttered miter of deep_ctr_miter_sources."""
-    return add_stuttering(encode(build_miter(
+    return encode(stutter(build_miter(
         *map(parse_circuit, deep_ctr_miter_sources()))))
 
 
@@ -99,18 +99,18 @@ FORWARD_REF_SRCS = [
 
 @pytest.fixture
 def stuck0():
-    return add_stuttering(encode(parse_circuit(STUCK0_SRC)))
+    return encode(stutter(parse_circuit(STUCK0_SRC)))
 
 
 @pytest.fixture
 def toggle():
-    return add_stuttering(encode(parse_circuit(TOGGLE_SRC)))
+    return encode(stutter(parse_circuit(TOGGLE_SRC)))
 
 
 @pytest.fixture
 def dff_miter():
     m = build_miter(parse_circuit(DFF_SRC), parse_circuit(DFF_SRC))
-    return add_stuttering(encode(m))
+    return encode(stutter(m))
 
 
 @pytest.fixture
@@ -168,7 +168,7 @@ def random_system_source(rng, n_latch, n_in, init_zero=True):
 
 def random_system(rng, n_latch, n_in, **kw):
     src = random_system_source(rng, n_latch, n_in, **kw)
-    return add_stuttering(encode(parse_circuit(src)))
+    return encode(stutter(parse_circuit(src)))
 
 
 def brute_force_verdict(ts):

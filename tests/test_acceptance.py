@@ -9,7 +9,7 @@ import pytest
 
 from lorcheck.cnf import Clause, evaluate, variables
 from lorcheck.sat import Solver, implies
-from lorcheck.circuit import parse_circuit, encode, add_stuttering, build_miter
+from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.pqe import PqeTask, take_out
 from lorcheck.pclor import pc_lor, Options
 from lorcheck.indclause import pc_lor_ic, educat_guess_rlx
@@ -31,9 +31,9 @@ def fixture_corpus():
     sources = [STUCK0_SRC, TOGGLE_SRC]
     sources += [random_system_source(rng, rng.randint(1, 3), rng.randint(1, 2))
                 for _ in range(10)]
-    systems = [add_stuttering(encode(parse_circuit(s))) for s in sources]
+    systems = [encode(stutter(parse_circuit(s))) for s in sources]
     m = build_miter(parse_circuit(DFF_SRC), parse_circuit(DFF_SRC))
-    systems.append(add_stuttering(encode(m)))
+    systems.append(encode(stutter(m)))
     return systems
 
 
@@ -89,7 +89,7 @@ def test_criterion_2_boundary_formulas_verified():
 
 def test_criterion_3_sec_seed_exact_and_fast():
     m = build_miter(parse_circuit(DFF_SRC), parse_circuit(DFF_SRC))
-    ts = add_stuttering(encode(m))
+    ts = encode(stutter(m))
     chain = FrameChain(ts)
     chain.add_frame()
     seed = educat_guess_rlx(chain, 1)
@@ -220,7 +220,7 @@ def test_criterion_8_stuttering_preserves_verdict():
         src = random_system_source(rng, rng.randint(1, 3), rng.randint(1, 2))
         plain = encode(parse_circuit(src))
         want = brute_force_verdict(plain)
-        stuttered = add_stuttering(encode(parse_circuit(src)))
+        stuttered = encode(stutter(parse_circuit(src)))
         for engine in (pc_lor, pc_lor_ic):
             if engine(stuttered).kind != want:
                 ok = False

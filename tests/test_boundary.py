@@ -3,8 +3,8 @@ import pytest
 from lorcheck import boundary
 from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
                                check_co, clause_implied, detect_invariant)
-from lorcheck.circuit import (CircuitError, add_stuttering, build_miter,
-                              encode, parse_circuit)
+from lorcheck.circuit import (CircuitError, build_miter, encode,
+                              parse_circuit, stutter)
 from lorcheck.cnf import Clause, rename, evaluate, variables
 from lorcheck.indclause import pc_lor_ic
 from lorcheck.pclor import pc_lor
@@ -238,9 +238,9 @@ class TestMakeupAnswers:
         H_{k-1}′ meets take_out's precondition on each makeup task, and
         each answer passes the PQE oracle."""
         calls = recorded_makeup_tasks(monkeypatch)
-        systems = [add_stuttering(encode(parse_circuit(src)))
+        systems = [encode(stutter(parse_circuit(src)))
                    for src in (STUCK0_SRC, TOGGLE_SRC)]
-        systems += [add_stuttering(encode(build_miter(
+        systems += [encode(stutter(build_miter(
             parse_circuit(a), parse_circuit(b))))
             for a, b in ((DFF_SRC, DFF_SRC), (DFF_SRC, INV_DFF_SRC),
                          (shreg_source(3), shreg_source(2)))]

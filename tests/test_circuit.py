@@ -29,20 +29,45 @@ class TestParsing:
         c = parse_circuit("# hello\n\ninput x # trailing\nlatch s init * next x\n")
         assert c.latches[0].init is None
 
-    @pytest.mark.parametrize("src", [
-        "latch s init 2 next s\n",
-        "input x\ninput x\n",                      # duplicate name
-        "latch s init 0 next t\n",                 # undeclared
-        "signal a = b\nsignal b = a\n",            # combinational cycle
-        "input x\nlatch s init 0 next (x AND)\n",  # syntax
-        "flurb x\n",                               # unknown directive
-        "input x\nprop x\n",                       # property over an input
-        "stuttering native\nlatch s init 0 next s\n",  # unknown directive
-        *FORWARD_REF_SRCS,
+    @pytest.mark.parametrize("src, msg", [
+        ("latch s init 2 next s\n", "init must be 0, 1 or *"),
+        ("input x\ninput x\n", "duplicate name 'x'"),
+        ("latch s init 0 next t\n", "undeclared signal 't'"),
+        ("signal a = b\nsignal b = a\n", "before its definition"),  # cycle
+        ("input x\nlatch s init 0 next (x AND)\n", "unexpected token ')'"),
+        ("input x\nlatch s init 0 next (x AND\n",
+         "unexpected end of expression"),
+        ("latch s init 0 next s\nprop\n", "unexpected end of expression"),
+        ("latch s init 0 next (s s)\n", "expected AND/OR/XOR, got 's'"),
+        ("latch s init 0 next (s AND s s\n", "expected ')'"),
+        ("latch s init 0 next s s\n", "trailing tokens after expression"),
+        ("input x y\n", "input takes one name"),
+        ("latch s init 0 s\n", "latch <name> init {0|1|*} next <expr>"),
+        ("signal a x\n", "signal <name> = <expr>"),
+        ("flurb x\n", "unknown directive 'flurb'"),
+        ("input x\nprop x\n", "property depends on input 'x'"),
+        ("stuttering native\nlatch s init 0 next s\n",
+         "unknown directive 'stuttering'"),
+        *((src, "before its definition") for src in FORWARD_REF_SRCS),
     ])
-    def test_rejects(self, src):
-        with pytest.raises(CircuitError):
+    def test_rejects(self, src, msg):
+        with pytest.raises(CircuitError, match=re.escape(msg)):
             encode(parse_circuit(src))
+
+    @pytest.mark.parametrize("src, msg", [
+        ("latch s init 0 next (s & s)\n", "line 1 col 24: bad character '&'"),
+        ("input x\nprop (x AND ]\n", "line 2 col 13: bad character ']'"),
+        ("latch s init 0 next (s AND  AND)\n",
+         "line 1 col 29: unexpected token 'AND'"),
+        ("latch s init 0 next s s\n",
+         "line 1 col 23: trailing tokens after expression"),
+        # a tab and runs of spaces count one column per character
+        ("\t latch  s\tinit 0   next\t(s  AND  s) s\n",
+         "line 1 col 38: trailing tokens after expression"),
+    ])
+    def test_error_column_counts_from_line_start(self, src, msg):
+        with pytest.raises(CircuitError, match="^%s$" % re.escape(msg)):
+            parse_circuit(src)
 
     @pytest.mark.parametrize("src", [
         "input x\nlatch s init 0 next s\nprop NOT s\nprop s\n",
@@ -306,7 +331,7 @@ class TestNextMap:
     @pytest.mark.parametrize("name", FIXTURE_SYSTEMS)
     def test_bijection_onto_next_state_ids_of_t(self, name, request):
         ts = request.getfixturevalue(name)
-        frame1 = {v.id for v in ts.table.by_key.values() if v.frame == 1}
+        frame1 = {v.id for (_, j), v in ts.table.by_key.items() if j == 1}
         assert set(ts.next) == set(ts.state_ids(0))
         assert len(set(ts.next.values())) == len(ts.next)
         assert set(ts.next.values()) == frame1 & variables(ts.trans)
@@ -396,13 +421,13 @@ class TestMiter:
         assert Solver(encode(m).init).solve()
 
     def test_interface_positions(self):
-        ts = add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
-                                               parse_circuit(DFF_SRC))))
+        ts = encode(stutter(build_miter(parse_circuit(DFF_SRC),
+                                        parse_circuit(DFF_SRC))))
         a, b = ts.table.get("n.x", 0).id, ts.table.get("k.x", 0).id
         assert [ts.trans[i] for i in ts.interface] == [
             Clause((a, -b)), Clause((-a, b))]
         assert encode(parse_circuit(DFF_SRC)).interface is None
-        assert add_stuttering(encode(parse_circuit(DFF_SRC))).interface is None
+        assert encode(stutter(parse_circuit(DFF_SRC))).interface is None
 
     def test_input_free_miter_is_marked(self):
         ring = parse_circuit("latch a init 1 next b\nlatch b init 0 next a\n"
@@ -446,24 +471,6 @@ class TestMiter:
         sn, sk = ts.state_ids(0)
         eq = [Clause((sn, -sk)), Clause((-sn, sk))]
         assert implies(eq + ts.trans, rename(eq, ts.next))
-
-
-def _ring(n, k):
-    """One-hot token ring; stages 0 and k never both hold the token."""
-    lines = ["latch s0 init 1 next s%d" % (n - 1)]
-    lines += ["latch s%d init 0 next s%d" % (i, i - 1) for i in range(1, n)]
-    return "\n".join(lines) + "\nprop NOT (s0 AND s%d)\n" % k
-
-
-def _counter(n):
-    """n-bit counter enabled by input en, with a carry chain of signals."""
-    lines = ["input en", "latch c0 init 0 next (c0 XOR en)"]
-    carry = "en"
-    for i in range(1, n):
-        lines.append("signal k%d = (%s AND c%d)" % (i, carry, i - 1))
-        carry = "k%d" % i
-        lines.append("latch c%d init 0 next (c%d XOR %s)" % (i, i, carry))
-    return "\n".join(lines) + "\nprop NOT c%d\n" % (n - 1)
 
 
 class TestStatePredicate:
@@ -634,12 +641,12 @@ class TestCompiledProperty:
                 got = evaluate(ts.prop, dict(zip(ts.state_ids(0), bits)))
                 assert got is _prop_value(c, state), (src, state)
 
-    @pytest.mark.parametrize("src", [_ring(n, k) for n in range(3, 8)
+    @pytest.mark.parametrize("src", [ring_source(n, k) for n in range(3, 8)
                                      for k in range(1, n // 2 + 1)]
-                             + [_counter(n) for n in range(2, 6)])
+                             + [ctr_source(n) for n in range(2, 6)])
     def test_same_clauses_as_enumeration(self, src):
         c = parse_circuit(src)
-        ts = add_stuttering(encode(c))
+        ts = encode(stutter(c))
         assert ts.prop == enumerated_prop(ts.circuit, ts.table)
 
     def test_random_systems_same_clauses(self):

@@ -8,8 +8,7 @@ import pytest
 
 from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant)
-from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
-                              build_miter)
+from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.pclor import pc_lor, Options, Witness
 from lorcheck.sat import Solver
 from lorcheck import boundary
@@ -662,6 +661,26 @@ class TestPqe:
         assert main(["pqe", str(p)]) == 3
         assert capfd.readouterr().err == "error: %s\n" % why
 
+    # B ties variable 1 to each of 2..26: 26 variables, more than the
+    # verification oracle enumerates
+    WIDE_PQE_SRC = "p pqe 26 1 25\nw 1 0\n1 2 0\n%\n" + "".join(
+        "-1 %d 0\n" % i for i in range(2, 27))
+
+    @pytest.mark.parametrize("task, argv, answer, code, why", [
+        (PQE_SRC, ["--pqe-budget", "1"], None, 2, "no answer within budget"),
+        (WIDE_PQE_SRC, ["--verify"], None, 0,
+         "task too large for the verification oracle"),
+        (PQE_SRC, ["--verify"], [], 1, "verification FAILED")])
+    def test_answer_not_verified(self, tmp_path, capfd, monkeypatch, task,
+                                 argv, answer, code, why):
+        if answer is not None:  # take_out gives this wrong answer
+            monkeypatch.setattr("lorcheck.cli.take_out",
+                                lambda task, budget: answer)
+        p = tmp_path / "t.pqe"
+        p.write_text(task)
+        assert main(["pqe", str(p), *argv]) == code
+        assert capfd.readouterr().err == why + "\n"
+
     def test_bad_file_exit_code(self, tmp_path):
         p = tmp_path / "bad.pqe"
         p.write_text("no header\n")
@@ -759,19 +778,33 @@ class TestWitnessVerification:
         ("c var 1\nc var 1 s\np cnf 1 1\n-1 0\n",
          "line 2: a `c var` line must read `c var <n> <latch>`"),
         ("c var 1 s\nc var 2 s extra\np cnf 1 1\n-1 0\n",
-         "line 3: a `c var` line must read `c var <n> <latch>`")])
+         "line 3: a `c var` line must read `c var <n> <latch>`"),
+        ("\nc var 1 s\n \np cnf 1 1\n\t\n-1 0\n\n", None)])
     def test_malformed_invariant_names_the_line(self, stuck0_file, tmp_path,
                                                 capfd, body, why):
         p = tmp_path / "w"
         p.write_text("invariant\n" + body)
-        assert main(["verify-witness", stuck0_file, str(p)]) == 3
+        got = main(["verify-witness", stuck0_file, str(p)])
+        if why is None:  # blank lines are allowed
+            assert got == 0
+            assert "witness accepted" in capfd.readouterr().out
+            return
+        assert got == 3
         assert capfd.readouterr().err == (
             "error: malformed witness: %s\n" % why)
 
-    def test_unknown_kind(self, stuck0_file, tmp_path, capfd):
+    @pytest.mark.parametrize("circuit, text, why", [
+        ("stuck0.scirc", "maybe\n", "unknown witness kind 'maybe'"),
+        ("stuck0.scirc", "", "empty witness file"),
+        ("stuck0.scirc", "counterexample\n# inputs: x stut\n# state: s\n",
+         "malformed witness: trace has no steps"),
+        ("nosuch.scirc", "invariant\n", "[Errno 2] No such file")])
+    def test_unusable_witness_exits_3(self, stuck0_file, tmp_path, capfd,
+                                      circuit, text, why):
         p = tmp_path / "w"
-        p.write_text("maybe\n")
-        assert main(["verify-witness", stuck0_file, str(p)]) == 3
+        p.write_text(text)
+        assert main(["verify-witness", str(tmp_path / circuit), str(p)]) == 3
+        assert capfd.readouterr().err.startswith("error: " + why)
 
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_trace_replay_builds_no_solver(self, toggle, length,
@@ -801,8 +834,8 @@ class TestWitnessVerification:
 
     @staticmethod
     def _dff_miter():
-        return add_stuttering(encode(build_miter(parse_circuit(DFF_SRC),
-                                                 parse_circuit(INV_DFF_SRC))))
+        return encode(stutter(build_miter(parse_circuit(DFF_SRC),
+                                          parse_circuit(INV_DFF_SRC))))
 
     @pytest.mark.parametrize("bad", [1, 2, 3])
     def test_miter_inputs_must_agree(self, bad):

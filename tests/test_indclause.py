@@ -7,8 +7,7 @@ from lorcheck.cnf import (Clause, evaluate, longest_falsified_clause,
                           rename)
 from lorcheck.sat import Solver, implies
 from lorcheck.boundary import FrameChain, check_co
-from lorcheck.circuit import (parse_circuit, encode, add_stuttering,
-                              build_miter)
+from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 import lorcheck.indclause as indclause
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
                                 generalize, educat_guess_rlx, houdini,
@@ -128,7 +127,7 @@ class TestMakeInductiveClause:
 
 class TestGeneralize:
     def test_drops_redundant_literals(self):
-        ts = add_stuttering(encode(parse_circuit(
+        ts = encode(stutter(parse_circuit(
             "input x\nlatch s init 0 next (s AND x)\n"
             "latch t init 0 next x\nprop NOT s\n")))
         s, t = ts.state_ids(0)
@@ -219,8 +218,8 @@ def _inverted_s0(src):
 
 
 def _small_miter(src_n, src_k):
-    return add_stuttering(encode(build_miter(parse_circuit(src_n),
-                                             parse_circuit(src_k))))
+    return encode(stutter(build_miter(parse_circuit(src_n),
+                                      parse_circuit(src_k))))
 
 
 def _random_miter_sources(rng, count):
@@ -313,7 +312,7 @@ class TestHoudini:
         assert len(built) == 2
 
     def test_shift_register_miter_invariant_at_frame_1(self):
-        ts = add_stuttering(encode(build_miter(
+        ts = encode(stutter(build_miter(
             parse_circuit(shreg_source(4)), parse_circuit(shreg_source(4)))))
         frames = []
         chk = IcChecker(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
@@ -514,7 +513,7 @@ class TestIcChecker:
         kept = FrameChain.step_solver
         monkeypatch.setattr(FrameChain, "step_solver", lambda self, k:
                             asked.append((k, kept(self, k))) or asked[-1][1])
-        assert pc_lor_ic(add_stuttering(encode(circuit()))).kind \
+        assert pc_lor_ic(encode(stutter(circuit()))).kind \
             == "counterexample"
         frames = {k for k, _ in asked}
         assert len(asked) > 2 * len(frames)
@@ -577,7 +576,7 @@ class TestBackwardWalk:
     """The walk both engines share, started above frame 1."""
 
     def checker(self, engine, src, frames):
-        ts = add_stuttering(encode(parse_circuit(src)))
+        ts = encode(stutter(parse_circuit(src)))
         c = engine(ts)
         for _ in range(frames):
             c.chain.add_frame()
@@ -634,15 +633,16 @@ class TestBackwardWalk:
     def test_each_predecessor_question_asked_once(self, engine):
         c, ts = self.checker(engine, RING3_SRC, 2)
         asked = []
-        ask = c._predecessor
+        ask = c._block
 
-        def predecessor(k, s):
+        def block(k, s):
             chain = c.chain
             asked.append((k, tuple(sorted(s.items())), tuple(chain.h[k - 1]),
                           frozenset(chain.removed[k - 1])))
             return ask(k, s)
-        c._predecessor = predecessor
+        c._block = block
         c._backward_walk(2, dict(zip(ts.state_ids(0), (True, True, False))),
                          None)
         # a question repeats only if the chain it is asked of is unchanged
+        assert asked
         assert len(set(asked)) == len(asked)

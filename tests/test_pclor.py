@@ -4,7 +4,7 @@ import random
 import pytest
 
 from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
-                              add_stuttering, build_miter)
+                              stutter, build_miter)
 from lorcheck.cnf import Clause, evaluate, rename
 from lorcheck.sat import Solver, implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
@@ -63,8 +63,7 @@ class TestVerdicts:
         replay_trace(toggle, w.trace)
 
     def test_bad_initial_state(self):
-        from lorcheck.circuit import add_stuttering
-        ts = add_stuttering(encode(parse_circuit(
+        ts = encode(stutter(parse_circuit(
             "input x\nlatch s init 1 next x\nprop NOT s\n")))
         w = pc_lor(ts)
         assert w.kind == "counterexample" and len(w.trace) == 1
@@ -75,13 +74,12 @@ class TestVerdicts:
             Checker(ts)
 
     def test_frame_limit(self):
-        from lorcheck.circuit import add_stuttering
         src = ("input x0\n"
                "latch s0 init 0 next ((s0 AND s2) AND x0)\n"
                "latch s1 init 0 next x0\n"
                "latch s2 init 0 next ((s0 XOR NOT s0) AND (s1 AND s0))\n"
                "prop NOT (s2 AND s0)\n")
-        ts = add_stuttering(encode(parse_circuit(src)))
+        ts = encode(stutter(parse_circuit(src)))
         with pytest.raises(CheckerError):
             pc_lor(ts, Options(max_frames=1))
         assert pc_lor(ts).kind == "invariant"
@@ -102,13 +100,13 @@ class TestVerdicts:
 
 def _shreg3_self_miter():
     c = parse_circuit(shreg_source(3))
-    return add_stuttering(encode(build_miter(c, c)))
+    return encode(stutter(build_miter(c, c)))
 
 
 # (system, engine): stuck0 under lor, and the shreg3 self-miter under
 # lor-ic, the engine sec runs by default
 CHAIN_INPUTS = [
-    pytest.param(lambda: add_stuttering(encode(parse_circuit(STUCK0_SRC))),
+    pytest.param(lambda: encode(stutter(parse_circuit(STUCK0_SRC))),
                  pc_lor, id="stuck0-lor"),
     pytest.param(_shreg3_self_miter, pc_lor_ic, id="shreg3-miter-lor-ic"),
 ]
@@ -142,7 +140,7 @@ class TestChainSoundness:
         for _ in range(86):
             src = random_system_source(rng, rng.randint(3, 6),
                                        rng.randint(1, 2))
-        ts = add_stuttering(encode(parse_circuit(src)))
+        ts = encode(stutter(parse_circuit(src)))
         results = []
 
         def hook(ch):
@@ -174,7 +172,7 @@ class TestThirdCoCond:
         """A lor checker of the 5-stage ring after `frames` iterations, and
         the list of (frame, assumptions) of every later solve, where frame
         is the chain frame whose solver answers it (None for another)."""
-        ts = add_stuttering(encode(parse_circuit(ring_source(5))))
+        ts = encode(stutter(parse_circuit(ring_source(5))))
         c = Checker(ts)
         for j in range(1, frames + 1):
             assert c.rem_bad_st(j) is None and c.fin_rlx(j) is None
@@ -216,7 +214,7 @@ class TestThirdCoCond:
             src = random_system_source(rng, rng.randint(2, 4),
                                        rng.randint(1, 2))
             for engine in (pc_lor, pc_lor_ic):
-                ts = add_stuttering(encode(parse_circuit(src)))
+                ts = encode(stutter(parse_circuit(src)))
                 engine(ts, Options(iter_hook=lambda ch: reports.append(
                     check_co(ch))))
         assert len(reports) > 80 and all(r == [] for r in reports)
@@ -233,7 +231,7 @@ class TestReplay:
         walk stack whose step from the initial state at frame k has a model
         that falsifies the dropped clause; T allows the step iff
         `allowed`."""
-        ts = add_stuttering(encode(parse_circuit(ctr_source(2))))
+        ts = encode(stutter(parse_circuit(ctr_source(2))))
         c = Checker(ts)
         for _ in range(k + 1):
             c.chain.add_frame()
@@ -305,7 +303,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("engine", [pc_lor, pc_lor_ic])
     def test_convert_cex_makes_no_sat_call(self, monkeypatch, engine):
-        ts = add_stuttering(encode(parse_circuit(ctr_source(3))))
+        ts = encode(stutter(parse_circuit(ctr_source(3))))
         convert = Checker.convert_cex
         counts = []
 
@@ -332,7 +330,7 @@ class TestFinTouch:
             yield random_system(rng, rng.randint(2, 5), rng.randint(1, 2))
         for src in [ring_source(n) for n in (3, 4, 5, 6)] + \
                 [ctr_source(n) for n in (2, 3, 4)]:
-            yield add_stuttering(encode(parse_circuit(src)))
+            yield encode(stutter(parse_circuit(src)))
 
     def test_every_added_clause_holds_on_the_frame_below(self, monkeypatch):
         added = []
@@ -351,7 +349,7 @@ class TestFinTouch:
     def test_one_repair_per_frame(self):
         """The run repairs condition 3 once after each new frame and
         fin_touch changes no frame."""
-        ts = add_stuttering(encode(parse_circuit(ring_source(5))))
+        ts = encode(stutter(parse_circuit(ring_source(5))))
         frames, repairs, touched = [], [], []
         c = Checker(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
         repair, touch = c.third_co_cond, c.fin_touch
@@ -372,7 +370,7 @@ class TestFrames:
     def test_no_variable_past_frame_1(self):
         """PQE tasks and condition-3 queries stay in frames 0 and 1, so
         a run makes no variable."""
-        ts = add_stuttering(encode(parse_circuit(ring_source(6))))
+        ts = encode(stutter(parse_circuit(ring_source(6))))
         before = dict(ts.table.by_key)
         frames = []
         w = pc_lor(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
@@ -383,8 +381,8 @@ class TestFrames:
         """The trace is the walk's path, so nothing unrolls T: ctr4 fails
         at depth 8 on lor, the unequal shift registers at depth 3 on
         lor-ic."""
-        ctr = add_stuttering(encode(parse_circuit(ctr_source(4))))
-        miter = add_stuttering(encode(build_miter(
+        ctr = encode(stutter(parse_circuit(ctr_source(4))))
+        miter = encode(stutter(build_miter(
             parse_circuit(shreg_source(4)), parse_circuit(shreg_source(3)))))
         for engine, ts, depth in ((pc_lor, ctr, 8), (pc_lor_ic, miter, 3)):
             before = dict(ts.table.by_key)
@@ -432,7 +430,7 @@ class TestDifferential:
             src = random_system_source(rng, n_latch, n_in)
             if i not in wanted:
                 continue
-            ts = add_stuttering(encode(parse_circuit(src)))
+            ts = encode(stutter(parse_circuit(src)))
             frames = []
             w = pc_lor(ts, Options(iter_hook=frames.append))
             assert w.kind == brute_force_verdict(ts), i

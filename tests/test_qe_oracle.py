@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lorcheck.circuit import parse_circuit, encode, add_stuttering
+from lorcheck.circuit import parse_circuit, encode, stutter
 from lorcheck.cnf import Clause, evaluate, variables
 from lorcheck.qe_oracle import (OracleBudgetError, qe_bruteforce, check_pqe,
                                 initial_states, reach_bruteforce, image_under,
@@ -73,12 +73,12 @@ class TestCheckPqe:
 
 class TestReachability:
     def test_stuck0_reach(self):
-        ts = add_stuttering(encode(parse_circuit(STUCK0_SRC)))
+        ts = encode(stutter(parse_circuit(STUCK0_SRC)))
         assert reach_bruteforce(ts, 0) == {(False,)}
         assert reach_bruteforce(ts, 5) == {(False,)}
 
     def test_toggle_reach(self):
-        ts = add_stuttering(encode(parse_circuit(TOGGLE_SRC)))
+        ts = encode(stutter(parse_circuit(TOGGLE_SRC)))
         assert reach_bruteforce(ts, 0) == {(False,)}
         assert reach_bruteforce(ts, 1) == {(False,), (True,)}
 
