@@ -315,7 +315,9 @@ class _Encoder:
     def add(self, lits):
         self.clauses.append(Clause(lits))
 
-    def gate(self, op, a, b, out):
+    def gate(self, op, a, b, target, hint):
+        """Tie target, or a fresh variable, to (a op b); returns it."""
+        out = target if target is not None else self.fresh(hint)
         if b == a or b == -a:
             # equal or complementary operands: the straight Tseitin clauses
             # would be tautological, so tie the output directly
@@ -327,7 +329,7 @@ class _Encoder:
                 self.add([-out])
             else:
                 self.add([out])
-            return
+            return out
         if op == "and":
             self.add([-out, a])
             self.add([-out, b])
@@ -341,6 +343,7 @@ class _Encoder:
             self.add([-out, -a, -b])
             self.add([out, a, -b])
             self.add([out, -a, b])
+        return out
 
     def encode(self, e, target=None, hint="g"):
         """Encode expr e; returns its literal.  With target given, the
@@ -352,12 +355,25 @@ class _Encoder:
             raise ValueError("unsimplified constant")
         elif op == "not":
             lit = -self.encode(e[1], hint=hint)
+        elif op == "or" and e[1][0] == e[2][0] == "and" and e[2][1] == ("not", e[1][1]):
+            # the multiplexer (c AND t) OR (NOT c AND f) that stutter builds:
+            # four ITE clauses over the output, no variable for either AND
+            c, t, f = (self.encode(x, hint=hint) for x in (e[1][1], e[1][2], e[2][2]))
+            if t == f:
+                lit = t
+            elif c in (t, -t, f, -f):
+                # two of the ITE clauses would be tautologies
+                return self.gate("or", self.gate("and", c, t, None, hint),
+                                 self.gate("and", -c, f, None, hint), target, hint)
+            else:
+                out = target if target is not None else self.fresh(hint)
+                for lits in ([-out, -c, t], [-out, c, f], [out, -c, -t], [out, c, -f]):
+                    self.add(lits)
+                return out
         else:
             a = self.encode(e[1], hint=hint)
             b = self.encode(e[2], hint=hint)
-            out = target if target is not None else self.fresh(hint)
-            self.gate(op, a, b, out)
-            return out
+            return self.gate(op, a, b, target, hint)
         if target is not None:
             self.add([-target, lit])
             self.add([target, -lit])

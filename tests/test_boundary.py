@@ -104,7 +104,7 @@ class TestStepSolver:
                     chain.strengthen(k, [Clause(lits)])
                 elif op == "relax" and k < chain.j:
                     chain.relax(k, rng.sample(range(n_trans),
-                                              rng.randint(1, 3)))
+                                              rng.randint(1, min(3, n_trans))))
                 elif op == "restore" and k < chain.j and chain.removed[k]:
                     chain.restore(k, sorted(chain.removed[k])[:1])
                 for m in range(chain.j + 1):
@@ -407,7 +407,7 @@ class TestFrameSolvers:
                     chain.add_frame()
                 elif op == "relax" and k < chain.j:
                     chain.relax(k, rng.sample(range(n_trans),
-                                              rng.randint(1, 3)))
+                                              rng.randint(1, min(3, n_trans))))
                 elif op == "restore" and k < chain.j and chain.removed[k]:
                     dropped = sorted(chain.removed[k])
                     chain.restore(k, rng.sample(dropped,

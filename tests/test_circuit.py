@@ -194,11 +194,9 @@ def exhaustive_encoding_check(ts):
             assert res
             for v, name in zip(ts.state_ids(1), latch):
                 assert res.model[v] == nxt[name]
-            # and the wrong successor is excluded
-            flip = ts.state_ids(1)[0]
-            want = nxt[latch[0]]
-            res2 = Solver(ts.trans).solve(assume + [-flip if want else flip])
-            assert not res2
+                # and a successor with this latch flipped is excluded
+                assert not Solver(ts.trans, extra_vars=[v]).solve(
+                    assume + [-v if nxt[name] else v])
 
 
 def _nested(levels):
@@ -210,15 +208,41 @@ def _nested(levels):
 
 
 class TestEncoding:
-    @pytest.mark.parametrize("src", [STUCK0_SRC, TOGGLE_SRC])
+    @pytest.mark.parametrize("src", [STUCK0_SRC, TOGGLE_SRC] + [
+        "input x\nlatch s init * next %s\nlatch t init 0 next (s XOR t)\n"
+        % nxt for nxt in (
+            "s", "NOT s", "0", "1", "x", "NOT x",
+            # multiplexers whose select is also a data input
+            "((x AND x) OR (NOT x AND s))", "((x AND NOT x) OR (NOT x AND s))",
+            "((x AND s) OR (NOT x AND x))", "((x AND s) OR (NOT x AND NOT x))",
+            # multiplexers inside a larger expression
+            "(((x AND s) OR (NOT x AND NOT s)) AND t)",
+            "(((x AND s) OR (NOT x AND s)) XOR t)",
+            "((t AND (s XOR x)) OR (NOT t AND (s AND x)))")])
     def test_matches_simulation(self, src):
-        exhaustive_encoding_check(encode(parse_circuit(src)))
+        c = parse_circuit(src)
+        exhaustive_encoding_check(encode(c))
+        exhaustive_encoding_check(encode(stutter(c)))
 
     def test_random_circuits_match_simulation(self):
         rng = make_rng(60)
         for _ in range(15):
-            src = random_system_source(rng, rng.randint(1, 3), rng.randint(1, 2))
-            exhaustive_encoding_check(encode(parse_circuit(src)))
+            c = parse_circuit(random_system_source(rng, rng.randint(1, 3),
+                                                   rng.randint(1, 2)))
+            exhaustive_encoding_check(encode(c))
+            exhaustive_encoding_check(encode(stutter(c)))
+
+    @pytest.mark.parametrize("src, size", [
+        (ring_source(2), 8), (ring_source(7), 28), (ring_source(12), 48),
+        ("latch s init 0 next s\n", 2),  # s' = stut ? s : s is s' = s
+    ])
+    def test_stutter_adds_no_gate_variable(self, src, size):
+        # each latch's multiplexer s' = stut ? next : s is four ITE clauses
+        # over s', stut, next and s
+        ts = encode(stutter(parse_circuit(src)))
+        assert len(ts.trans) == size
+        assert variables(ts.trans) <= set(
+            ts.state_ids(0) + ts.state_ids(1) + [ts.table.get("stut", 0).id])
 
     def test_init_and_prop(self):
         ts = encode(parse_circuit(STUCK0_SRC))

@@ -211,7 +211,7 @@ class TestCheck:
         ("ring7", 1, "in fin_rlx at frame 1"),
         ("ring7", 2, "in fin_rlx at frame 2"),
         ((17, 5), 1, "in the rem_bad_st walk at frame 1"),
-        ((17, 6), 3, "in the third_co_cond walk at frame 1"),
+        ((17, 6), 3, "in the third_co_cond walk at frame 2"),
     ])
     def test_pqe_budget_names_its_phase(self, tmp_path, capfd, src, budget,
                                         where):
@@ -567,12 +567,12 @@ class TestEngineSearchIsPinned:
         # name: (source, engine, sha256 of the transcript)
         "ring7": (_ring_out(7).replace("output z = s0",
                                        "prop NOT (s0 AND s1)"), "lor",
-                  "4d4df1c35e78b79a1df25ac776102038"
-                  "1f363ef78577f1af3ad6489a5f651055"),
-        # a 6-latch random system that holds at frame 3
+                  "41bd0a14b592cc719f2f83c8bf15d2a0"
+                  "7c886c6b498dff1512c390c171cd0bc2"),
+        # a 6-latch random system that holds at frame 4
         "rand6": (random_system_source(make_rng(14), 6, 1), "lor",
-                  "fab828bcddb1a7b9dfbb0c9e1efa4b73"
-                  "34eef011bccc02cd79b3f6098ea66d34"),
+                  "a793d9eea7baeb8976febc7e1d65f2fc"
+                  "12f794c07d1ac8349cfd7d888eb0a43e"),
         # both engines end at frame 7 with the same clause counts and
         # write the same trace
         "ctr4": (ctr_source(4), "lor",

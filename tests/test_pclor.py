@@ -10,7 +10,7 @@ from lorcheck.sat import Solver, implies
 from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
 from lorcheck.indclause import pc_lor_ic
 from lorcheck.boundary import FrameChain, check_co
-from lorcheck.qe_oracle import verify_boundary
+from lorcheck.qe_oracle import reach_bruteforce, verify_boundary
 from conftest import (STUCK0_SRC, random_system, random_system_source,
                       brute_force_verdict, make_rng, shreg_source, ring_source,
                       ctr_source)
@@ -131,10 +131,32 @@ class TestChainSoundness:
         engine(ts, Options(iter_hook=hook))
         assert results and all(results)
 
+    @pytest.mark.parametrize("engine", [pc_lor, pc_lor_ic],
+                             ids=["lor", "lor-ic"])
+    def test_frames_keep_every_reachable_state(self, engine):
+        """The half of Definition 5 that soundness rests on: after every
+        iteration, each H_k is 1 on every state reachable in k steps.  The
+        draws are the first of the seed-11 boundary scan, where some frames
+        keep a state that only a relaxed step reaches."""
+        rng, frames = make_rng(11), []
+        for _ in range(360):
+            ts = random_system(rng, rng.randint(3, 6), rng.randint(1, 2))
+            ids, reach = ts.state_ids(0), {}
+
+            def hook(ch):
+                frames.append(ch.j)
+                for k in range(ch.j + 1):
+                    if k not in reach:
+                        reach[k] = reach_bruteforce(ts, k)
+                    for s in reach[k]:
+                        assert evaluate(ch.h[k], dict(zip(ids, s))) is True
+            engine(ts, Options(iter_hook=hook))
+        assert frames
+
     @pytest.mark.xfail(strict=True, reason=(
-        "boundary-formula gap: on lor, H_3 at j = 4 keeps the state "
-        "(s0..s4) = 00010, which only the relaxed step 2->3 reaches "
-        "(removed[2] = {55})"))
+        "boundary-formula gap: on lor, H_4 at j = 4 keeps the state "
+        "(s0..s4) = 00010, which only the relaxed step 3->4 reaches "
+        "(removed[3] = {33}, the stutter clause (s3 OR stut OR NOT s3'))"))
     def test_boundaries_verified_beyond_the_fixture(self):
         rng = make_rng(11)
         for _ in range(86):
