@@ -17,8 +17,8 @@ from .sat import implies
 from .circuit import (CircuitError, parse_circuit, encode, stutter,
                       build_miter, simulate_lanes)
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
-from .pclor import pc_lor, Options, CheckerError
-from .indclause import pc_lor_ic
+from .pclor import Checker, CheckerError
+from .indclause import IcChecker
 
 
 def _report(out, verdict, clause_counts, witness_path, seconds):
@@ -306,23 +306,6 @@ def parse_pqe_dimacs(text):
 # ------------------------------------------------------------- commands
 
 
-def _run_engine(ts, args):
-    clause_counts = []
-
-    def hook(chain):
-        clause_counts[:] = [len(h) for h in chain.h]
-    opts = Options(max_frames=args.max_frames, pqe_budget=args.pqe_budget,
-                   iter_hook=hook)
-    engine = pc_lor_ic if args.engine == "lor-ic" else pc_lor
-    try:
-        witness = engine(ts, opts)
-    except PqeBudgetError as e:
-        raise CheckerError("PQE budget of %d points exhausted (--pqe-budget)"
-                           " in %s at frame %d"
-                           % (args.pqe_budget, e.phase, e.frame)) from None
-    return witness, clause_counts
-
-
 def _check_circuit(args, load, default_path, answers, out, err):
     """Shared body of check and sec: encode the circuit `load` returns, add
     stuttering, run the engine, write the witness and print the report.
@@ -334,8 +317,14 @@ def _check_circuit(args, load, default_path, answers, out, err):
     except (OSError, CircuitError, UnicodeDecodeError) as e:
         err.write("error: %s\n" % e)
         return 3
+    clause_counts = []
+
+    def hook(chain):
+        clause_counts[:] = [len(h) for h in chain.h]
+    engine = IcChecker if args.engine == "lor-ic" else Checker
     try:
-        witness, clause_counts = _run_engine(ts, args)
+        witness = engine(ts, max_frames=args.max_frames,
+                         pqe_budget=args.pqe_budget, iter_hook=hook).run()
     except CheckerError as e:
         err.write("no verdict: %s\n" % e)
         _report(out, "unknown", [], None, time.time() - t0)

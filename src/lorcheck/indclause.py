@@ -230,7 +230,7 @@ def houdini(ts, cands, required=()):
 
 
 class IcChecker(Checker):
-    """pc_lor with each backward-walk step strengthening H_k by a
+    """Checker with each backward-walk step strengthening H_k by a
     generalized inductive clause instead of relax-and-make-up.  On a miter,
     fin_rlx(1) runs Houdini over I, P and the mined candidates and returns
     an invariant it finds, or the path to a bad state that mining
@@ -278,9 +278,3 @@ class IcChecker(Checker):
         self.phase = "the sec seed"
         chain.strengthen(j, educat_guess_rlx(chain, j) + ts.prop)
         return None
-
-
-def pc_lor_ic(ts, opts=None):
-    """Decide the property with the inductive-clause hybrid; returns a
-    Witness like pc_lor."""
-    return IcChecker(ts, opts).run()

@@ -24,20 +24,19 @@ class Witness:
         self.invariant = invariant  # clauses over canonical state vars
 
 
-class Options:
-    def __init__(self, max_frames=None, pqe_budget=DEFAULT_BUDGET,
-                 iter_hook=None):
-        self.max_frames = max_frames
-        self.pqe_budget = pqe_budget
-        self.iter_hook = iter_hook    # called with the chain after each
-                                      # main-loop iteration
-
-
 class Checker:
-    def __init__(self, ts, opts=None):
+    """One run on a stuttered system: run() returns a Witness, or raises
+    CheckerError at the frame limit or a spent PQE budget.  `iter_hook` is
+    called with the chain after each main-loop iteration."""
+
+    def __init__(self, ts, *, max_frames=None, pqe_budget=DEFAULT_BUDGET,
+                 iter_hook=None):
         self.ts = ts
-        self.opts = opts or Options()
-        self.chain = FrameChain(ts, self.opts.pqe_budget)
+        if max_frames is None:
+            max_frames = 2 ** len(ts.state_vars) + 1
+        self.max_frames = max_frames
+        self.iter_hook = iter_hook
+        self.chain = FrameChain(ts, pqe_budget)
         self.state_ids = ts.state_ids(0)
         self.phase = None   # names the phase in a spent PQE budget
 
@@ -225,11 +224,8 @@ class Checker:
     def run(self):
         if (bad := self._violation(0, self.ts.prop)) is not None:
             return self.convert_cex([(bad[0], None)])
-        max_frames = self.opts.max_frames
-        if max_frames is None:
-            max_frames = 2 ** len(self.ts.state_vars) + 1
         try:
-            for j in range(1, max_frames + 1):
+            for j in range(1, self.max_frames + 1):
                 self.phase = "the rem_bad_st walk"
                 if (path := self.rem_bad_st(j)) is not None:
                     return self.convert_cex(path)
@@ -241,17 +237,14 @@ class Checker:
                 self.third_co_cond()
                 if found is None:
                     found = self.fin_touch()
-                if self.opts.iter_hook:
-                    self.opts.iter_hook(self.chain)
+                if self.iter_hook:
+                    self.iter_hook(self.chain)
                 if found is not None:
                     return found
         except PqeBudgetError as e:
-            e.phase = self.phase
-            raise
+            raise CheckerError("PQE budget of %d points exhausted "
+                               "(--pqe-budget) in %s at frame %d"
+                               % (self.chain.pqe_budget, self.phase, e.frame)
+                               ) from None
         raise CheckerError("frame limit %d reached without a verdict"
-                           % max_frames)
-
-
-def pc_lor(ts, opts=None):
-    """Decide the property of a stuttered system; returns a Witness."""
-    return Checker(ts, opts).run()
+                           % self.max_frames)

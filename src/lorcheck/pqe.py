@@ -45,9 +45,9 @@ DEFAULT_BUDGET = 10 ** 6   # enumerated points per take_out call
 
 
 class PqeBudgetError(Exception):
-    """A spent budget; the engine sets the frame and phase that spent it."""
+    """A spent budget; makeup_clauses sets the frame that spent it."""
 
-    frame = phase = None
+    frame = None
 
 
 class PqeTask:
@@ -73,8 +73,8 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     top = max(chain(w, free), default=0)
     sels = range(top + 1, top + 1 + len(a))
     not_a = [(-s, -l) for s, c in zip(sels, a) for l in c] + [tuple(sels)]
-    points = Solver(task.b + not_a, extra_vars=free)
-    ab_solver = Solver(ab, extra_vars=free)
+    points = Solver(task.b + not_a)
+    ab_solver = Solver(ab)
     # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
     liftable = [c for c in ab if not w.issuperset(map(abs, c))]
     answer, rest = [], []     # rest: the clauses of covered not taken

@@ -11,8 +11,8 @@ from lorcheck.cnf import Clause, evaluate, variables
 from lorcheck.sat import Solver, implies
 from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.pqe import PqeTask, take_out
-from lorcheck.pclor import pc_lor, Options
-from lorcheck.indclause import pc_lor_ic, educat_guess_rlx
+from lorcheck.pclor import Checker
+from lorcheck.indclause import IcChecker, educat_guess_rlx
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.qe_oracle import check_pqe, verify_boundary
 from lorcheck.cli import main as cli_main
@@ -81,8 +81,8 @@ def test_criterion_2_boundary_formulas_verified():
         return hook
 
     for ts in fixture_corpus():
-        for engine in (pc_lor, pc_lor_ic):
-            engine(ts, Options(iter_hook=make_hook(ts)))
+        for engine in (Checker, IcChecker):
+            engine(ts, iter_hook=make_hook(ts)).run()
     report(2, "%d boundary formulas accepted by the enumeration oracle"
            % len(results), bool(results) and all(results))
 
@@ -98,7 +98,7 @@ def test_criterion_3_sec_seed_exact_and_fast():
     exact = implies(seed, eq) and implies(eq, seed)
     frames = []
     t0 = time.perf_counter()
-    w = pc_lor_ic(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+    w = IcChecker(ts, iter_hook=lambda ch: frames.append(ch.j)).run()
     dt = time.perf_counter() - t0
     ok = (exact and w.kind == "invariant" and max(frames) <= 2 and dt < 1.0)
     report(3, "interface-drop seed is exact state equality; equivalence "
@@ -145,9 +145,9 @@ def test_criterion_5_engines_match_brute_force():
         ts = random_system(rng, n_latch, n_in,
                            init_zero=rng.random() < 0.7)
         want = brute_force_verdict(ts)
-        for engine in (pc_lor, pc_lor_ic):
+        for engine in (Checker, IcChecker):
             t0 = time.perf_counter()
-            w = engine(ts)
+            w = engine(ts).run()
             worst = max(worst, time.perf_counter() - t0)
             if w.kind != want:
                 ok = False
@@ -187,7 +187,7 @@ def test_criterion_6_bmc_agrees_with_verdicts():
     for _ in range(15):
         ts = random_system(rng, rng.randint(1, 3), rng.randint(1, 2))
         frames = []
-        w = pc_lor(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+        w = Checker(ts, iter_hook=lambda ch: frames.append(ch.j)).run()
         if w.kind == "invariant":
             # no depth up to (and beyond) convergence reaches a bad state
             for d in range(max(frames) + 2):
@@ -207,8 +207,9 @@ def test_criterion_6_bmc_agrees_with_verdicts():
 def test_criterion_7_co_conditions_hold_every_iteration():
     reports = []
     for ts in fixture_corpus():
-        for engine in (pc_lor, pc_lor_ic):
-            engine(ts, Options(iter_hook=lambda ch: reports.append(check_co(ch))))
+        for engine in (Checker, IcChecker):
+            engine(ts, iter_hook=lambda ch: reports.append(
+                check_co(ch))).run()
     report(7, "CO conditions hold after each of %d loop iterations"
            % len(reports), bool(reports) and all(r == [] for r in reports))
 
@@ -221,8 +222,8 @@ def test_criterion_8_stuttering_preserves_verdict():
         plain = encode(parse_circuit(src))
         want = brute_force_verdict(plain)
         stuttered = encode(stutter(parse_circuit(src)))
-        for engine in (pc_lor, pc_lor_ic):
-            if engine(stuttered).kind != want:
+        for engine in (Checker, IcChecker):
+            if engine(stuttered).run().kind != want:
                 ok = False
     report(8, "verdicts on stuttered systems match the unstuttered "
               "semantics", ok)

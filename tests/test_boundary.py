@@ -6,8 +6,8 @@ from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
 from lorcheck.circuit import (CircuitError, build_miter, encode,
                               parse_circuit, stutter)
 from lorcheck.cnf import Clause, rename, evaluate, variables
-from lorcheck.indclause import pc_lor_ic
-from lorcheck.pclor import pc_lor
+from lorcheck.indclause import IcChecker
+from lorcheck.pclor import Checker
 from lorcheck.pqe import PqeBudgetError, take_out
 from lorcheck.sat import Solver, implies
 from lorcheck.qe_oracle import (all_assignments, check_pqe, qe_bruteforce,
@@ -28,10 +28,10 @@ class TestFrameChain:
         # CO condition 4 and the covered region of the makeup step rest on
         # the stutter step, so no engine runs without it
         ts = encode(parse_circuit(STUCK0_SRC))
-        for run in (FrameChain, pc_lor, pc_lor_ic):
+        for build in (FrameChain, Checker, IcChecker):
             with pytest.raises(CircuitError,
                                match="requires a stuttered system"):
-                run(ts)
+                build(ts)
 
     def test_h0_is_initial(self, stuck0):
         chain = FrameChain(stuck0)
@@ -248,8 +248,8 @@ class TestMakeupAnswers:
         systems += [random_system(rng, rng.randint(2, 3), rng.randint(1, 2))
                     for _ in range(40)]
         for ts in systems:
-            pc_lor(ts)
-            pc_lor_ic(ts)
+            Checker(ts).run()
+            IcChecker(ts).run()
         checked = 0
         for task, covered, a_star in calls:
             assert covered is not None
@@ -268,7 +268,7 @@ class TestMakeupAnswers:
         make up every answer."""
         calls = recorded_makeup_tasks(monkeypatch)
         ts = deep_ctr_miter()
-        assert pc_lor_ic(ts).kind == "counterexample"
+        assert IcChecker(ts).run().kind == "counterexample"
         budgets = []
         for task, covered, _ in calls:
             budget = 1

@@ -9,12 +9,12 @@ import pytest
 from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant)
 from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
-from lorcheck.pclor import pc_lor, Options, Witness
+from lorcheck.pclor import Checker, Witness
 from lorcheck.sat import Solver
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, make_rng, random_system_source,
-                      shreg_source, xorreg_source, ctr_source,
+                      shreg_source, xorreg_source, ctr_source, ring_source,
                       deep_ctr_miter_sources)
 
 
@@ -158,8 +158,8 @@ class TestCheck:
 
     def test_report_clause_counts(self, stuck0, stuck0_file, capfd):
         seen = []
-        pc_lor(stuck0, Options(
-            iter_hook=lambda chain: seen.append([len(h) for h in chain.h])))
+        Checker(stuck0, iter_hook=lambda chain: seen.append(
+            [len(h) for h in chain.h])).run()
         assert main(["check", stuck0_file]) == 0
         out = capfd.readouterr().out
         assert "frames: %d\n" % (len(seen[-1]) - 1) in out
@@ -244,6 +244,25 @@ class TestCheck:
         got = capfd.readouterr()
         assert "verdict: unknown" in got.out
         assert re.search(r"^no verdict: frame \d+: ", got.err, re.M)
+
+    @pytest.mark.parametrize("src", [ring_source(7), ctr_source(4)],
+                             ids=["ring7", "ctr4"])
+    def test_broken_invariant_is_no_verdict(self, tmp_path, capfd,
+                                            monkeypatch, src):
+        """A third_co_cond violation reachable from I that breaks no
+        dropped clause would be a real transition out of a boundary
+        formula; with _broken finding none, the run ends without a
+        verdict."""
+        import lorcheck.pclor as pclor
+        monkeypatch.setattr(pclor.Checker, "_broken", lambda self, k, m: [])
+        p = tmp_path / "c.scirc"
+        p.write_text(src)
+        assert main(["check", str(p)]) == 2
+        got = capfd.readouterr()
+        assert "verdict: unknown" in got.out
+        assert got.err == ("no verdict: reachable state drives a real "
+                           "transition out of a boundary formula; invariant "
+                           "broken\n")
 
 
 class TestSec:

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import re
+import sys
 
 import pytest
 
@@ -11,9 +13,9 @@ from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 import lorcheck.indclause as indclause
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
                                 generalize, educat_guess_rlx, houdini,
-                                mine, pc_lor_ic)
+                                mine)
 from lorcheck.cli import main
-from lorcheck.pclor import Checker, Options, pc_lor
+from lorcheck.pclor import Checker
 from lorcheck.qe_oracle import verify_boundary, image_under, reach_bruteforce
 from conftest import (random_system, random_system_source,
                       brute_force_verdict, make_rng, shreg_source, ctr_source,
@@ -176,6 +178,51 @@ class TestGeneralize:
                     shrunk += len(g) < len(wide)
         assert shrunk
 
+    def test_skips_a_literal_an_earlier_trim_dropped(self, monkeypatch):
+        """Draw 53 of this scan under lor-ic is a run where the core of an
+        accepted trial drops a literal of c that the loop has not reached:
+        the loop skips it, and the clause returned is still implied by I
+        and inductive relative to F."""
+        rng = make_rng(3)
+        for _ in range(54):
+            src = random_system_source(rng, rng.randint(3, 7),
+                                       rng.randint(1, 2),
+                                       init_zero=rng.random() < 0.5)
+        chk = IcChecker(encode(stutter(parse_circuit(src))))
+        code = generalize.__code__
+        body = inspect.getsource(generalize).splitlines()
+        skip_line = code.co_firstlineno + 1 + next(
+            i for i, l in enumerate(body) if "if l not in lits" in l)
+        skips = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line" and frame.f_lineno == skip_line:
+                skips.append(frame.f_locals["l"])
+            return tracer
+
+        skipped = []
+
+        def recording(c, step, ts, init):
+            n, old = len(skips), sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                g = generalize(c, step, ts, init)
+            finally:
+                sys.settrace(old)
+            if len(skips) > n:
+                k = next(k for k, x in chk.chain.step_solvers.items()
+                         if x is step)
+                skipped.append((c, g, list(chk.chain.h[k]), skips[n:]))
+            return g
+        monkeypatch.setattr(indclause, "generalize", recording)
+        chk.run()
+        assert skipped
+        for c, g, f, lits in skipped:
+            assert set(lits) <= set(c.lits) - set(g.lits)
+            assert_inductive_clause(chk.ts, f, g, c)
+
 
 class TestGuessSeeding:
     def test_interface_drop_recovers_state_equality(self, dff_miter):
@@ -315,7 +362,7 @@ class TestHoudini:
         ts = encode(stutter(build_miter(
             parse_circuit(shreg_source(4)), parse_circuit(shreg_source(4)))))
         frames = []
-        chk = IcChecker(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+        chk = IcChecker(ts, iter_hook=lambda ch: frames.append(ch.j))
         w = chk.run()
         assert w.kind == "invariant" and frames == [1]
         assert list(w.invariant) == list(IcChecker(ts).fin_rlx(1).invariant)
@@ -336,7 +383,7 @@ class TestHoudini:
         # H_1 holds the seed and P only, as without Houdini
         want = list(dict.fromkeys(seed + ts.prop))
         assert chk.chain.h[1] == want
-        w = pc_lor_ic(ts)
+        w = IcChecker(ts).run()
         assert w.kind == "counterexample"
         replay_trace(ts, w.trace)
 
@@ -444,19 +491,19 @@ class TestSimulatedCounterexample:
 
 class TestIcChecker:
     def test_stuck0_invariant(self, stuck0):
-        w = pc_lor_ic(stuck0)
+        w = IcChecker(stuck0).run()
         assert w.kind == "invariant"
         check_invariant_witness(stuck0, w.invariant)
 
     def test_toggle_counterexample(self, toggle):
-        w = pc_lor_ic(toggle)
+        w = IcChecker(toggle).run()
         assert w.kind == "counterexample"
         replay_trace(toggle, w.trace)
 
     def test_sec_with_guess_converges_fast(self, dff_miter):
         frames = []
-        opts = Options(iter_hook=lambda ch: frames.append(ch.j))
-        w = pc_lor_ic(dff_miter, opts)
+        w = IcChecker(dff_miter,
+                      iter_hook=lambda ch: frames.append(ch.j)).run()
         assert w.kind == "invariant"
         check_invariant_witness(dff_miter, w.invariant)
         assert max(frames) <= 2
@@ -470,9 +517,9 @@ class TestIcChecker:
             ts = random_system(rng, rng.randint(1, 3), rng.randint(1, 2))
             want = brute_force_verdict(ts)
             reports = []
-            w = pc_lor_ic(ts, Options(
-                iter_hook=lambda ch: reports.append(check_co(ch))))
-            assert w.kind == want == pc_lor(ts).kind
+            w = IcChecker(ts, iter_hook=lambda ch: reports.append(
+                check_co(ch))).run()
+            assert w.kind == want == Checker(ts).run().kind
             assert all(r == [] for r in reports)
             if w.kind == "counterexample":
                 replay_trace(ts, w.trace)
@@ -486,7 +533,7 @@ class TestIcChecker:
         monkeypatch.setattr(indclause, "generalize",
                             lambda *a: calls.append(a) or generalize(*a))
         ts = deep_ctr_miter()
-        assert pc_lor_ic(ts).kind == "counterexample"
+        assert IcChecker(ts).run().kind == "counterexample"
         assert calls
         assert all(a[3] is calls[0][3] for a in calls)
         assert built_clauses.count([list(c) for c in ts.init]) == 1
@@ -499,7 +546,7 @@ class TestIcChecker:
         # mining ends shreg8 against shreg7 at frame 0, before any I
         # question; Houdini's invariant on the equal miter asks one
         ts = _small_miter(shreg_source(n), shreg_source(k))
-        assert pc_lor_ic(ts).kind == kind
+        assert IcChecker(ts).run().kind == kind
         assert built_clauses.count([list(c) for c in ts.init]) == init_solvers
 
     @pytest.mark.parametrize("circuit", [
@@ -513,7 +560,7 @@ class TestIcChecker:
         kept = FrameChain.step_solver
         monkeypatch.setattr(FrameChain, "step_solver", lambda self, k:
                             asked.append((k, kept(self, k))) or asked[-1][1])
-        assert pc_lor_ic(encode(stutter(circuit()))).kind \
+        assert IcChecker(encode(stutter(circuit()))).run().kind \
             == "counterexample"
         frames = {k for k, _ in asked}
         assert len(asked) > 2 * len(frames)

@@ -7,13 +7,13 @@ from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
                               stutter, build_miter)
 from lorcheck.cnf import Clause, evaluate, rename
 from lorcheck.sat import Solver, implies
-from lorcheck.pclor import Checker, CheckerError, Options, Witness, pc_lor
-from lorcheck.indclause import pc_lor_ic
+from lorcheck.pclor import Checker, CheckerError, Witness
+from lorcheck.indclause import IcChecker
 from lorcheck.boundary import FrameChain, check_co
 from lorcheck.qe_oracle import reach_bruteforce, verify_boundary
 from conftest import (STUCK0_SRC, random_system, random_system_source,
                       brute_force_verdict, make_rng, shreg_source, ring_source,
-                      ctr_source)
+                      ctr_source, deep_ctr_miter)
 from test_boundary import stuck0_drop_indices
 
 
@@ -50,14 +50,14 @@ def check_invariant_witness(ts, inv):
 
 class TestVerdicts:
     def test_stuck0_invariant(self, stuck0):
-        w = pc_lor(stuck0)
+        w = Checker(stuck0).run()
         assert w.kind == "invariant"
         check_invariant_witness(stuck0, w.invariant)
         s = stuck0.state_ids(0)[0]
         assert implies(w.invariant, [Clause((-s,))])
 
     def test_toggle_counterexample(self, toggle):
-        w = pc_lor(toggle)
+        w = Checker(toggle).run()
         assert w.kind == "counterexample"
         assert len(w.trace) == 2
         replay_trace(toggle, w.trace)
@@ -65,7 +65,7 @@ class TestVerdicts:
     def test_bad_initial_state(self):
         ts = encode(stutter(parse_circuit(
             "input x\nlatch s init 1 next x\nprop NOT s\n")))
-        w = pc_lor(ts)
+        w = Checker(ts).run()
         assert w.kind == "counterexample" and len(w.trace) == 1
 
     def test_requires_stuttering(self):
@@ -81,12 +81,28 @@ class TestVerdicts:
                "prop NOT (s2 AND s0)\n")
         ts = encode(stutter(parse_circuit(src)))
         with pytest.raises(CheckerError):
-            pc_lor(ts, Options(max_frames=1))
-        assert pc_lor(ts).kind == "invariant"
+            Checker(ts, max_frames=1).run()
+        assert Checker(ts).run().kind == "invariant"
 
     def test_frame_limit_zero(self, stuck0):
         with pytest.raises(CheckerError, match="frame limit 0 "):
-            pc_lor(stuck0, Options(max_frames=0))
+            Checker(stuck0, max_frames=0).run()
+
+    @pytest.mark.parametrize("engine, system, kw, where", [
+        (Checker, lambda: encode(stutter(parse_circuit(ring_source(7)))),
+         {"pqe_budget": 1}, "in fin_rlx at frame 1"),
+        (IcChecker, deep_ctr_miter, {"max_frames": 1, "pqe_budget": 1},
+         "in the sec seed at frame 1"),
+    ], ids=["ring7-lor", "deep-ctr-miter-lor-ic"])
+    def test_spent_budget_names_phase_and_frame(self, engine, system, kw,
+                                                 where):
+        """A spent PQE budget ends a library run with the reason that
+        `check` prints after `no verdict:`."""
+        with pytest.raises(CheckerError) as e:
+            engine(system(), **kw).run()
+        assert str(e.value) == ("PQE budget of %d points exhausted "
+                                "(--pqe-budget) %s"
+                                % (kw["pqe_budget"], where))
 
     def test_unsatisfiable_frame_names_it(self, stuck0):
         c = Checker(stuck0)
@@ -107,8 +123,8 @@ def _shreg3_self_miter():
 # lor-ic, the engine sec runs by default
 CHAIN_INPUTS = [
     pytest.param(lambda: encode(stutter(parse_circuit(STUCK0_SRC))),
-                 pc_lor, id="stuck0-lor"),
-    pytest.param(_shreg3_self_miter, pc_lor_ic, id="shreg3-miter-lor-ic"),
+                 Checker, id="stuck0-lor"),
+    pytest.param(_shreg3_self_miter, IcChecker, id="shreg3-miter-lor-ic"),
 ]
 
 
@@ -116,8 +132,8 @@ class TestChainSoundness:
     @pytest.mark.parametrize("system, engine", CHAIN_INPUTS)
     def test_co_holds_each_iteration(self, system, engine):
         reports = []
-        opts = Options(iter_hook=lambda ch: reports.append(check_co(ch)))
-        engine(system(), opts)
+        engine(system(), iter_hook=lambda ch: reports.append(
+            check_co(ch))).run()
         assert reports and all(r == [] for r in reports)
 
     @pytest.mark.parametrize("system, engine", CHAIN_INPUTS)
@@ -128,10 +144,10 @@ class TestChainSoundness:
             for k in range(1, ch.j + 1):
                 results.append(verify_boundary(
                     ch.h[k], ts, ch.trlx_cnf(k - 1), k))
-        engine(ts, Options(iter_hook=hook))
+        engine(ts, iter_hook=hook).run()
         assert results and all(results)
 
-    @pytest.mark.parametrize("engine", [pc_lor, pc_lor_ic],
+    @pytest.mark.parametrize("engine", [Checker, IcChecker],
                              ids=["lor", "lor-ic"])
     def test_frames_keep_every_reachable_state(self, engine):
         """The half of Definition 5 that soundness rests on: after every
@@ -150,7 +166,7 @@ class TestChainSoundness:
                         reach[k] = reach_bruteforce(ts, k)
                     for s in reach[k]:
                         assert evaluate(ch.h[k], dict(zip(ids, s))) is True
-            engine(ts, Options(iter_hook=hook))
+            engine(ts, iter_hook=hook).run()
         assert frames
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -169,8 +185,8 @@ class TestChainSoundness:
             for k in range(1, ch.j + 1):
                 results.append(verify_boundary(
                     ch.h[k], ts, ch.trlx_cnf(k - 1), k))
-        for engine in (pc_lor, pc_lor_ic):
-            engine(ts, Options(iter_hook=hook))
+        for engine in (Checker, IcChecker):
+            engine(ts, iter_hook=hook).run()
         assert results and all(results)
 
 
@@ -235,10 +251,10 @@ class TestThirdCoCond:
         for _ in range(40):
             src = random_system_source(rng, rng.randint(2, 4),
                                        rng.randint(1, 2))
-            for engine in (pc_lor, pc_lor_ic):
+            for engine in (Checker, IcChecker):
                 ts = encode(stutter(parse_circuit(src)))
-                engine(ts, Options(iter_hook=lambda ch: reports.append(
-                    check_co(ch))))
+                engine(ts, iter_hook=lambda ch: reports.append(
+                    check_co(ch))).run()
         assert len(reports) > 80 and all(r == [] for r in reports)
 
 
@@ -323,7 +339,7 @@ class TestReplay:
         assert c._replay(stack) == 1
         assert c.chain.removed == [set(), set(), set()]
 
-    @pytest.mark.parametrize("engine", [pc_lor, pc_lor_ic])
+    @pytest.mark.parametrize("engine", [Checker, IcChecker])
     def test_convert_cex_makes_no_sat_call(self, monkeypatch, engine):
         ts = encode(stutter(parse_circuit(ctr_source(3))))
         convert = Checker.convert_cex
@@ -335,7 +351,7 @@ class TestReplay:
             counts.append(dict(n))
             return w
         monkeypatch.setattr(Checker, "convert_cex", converted)
-        w = engine(ts)
+        w = engine(ts).run()
         assert w.kind == "counterexample" and len(w.trace) == 5
         replay_trace(ts, w.trace)
         assert counts == [{"init": 0, "solve": 0}]
@@ -364,7 +380,7 @@ class TestFinTouch:
             added.extend(clauses)
             strengthen(chain, k, clauses)
         monkeypatch.setattr(FrameChain, "strengthen", checked)
-        kinds = [pc_lor(ts).kind for ts in self.systems()]
+        kinds = [Checker(ts).run().kind for ts in self.systems()]
         assert len(added) > 100
         assert set(kinds) == {"invariant", "counterexample"}
 
@@ -373,7 +389,7 @@ class TestFinTouch:
         fin_touch changes no frame."""
         ts = encode(stutter(parse_circuit(ring_source(5))))
         frames, repairs, touched = [], [], []
-        c = Checker(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+        c = Checker(ts, iter_hook=lambda ch: frames.append(ch.j))
         repair, touch = c.third_co_cond, c.fin_touch
 
         def fin_touch():
@@ -395,7 +411,7 @@ class TestFrames:
         ts = encode(stutter(parse_circuit(ring_source(6))))
         before = dict(ts.table.by_key)
         frames = []
-        w = pc_lor(ts, Options(iter_hook=lambda ch: frames.append(ch.j)))
+        w = Checker(ts, iter_hook=lambda ch: frames.append(ch.j)).run()
         assert w.kind == "invariant" and max(frames) > 2
         assert ts.table.by_key == before
 
@@ -406,9 +422,9 @@ class TestFrames:
         ctr = encode(stutter(parse_circuit(ctr_source(4))))
         miter = encode(stutter(build_miter(
             parse_circuit(shreg_source(4)), parse_circuit(shreg_source(3)))))
-        for engine, ts, depth in ((pc_lor, ctr, 8), (pc_lor_ic, miter, 3)):
+        for engine, ts, depth in ((Checker, ctr, 8), (IcChecker, miter, 3)):
             before = dict(ts.table.by_key)
-            w = engine(ts)
+            w = engine(ts).run()
             assert w.kind == "counterexample" and len(w.trace) == depth + 1
             replay_trace(ts, w.trace)
             assert ts.table.by_key == before
@@ -421,8 +437,8 @@ class TestDifferential:
             ts = random_system(rng, rng.randint(1, 3), rng.randint(1, 2))
             want = brute_force_verdict(ts)
             reports = []
-            w = pc_lor(ts, Options(
-                iter_hook=lambda ch: reports.append(check_co(ch))))
+            w = Checker(ts, iter_hook=lambda ch: reports.append(
+                check_co(ch))).run()
             assert w.kind == want
             assert all(r == [] for r in reports)
             if w.kind == "counterexample":
@@ -436,7 +452,7 @@ class TestDifferential:
         for _ in range(10):
             ts = random_system(rng, rng.randint(1, 3), 1, init_zero=False)
             frames = []
-            w = pc_lor(ts, Options(iter_hook=frames.append))
+            w = Checker(ts, iter_hook=frames.append).run()
             assert w.kind == brute_force_verdict(ts)
             if w.kind == "counterexample":
                 replay_trace(ts, w.trace)
@@ -454,7 +470,7 @@ class TestDifferential:
                 continue
             ts = encode(stutter(parse_circuit(src)))
             frames = []
-            w = pc_lor(ts, Options(iter_hook=frames.append))
+            w = Checker(ts, iter_hook=frames.append).run()
             assert w.kind == brute_force_verdict(ts), i
             if w.kind == "counterexample":
                 replay_trace(ts, w.trace)

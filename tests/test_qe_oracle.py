@@ -9,7 +9,7 @@ from lorcheck.circuit import parse_circuit, encode, stutter
 from lorcheck.cnf import Clause, evaluate, variables
 from lorcheck.qe_oracle import (OracleBudgetError, qe_bruteforce, check_pqe,
                                 initial_states, reach_bruteforce, image_under,
-                                verify_boundary)
+                                verify_boundary, _project_models)
 from conftest import STUCK0_SRC, TOGGLE_SRC, make_rng
 
 
@@ -97,6 +97,39 @@ class TestReachability:
                 nxt = cur | image_under(ts, ts.trans, cur)
                 assert nxt == reach_bruteforce(ts, depth + 1)
                 cur = nxt
+
+    @pytest.mark.parametrize("latches, inputs, fits", [
+        (16, 4, True), (17, 0, False), (16, 5, False)])
+    def test_budget(self, latches, inputs, fits):
+        """At most 16 latches, and 20 latches and inputs together."""
+        src = "".join("input x%d\n" % i for i in range(inputs)) + "".join(
+            "latch s%d init 0 next s%d\n" % (i, i) for i in range(latches))
+        ts = encode(parse_circuit(src))
+        if fits:
+            assert reach_bruteforce(ts, 0) == {(False,) * latches}
+        else:
+            with pytest.raises(OracleBudgetError):
+                reach_bruteforce(ts, 0)
+
+
+class TestProjectModels:
+    def test_no_model_projects_nothing(self):
+        f = [Clause((1, 2)), Clause((-1,)), Clause((-2,))]
+        assert _project_models(f, {}, [1, 2]) == set()
+        assert _project_models([Clause((1, 2))], {1: False, 2: False},
+                               [1]) == set()
+
+    def test_free_projection_variables(self):
+        assert _project_models([Clause((1, 2))], {1: True}, [2, 3]) == {
+            (a, b) for a in (False, True) for b in (False, True)}
+
+    def test_node_budget(self):
+        """The search visits 7 nodes here; past the budget the oracle
+        raises rather than return part of the projection."""
+        f = [Clause((1, 2)), Clause((3, 4))]
+        assert len(_project_models(f, {}, [1, 2, 3, 4], budget=7)) == 9
+        with pytest.raises(OracleBudgetError):
+            _project_models(f, {}, [1, 2, 3, 4], budget=6)
 
 
 class TestVerifyBoundary:

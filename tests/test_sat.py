@@ -173,6 +173,15 @@ class TestIncremental:
         res = s.solve([1])
         assert not res and res.core == set()
 
+    def test_activities_rescale_above_1e100(self):
+        """A bump past 1e100 scales every activity and the increment by
+        1e-100; the answer stays the same."""
+        s = Solver(pigeonhole(5, 4))
+        s.act_inc = 1e99
+        assert not s.solve()
+        assert s.act_inc < 1e99
+        assert max(s.activity) <= 1e100
+
     def test_first_model_answers_the_first_satisfiable_query(self):
         rng = random.Random(14)
         for _ in range(200):
