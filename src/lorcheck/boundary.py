@@ -25,6 +25,14 @@ class FrameChain:
     request after R_k changes.  T^rlx allows a step from every state, so
     the solver agrees with H_k alone on every query over frame-0 variables.
 
+    Each frame m ≥ 1 keeps a condition-3 certificate co3[m] = (R, n): the
+    first n clauses of H_m meet CO condition 3, H_{m-1} ∧ T^rlx_{m-1,m} ⇒
+    H_m′, whenever R_{m-1} ⊆ R.  It stays true as the chain changes: H_m
+    only gains clauses at its end, H_{m-1} only gains clauses, and
+    T^rlx_{m-1,m} for R_{m-1} ⊆ R holds every clause of T^rlx for R.  So
+    relax and restore leave it alone: a relaxation past R makes
+    co3_checked read 0, and a restore back inside R makes it read n again.
+
     The system must stutter: CO condition 4 and the covered region of the
     makeup step both rest on the stutter step t → t being a transition.
     """
@@ -41,11 +49,18 @@ class FrameChain:
         self.implied_marks = set()    # (clause, frame) with a cached "implied" verdict
         self.solvers = {}             # k -> solver over H_k ∧ T^rlx_{k,k+1}
         self.step_solvers = {}        # k -> solver over H_k ∧ T
-        self.co3_done = [0]           # co3_done[m]: leading clauses of H_m known to meet CO condition 3
+        self.co3 = [(frozenset(), 0)]  # co3[m]: H_m's condition-3 certificate (R, n)
+        self.inv_failed = {}          # m -> |H_m| when H_m last failed to imply H_{m-1}
 
     @property
     def j(self):
         return len(self.h) - 1
+
+    def co3_checked(self, m):
+        """How many leading clauses of H_m co3[m] certifies under the
+        current R_{m-1}."""
+        r, n = self.co3[m]
+        return n if self.removed[m - 1] <= r else 0
 
     def trlx_cnf(self, k):
         """Relaxed transition relation of step k in canonical 0→1 form."""
@@ -80,7 +95,7 @@ class FrameChain:
         self.h_set.append(set())
         self.h1.append([])
         self.removed.append(set())
-        self.co3_done.append(0)
+        self.co3.append((frozenset(), 0))
 
     def strengthen(self, k, clauses):
         present = self.h_set[k]
@@ -99,7 +114,6 @@ class FrameChain:
     def relax(self, k, indices):
         self.removed[k] |= set(indices)
         self.solvers.pop(k, None)
-        self.co3_done[k + 1] = 0
 
     def restore(self, k, indices):
         self.removed[k] -= set(indices)
@@ -177,8 +191,14 @@ def clause_implied(chain, m, clause):
 
 
 def detect_invariant(chain):
-    """H_{m-1} is an inductive invariant as soon as H_m implies it."""
+    """H_{m-1} is an inductive invariant as soon as H_m implies it.  A
+    frame m is skipped while H_m has gained no clause since it last
+    failed: the clause of H_{m-1} it did not imply is still there, and
+    still not implied."""
     for m in range(1, chain.j + 1):
+        if chain.inv_failed.get(m) == len(chain.h[m]):
+            continue
         if all(clause_implied(chain, m, c) for c in chain.h[m - 1]):
             return list(chain.h[m - 1])
+        chain.inv_failed[m] = len(chain.h[m])
     return None

@@ -327,7 +327,7 @@ def _check_circuit(args, load, default_path, answers, out, err):
                          pqe_budget=args.pqe_budget, iter_hook=hook).run()
     except CheckerError as e:
         err.write("no verdict: %s\n" % e)
-        _report(out, "unknown", [], None, time.time() - t0)
+        _report(out, "unknown", clause_counts, None, time.time() - t0)
         return 2
     path = args.witness or default_path
     try:

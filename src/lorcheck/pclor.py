@@ -67,10 +67,21 @@ class Checker:
     def _exclude_state(self, k, s):
         """Make H_k false at s, which has no H_{k-1}-predecessor under
         T^rlx_{k-1,k}: relax that step until s is reachable and conjoin the
-        PQE makeup clauses, which exclude s by the makeup equality."""
+        PQE makeup clauses, which exclude s by the makeup equality.
+
+        When all of H_k met CO condition 3 under the old relaxation R, so
+        does H_k with the makeup clauses G, and co3[k] says so.  take_out
+        answers clauses G′ implied by A ∧ B = H_{k-1} ∧ H_k′ ∧ T^rlx(R),
+        and H_{k-1} ∧ T^rlx(R) ⇒ H_k′ by the certificate, so H_{k-1} ∧
+        T^rlx(R) ⇒ G′.  An empty H_k is certified under every R, as
+        co3_checked reads 0 = |H_k|."""
         chain = self.chain
+        r_old = frozenset(chain.removed[k - 1])
+        certified = chain.co3_checked(k) == len(chain.h[k])
         idx = self.select_relaxation(k, s)
         chain.strengthen(k, makeup_clauses(chain, k, idx))
+        if certified:
+            chain.co3[k] = (r_old, len(chain.h[k]))
         if evaluate(chain.h[k], s) is not False:
             raise CheckerError("frame %d: the makeup clauses do not exclude "
                                "a state without a predecessor" % k)
@@ -177,20 +188,22 @@ class Checker:
         """Repair condition 3: no H_{m-1}-state may reach a ¬H_m-state in
         one relaxed transition.  A violation source that proves reachable
         from I forces restoring dropped clauses instead.  Only clauses of
-        H_m past chain.co3_done[m] are checked: strengthening H_{m-1} and
-        restoring step m-1 keep the rest implied, and relaxing step m-1
-        resets the mark.  The walks from frame m-1 neither strengthen H_m
-        nor relax step m-1, so the new clauses are read once, from H_m′."""
+        H_m past chain.co3_checked(m) are asked about; the rest meet the
+        condition by the certificate co3[m] (see FrameChain).  A restore can
+        bring R_{m-1} back inside the certificate's R, so the clauses left
+        to check are read again after each one.  The walks from frame m-1
+        neither strengthen H_m nor relax step m-1.  Once no violation is
+        left, all of H_m is certified under the current R_{m-1}."""
         chain = self.chain
         for m in range(chain.j, 0, -1):
-            new = chain.h1[m][chain.co3_done[m]:]
-            while new and (viol := self._reachable_violation(m - 1, new)):
+            while (new := chain.h1[m][chain.co3_checked(m):]) and \
+                    (viol := self._reachable_violation(m - 1, new)):
                 if not (broken := self._broken(m - 1, viol[-1][1])):
                     raise CheckerError(
                         "reachable state drives a real transition out of "
                         "a boundary formula; invariant broken")
                 chain.restore(m - 1, broken)
-            chain.co3_done[m] = len(chain.h[m])
+            chain.co3[m] = (frozenset(chain.removed[m - 1]), len(chain.h[m]))
 
     def _broken(self, k, model):
         """The clauses dropped from step k that the model falsifies."""

@@ -331,6 +331,22 @@ class TestSec:
                          r"\(--pqe-budget\) in the sec seed at frame 1$",
                          got.err, re.M)
 
+    def test_unknown_reports_the_last_completed_iteration(self, tmp_path,
+                                                          capfd):
+        # budget 2 finishes the seed, so iteration 1 completes and the run
+        # ends at the frame limit
+        a, b = tmp_path / "a.scirc", tmp_path / "b.scirc"
+        for f, src in zip((a, b), deep_ctr_miter_sources()):
+            f.write_text(src)
+        assert main(["sec", str(a), str(b), "--max-frames", "1",
+                     "--pqe-budget", "2"]) == 2
+        got = capfd.readouterr()
+        assert got.err == ("no verdict: frame limit 1 reached without a "
+                           "verdict\n")
+        assert "verdict: unknown" in got.out
+        assert re.search(r"^frames: 1$", got.out, re.M)
+        assert re.search(r"^clauses: H0=\d+ H1=\d+$", got.out, re.M)
+
     def test_pqe_budget_unused_on_equal_miter(self, tmp_path, capfd):
         p = tmp_path / "xorreg4.scirc"; p.write_text(xorreg_source(4))
         assert main(["sec", str(p), str(p), "--max-frames", "1",

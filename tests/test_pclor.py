@@ -226,19 +226,83 @@ class TestThirdCoCond:
         monkeypatch.setattr(Solver, "solve", recorded)
         return c, solves
 
+    @staticmethod
+    def droppable(chain, m, count):
+        """The first `count` clauses kept in step m-1 that it can drop
+        together with condition 3 of frame m still met, so that
+        third_co_cond restores none of them."""
+        picked = []
+        for i in range(len(chain.ts.trans)):
+            drop = chain.removed[m - 1] | set(picked) | {i}
+            trlx = [c for k, c in enumerate(chain.ts.trans) if k not in drop]
+            if i not in chain.removed[m - 1] and \
+                    implies(chain.h[m - 1] + trlx, chain.h1[m]):
+                picked.append(i)
+                if len(picked) == count:
+                    return picked
+        raise AssertionError("too few droppable clauses")
+
     def test_relaxing_step_m_1_requeries_all_of_h_m(self, monkeypatch):
         c, solves = self.ring_checker(monkeypatch, 3)
         chain, m = c.chain, 2
-        assert chain.co3_done[m] == len(chain.h[m]) > 1
-        free = next(i for i in range(len(chain.ts.trans))
-                    if i not in chain.removed[m - 1])
-        chain.relax(m - 1, [free])
-        assert chain.co3_done[m] == 0
+        assert chain.co3_checked(m) == len(chain.h[m]) > 1
+        chain.relax(m - 1, self.droppable(chain, m, 1))
+        assert chain.co3_checked(m) == 0
         c.third_co_cond()
         asked = {tuple(a) for k, a in solves if k == m - 1}
         h1 = chain.h1[m]
         assert all(tuple(-l for l in cl) in asked for cl in h1)
-        assert chain.co3_done[m] == len(chain.h[m])
+        assert chain.co3_checked(m) == len(chain.h[m])
+
+    def test_partial_restore_requeries_all_of_h_m(self, monkeypatch):
+        """The certificate of H_m holds again only once R_{m-1} is back
+        inside the R it was made under: after restoring part of a
+        relaxation, every clause of H_m is asked again."""
+        c, solves = self.ring_checker(monkeypatch, 3)
+        chain, m = c.chain, 2
+        n = len(chain.h[m])
+        free = self.droppable(chain, m, 2)
+        chain.relax(m - 1, free)
+        chain.restore(m - 1, free[:1])
+        assert chain.co3_checked(m) == 0
+        chain.restore(m - 1, free[1:])
+        assert chain.co3_checked(m) == n
+        chain.relax(m - 1, free)
+        chain.restore(m - 1, free[:1])
+        c.third_co_cond()
+        asked = {tuple(a) for k, a in solves if k == m - 1}
+        assert all(tuple(-l for l in cl) in asked for cl in chain.h1[m])
+        assert chain.co3_checked(m) == len(chain.h[m])
+
+    def test_no_condition_3_query_is_unsat_on_ring7(self, monkeypatch):
+        """On the ring, each iteration's first condition-3 violation
+        restores what fin_rlx relaxed; the makeup clauses it added meet
+        condition 3 under the old relaxation by their certificate, so
+        third_co_cond asks about no clause it could prove."""
+        ts = encode(stutter(parse_circuit(ring_source(7))))
+        third, violation, solve = (Checker.third_co_cond, Checker._violation,
+                                   Solver.solve)
+        inside, unsat = [], []
+
+        def flagged(method):
+            def call(*args):
+                inside.append(method)
+                try:
+                    return method(*args)
+                finally:
+                    inside.pop()
+            return call
+
+        def recorded(solver, assumptions=(), **kw):
+            res = solve(solver, assumptions, **kw)
+            if inside == [third, violation] and not res:
+                unsat.append(assumptions)
+            return res
+        monkeypatch.setattr(Checker, "third_co_cond", flagged(third))
+        monkeypatch.setattr(Checker, "_violation", flagged(violation))
+        monkeypatch.setattr(Solver, "solve", recorded)
+        assert Checker(ts).run().kind == "invariant"
+        assert unsat == []
 
     def test_second_call_makes_no_solve(self, monkeypatch):
         c, solves = self.ring_checker(monkeypatch, 3)
@@ -248,9 +312,11 @@ class TestThirdCoCond:
     def test_co_holds_after_every_iteration(self):
         rng = make_rng(88)
         reports = []
-        for _ in range(40):
-            src = random_system_source(rng, rng.randint(2, 4),
-                                       rng.randint(1, 2))
+        srcs = [random_system_source(rng, rng.randint(2, 4),
+                                     rng.randint(1, 2)) for _ in range(40)]
+        srcs += [ring_source(n) for n in range(3, 9)]
+        srcs += [ctr_source(n) for n in range(2, 6)]
+        for src in srcs:
             for engine in (Checker, IcChecker):
                 ts = encode(stutter(parse_circuit(src)))
                 engine(ts, iter_hook=lambda ch: reports.append(
