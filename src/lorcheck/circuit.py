@@ -7,6 +7,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import re
 
 from .cnf import Clause, VarTable, variables
 
@@ -60,24 +61,22 @@ _KEYWORDS = {"NOT", "AND", "OR", "XOR"}
 MAX_NESTING = 256
 
 
+# One token per match, after any whitespace: a parenthesis or a word
+# (group 1), or any other character (group 2), which is an error.  \s is
+# str.isspace and \w is str.isalnum or `_`, so a word is a run of letters,
+# digits and `_`.
+_TOKEN = re.compile(r"\s*(?:([()]|\w+)|(\S))")
+
+
 def _tokenize(text, lineno, i):
     """The tokens of text from position i on, each with its position."""
     toks = []
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            toks.append((ch, i))
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[i:j], i))
-            i = j
-        else:
-            raise CircuitError("line %d col %d: bad character %r" % (lineno, i + 1, ch))
+    for m in _TOKEN.finditer(text, i):
+        tok = m.group(1)
+        if tok is None:
+            raise CircuitError("line %d col %d: bad character %r"
+                               % (lineno, m.start(2) + 1, m.group(2)))
+        toks.append((tok, m.start(1)))
     return toks
 
 
@@ -141,12 +140,11 @@ def _parse_expr(line, lineno, n=0):
 
 
 def _name(word, lineno):
-    """word, if an expression can read it as a name (so not `s~1`)."""
-    try:
-        if _parse_expr(word, lineno) == ("var", word):
-            return word
-    except CircuitError:
-        pass
+    """word, if an expression would read it as a name (so not `s~1`): a
+    letter or `_`, then letters, digits and `_`, and not a keyword."""
+    if ((word[0].isalpha() or word[0] == "_") and word not in _KEYWORDS
+            and all(ch.isalnum() or ch == "_" for ch in word)):
+        return word
     raise CircuitError("line %d: %r is not a valid name" % (lineno, word))
 
 
@@ -313,7 +311,8 @@ class _Encoder:
         return self.table.new("%s~%d" % (hint, self.tmp), 0).id
 
     def add(self, lits):
-        self.clauses.append(Clause(lits))
+        """Add a clause; the gates never put a variable in one twice."""
+        self.clauses.append(Clause.unchecked(lits))
 
     def gate(self, op, a, b, target, hint):
         """Tie target, or a fresh variable, to (a op b); returns it."""

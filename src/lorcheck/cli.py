@@ -13,7 +13,7 @@ import sys
 import time
 
 from .cnf import Clause, evaluate, rename, variables
-from .sat import implies
+from .sat import Solver, implies
 from .circuit import (CircuitError, parse_circuit, encode, stutter,
                       build_miter, simulate_lanes)
 from .pqe import DEFAULT_BUDGET, PqeTask, take_out, PqeBudgetError
@@ -240,14 +240,20 @@ def verify_invariant(ts, lines, report):
                                  % (lineno, abs(l)))
             if -l in lits:
                 raise ValueError("line %d: tautological clause" % lineno)
-    inv = rename([lits for _, lits in clauses], ids)
+    # a repeated literal counts once, as in Clause(); then no clause holds
+    # a variable twice, and the `c var` map is one-to-one
+    inv = rename([dict.fromkeys(lits) for _, lits in clauses], ids)
     if not implies(ts.init, inv):
         report("condition 1: initial states do not satisfy the invariant")
         return False
-    if not implies(inv, ts.prop):
+    # T gives every state a successor (its gates, the stutter multiplexer
+    # and a miter's input equalities hold for some inputs and next state),
+    # so Inv ∧ T implies P, a predicate over the state, iff Inv does
+    step = Solver(inv + ts.trans)
+    if not implies(step, ts.prop):
         report("condition 2: invariant does not imply the property")
         return False
-    if not implies(inv + ts.trans, rename(inv, ts.next)):
+    if not implies(step, rename(inv, ts.next)):
         report("condition 3: invariant is not inductive")
         return False
     return True

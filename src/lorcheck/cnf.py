@@ -66,6 +66,13 @@ class Clause(tuple):
             raise ValueError("zero literal")
         if not lits.isdisjoint(map(neg, lits)):
             raise ValueError("tautological clause %r" % sorted(lits))
+        return cls.unchecked(lits)
+
+    @classmethod
+    def unchecked(cls, lits):
+        """A Clause of literals known to hold no variable twice, as the
+        program builds them: only sorted, with no zero, repeat or
+        tautology check.  Outside input goes through ``Clause()``."""
         # no variable occurs twice, so the variable alone orders the literals
         return tuple.__new__(cls, sorted(lits, key=abs))
 
@@ -85,8 +92,12 @@ def variables(f):
 
 def rename(f, ids):
     """f with every variable v replaced by ids[v]; KeyError for a variable
-    ids does not map."""
-    return [Clause(ids[l] if l > 0 else -ids[-l] for l in c) for c in f]
+    ids does not map.  Each clause of f holds no variable twice and ids is
+    one-to-one on f's variables (the frame maps `next` and `prev`, a PQE
+    task's renumbering, a witness's `c var` lines), so no renamed clause
+    holds a variable twice either and none is checked again."""
+    return [Clause.unchecked(ids[l] if l > 0 else -ids[-l] for l in c)
+            for c in f]
 
 
 def evaluate(f, assignment):

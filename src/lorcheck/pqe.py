@@ -73,7 +73,6 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     top = max(chain(w, free), default=0)
     sels = range(top + 1, top + 1 + len(a))
     not_a = [(-s, -l) for s, c in zip(sels, a) for l in c] + [tuple(sels)]
-    points = Solver(task.b + not_a)
     ab_solver = Solver(ab)
     # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
     liftable = [c for c in ab if not w.issuperset(map(abs, c))]
@@ -82,9 +81,10 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
         r = Clause(l for l in c if abs(l) in free_set)
         if r and not ab_solver.solve([-l for l in r]):
             answer.append(r)
-            points.add_clause(r)
         else:
             rest.append(c)
+    # built after the candidate checks, with the taken ones among its clauses
+    points = Solver(task.b + not_a + answer)
     for _ in range(budget):
         res = points.solve()
         if not res:

@@ -43,10 +43,9 @@ class Solver:
     decisions and the clause set only grows, so every learnt clause
     follows from the clauses added so far.  Activities carry over too, so
     a reused solver may return a different model than a fresh one, but
-    never a different answer.  ``propagate`` asks unit propagation alone:
-    it returns the literals true under its assumptions, or None when they
-    conflict.  It learns nothing and moves no activity, so it changes no
-    answer of a later ``solve``.
+    never a different answer.  ``probe`` asks unit propagation alone and
+    leaves the literals it finds true in ``value``.  It learns nothing
+    and moves no activity, so it changes no answer of a later ``solve``.
 
     First-UIP learning, two watched literals, decaying variable activities,
     Luby restarts.  Decisions break activity ties on lowest variable id and
@@ -62,8 +61,9 @@ class Solver:
     two have 2·cap+1 slots: Python puts ``value[-v]`` in slot 2·cap+1-v.
     ``value`` holds True, False or None (unassigned), so a literal's value
     is one subscript.  An id above ``cap`` (in the clauses, ``extra_vars``,
-    ``add_clause``, an assumption or a preferred literal) at least doubles
-    the room, and the negative half moves up to stay at the end.  An id
+    ``add_clause``, an assumption, a preferred literal or a clause that
+    ``implies`` reads) at least doubles the room, and the negative half
+    moves up to stay at the end.  An id
     without a variable in this solver holds None and no watchers.  So the
     memory is 2·(largest id)+1 slots per solver, whatever ids it uses, and
     ids should be dense: every id here is a ``VarTable`` id or a selector
@@ -393,48 +393,60 @@ class Solver:
                 trail.append(lit)
         # not reached
 
-    def propagate(self, assumptions):
-        """The set of literals true after unit propagation under the
-        assumptions, or None on a conflict.  The pending units go on level
-        0 and are propagated there, as ``solve`` would; all the assumptions
-        then go on level 1 and are propagated once.  A conflict-free set
-        that assigns every variable is a model.  Nothing is learnt and no
-        activity moves; a later ``solve`` may still return another model,
-        as propagation reorders the watch lists.  ``implies`` is its only
-        caller."""
+    def probe(self, assumptions):
+        """Unit propagation alone: False when propagating the assumptions
+        through the clauses conflicts, else True.  The pending units go on
+        level 0 and are propagated there, as ``solve`` would; all the
+        assumptions then go on level 1 and are propagated once.  Every
+        literal found true reads True in ``value`` until the next
+        ``solve``, ``probe`` or ``add_clause``; a conflict-free probe
+        that assigns every variable found a model.  Nothing is learnt and
+        no activity moves; a later ``solve`` may still return another
+        model, as propagation reorders the watch lists.  ``implies`` is
+        its only caller."""
         if not self._settle(assumptions):
-            return None
-        trail, value = self.trail, self.value
-        self.trail_lim.append(len(trail))
+            return False
+        value = self.value
+        self.trail_lim.append(len(self.trail))
         for a in assumptions:
             v = value[a]
             if v is None:
                 self._enqueue(a)
             elif v is False:
-                return None
-        if self._propagate() is not None:
-            return None
-        return set(trail)
+                return False
+        return self._propagate() is None
 
 
 def implies(a, b):
-    """True iff formula a implies every clause of b.
+    """True iff formula a implies every clause of b.  a may be a Solver
+    over the formula, so that one solver answers several calls.
 
     Unit propagation settles most clauses (failed-literal probing, Lynce
-    and Marques-Silva, ICTAI 2003): a clause with first literal l holds
-    when propagating ¬l conflicts or makes another of its literals true.
-    One probe serves every clause with the same first literal; only a
-    clause it leaves open is decided by a solve of its negation."""
-    s = Solver(a)
+    and Marques-Silva, ICTAI 2003).  After the pending units propagate, a
+    clause with a literal true at level 0 holds.  Any other clause, with
+    first literal l, holds when probing ¬l conflicts or makes another of
+    its literals true.  One probe serves every clause with the same first
+    literal, and its values are read before any solve; only a clause it
+    leaves open is decided by a solve of its negation."""
+    s = a if isinstance(a, Solver) else Solver(a)
+    # room for every variable of b, so that value reads None for one the
+    # solver lacks
+    s._grow(max(map(abs, chain.from_iterable(b)), default=0))
+    if not s._settle(()):
+        return True   # a is unsatisfiable
+    value = s.value
     by_first = {}
     for c in b:
+        if any(map(value.__getitem__, c)):
+            continue
         lits = list(c)
         by_first.setdefault(lits[0] if lits else 0, []).append(lits)
     for first, group in by_first.items():
-        true = s.propagate([-first]) if first else set()
-        for lits in group:
-            if true is None or not true.isdisjoint(lits[1:]):
-                continue
+        if first and not s.probe([-first]):
+            continue
+        left = [lits for lits in group
+                if not any(map(value.__getitem__, lits[1:]))]
+        for lits in left:
             if s.solve([-l for l in lits]):
                 return False
     return True

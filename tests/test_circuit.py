@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorcheck import circuit
 from lorcheck.circuit import (CircuitError, parse_circuit, encode,
@@ -205,6 +206,113 @@ def _nested(levels):
     d = "(" * levels + "x" + " AND x)" * levels
     return ("input x\nsignal d = %s\nlatch s init 0 next (s AND d)\n"
             "output z = s\nprop NOT s\n" % d)
+
+
+def _reference_tokenize(text, lineno, i):
+    """The character loop that _tokenize replaced, kept as its reference."""
+    toks = []
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            toks.append((ch, i))
+            i += 1
+        elif ch.isalnum() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append((text[i:j], i))
+            i = j
+        else:
+            raise CircuitError("line %d col %d: bad character %r"
+                               % (lineno, i + 1, ch))
+    return toks
+
+
+def _reference_name(word, lineno):
+    """The _name that read its word as an expression, kept as the reference
+    of the character test that replaced it."""
+    try:
+        toks = _reference_tokenize(word, lineno, 0)
+        if circuit._ExprParser(toks, lineno).parse() == ("var", word):
+            return word
+    except CircuitError:
+        pass
+    raise CircuitError("line %d: %r is not a valid name" % (lineno, word))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CircuitError as e:
+        return "CircuitError: %s" % e
+
+
+# ASCII, characters that are digits or letters outside ASCII ('²' is a digit
+# but not alphabetic), a combining accent that is neither, whitespace that
+# is not ASCII, and the keywords
+_PIECES = (list("aZs_019 ()~&#.\t") + ["²", "é", "ｘ", "٣", "\u0301", "\x1c",
+                                        "\u00a0", "\u2028"]
+           + ["AND", "OR", "XOR", "NOT"])
+
+
+class TestTokensMatchReference:
+    @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+           st.integers(0, 12))
+    @settings(max_examples=400, deadline=None)
+    def test_same_tokens_names_and_errors(self, text, start):
+        # the same tokens and positions, or the same error, from any start;
+        # and the same answer for every word a declaration could name
+        start = min(start, len(text))
+        assert (_outcome(circuit._tokenize, text, 3, start)
+                == _outcome(_reference_tokenize, text, 3, start))
+        for word in text.split():
+            assert (_outcome(circuit._name, word, 3)
+                    == _outcome(_reference_name, word, 3))
+
+    @pytest.mark.parametrize("word, ok", [
+        ("a²", True), ("²a", False), ("ｘ٣", True), ("٣", False),
+        ("_é", True), ("e\u0301", False), ("NOT", False), ("NOTx", True),
+        ("s~1", False), ("0", False), ("(", False)])
+    def test_name_by_its_characters(self, word, ok):
+        assert _outcome(circuit._name, word, 1) == _outcome(
+            _reference_name, word, 1)
+        assert (_outcome(circuit._name, word, 1) == word) == ok
+
+
+def _assert_built_clauses_valid(ts):
+    """Every clause that encode builds, and its shift to frame 1 and back,
+    is the Clause() of its literals: no variable twice, sorted."""
+    shifted = rename(ts.init + ts.prop, ts.next)
+    for f in (ts.trans, ts.init, ts.prop, shifted, rename(shifted, ts.prev)):
+        for c in f:
+            assert type(c) is Clause and c == Clause(c), c
+
+
+class TestBuiltClausesValid:
+    def test_random_systems(self):
+        rng = make_rng(73)
+        for _ in range(30):
+            c = parse_circuit(random_system_source(
+                rng, rng.randint(1, 6), rng.randint(1, 3),
+                init_zero=rng.random() < 0.5))
+            _assert_built_clauses_valid(encode(c))
+            _assert_built_clauses_valid(encode(stutter(c)))
+
+    def test_miters(self):
+        rng = make_rng(74)
+        pairs = [(shreg_source(4), shreg_source(3)),
+                 (xorreg_source(3), xorreg_source(3, inverted=1)),
+                 deep_ctr_miter_sources()]
+        for _ in range(10):
+            a, b = (random_system_source(rng, rng.randint(2, 5), 2)
+                    + "output z = (s0 XOR s1)\n" for _ in range(2))
+            pairs.append((a, b))
+        for a, b in pairs:
+            m = build_miter(parse_circuit(a), parse_circuit(b))
+            _assert_built_clauses_valid(encode(m))
+            _assert_built_clauses_valid(encode(stutter(m)))
 
 
 class TestEncoding:

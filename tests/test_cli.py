@@ -10,7 +10,8 @@ from lorcheck.cli import (main, build_parser, parse_pqe_dimacs, write_witness,
                           verify_trace, verify_invariant)
 from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.pclor import Checker, Witness
-from lorcheck.sat import Solver
+from lorcheck.cnf import Clause, rename
+from lorcheck.sat import Solver, implies
 from lorcheck import boundary
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       FORWARD_REF_SRCS, make_rng, random_system_source,
@@ -840,6 +841,72 @@ class TestWitnessVerification:
         p.write_text(text)
         assert main(["verify-witness", str(tmp_path / circuit), str(p)]) == 3
         assert capfd.readouterr().err.startswith("error: " + why)
+
+    @pytest.mark.parametrize("clause, why", [
+        ("1 1 0", "condition 1: initial states do not satisfy the invariant"),
+        ("-1 -1 0", "condition 3: invariant is not inductive")])
+    def test_repeated_literal_counts_once(self, tmp_path, capfd, clause,
+                                          why):
+        # s := x from s = 0: the clause (s) fails in the initial state and
+        # (NOT s) is not inductive, as when written once
+        src = tmp_path / "dff.scirc"
+        src.write_text("input x\nlatch s init 0 next x\nprop NOT s\n")
+        p = tmp_path / "w"
+        p.write_text("invariant\nc var 1 s\np cnf 1 1\n%s\n" % clause)
+        assert main(["verify-witness", str(src), str(p)]) == 1
+        assert capfd.readouterr() == ("witness rejected\n", why + "\n")
+
+    def test_conditions_2_and_3_share_a_solver(self, built_clauses):
+        ts = encode(parse_circuit(STUCK0_SRC))
+        lines = ["invariant", "c var 1 s", "-1 0"]
+        assert verify_invariant(ts, lines, None)
+        s = ts.state_ids(0)[0]
+        assert built_clauses == [[list(c) for c in ts.init],
+                                 [[-s]] + [list(c) for c in ts.trans]]
+
+    def test_against_a_solver_per_condition(self):
+        # candidate invariants over random systems, stuttered or not, and
+        # miters: one solver over Inv ∧ T for conditions 2 and 3 names the
+        # same condition as a solver for each
+        rng = make_rng(77)
+        systems = []
+        for _ in range(12):
+            c = parse_circuit(random_system_source(rng, rng.randint(2, 4),
+                                                   rng.randint(1, 2)))
+            systems += [encode(c), encode(stutter(c))]
+        for n in (2, 3):
+            m = build_miter(parse_circuit(shreg_source(n)),
+                            parse_circuit(shreg_source(n)))
+            systems += [encode(m), encode(stutter(m))]
+        seen = set()
+        for ts in systems:
+            names = [v.name for v in ts.state_vars]
+            ids = [v.id for v in ts.state_vars]
+            for _ in range(25):
+                lines = ["invariant"] + ["c var %d %s" % (i, nm) for i, nm
+                                         in enumerate(names, 1)]
+                inv = []
+                for _ in range(rng.randint(0, 4)):
+                    vs = rng.sample(range(1, len(ids) + 1),
+                                    rng.randint(1, min(2, len(ids))))
+                    lits = [v if rng.random() < 0.5 else -v for v in vs]
+                    lines.append(" ".join(map(str, lits)) + " 0")
+                    inv.append(Clause(ids[abs(l) - 1] * (1 if l > 0 else -1)
+                                      for l in lits))
+                if not implies(ts.init, inv):
+                    want = "condition 1"
+                elif not implies(inv, ts.prop):
+                    want = "condition 2"
+                elif not implies(inv + ts.trans, rename(inv, ts.next)):
+                    want = "condition 3"
+                else:
+                    want = None
+                got = []
+                assert verify_invariant(ts, lines, got.append) == (
+                    want is None)
+                assert [m.split(":")[0] for m in got] == [want] * bool(want)
+                seen.add(want)
+        assert seen == {None, "condition 1", "condition 2", "condition 3"}
 
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_trace_replay_builds_no_solver(self, toggle, length,

@@ -29,6 +29,14 @@ def pigeonhole(p, h):
     return out
 
 
+def probed(s, assumptions):
+    """The literals true after s.probe(assumptions), read from s.value, or
+    None when the probe conflicts."""
+    if not s.probe(assumptions):
+        return None
+    return {l for v in s.var_ids for l in (v, -v) if s.value[l]}
+
+
 def truth_table_sat(f, n):
     for bits in itertools.product([False, True], repeat=n):
         if evaluate(f, dict(zip(range(1, n + 1), bits))) is True:
@@ -118,7 +126,7 @@ class TestIncremental:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_propagate_keeps_answers(self, data):
-        # propagate calls between the solves of a reused solver change no
+        # probe calls between the solves of a reused solver change no
         # answer: it agrees with a fresh solver
         rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
         f, n = random_cnf(rng, max_var=8, max_clauses=30)
@@ -126,7 +134,7 @@ class TestIncremental:
         for _ in range(rng.randint(1, 10)):
             for _ in range(rng.randint(0, 3)):
                 vs = rng.sample(range(1, n + 3), rng.randint(0, 3))
-                s.propagate([v if rng.random() < 0.5 else -v for v in vs])
+                s.probe([v if rng.random() < 0.5 else -v for v in vs])
             vs = rng.sample(range(1, n + 3), rng.randint(0, n))
             assume = [v if rng.random() < 0.5 else -v for v in vs]
             res = s.solve(assume)
@@ -299,32 +307,59 @@ class TestImplies:
 
     def test_against_one_solve_per_clause(self):
         # a may be unsatisfiable or hold units (literals true at level 0),
-        # b may be empty or hold the empty clause
+        # b may be empty or hold units or the empty clause; a solver over a
+        # that answered another implies first answers the same
         rng = random.Random(41)
         seen = {"unsat a": 0, "empty b": 0, "empty clause": 0,
-                "level-0 literal": 0, "implied": 0, "not implied": 0}
+                "unit in b": 0, "level-0 literal": 0, "implied": 0,
+                "not implied": 0}
         # implied and not implied count satisfiable a only
+
+        def some_units(n):
+            return [Clause((v if rng.random() < 0.5 else -v,))
+                    for v in rng.sample(range(1, n + 1),
+                                        rng.randint(0, min(2, n)))]
         for _ in range(400):
             a, n = random_cnf(rng, max_var=7, max_clauses=10)
-            units = [Clause((v if rng.random() < 0.5 else -v,))
-                     for v in rng.sample(range(1, n + 1),
-                                         rng.randint(0, min(2, n)))]
+            units = some_units(n)
             a = a + units
             b = list(random_cnf(rng, max_var=n, max_clauses=8)[0])
+            b += some_units(n)
+            rng.shuffle(b)
             if rng.random() < 0.2:
                 b = []
             if rng.random() < 0.1:
                 b.insert(rng.randint(0, len(b)), Clause(()))
             want = not any(Solver(a).solve([-l for l in c]) for c in b)
             assert implies(a, b) == want
+            s = Solver(a)
+            other = random_cnf(rng, max_var=n + 2, max_clauses=4)[0]
+            assert implies(s, other) == implies(a, other)
+            assert implies(s, b) == want
             seen["unsat a"] += not Solver(a).solve()
             seen["empty b"] += not b
             seen["empty clause"] += any(not c for c in b)
+            seen["unit in b"] += any(len(c) == 1 for c in b)
             seen["level-0 literal"] += any(
                 -u.lits[0] in c or u.lits[0] in c for u in units for c in b)
             seen["implied" if want else "not implied"] += bool(
                 Solver(a).solve())
         assert min(seen.values()) > 10, seen
+
+    def test_settled_clauses_need_no_probe_or_solve(self, monkeypatch):
+        # a implies (1 2), as probing -1 makes 2 true, and (1 3) only by
+        # resolution, so one probe and one solve settle both; (5 6) holds
+        # at level 0 and is not probed
+        calls = []
+        for name in ("probe", "solve"):
+            def counting(self, *args, _name=name, _fn=getattr(Solver, name)):
+                calls.append(_name)
+                return _fn(self, *args)
+            monkeypatch.setattr(Solver, name, counting)
+        a = [Clause((1, 2)), Clause((1, 3, 4)), Clause((1, 3, -4)),
+             Clause((5,))]
+        assert implies(a, [Clause((1, 3)), Clause((1, 2)), Clause((5, 6))])
+        assert calls == ["probe", "solve"]
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -355,7 +390,7 @@ class TestPropagate:
                 assume = [v if rng.random() < 0.5 else -v for v in vs]
                 if rng.random() < 0.3:
                     s.solve(assume)
-                true = s.propagate(assume)
+                true = probed(s, assume)
                 TestKernelBookkeeping.assert_consistent(s)
                 if true is None:
                     conflicts += 1
@@ -376,14 +411,14 @@ class TestPropagate:
         f = pigeonhole(4, 3)
         s = Solver(f)
         order, activity = list(s.order), list(s.activity)
-        assert s.propagate([1, 5]) is None
-        assert s.propagate([1]) == {1, -4, -7, -10}
+        assert probed(s, [1, 5]) is None
+        assert probed(s, [1]) == {1, -4, -7, -10}
         assert len(s.clauses) == len(f)
         assert s.order == order and s.activity == activity
 
     def test_level_0_conflict_is_final(self):
         s = Solver([Clause((1,)), Clause((-1, 2)), Clause((-1, -2))])
-        assert s.propagate([]) is None and not s.ok
+        assert not s.probe([]) and not s.ok
         assert not s.solve()
 
 
@@ -510,8 +545,8 @@ class TestKernelBookkeeping:
                 for c in random_cnf(rng, max_var=n + 4, max_clauses=2)[0]:
                     s.add_clause(c)
                 vs = rng.sample(range(1, n + 6), rng.randint(0, 4))
-                true = s.propagate([v if rng.random() < 0.5 else -v
-                                    for v in vs])
+                true = probed(s, [v if rng.random() < 0.5 else -v
+                                  for v in vs])
                 self.assert_consistent(s)
                 if true is not None:
                     assert true == set(s.trail)
@@ -653,14 +688,15 @@ class TestPreferSearchIsPinned:
 
 class TestPropagateSearchIsPinned:
     """Unit propagation and what it leaves behind, pinned like
-    TestSearchIsPinned: a fixed script interleaves propagate, implies,
-    solve and add_clause over 40 seeded instances, and every literal set
-    propagate returns, every answer of implies, every status, model (in
-    dict order) and core, and at the end the clauses and the watch list of
-    every literal, hash to DIGEST.  propagate reorders watch lists and so
+    TestSearchIsPinned: a fixed script interleaves probe, implies, solve
+    and add_clause over 40 seeded instances, and every literal set a probe
+    leaves true, every answer of implies, every status, model (in dict
+    order) and core, and at the end the clauses and the watch list of
+    every literal, hash to DIGEST.  A probe reorders watch lists and so
     steers the models of later solves; implies and clause_implied rest on
     it.  DIGEST was recorded on the solver before its propagation loop was
-    rewritten for speed."""
+    rewritten for speed, when a probe was a method that returned the set
+    of literals true after it."""
 
     DIGEST = ("a8262f4740e3e6903dd774b13577fe50"
               "ef72a9e6109ca4240ca9e792c40ca7c3")
@@ -677,7 +713,7 @@ class TestPropagateSearchIsPinned:
             for _ in range(rng.randint(1, 4)):
                 # assumptions may name variables the solver has not seen yet
                 vs = rng.sample(range(1, n + 4), rng.randint(1, 5))
-                true = s.propagate([sign(v) for v in vs])
+                true = probed(s, [sign(v) for v in vs])
                 out.append(None if true is None else sorted(true))
             b, _ = random_cnf(rng, max_var=n, max_clauses=6, max_len=4)
             out.append(implies(f, b))
