@@ -1,12 +1,12 @@
 """Boundary-formula chains: per-frame over-approximations H_0..H_j tied to
 per-frame relaxed transition relations, the PQE step that converts a
-relaxation into makeup clauses, and the CO-condition checker."""
+relaxation into makeup clauses, and invariant detection."""
 
 from __future__ import annotations
 
 from .circuit import CircuitError
 from .cnf import rename, variables
-from .sat import Solver, implies
+from .sat import Solver
 from .pqe import DEFAULT_BUDGET, PqeBudgetError, PqeTask, take_out
 
 
@@ -24,6 +24,8 @@ class FrameChain:
     gains the clauses that strengthen H_k, and is rebuilt on the next
     request after R_k changes.  T^rlx allows a step from every state, so
     the solver agrees with H_k alone on every query over frame-0 variables.
+    relax hands the dropped solver back: over H_{k-1} ∧ T^rlx_old, it is
+    most of the makeup step's A ∧ B (see makeup_clauses).
 
     Each frame m ≥ 1 keeps a condition-3 certificate co3[m] = (R, n): the
     first n clauses of H_m meet CO condition 3, H_{m-1} ∧ T^rlx_{m-1,m} ⇒
@@ -112,8 +114,11 @@ class FrameChain:
                     solvers[k].add_clause(c)
 
     def relax(self, k, indices):
+        """Drop the clauses at `indices` from step k; returns frame k's
+        solver over H_k ∧ T^rlx_{k,k+1} as it was before, or None if none
+        was built.  The chain no longer holds it."""
         self.removed[k] |= set(indices)
-        self.solvers.pop(k, None)
+        return self.solvers.pop(k, None)
 
     def restore(self, k, indices):
         self.removed[k] -= set(indices)
@@ -144,35 +149,26 @@ def makeup_clauses(chain, k, indices):
     T^rlx_old, and ∃W[A ∧ B] holds at y.  take_out also tries its clauses
     as answers before it enumerates a point.  A ∧ B implies most of them,
     so H_k inherits them literally, and clause_implied answers them
-    without a solve."""
+    without a solve.
+
+    The solver that relax drops holds H_{k-1} ∧ T^rlx_old; with H_k′
+    added it holds A ∧ B, and take_out asks it instead of building one."""
     if chain.removed[k - 1].intersection(indices):
         raise ValueError("clause already removed from step %d" % (k - 1))
-    chain.relax(k - 1, indices)
+    ab = chain.relax(k - 1, indices)
     if not indices:
         return []
+    if ab is not None:
+        for c in chain.h1[k]:
+            ab.add_clause(c)
     task = unrolled_lhs(chain, k, [chain.ts.trans[i] for i in indices])
     try:
         a_star = take_out(task, budget=chain.pqe_budget,
-                          covered=chain.h1[k - 1])
+                          covered=chain.h1[k - 1], ab_solver=ab)
     except PqeBudgetError as e:
         e.frame = k
         raise
     return rename(a_star, chain.ts.prev)
-
-
-def check_co(chain):
-    """The (condition, frame) pairs of the four CO conditions that fail."""
-    ts = chain.ts
-    entries = []
-    h = chain.h
-    for m in range(chain.j + 1):
-        entries.append((1, m, implies(h[0], h[m])))
-        entries.append((2, m, implies(h[m], ts.prop)))
-    for m in range(1, chain.j + 1):
-        lhs = h[m - 1] + chain.trlx_cnf(m - 1)
-        entries.append((3, m, implies(lhs, chain.h1[m])))
-        entries.append((4, m, implies(h[m - 1], h[m])))
-    return [(c, m) for c, m, passed in entries if not passed]
 
 
 def clause_implied(chain, m, clause):

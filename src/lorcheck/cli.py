@@ -182,7 +182,11 @@ def _integer(word, lineno):
 
 def _zero_ended(words, lineno, what="a clause"):
     """The integers of a DIMACS line that ends in its only 0, without it."""
-    nums = [_integer(x, lineno) for x in words]
+    try:
+        nums = list(map(int, words))
+    except ValueError:
+        # the per-word path names the first word that is not an integer
+        nums = [_integer(x, lineno) for x in words]
     if not nums or nums[-1] != 0 or 0 in nums[:-1]:
         raise ValueError("line %d: %s must end in its only 0" % (lineno, what))
     return nums[:-1]

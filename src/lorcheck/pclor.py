@@ -39,30 +39,51 @@ class Checker:
         self.chain = FrameChain(ts, pqe_budget)
         self.state_ids = ts.state_ids(0)
         self.phase = None   # names the phase in a spent PQE budget
+        # step k -> [(source, model, |H_k|, R_k)] of the relaxing steps
+        # that _exclude_state found, until third_co_cond ends
+        self.relaxed = {}
+        # state key -> (path, i): path[:i] is a T-path from I to the state
+        self.reached = {}
 
     # ------------------------------------------------------------ helpers
 
     def _violation(self, k, clauses):
-        """(frame-0 state, model) of the first model of frame k's solver
-        that falsifies a clause of `clauses`, or None."""
-        m = first_model(self.chain.solver(k),
-                        ([-l for l in c] for c in clauses))
+        """(frame-0 state, model) of a model of H_k ∧ T^rlx_{k,k+1} that
+        falsifies a clause of `clauses`, or None.  A relaxing step that
+        _exclude_state recorded for step k is tried first, and dropped
+        once it is returned or no longer such a model: its source may have
+        left H_k, or a restore may have brought back a clause it
+        falsifies.  Otherwise the first such model of frame k's solver."""
+        chain, trans = self.chain, self.ts.trans
+        recs = self.relaxed.get(k, [])
+        # a record (s, m, n, r) was a model of H_k[:n] ∧ T^rlx(r), and H_k
+        # only gains clauses at its end
+        recs[:] = [(s, m, n, r) for s, m, n, r in recs if evaluate(
+            chain.h[k][n:] + [trans[i] for i in r - chain.removed[k]], m)]
+        for i, (s, m, _, _) in enumerate(recs):
+            if evaluate(clauses, m) is False:
+                del recs[i]
+                return s, m
+        m = first_model(chain.solver(k), ([-l for l in c] for c in clauses))
         return None if m is None else ({v: m[v] for v in self.state_ids}, m)
 
     def select_relaxation(self, k, target):
         """Clause indices to drop from T^rlx_{k-1,k} so that `target`
-        becomes reachable from an H_{k-1}-state in one transition."""
+        becomes reachable from an H_{k-1}-state in one transition, and the
+        model of that step: it values every step variable and falsifies
+        every dropped clause."""
         chain = self.chain
         kept = [i for i in range(len(self.ts.trans))
                 if i not in chain.removed[k - 1]]
         try:
-            left_out = max_relax_solve(
+            left_out, model = max_relax_solve(
                 chain.h[k - 1], chain.trlx_cnf(k - 1),
-                {self.ts.next[v]: b for v, b in target.items()})
+                {self.ts.next[v]: b for v, b in target.items()},
+                extra_vars=self.ts.step_vars)
         except ValueError:
             raise CheckerError("frame %d: H_%d is unsatisfiable, so no "
                                "relaxation reaches a state" % (k, k - 1)) from None
-        return [kept[i] for i in sorted(left_out)]
+        return [kept[i] for i in sorted(left_out)], model
 
     def _exclude_state(self, k, s):
         """Make H_k false at s, which has no H_{k-1}-predecessor under
@@ -74,17 +95,24 @@ class Checker:
         answers clauses G′ implied by A ∧ B = H_{k-1} ∧ H_k′ ∧ T^rlx(R),
         and H_{k-1} ∧ T^rlx(R) ⇒ H_k′ by the certificate, so H_{k-1} ∧
         T^rlx(R) ⇒ G′.  An empty H_k is certified under every R, as
-        co3_checked reads 0 = |H_k|."""
+        co3_checked reads 0 = |H_k|.
+
+        The relaxing step is recorded for step k-1: its source is an
+        H_{k-1}-state one relaxed step before s, which H_k now excludes,
+        so it is a condition-3 violation that _violation can return."""
         chain = self.chain
         r_old = frozenset(chain.removed[k - 1])
         certified = chain.co3_checked(k) == len(chain.h[k])
-        idx = self.select_relaxation(k, s)
+        idx, model = self.select_relaxation(k, s)
         chain.strengthen(k, makeup_clauses(chain, k, idx))
         if certified:
             chain.co3[k] = (r_old, len(chain.h[k]))
         if evaluate(chain.h[k], s) is not False:
             raise CheckerError("frame %d: the makeup clauses do not exclude "
                                "a state without a predecessor" % k)
+        self.relaxed.setdefault(k - 1, []).append((
+            {v: model[v] for v in self.state_ids}, model,
+            len(chain.h[k - 1]), frozenset(chain.removed[k - 1])))
 
     def _backward_walk(self, k0, s0, m0):
         """Fig.-3 style reverse extension from an H_{k0}-state s0.
@@ -94,21 +122,47 @@ class Checker:
         (m0 for s0), or strengthens the chain until s0 falsifies H_{k0} and
         returns None.  The walk stops at the first initial state on top of
         the stack, at any frame; every state of frame 0 is one, as H_0 = I.
-        Only the top state is popped after a strengthening step, and a
-        replay that restores a step's clauses cuts the walk back to that
-        step's target."""
+        It stops as well at a state met at frame k that an earlier replay
+        proved reachable in at most k steps, and the path starts with that
+        replay's path to it; so a path has at most k0 steps.  Only the top
+        state is popped after a strengthening step, and a replay that
+        restores a step's clauses cuts the walk back to that step's
+        target.  Every state of a path returned is remembered as
+        reachable."""
         stack = [(k0, s0, m0)]
         while stack:
             k, s, _ = stack[-1]
-            if evaluate(self.ts.init, s):
+            if (prefix := self._prefix(k, s)) is not None:
                 if (cut := self._replay(stack)) is None:
-                    return [e[1:] for e in reversed(stack)]
+                    path = prefix + [e[1:] for e in reversed(stack)]
+                    self._remember(path)
+                    return path
                 del stack[cut:]
             elif (r := self._block(k, s)) is None:
                 stack.pop()
             else:
                 stack.append((k - 1, *r))
         return None
+
+    def _key(self, s):
+        return tuple(s[v] for v in self.state_ids)
+
+    def _remember(self, path):
+        """Keep the shortest known T-path from I to each state of `path`,
+        a path of T-steps whose last step may be T^rlx's alone."""
+        for i, (s, _) in enumerate(path):
+            key = self._key(s)
+            if key not in self.reached or self.reached[key][1] > i:
+                self.reached[key] = (path, i)
+
+    def _prefix(self, k, s):
+        """A path of T-steps from I to the state s, without s, of at most k
+        steps: [] for an initial s, else one that a replay proved; None if
+        neither is known."""
+        if evaluate(self.ts.init, s):
+            return []
+        path, i = self.reached.get(self._key(s), (None, k + 1))
+        return path[:i] if i <= k else None
 
     def _block(self, k, s):
         """One walk step at a non-initial H_k-state s: (predecessor in
@@ -121,13 +175,14 @@ class Checker:
         return None
 
     def _replay(self, stack):
-        """Replay the walk's path, from its initial state at the top of the
-        stack upward, under T.  A step's model that falsifies no clause
-        dropped from the step (unchanged since) is a model of T; T is asked
-        only for another step, and its model replaces the step's.  At the
-        first step that only T^rlx allows, restore the dropped clauses its
-        model falsifies and return the stack position of the step's source;
-        None when every step is a transition of T."""
+        """Replay the walk's path, from the state at the top of the stack
+        (initial, or proved reachable) upward, under T.  A step's model
+        that falsifies no clause dropped from the step (unchanged since) is
+        a model of T; T is asked only for another step, and its model
+        replaces the step's.  At the first step that only T^rlx allows,
+        restore the dropped clauses its model falsifies and return the
+        stack position of the step's source; None when every step is a
+        transition of T."""
         for i in range(len(stack) - 1, 0, -1):
             k, a, m = stack[i]
             if not (broken := self._broken(k, m)):
@@ -193,7 +248,10 @@ class Checker:
         bring R_{m-1} back inside the certificate's R, so the clauses left
         to check are read again after each one.  The walks from frame m-1
         neither strengthen H_m nor relax step m-1.  Once no violation is
-        left, all of H_m is certified under the current R_{m-1}."""
+        left, all of H_m is certified under the current R_{m-1}.  A
+        relaxing step recorded by _exclude_state is asked about before
+        the frame solver (see _violation); every record is dropped at the
+        end."""
         chain = self.chain
         for m in range(chain.j, 0, -1):
             while (new := chain.h1[m][chain.co3_checked(m):]) and \
@@ -204,6 +262,7 @@ class Checker:
                         "a boundary formula; invariant broken")
                 chain.restore(m - 1, broken)
             chain.co3[m] = (frozenset(chain.removed[m - 1]), len(chain.h[m]))
+        self.relaxed.clear()
 
     def _broken(self, k, model):
         """The clauses dropped from step k that the model falsifies."""

@@ -57,14 +57,19 @@ class PqeTask:
         self.b = b
 
 
-def take_out(task, budget=DEFAULT_BUDGET, covered=None):
+def take_out(task, budget=DEFAULT_BUDGET, covered=None, ab_solver=None):
     """Solve a PQE task; raises PqeBudgetError once it has enumerated
     `budget` points without finishing.  `covered` (None: no region) is
     the region of the module docstring, and its clauses, restricted to the
     free variables, are tried as answers first; an emptied clause is
     skipped, and a covered cube needs a literal only for a clause not
     taken.  A point's membership is asked only after A ∧ B is found
-    satisfiable there, as most points of a costly task are not."""
+    satisfiable there, as most points of a costly task are not.
+
+    `ab_solver` (None: one is built over A ∧ B) is a solver over a formula
+    equivalent to A ∧ B whose models value every variable of A ∧ B; it
+    answers every question about A ∧ B and gains no clause.  The makeup
+    step passes the frame solver that relaxing the step drops."""
     w = task.w
     a, ab = task.a, task.a + task.b
     free_set = set(map(abs, chain.from_iterable(ab))) - w
@@ -73,7 +78,8 @@ def take_out(task, budget=DEFAULT_BUDGET, covered=None):
     top = max(chain(w, free), default=0)
     sels = range(top + 1, top + 1 + len(a))
     not_a = [(-s, -l) for s, c in zip(sels, a) for l in c] + [tuple(sels)]
-    ab_solver = Solver(ab)
+    if ab_solver is None:
+        ab_solver = Solver(ab)
     # _lift skips a clause of W-literals alone: a model of A ∧ B makes one true
     liftable = [c for c in ab if not w.issuperset(map(abs, c))]
     answer, rest = [], []     # rest: the clauses of covered not taken

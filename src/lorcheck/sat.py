@@ -462,23 +462,27 @@ def first_model(solver, queries):
     return None
 
 
-def max_relax_solve(hard, soft, target):
+def max_relax_solve(hard, soft, target, extra_vars=()):
     """Satisfy hard plus the target assignment with a minimal correction
     set of soft clauses left out, by relaxation search (Bacchus, Davies,
     Tsimpoukelli, Katsirelos, AAAI 2014).
 
     One solve prefers each soft clause's selector in turn, so a selector
     is false only where hard, the target and the earlier kept softs refute
-    its clause.  Returns the indices of those clauses: every model of
-    hard, target and the rest falsifies them, and none can be kept alone.
+    its clause.  Returns the indices of those clauses, and the solve's
+    model: every model of hard, target and the rest falsifies them, and
+    none can be kept alone.  The model values every id of `extra_vars`
+    too; the selectors lie above them.
     """
     hard, soft = [list(c) for c in hard], [list(c) for c in soft]
-    top = max(chain(map(abs, chain.from_iterable(hard + soft)), target),
-              default=0)
+    top = max(chain(map(abs, chain.from_iterable(hard + soft)), target,
+                    extra_vars), default=0)
     selectors = range(top + 1, top + 1 + len(soft))
-    solver = Solver(hard + [[-sel] + c for sel, c in zip(selectors, soft)])
+    solver = Solver(hard + [[-sel] + c for sel, c in zip(selectors, soft)],
+                    extra_vars=extra_vars)
     target_lits = [vid if val else -vid for vid, val in sorted(target.items())]
     res = solver.solve(target_lits, prefer=selectors)
     if not res:
         raise ValueError("hard formula with target is unsatisfiable")
-    return {i for i, sel in enumerate(selectors) if not res.model[sel]}
+    left_out = {i for i, sel in enumerate(selectors) if not res.model[sel]}
+    return left_out, res.model

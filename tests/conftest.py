@@ -5,7 +5,7 @@ import pytest
 from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.cnf import evaluate
 from lorcheck.qe_oracle import reach_bruteforce
-from lorcheck.sat import Solver
+from lorcheck.sat import Solver, implies
 
 STUCK0_SRC = """\
 input x
@@ -183,3 +183,20 @@ def brute_force_verdict(ts):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+def check_co(chain):
+    """The (condition, frame) pairs of the four CO conditions that the
+    frame chain fails, each asked by `implies`; a test instrument, run
+    from an engine's iter_hook."""
+    ts = chain.ts
+    entries = []
+    h = chain.h
+    for m in range(chain.j + 1):
+        entries.append((1, m, implies(h[0], h[m])))
+        entries.append((2, m, implies(h[m], ts.prop)))
+    for m in range(1, chain.j + 1):
+        lhs = h[m - 1] + chain.trlx_cnf(m - 1)
+        entries.append((3, m, implies(lhs, chain.h1[m])))
+        entries.append((4, m, implies(h[m - 1], h[m])))
+    return [(c, m) for c, m, passed in entries if not passed]

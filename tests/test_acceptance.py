@@ -13,12 +13,12 @@ from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 from lorcheck.pqe import PqeTask, take_out
 from lorcheck.pclor import Checker
 from lorcheck.indclause import IcChecker, educat_guess_rlx
-from lorcheck.boundary import FrameChain, check_co
+from lorcheck.boundary import FrameChain
 from lorcheck.qe_oracle import check_pqe, verify_boundary
 from lorcheck.cli import main as cli_main
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       random_system_source, random_system,
-                      brute_force_verdict, make_rng)
+                      brute_force_verdict, make_rng, check_co)
 
 
 def report(num, label, ok):

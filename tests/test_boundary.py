@@ -2,7 +2,7 @@ import pytest
 
 from lorcheck import boundary
 from lorcheck.boundary import (FrameChain, unrolled_lhs, makeup_clauses,
-                               check_co, clause_implied, detect_invariant)
+                               clause_implied, detect_invariant)
 from lorcheck.circuit import (CircuitError, build_miter, encode,
                               parse_circuit, stutter)
 from lorcheck.cnf import Clause, rename, evaluate, variables
@@ -13,7 +13,8 @@ from lorcheck.sat import Solver, implies
 from lorcheck.qe_oracle import (all_assignments, check_pqe, qe_bruteforce,
                                 verify_boundary)
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
-                      deep_ctr_miter, make_rng, random_system, shreg_source)
+                      deep_ctr_miter, make_rng, random_system, shreg_source,
+                      check_co)
 
 
 def stuck0_drop_indices(ts):
@@ -191,6 +192,32 @@ class TestMakeupClauses:
         chain = FrameChain(stuck0)
         chain.add_frame()
         assert list(makeup_clauses(chain, 1, [])) == []
+
+    @pytest.mark.parametrize("built", [True, False],
+                             ids=["frame-solver", "none-built"])
+    def test_the_dropped_frame_solver_answers_a_and_b(self, toggle,
+                                                      monkeypatch, built):
+        """relax hands back frame k-1's solver over H_{k-1} ∧ T^rlx_old;
+        with H_k′ added, which H_{k-1} ∧ T does not imply here, it is
+        take_out's solver over A ∧ B, and the answer meets the PQE
+        contract.  With none built, take_out builds one."""
+        calls = []
+
+        def record(task, **kw):
+            calls.append((task, kw, take_out(task, **kw)))
+            return calls[-1][2]
+        monkeypatch.setattr(boundary, "take_out", record)
+        chain = FrameChain(toggle)
+        chain.add_frame()
+        chain.strengthen(1, [Clause((-toggle.state_ids(0)[0],))])
+        old = chain.solver(0) if built else None
+        assert not built or not implies(chain.solver(0), chain.h1[1])
+        makeup_clauses(chain, 1, [0])
+        (task, kw, a_star), = calls
+        assert kw["ab_solver"] is old and 0 not in chain.solvers
+        assert check_pqe(task.w, task.a, task.b, a_star)
+        if built:
+            assert implies(old, chain.h1[1])
 
     def test_makeup_preserves_projection(self, toggle):
         """∃-projection onto frame-1 state of (prefix ∧ T) equals that of

@@ -212,7 +212,7 @@ class TestCheck:
         ("ring7", 1, "in fin_rlx at frame 1"),
         ("ring7", 2, "in fin_rlx at frame 2"),
         ((17, 5), 1, "in the rem_bad_st walk at frame 1"),
-        ((17, 6), 3, "in the third_co_cond walk at frame 2"),
+        ((76, 6), 2, "in the third_co_cond walk at frame 2"),
     ])
     def test_pqe_budget_names_its_phase(self, tmp_path, capfd, src, budget,
                                         where):
@@ -607,8 +607,8 @@ class TestEngineSearchIsPinned:
                   "7c886c6b498dff1512c390c171cd0bc2"),
         # a 6-latch random system that holds at frame 4
         "rand6": (random_system_source(make_rng(14), 6, 1), "lor",
-                  "a793d9eea7baeb8976febc7e1d65f2fc"
-                  "12f794c07d1ac8349cfd7d888eb0a43e"),
+                  "3aca6dfa24260523b756437ea1840b8d"
+                  "1760f6b3b00c0ed18525ad2f705b4862"),
         # both engines end at frame 7 with the same clause counts and
         # write the same trace
         "ctr4": (ctr_source(4), "lor",

@@ -8,7 +8,7 @@ import pytest
 from lorcheck.cnf import (Clause, evaluate, longest_falsified_clause,
                           rename)
 from lorcheck.sat import Solver, implies
-from lorcheck.boundary import FrameChain, check_co
+from lorcheck.boundary import FrameChain
 from lorcheck.circuit import parse_circuit, encode, stutter, build_miter
 import lorcheck.indclause as indclause
 from lorcheck.indclause import (Cti, IcChecker, make_inductive_clause,
@@ -19,7 +19,7 @@ from lorcheck.pclor import Checker
 from lorcheck.qe_oracle import verify_boundary, image_under, reach_bruteforce
 from conftest import (random_system, random_system_source,
                       brute_force_verdict, make_rng, shreg_source, ctr_source,
-                      deep_ctr_miter, deep_ctr_miter_sources)
+                      deep_ctr_miter, deep_ctr_miter_sources, check_co)
 from test_pclor import replay_trace, check_invariant_witness
 
 
@@ -550,12 +550,12 @@ class TestIcChecker:
         assert built_clauses.count([list(c) for c in ts.init]) == init_solvers
 
     @pytest.mark.parametrize("circuit", [
-        lambda: parse_circuit(ctr_source(4)),
+        lambda: parse_circuit(random_system_source(make_rng(3), 8, 1)),
         lambda: build_miter(*map(parse_circuit, deep_ctr_miter_sources()))],
-        ids=["ctr4", "deep-ctr-miter"])
+        ids=["rand8", "deep-ctr-miter"])
     def test_one_step_solver_per_frame(self, circuit, monkeypatch):
         """A run builds at most one relative-induction solver per frame,
-        on a counter and on a counter miter, both walk-heavy."""
+        on a random system and on a counter miter, both walk-heavy."""
         asked = []
         kept = FrameChain.step_solver
         monkeypatch.setattr(FrameChain, "step_solver", lambda self, k:

@@ -5,15 +5,15 @@ import pytest
 
 from lorcheck.circuit import (CircuitError, parse_circuit, encode, simulate,
                               stutter, build_miter)
-from lorcheck.cnf import Clause, evaluate, rename
+from lorcheck.cnf import Clause, evaluate, longest_falsified_clause, rename
 from lorcheck.sat import Solver, implies
 from lorcheck.pclor import Checker, CheckerError, Witness
 from lorcheck.indclause import IcChecker
-from lorcheck.boundary import FrameChain, check_co
+from lorcheck.boundary import FrameChain
 from lorcheck.qe_oracle import reach_bruteforce, verify_boundary
 from conftest import (STUCK0_SRC, random_system, random_system_source,
                       brute_force_verdict, make_rng, shreg_source, ring_source,
-                      ctr_source, deep_ctr_miter)
+                      ctr_source, deep_ctr_miter, check_co)
 from test_boundary import stuck0_drop_indices
 
 
@@ -322,6 +322,131 @@ class TestThirdCoCond:
                 engine(ts, iter_hook=lambda ch: reports.append(
                     check_co(ch))).run()
         assert len(reports) > 80 and all(r == [] for r in reports)
+
+
+class TestRelaxedRecords:
+    """_exclude_state records the step its relaxation made possible, and
+    third_co_cond's _violation returns it before asking a solver; a record
+    that is no longer a model of H_k ∧ T^rlx_{k,k+1} is never returned."""
+
+    @staticmethod
+    def ring_checker(j=3):
+        """A lor checker of the 5-stage ring stopped after fin_rlx(j), with
+        the one step relaxed at j-1 recorded."""
+        ts = encode(stutter(parse_circuit(ring_source(5))))
+        c = Checker(ts)
+        for i in range(1, j):
+            assert c.rem_bad_st(i) is None and c.fin_rlx(i) is None
+            c.third_co_cond()
+        assert c.rem_bad_st(j) is None and c.fin_rlx(j) is None
+        assert len(c.relaxed[j - 1]) == 1
+        return c, c.relaxed[j - 1][0]
+
+    @staticmethod
+    def check_violation(c, k, clauses, got):
+        """`got` is a model of frame k's solver formula that falsifies a
+        clause of `clauses`."""
+        s, m = got
+        assert evaluate(c.chain.h[k] + c.chain.trlx_cnf(k), m) is True
+        assert evaluate(clauses, m) is False
+        assert s == {v: m[v] for v in c.state_ids}
+
+    def test_the_record_is_the_first_violation(self, monkeypatch):
+        c, (s, m, _, _) = self.ring_checker()
+        solves, solve = [], Solver.solve
+        monkeypatch.setattr(Solver, "solve", lambda *a, **kw:
+                            solves.append(a) or solve(*a, **kw))
+        got = c._violation(2, c.chain.h1[3])
+        assert got[1] is m and got[0] == s
+        self.check_violation(c, 2, c.chain.h1[3], got)
+        assert solves == [] and c.relaxed[2] == []
+
+    def test_a_restored_clause_makes_it_stale(self):
+        c, (s, m, _, r) = self.ring_checker()
+        chain = c.chain
+        assert chain.removed[2] == r
+        chain.restore(2, sorted(r)[:1])
+        got = c._violation(2, chain.h1[3])
+        assert got is None or got[1] is not m
+        if got is not None:
+            self.check_violation(c, 2, chain.h1[3], got)
+        assert c.relaxed[2] == []
+
+    def test_a_source_left_h_k_makes_it_stale(self):
+        c, (s, m, _, _) = self.ring_checker()
+        chain = c.chain
+        chain.strengthen(2, [longest_falsified_clause(s)])
+        got = c._violation(2, chain.h1[3])
+        assert got is None or got[1] is not m
+        if got is not None:
+            self.check_violation(c, 2, chain.h1[3], got)
+        assert c.relaxed[2] == []
+
+    def test_third_co_cond_drops_every_record(self):
+        c, _ = self.ring_checker()
+        c.third_co_cond()
+        assert c.relaxed == {}
+
+
+class TestWalkMemo:
+    """A walk stops at a state that an earlier replay proved reachable in
+    at most as many steps as its frame, and the path starts with that
+    replay's path to it."""
+
+    def test_ctr8_blocks_once_per_frame(self, monkeypatch):
+        """ctr8 fails at depth 128; without the memo every walk went back
+        to I, and _block ran 8,128 times."""
+        ts = encode(stutter(parse_circuit(ctr_source(8))))
+        calls, frames = [], []
+        block = Checker._block
+        monkeypatch.setattr(Checker, "_block", lambda self, k, s:
+                            calls.append(k) or block(self, k, s))
+        w = Checker(ts, iter_hook=lambda ch: frames.append(ch.j)).run()
+        assert w.kind == "counterexample"
+        replay_trace(ts, w.trace)
+        check_cex_steps(w, len(frames))
+        assert len(frames) == 127 and len(calls) < 2 * 127
+
+    def test_seeded_draws(self, monkeypatch):
+        """Every trace of a scan of random 6-8-latch systems replays and
+        has at most j steps, some walks stop at a remembered state, and
+        every verdict agrees with enumeration."""
+        prefix, hits = Checker._prefix, []
+
+        def counted(self, k, s):
+            p = prefix(self, k, s)
+            if p:
+                hits.append(len(p))
+            return p
+        monkeypatch.setattr(Checker, "_prefix", counted)
+        rng, failed = random.Random(11), 0
+        for _ in range(60):
+            src = random_system_source(rng, rng.choice([6, 7, 8]),
+                                       rng.choice([1, 2, 3]))
+            ts = encode(stutter(parse_circuit(src)))
+            frames = []
+            w = Checker(ts, iter_hook=frames.append).run()
+            assert w.kind == brute_force_verdict(ts)
+            if w.kind == "counterexample":
+                failed += 1
+                replay_trace(ts, w.trace)
+                assert len(w.trace) - 1 <= len(frames) + 1
+        assert failed >= 10 and hits
+
+    def test_a_prefix_longer_than_the_frame_is_not_used(self):
+        ts = encode(stutter(parse_circuit(ctr_source(5))))
+        c = Checker(ts)
+        assert c.run().kind == "counterexample"
+        checked = 0
+        for key, (path, i) in c.reached.items():
+            s = dict(zip(c.state_ids, key))
+            if evaluate(ts.init, s):
+                continue
+            assert c._prefix(i - 1, s) is None
+            assert c._prefix(i, s) == path[:i]
+            assert path[i][0] == s
+            checked += 1
+        assert checked >= 15
 
 
 class TestReplay:

@@ -9,6 +9,7 @@ from lorcheck import pqe
 from lorcheck.cnf import Clause, evaluate, longest_falsified_clause, variables
 from lorcheck.pqe import PqeTask, PqeBudgetError, take_out
 from lorcheck.qe_oracle import all_assignments, check_pqe, qe_bruteforce
+from lorcheck.sat import Solver
 
 
 def random_task(rng, max_var=8, max_clauses=16):
@@ -208,6 +209,44 @@ def region_inside(rng, free, allowed):
                 evaluate(region, y) is True:
             out.append(longest_falsified_clause(y))
     return out
+
+
+class TestGivenSolver:
+    """A caller may hand take_out its A ∧ B solver, as the makeup step
+    hands it the frame solver that relaxing the step drops: a solver that
+    answered other questions first and gained clauses one at a time."""
+
+    @staticmethod
+    def used_solver(rng, t):
+        """A solver over A ∧ B that holds part of it from the start, is
+        asked three questions, and then gains the rest clause by clause."""
+        ab = t.a + t.b
+        ids = sorted(variables(ab))
+        cut = rng.randint(0, len(ab))
+        s = Solver(ab[:cut], extra_vars=ids)
+        for _ in range(3):
+            s.solve([v if rng.random() < 0.5 else -v
+                     for v in rng.sample(ids, min(2, len(ids)))])
+        for c in ab[cut:]:
+            s.add_clause(c)
+        return s
+
+    @pytest.mark.parametrize("given", [False, True],
+                             ids=["built", "given"])
+    def test_random_differential(self, given):
+        rng = random.Random(33)
+        for _ in range(300):
+            t = random_task(rng)
+            kw = {"ab_solver": self.used_solver(rng, t)} if given else {}
+            assert check_pqe(t.w, t.a, t.b, take_out(t, **kw))
+
+    def test_builds_only_the_points_solver(self, built_solvers):
+        t = chain_task(5)
+        given = Solver(t.a + t.b)
+        before = len(built_solvers)
+        assert take_out(t, ab_solver=given) == take_out(t)
+        # the given call builds the points solver, the other one two
+        assert len(built_solvers) - before == 3
 
 
 class TestCovered:

@@ -446,7 +446,7 @@ class TestMaxRelaxSolve:
             target_var = rng.randint(1, n)
             target = {target_var: rng.random() < 0.5}
             try:
-                res = max_relax_solve(hard, soft, target)
+                res, _ = max_relax_solve(hard, soft, target)
             except ValueError:
                 assert not Solver(hard).solve(
                     [target_var if target[target_var] else -target_var])
@@ -470,7 +470,7 @@ class TestMaxRelaxSolve:
                                  for v in rng.sample(range(1, n + 1),
                                                      rng.randint(1, 3))))
                     for _ in range(rng.randint(6, 20))]
-            res = max_relax_solve(hard, soft, target)
+            res, _ = max_relax_solve(hard, soft, target)
             assert_minimal_correction_set(hard, soft, lits, res)
             nonempty += bool(res)
         assert nonempty > 50
@@ -478,7 +478,7 @@ class TestMaxRelaxSolve:
     def test_drops_exactly_the_blocking_clause(self):
         hard = []
         soft = [Clause((-1,)), Clause((2,))]
-        assert max_relax_solve(hard, soft, {1: True}) == {0}
+        assert max_relax_solve(hard, soft, {1: True})[0] == {0}
 
     def test_one_solver_per_call(self, built_solvers, monkeypatch):
         solves = []
@@ -491,7 +491,7 @@ class TestMaxRelaxSolve:
         hard = [Clause((1, 2))]
         soft = [Clause((-1,)), Clause((-2,)), Clause((3,)),
                     Clause((-3, 1))]
-        res = max_relax_solve(hard, soft, {3: True})
+        res, _ = max_relax_solve(hard, soft, {3: True})
         assert len(built_solvers) == 1 and solves == built_solvers
         assert_minimal_correction_set(hard, soft, [3], res)
 
@@ -674,7 +674,7 @@ class TestPreferSearchIsPinned:
                 for _ in range(2 * n)]
         target = {v: rng.random() < 0.5 for v in rng.sample(range(1, n + 1), 3)}
         try:
-            out.append(sorted(max_relax_solve(hard, soft, target)))
+            out.append(sorted(max_relax_solve(hard, soft, target)[0]))
         except ValueError:
             out.append("unsat")
         return out
