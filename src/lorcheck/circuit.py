@@ -151,6 +151,15 @@ def _name(word, lineno):
 def parse_circuit(text):
     """Parse SCIRC source into a validated Circuit."""
     c = Circuit()
+    declared = set()
+
+    def declare(word, lineno):
+        name = _name(word, lineno)
+        if name in declared:
+            raise CircuitError("line %d: duplicate name %r" % (lineno, name))
+        declared.add(name)
+        return name
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0]
         words = line.split()
@@ -160,7 +169,7 @@ def parse_circuit(text):
         if kind == "input":
             if len(words) != 2:
                 raise CircuitError("line %d: input takes one name" % lineno)
-            c.inputs.append(_name(words[1], lineno))
+            c.inputs.append(declare(words[1], lineno))
         elif kind == "latch":
             if len(words) < 6 or words[2] != "init" or words[4] != "next":
                 raise CircuitError("line %d: latch <name> init {0|1|*} next <expr>" % lineno)
@@ -168,16 +177,13 @@ def parse_circuit(text):
             if init == "bad":
                 raise CircuitError("line %d: init must be 0, 1 or *" % lineno)
             expr = _parse_expr(line, lineno, 5)
-            c.latches.append(Latch(_name(words[1], lineno), init, expr))
+            c.latches.append(Latch(declare(words[1], lineno), init, expr))
         elif kind in ("signal", "output"):
             if len(words) < 4 or words[2] != "=":
                 raise CircuitError("line %d: %s <name> = <expr>" % (lineno, kind))
             expr = _parse_expr(line, lineno, 3)
             defs = c.signals if kind == "signal" else c.outputs
-            name = _name(words[1], lineno)
-            if name in defs:
-                raise CircuitError("line %d: duplicate name %r" % (lineno, name))
-            defs[name] = expr
+            defs[declare(words[1], lineno)] = expr
         elif kind == "prop":
             if c.prop is not None:
                 raise CircuitError("line %d: duplicate prop" % lineno)
@@ -203,11 +209,7 @@ def _validate(c):
     read inputs, latches and earlier signals; an output may also read any
     signal and earlier outputs; latch next-states and prop come last and may
     read any declared name.  This also rules out combinational cycles."""
-    seen = set()
-    for name in itertools.chain(c.inputs, c.latch_names(), c.signals, c.outputs):
-        if name in seen:
-            raise CircuitError("duplicate name %r" % name)
-        seen.add(name)
+    declared = c.declared()
     defined = set(c.inputs).union(c.latch_names())
     defs = itertools.chain(c.signals.items(), c.outputs.items(),
                            ((l.name, l.next) for l in c.latches),
@@ -216,7 +218,7 @@ def _validate(c):
         refs = set()
         _expr_names(e, refs)
         for r in sorted(refs - defined):
-            if r not in seen:
+            if r not in declared:
                 raise CircuitError("undeclared signal %r" % r)
             raise CircuitError("%r reads %r before its definition" % (name, r))
         defined.add(name)
@@ -311,24 +313,16 @@ class _Encoder:
         return self.table.new("%s~%d" % (hint, self.tmp), 0).id
 
     def add(self, lits):
-        """Add a clause; the gates never put a variable in one twice."""
+        """Add a clause.  No clause holds a variable twice: a clause reads
+        a gate's output and operands, or a multiplexer's output, select and
+        one data input; two of those are one variable only when they are
+        one name, up to NOT (every other expression gets a fresh variable),
+        and `_simplify` has folded each such gate and multiplexer."""
         self.clauses.append(Clause.unchecked(lits))
 
     def gate(self, op, a, b, target, hint):
         """Tie target, or a fresh variable, to (a op b); returns it."""
         out = target if target is not None else self.fresh(hint)
-        if b == a or b == -a:
-            # equal or complementary operands: the straight Tseitin clauses
-            # would be tautological, so tie the output directly
-            same = b == a
-            if same and op in ("and", "or"):
-                self.add([-out, a])
-                self.add([out, -a])
-            elif op == "xor" and same or op == "and":
-                self.add([-out])
-            else:
-                self.add([out])
-            return out
         if op == "and":
             self.add([-out, a])
             self.add([-out, b])
@@ -358,17 +352,10 @@ class _Encoder:
             # the multiplexer (c AND t) OR (NOT c AND f) that stutter builds:
             # four ITE clauses over the output, no variable for either AND
             c, t, f = (self.encode(x, hint=hint) for x in (e[1][1], e[1][2], e[2][2]))
-            if t == f:
-                lit = t
-            elif c in (t, -t, f, -f):
-                # two of the ITE clauses would be tautologies
-                return self.gate("or", self.gate("and", c, t, None, hint),
-                                 self.gate("and", -c, f, None, hint), target, hint)
-            else:
-                out = target if target is not None else self.fresh(hint)
-                for lits in ([-out, -c, t], [-out, c, f], [out, -c, -t], [out, c, -f]):
-                    self.add(lits)
-                return out
+            out = target if target is not None else self.fresh(hint)
+            for lits in ([-out, -c, t], [-out, c, f], [out, -c, -t], [out, c, -f]):
+                self.add(lits)
+            return out
         else:
             a = self.encode(e[1], hint=hint)
             b = self.encode(e[2], hint=hint)
@@ -380,7 +367,7 @@ class _Encoder:
         return lit
 
     def define(self, e, target, hint):
-        """Tie variable target to expr e, folding constants first."""
+        """Tie variable target to expr e, folding it first."""
         e = _simplify(e)
         if e[0] == "const":
             self.add([target] if e[1] else [-target])
@@ -388,32 +375,41 @@ class _Encoder:
             self.encode(e, target=target, hint=hint)
 
 
+def _not(s):
+    """NOT s, for a simplified s, simplified."""
+    if s[0] == "const":
+        return ("const", 1 - s[1])
+    return s[1] if s[0] == "not" else ("not", s)
+
+
 def _simplify(e):
-    """Constant folding so the encoder never sees 'const' below the top."""
+    """e with every degenerate operation folded, the one place that folds:
+    constants, double NOT, (a op a), (a op NOT a) in either order, and a
+    multiplexer (c AND t) OR (NOT c AND t) with equal data inputs.  So the
+    encoder sees no constant below the top, no gate whose operands are one
+    name up to NOT, and no multiplexer whose select is also a data input
+    or whose data inputs are equal."""
     op = e[0]
     if op in ("var", "const"):
         return e
     if op == "not":
-        s = _simplify(e[1])
-        if s[0] == "const":
-            return ("const", 1 - s[1])
-        if s[0] == "not":
-            return s[1]
-        return ("not", s)
+        return _not(_simplify(e[1]))
     a = _simplify(e[1])
     b = _simplify(e[2])
     for x, y in ((a, b), (b, a)):
         if x[0] == "const":
             if op == "and":
-                return y if x[1] else ("const", 0)
+                return y if x[1] else x
             if op == "or":
-                return ("const", 1) if x[1] else y
-            if op == "xor":
-                return ("not", y) if x[1] else y
-    if op == "xor":
-        # keep xor of identical operands folded; cheap and common in miters
-        if a == b:
-            return ("const", 0)
+                return x if x[1] else y
+            return _not(y) if x[1] else y
+    if a == b:
+        return ("const", 0) if op == "xor" else a
+    if a == _not(b):
+        return ("const", 0 if op == "and" else 1)
+    if op == "or" and a[0] == b[0] == "and" and b[1] == ("not", a[1]) \
+            and a[2] == b[2]:
+        return a[2]
     return (op, a, b)
 
 

@@ -166,6 +166,35 @@ def random_system_source(rng, n_latch, n_in, init_zero=True):
     return "\n".join(lines) + "\n"
 
 
+def degenerate_system_source(rng, n_latch, n_in):
+    """A random SCIRC source whose expressions also read the constants 0
+    and 1 and signals, and often repeat an operand, as it is or negated."""
+    ins = ["x%d" % i for i in range(n_in)]
+    names = ["s%d" % i for i in range(n_latch)]
+    atoms = ins + names + ["0", "1"]
+
+    def expr(d=2):
+        if d == 0 or rng.random() < 0.3:
+            a = rng.choice(atoms)
+            return a if rng.random() < 0.75 else "NOT %s" % a
+        a, r = expr(d - 1), rng.random()
+        b = a if r < 0.25 else "NOT " + a if r < 0.5 else expr(d - 1)
+        if rng.random() < 0.5:
+            a, b = b, a
+        return "(%s %s %s)" % (a, rng.choice(("AND", "OR", "XOR")), b)
+
+    lines = ["input %s" % x for x in ins]
+    for i in range(rng.randint(0, 2)):
+        lines.append("signal a%d = %s" % (i, expr()))
+        atoms.append("a%d" % i)
+    lines += ["latch %s init %s next %s" % (nm, rng.choice("01*"), expr())
+              for nm in names]
+    picks = rng.sample(names, min(len(names), 2))
+    lines.append("prop NOT (%s)" % " AND ".join(picks) if len(picks) == 2
+                 else "prop NOT %s" % picks[0])
+    return "\n".join(lines) + "\n"
+
+
 def random_system(rng, n_latch, n_in, **kw):
     src = random_system_source(rng, n_latch, n_in, **kw)
     return encode(stutter(parse_circuit(src)))

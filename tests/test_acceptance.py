@@ -18,6 +18,7 @@ from lorcheck.qe_oracle import check_pqe, verify_boundary
 from lorcheck.cli import main as cli_main
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, INV_DFF_SRC,
                       random_system_source, random_system,
+                      degenerate_system_source,
                       brute_force_verdict, make_rng, check_co)
 
 
@@ -137,13 +138,21 @@ def test_criterion_4_witnesses_verify(tmp_path):
 
 def test_criterion_5_engines_match_brute_force():
     rng = make_rng(1005)
-    ok = True
-    worst = 0.0
+    systems = []
     for _ in range(50):
         n_latch = rng.randint(1, 4)
         n_in = rng.randint(1, max(1, 5 - n_latch))
-        ts = random_system(rng, n_latch, n_in,
-                           init_zero=rng.random() < 0.7)
+        systems.append(random_system(rng, n_latch, n_in,
+                                     init_zero=rng.random() < 0.7))
+    # with constants, signals and repeated operands, which encode folds
+    rng = make_rng(1015)
+    for _ in range(40):
+        src = degenerate_system_source(rng, rng.randint(1, 4),
+                                       rng.randint(1, 2))
+        systems.append(encode(stutter(parse_circuit(src))))
+    ok = True
+    worst = 0.0
+    for ts in systems:
         want = brute_force_verdict(ts)
         for engine in (Checker, IcChecker):
             t0 = time.perf_counter()
@@ -151,8 +160,9 @@ def test_criterion_5_engines_match_brute_force():
             worst = max(worst, time.perf_counter() - t0)
             if w.kind != want:
                 ok = False
-    report(5, "50 random systems, both engines agree with explicit "
-              "reachability, worst case %.2fs" % worst, ok and worst < 10.0)
+    report(5, "90 random systems, 40 of them with constants and repeated "
+              "operands, both engines agree with explicit reachability, "
+              "worst case %.2fs" % worst, ok and worst < 10.0)
 
 
 def bmc_sat(ts, depth):

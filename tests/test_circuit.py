@@ -13,9 +13,9 @@ from lorcheck.cli import main
 from lorcheck.cnf import Clause, evaluate, rename, variables
 from lorcheck.sat import Solver, implies
 from conftest import (STUCK0_SRC, TOGGLE_SRC, DFF_SRC, FORWARD_REF_SRCS,
-                      random_system_source, shreg_source, xorreg_source,
-                      ring_source, ctr_source, deep_ctr_miter_sources,
-                      make_rng)
+                      random_system_source, degenerate_system_source,
+                      shreg_source, xorreg_source, ring_source, ctr_source,
+                      deep_ctr_miter_sources, make_rng)
 
 
 class TestParsing:
@@ -75,7 +75,12 @@ class TestParsing:
         "input x\nsignal a = x\nlatch s init 0 next a\nsignal a = NOT x\n"
         "prop NOT s\n",
         "input x\nlatch s init 0 next s\noutput z = s\noutput z = NOT s\n",
-    ], ids=["prop", "signal", "output"])
+        "input x\nlatch s init 0 next s\nprop NOT s\ninput x\n",
+        "input x\nlatch s init 0 next s\nprop NOT s\nlatch s init 1 next x\n",
+        "input x\nlatch s init 0 next s\nprop NOT s\nlatch x init 0 next s\n",
+        "input x\nsignal a = x\nlatch s init 0 next a\noutput a = NOT x\n",
+    ], ids=["prop", "signal", "output", "input", "latch", "input-latch",
+            "signal-output"])
     def test_repeated_declaration_exits_3(self, src, tmp_path, capfd):
         # the second declaration must not silently replace the first
         f = tmp_path / "twice.scirc"
@@ -326,7 +331,10 @@ class TestEncoding:
             # multiplexers inside a larger expression
             "(((x AND s) OR (NOT x AND NOT s)) AND t)",
             "(((x AND s) OR (NOT x AND s)) XOR t)",
-            "((t AND (s XOR x)) OR (NOT t AND (s AND x)))")])
+            "((t AND (s XOR x)) OR (NOT t AND (s AND x)))",
+            # constants and repeated operands that _simplify folds
+            "(1 XOR 0)", "(1 XOR 1)", "(1 XOR (x AND 0))", "(s AND s)",
+            "(x OR NOT x)", "(s XOR NOT s)")])
     def test_matches_simulation(self, src):
         c = parse_circuit(src)
         exhaustive_encoding_check(encode(c))
@@ -340,9 +348,26 @@ class TestEncoding:
             exhaustive_encoding_check(encode(c))
             exhaustive_encoding_check(encode(stutter(c)))
 
+    def test_degenerate_circuits_match_simulation(self):
+        # constants, signals and repeated operands: every clause encode
+        # builds is still free of repeated variables
+        rng = make_rng(63)
+        for _ in range(40):
+            c = parse_circuit(degenerate_system_source(
+                rng, rng.randint(1, 3), rng.randint(1, 2)))
+            for ts in (encode(c), encode(stutter(c))):
+                exhaustive_encoding_check(ts)
+                _assert_built_clauses_valid(ts)
+
     @pytest.mark.parametrize("src, size", [
         (ring_source(2), 8), (ring_source(7), 28), (ring_source(12), 48),
         ("latch s init 0 next s\n", 2),  # s' = stut ? s : s is s' = s
+        # each folds to s before encoding
+        ("latch s init 0 next (s AND s)\n", 2),
+        ("latch s init 0 next (s OR s)\n", 2),
+        ("latch s init 0 next NOT (NOT s OR NOT s)\n", 2),
+        ("latch s init 0 next (t AND t)\nlatch t init 1 next (s XOR 0)\n",
+         8),
     ])
     def test_stutter_adds_no_gate_variable(self, src, size):
         # each latch's multiplexer s' = stut ? next : s is four ITE clauses
@@ -351,6 +376,13 @@ class TestEncoding:
         assert len(ts.trans) == size
         assert variables(ts.trans) <= set(
             ts.state_ids(0) + ts.state_ids(1) + [ts.table.get("stut", 0).id])
+
+    @pytest.mark.parametrize("nxt, same", [("(x AND x)", "x"),
+                                           ("(NOT x OR NOT x)", "NOT x")])
+    def test_repeated_operand_encodes_as_the_operand(self, nxt, same):
+        ts, want = (encode(stutter(parse_circuit(
+            "input x\nlatch s init 0 next %s\n" % e))) for e in (nxt, same))
+        assert ts.trans == want.trans and len(ts.trans) == 4
 
     def test_init_and_prop(self):
         ts = encode(parse_circuit(STUCK0_SRC))

@@ -123,6 +123,22 @@ class TestCheck:
         assert main(["verify-witness", str(p), str(p) + ".witness"]) == 0
         assert "witness accepted" in capfd.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["lor", "lor-ic"])
+    @pytest.mark.parametrize("src", [
+        "latch s init 0 next (1 XOR 0)\nprop NOT s\n",
+        "signal a = (1 XOR 0)\nlatch s init 0 next a\nprop NOT s\n",
+    ], ids=["next", "signal"])
+    def test_constant_xor_fails_with_a_trace(self, tmp_path, capfd, engine,
+                                             src):
+        # 1 XOR 0 folds to NOT 0, which folds again, to 1
+        p = tmp_path / "xor.scirc"
+        p.write_text(src)
+        assert main(["check", str(p), "--engine", engine]) == 1
+        got = capfd.readouterr()
+        assert "verdict: fails" in got.out and "Traceback" not in got.err
+        assert main(["verify-witness", str(p), str(p) + ".witness"]) == 0
+        assert "witness accepted" in capfd.readouterr().out
+
     @pytest.mark.parametrize("circuit", ["stuck0_file", "toggle_file"])
     def test_unwritable_witness_exits_3(self, circuit, request, tmp_path,
                                         capfd):

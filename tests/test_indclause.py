@@ -179,12 +179,12 @@ class TestGeneralize:
         assert shrunk
 
     def test_skips_a_literal_an_earlier_trim_dropped(self, monkeypatch):
-        """Draw 53 of this scan under lor-ic is a run where the core of an
+        """Draw 884 of this scan under lor-ic is a run where the core of an
         accepted trial drops a literal of c that the loop has not reached:
         the loop skips it, and the clause returned is still implied by I
         and inductive relative to F."""
         rng = make_rng(3)
-        for _ in range(54):
+        for _ in range(885):
             src = random_system_source(rng, rng.randint(3, 7),
                                        rng.randint(1, 2),
                                        init_zero=rng.random() < 0.5)
